@@ -2,9 +2,10 @@
 
 Every sweep row is produced by synthesizing the SUM circuit and lowering it,
 never from closed forms alone; the closed-form prediction acts as a
-consistency gate that aborts the row on any mismatch.  Counting choices the
-closed forms leave open are frozen in a named convention registry entry and
-stamped into every CSV row, so totals are reproducible and auditable.
+consistency gate that aborts the row on any mismatch.  Every CX figure,
+checkif_cx and the nrca series included, is read off a LoweringReport; the
+knobs a convention registry entry fixes are those of lowering.Strategy, and
+its id is stamped into every CSV row, so totals are reproducible.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field
 from . import lowering, sumsynth
 from .errors import InvalidDimensionError, SweepConsistencyError
 from .galois import is_prime
-from .lowering import GENERAL, MULTIPLEXED, RALPH, Strategy
+from .lowering import MULTIPLEXED, STRATEGY_NAMES, Strategy
 
-ALL_STRATEGIES = (GENERAL, RALPH, MULTIPLEXED)
+ALL_STRATEGIES = STRATEGY_NAMES
 
 
 # ----------------------------------------------------------------------
@@ -27,23 +28,14 @@ ALL_STRATEGIES = (GENERAL, RALPH, MULTIPLEXED)
 
 @dataclass(frozen=True)
 class Convention:
-    """Named, versioned set of counting choices stamped into every report.
-
-    Fixed choices shared by all registry entries: the Toffoli tally is
-    {6 CX, 2 H, 3 Tdag, 5 T}; Ralph two-qubit gates count 1:1 against CX;
-    a Toffoli whose two controls sit on different photons falls back to the
-    full Toffoli tally; X gates from polarity normalization never enter CX
-    totals.
-    """
+    """Named, versioned counting choice stamped into every report: the
+    multiplexed Strategy a sweep lowers with."""
 
     id: str
-    os_cost_per_control: int = 2
-    collapse_inner_c2x: bool = False
+    multiplexed: Strategy = lowering.multiplexed()
 
     def strategy(self, name: str) -> Strategy:
-        if name == MULTIPLEXED:
-            return lowering.multiplexed(self.os_cost_per_control, self.collapse_inner_c2x)
-        return Strategy(name)
+        return self.multiplexed if name == MULTIPLEXED else Strategy(name)
 
 
 CONVENTIONS: dict[str, Convention] = {
@@ -51,7 +43,8 @@ CONVENTIONS: dict[str, Convention] = {
     # Non-default variant: the inner Toffoli of a collapsed carry-controlled
     # flag gate is itself multiplexed down to one CX (carry and check-if
     # share the ancilla photon).  Excluded from comparison reports.
-    "inner-collapse-v1": Convention(id="inner-collapse-v1", collapse_inner_c2x=True),
+    "inner-collapse-v1": Convention(id="inner-collapse-v1",
+                                    multiplexed=lowering.multiplexed(collapse_inner_c2x=True)),
 }
 
 DEFAULT_CONVENTION_ID = "default-v1"
@@ -137,17 +130,6 @@ class SweepReport:
         return [getattr(r, name) for r in self.rows]
 
 
-def _checkif_cx_cost(p: sumsynth.SumPlan, convention: Convention) -> int:
-    """CX-equivalent cost of the flag phase under the multiplexed strategy."""
-    per_carry_flag = 1 if convention.collapse_inner_c2x else lowering.TOFFOLI_TALLY["C1X"]
-    total = 0
-    for f in p.flags:
-        if f.uses_carry_substitute:
-            continue
-        total += per_carry_flag if f.needs_carry_control else 1
-    return total
-
-
 def sweep_row(d: int, strategies=ALL_STRATEGIES, convention: Convention | None = None) -> SweepRow:
     """Synthesize, gate-check against the closed form, and lower one dimension."""
     conv = convention or get_convention()
@@ -169,7 +151,9 @@ def sweep_row(d: int, strategies=ALL_STRATEGIES, convention: Convention | None =
         setattr(row, f"ntot_{name}", row.n_sum_gates * report.cx_total)
         if name == MULTIPLEXED:
             row.os_count = report.os_total
-            row.checkif_cx = _checkif_cx_cost(p, conv)
+            checkif = {reg.name for reg in circuit.table.registers if reg.role == "check-if"}
+            row.checkif_cx = sum(r.cx for r, g in zip(report.rows, circuit.gates)
+                                 if g.targets[0].reg in checkif)
     if row.nsum_multiplexed:
         if row.nsum_general is not None:
             row.ratio_general = row.nsum_general / row.nsum_multiplexed
@@ -265,8 +249,9 @@ _SERIES_COLORS = ("#1f6fd0", "#c03fae", "#d03f3f", "#2f9e44", "#e8861a")
 def series_points(report: SweepReport, series: str) -> list[tuple[str, list[tuple[int, float]]]]:
     """(label, points) pairs for a named SVG series."""
     if series == "nrca":
-        pts = [(r.d, float(6 * (3 * r.k - 2) + (2 * r.k - 1))) for r in report.rows]
-        return [("nrca_cx", pts)]
+        adder_cx = {k: lowering.lower_circuit(sumsynth.synth_rca(k), lowering.general()).cx_total
+                    for k in {r.k for r in report.rows}}
+        return [("nrca_cx", [(r.d, float(adder_cx[r.k])) for r in report.rows])]
     try:
         columns = SVG_SERIES[series]
     except KeyError:

@@ -81,6 +81,11 @@ class RegisterTable:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
+    def offset(self, name: str) -> int:
+        """Global bit offset of a register's qubit 0."""
+        self[name]  # unknown names raise ResolutionError
+        return self._offsets[name]
+
     def resolve(self, wire: Wire) -> int:
         """Global bit offset of a qubit-level wire."""
         reg = self[wire.reg]
@@ -252,9 +257,6 @@ class CostBreakdown:
     def restrict(self, keys: Iterable[str]) -> "CostBreakdown":
         wanted = {_canonical_key(k) for k in keys}
         return CostBreakdown({k: v for k, v in self._counts.items() if k in wanted})
-
-    def scaled(self, factor: int) -> "CostBreakdown":
-        return CostBreakdown({k: v * factor for k, v in self._counts.items()})
 
     def as_dict(self) -> dict[str, int]:
         return {k: v for k, v in sorted(self._counts.items(), key=_class_sort_key) if v}

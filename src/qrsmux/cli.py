@@ -14,7 +14,7 @@ import sys
 
 from . import analysis, config as config_mod, gf2m, lowering, revsim, sumsynth
 from .circuit import parse, serialize
-from .errors import QrsError
+from .errors import QrsError, UnsupportedConfigurationError
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -58,7 +58,10 @@ def cmd_synth_sum(args) -> int:
 def cmd_lower(args) -> int:
     with open(args.in_path, encoding="utf-8") as fh:
         circuit = parse(fh.read())
-    strategy = lowering.Strategy(args.strategy, os_cost_per_control=args.os_cost)
+    try:
+        strategy = lowering.Strategy(args.strategy, os_cost_per_control=args.os_cost)
+    except ValueError as e:
+        raise UnsupportedConfigurationError(f"--os-cost {args.os_cost}: {e}") from None
     report = lowering.lower_circuit(circuit, strategy)
     _write_lowering_report(report, args.report)
     print(f"strategy={args.strategy}: totals {report.total.as_dict()}")
@@ -71,8 +74,11 @@ def cmd_lower(args) -> int:
 def cmd_gf2m(args) -> int:
     cfg = _load_config(args.config)
     overrides = config_mod.poly_overrides(cfg)
-    k = args.k if args.k is not None else 1 << (args.m - 1)
-    spec = gf2m.build_code(args.m, k, poly=args.poly, overrides=overrides)
+    try:
+        k = args.k if args.k is not None else 1 << (args.m - 1)
+        spec = gf2m.build_code(args.m, k, poly=args.poly, overrides=overrides)
+    except ValueError as e:
+        raise UnsupportedConfigurationError(f"--m {args.m}: {e}") from None
     encoder = gf2m.synth_encoder_gf2m(spec)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
@@ -99,7 +105,10 @@ def cmd_gf2m(args) -> int:
 def cmd_verify(args) -> int:
     circuit = sumsynth.synth_sum(args.d)
     if args.mutate is not None:
-        circuit = circuit.without_gate(args.mutate)
+        try:
+            circuit = circuit.without_gate(args.mutate)
+        except IndexError as e:
+            raise UnsupportedConfigurationError(f"--mutate {args.mutate}: {e}") from None
         print(f"mutated: removed gate {args.mutate}")
     report = revsim.verify_sum(args.d, circuit)
     print(report.summary())
@@ -108,9 +117,14 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    convention_id = args.convention or config_mod.convention_id(cfg, analysis.DEFAULT_CONVENTION_ID)
+    source = "--convention" if args.convention else "convention.id"
+    try:
+        convention = analysis.get_convention(
+            args.convention or config_mod.convention_id(cfg, analysis.DEFAULT_CONVENTION_ID))
+    except ValueError as e:
+        raise UnsupportedConfigurationError(f"{source}: {e}") from None
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-    report = analysis.sweep(args.d_min, args.d_max, strategies, convention_id)
+    report = analysis.sweep(args.d_min, args.d_max, strategies, convention)
     out_dir = os.environ.get("QRS_OUT_DIR")
     out_path = _out_path(args.out, out_dir)
     analysis.emit_csv(report, out_path)

@@ -21,7 +21,7 @@ from . import galois
 from .circuit import Circuit, Meta, Register, RegisterTable, Wire, cmuladd, cx, dft
 from .errors import UnsupportedConfigurationError
 from .galois import FieldElement, FieldSpec, hamming_weight, mul_by_alpha_matrix
-from .revsim import compile_permutation, _run
+from .revsim import compile_permutation, run_compiled
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +167,12 @@ def cmuladd_cx_formula(f: FieldSpec, n: int) -> int:
     return sum(hamming_weight(f.alpha_power(n + p).value, f.m) for p in range(f.m))
 
 
+def _cmuladd_cx_pairs(f: FieldSpec, n: int) -> list[tuple[int, int]]:
+    """(p, j) per CX a[p] -> b[j] of b <- alpha^n * a + b, in emission order."""
+    mat = mul_by_alpha_matrix(f, n)
+    return [(p, j) for p in range(f.m) for j in range(f.m) if mat[j, p]]
+
+
 def synth_cmuladd(f: FieldSpec, n: int) -> Circuit:
     """CX-only circuit on registers a, b realizing b <- alpha^n * a + b."""
     m = f.m
@@ -174,12 +180,8 @@ def synth_cmuladd(f: FieldSpec, n: int) -> Circuit:
         Register("a", m, 0, "gf-message"),
         Register("b", m, 1, "gf-code"),
     ])
-    mat = mul_by_alpha_matrix(f, n)
     c = Circuit(table, meta=Meta(d=f.order, note=f"b <- alpha^{n} * a + b over GF({f.order})"))
-    for p in range(m):
-        for j in range(m):
-            if mat[j, p]:
-                c.append(cx(Wire("a", p), Wire("b", j)))
+    c.extend(cx(Wire("a", p), Wire("b", j)) for p, j in _cmuladd_cx_pairs(f, n))
     return c.seal()
 
 
@@ -187,14 +189,14 @@ def find_cmuladd_counterexample(c: Circuit, f: FieldSpec, n: int) -> tuple[int, 
     """First basis pair (a, b) on which the circuit disagrees with b <- alpha^n * a + b."""
     compiled = compile_permutation(c)
     a_reg, b_reg = c.table.registers[0], c.table.registers[1]
-    a_off = c.table._offsets[a_reg.name]
-    b_off = c.table._offsets[b_reg.name]
+    a_off = c.table.offset(a_reg.name)
+    b_off = c.table.offset(b_reg.name)
     m = f.m
     mask = (1 << m) - 1
     for a in range(1 << m):
         expect_shift = galois.mul(f.alpha_power(n), FieldElement(a, f)).value if a else 0
         for b in range(1 << m):
-            out = _run(compiled, (a << a_off) | (b << b_off))
+            out = run_compiled(compiled, (a << a_off) | (b << b_off))
             got_a = (out >> a_off) & mask
             got_b = (out >> b_off) & mask
             if got_a != a or got_b != (expect_shift ^ b):
@@ -267,9 +269,7 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
             key = (g.poly, m, g.n)
             pairs = pairs_cache.get(key)
             if pairs is None:
-                mat = mul_by_alpha_matrix(FieldSpec.binary_extension(m, g.poly), g.n)
-                pairs = [(p, j) for p in range(m) for j in range(m) if mat[j, p]]
-                pairs_cache[key] = pairs
+                pairs = pairs_cache[key] = _cmuladd_cx_pairs(FieldSpec.binary_extension(m, g.poly), g.n)
             src, dst = g.controls[0].wire.reg, g.targets[0].reg
             gates.extend(cx(Wire(src, p), Wire(dst, j)) for p, j in pairs)
         else:

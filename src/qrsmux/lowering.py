@@ -1,5 +1,7 @@
 """Rewrite multi-controlled X gates into the target gate set under three strategies.
 
+Every gate-cost rule lives here; sweeps and reports only read LoweringReports.
+
 * general: arity j >= 3 becomes 4(j-2) Toffolis, each Toffoli costing
   {6 CX, 2 H, 3 Tdag, 5 T}; arity 2 is one Toffoli; arity 1 is a CX.
   This is a pure cost model (no work-qubit bookkeeping): the explicit
@@ -8,14 +10,14 @@
   ancilla.  The two-qubit gates are tallied 1:1 as CX equivalents; the
   companion single-qudit helper gates are counted as free, so the totals
   are a lower bound (a note to that effect is attached to every report).
-* multiplexed: controls sharing a photon collapse behind optical switches.
-  All j controls on one photon -> one CX plus os-cost-per-control * j
-  switches.  j-1 controls on one photon plus one elsewhere -> one Toffoli
-  tally plus switches for the collapsed group.  A two-photon split with one
-  control on each (the adder Toffolis) is not collapsible and falls back to
-  the general Toffoli tally; three or more photons fall back entirely.
+* multiplexed: controls sharing a photon collapse behind optical switches;
+  a gadget routing s controls costs os-cost-per-control * s switches.  All
+  j controls on one photon -> one CX, routing j.  j-1 controls on one photon
+  plus one elsewhere -> one Toffoli tally routing j-1 (collapse_inner_c2x:
+  one CX routing j).  A two-photon split with one control on each (the adder
+  Toffolis) falls back to the general Toffoli tally, as do three or more photons.
 
-OS counts live in their own column and are never mixed into CX totals.
+OS counts and the X gates of polarity normalization never enter CX totals.
 """
 
 from __future__ import annotations
@@ -120,6 +122,21 @@ def lower_ralph(g: Gate) -> tuple[CostBreakdown, int | None]:
     return CostBreakdown({"C1X": 2 * j - 1}), j
 
 
+# Tally of the gate a gadget applies to the satisfying time-bin component.
+_INNER_TALLY = {"CX": {"C1X": 1}, "C2X": TOFFOLI_TALLY}
+
+
+def _switch_gadget(arity: int, routed: int, os_cost_per_control: int, inner: str = "CX",
+                   routed_photon: int = 0, collapsed=(), residual=()) -> GadgetDescriptor:
+    """The switch-gadget rule: routing s controls takes s OS stages in, s
+    stages out and os_cost_per_control * s switches."""
+    return GadgetDescriptor(
+        arity=arity, routed_photon=routed_photon, stages_in=routed, stages_out=routed,
+        inner=inner, os_count=os_cost_per_control * routed,
+        collapsed=tuple(collapsed), residual=tuple(residual),
+    )
+
+
 def lower_multiplexed(
     g: Gate,
     photons: dict[int, list[Control]],
@@ -133,35 +150,22 @@ def lower_multiplexed(
     _require_mcx(g)
     if strategy is None:
         strategy = multiplexed()
-    os_cost = strategy.os_cost_per_control
     j = g.arity
     groups = sorted(photons.items(), key=lambda kv: (-len(kv[1]), kv[0]))
 
     if len(groups) == 1:
-        photon, controls = groups[0]
-        gadget = GadgetDescriptor(
-            arity=j, routed_photon=photon, stages_in=j, stages_out=j,
-            inner="CX", os_count=os_cost * j, collapsed=tuple(controls),
-        )
-        return gadget, CostBreakdown({"C1X": 1, "OS": gadget.os_count}), False
-
-    if len(groups) == 2 and len(groups[0][1]) == j - 1 and j >= 3:
         photon, collapsed = groups[0]
-        residual = tuple(groups[1][1])
+        residual, routed, inner = (), j, "CX"
+    elif len(groups) == 2 and len(groups[0][1]) == j - 1 and j >= 3:
+        (photon, collapsed), (_, residual) = groups
         if strategy.collapse_inner_c2x:
-            gadget = GadgetDescriptor(
-                arity=j, routed_photon=photon, stages_in=j, stages_out=j,
-                inner="CX", os_count=os_cost * j, collapsed=tuple(collapsed), residual=residual,
-            )
-            return gadget, CostBreakdown({"C1X": 1, "OS": gadget.os_count}), False
-        gadget = GadgetDescriptor(
-            arity=j, routed_photon=photon, stages_in=j - 1, stages_out=j - 1,
-            inner="C2X", os_count=os_cost * (j - 1), collapsed=tuple(collapsed), residual=residual,
-        )
-        tally = CostBreakdown(TOFFOLI_TALLY) + CostBreakdown({"OS": gadget.os_count})
-        return gadget, tally, False
-
-    return None, lower_general(g), True
+            routed, inner = j, "CX"  # the residual control is routed too
+        else:
+            routed, inner = j - 1, "C2X"
+    else:
+        return None, lower_general(g), True
+    gadget = _switch_gadget(j, routed, strategy.os_cost_per_control, inner, photon, collapsed, residual)
+    return gadget, CostBreakdown({**_INNER_TALLY[inner], "OS": gadget.os_count}), False
 
 
 @dataclass(slots=True)
@@ -177,7 +181,6 @@ class LoweredGate:
     tdag: int
     os: int
     fallback: bool
-    gadget: GadgetDescriptor | None = None
 
 
 @dataclass
@@ -204,6 +207,9 @@ _PASSTHROUGH = ("X", "H", "T", "Tdag")
 def lower_circuit(c: Circuit, strategy: Strategy) -> LoweringReport:
     """Apply the per-gate lowering componentwise over a sealed circuit."""
     report = LoweringReport(strategy=strategy)
+    # A plain CX is emitted unchanged by every strategy; the multiplexed
+    # route adds the degenerate one-control switch pair.
+    cx_os = emit_gadget(1, strategy.os_cost_per_control).os_count if strategy.name == MULTIPLEXED else 0
     acc = {"C1X": 0, "X": 0, "H": 0, "T": 0, "Tdag": 0, "OS": 0}
     for i, g in enumerate(c.gates):
         if g.kind in _PASSTHROUGH:
@@ -211,23 +217,20 @@ def lower_circuit(c: Circuit, strategy: Strategy) -> LoweringReport:
             row = _row(i, g, "-", strategy.name, tally, fallback=False)
             acc[g.kind] += 1
         elif g.kind == "MCX" and g.arity == 1:
-            # Plain CX: every strategy emits it unchanged (the multiplexed
-            # route adds the degenerate one-control switch pair).
             photon = c.table.photon_of(g.controls[0].wire.reg)
-            os_cost = strategy.os_cost_per_control if strategy.name == MULTIPLEXED else 0
             row = LoweredGate(index=i, kind="MCX", arity=1, photons=f"{photon}:1",
                               strategy=strategy.name, cx=1, h=0, t=0, tdag=0,
-                              os=os_cost, fallback=False)
+                              os=cx_os, fallback=False)
             acc["C1X"] += 1
-            acc["OS"] += os_cost
+            acc["OS"] += cx_os
         elif g.kind == "MCX":
             partition = photon_partition(c, g)
             photons_label = "+".join(f"{p}:{len(ctrls)}" for p, ctrls in sorted(partition.items()))
+            fallback = False
             if strategy.name == GENERAL:
-                tally, gadget, fallback = lower_general(g), None, False
+                tally = lower_general(g)
             elif strategy.name == RALPH:
                 tally, dim = lower_ralph(g)
-                gadget, fallback = None, False
                 if dim is not None:
                     report.qudit_ancillas.append((i, dim))
                 if RALPH_NOTE not in report.notes:
@@ -239,7 +242,7 @@ def lower_circuit(c: Circuit, strategy: Strategy) -> LoweringReport:
                 elif len(partition) >= 3:
                     report.notes.append(
                         f"gate {i}: controls span {len(partition)} photons; fell back to the general tally")
-            row = _row(i, g, photons_label, strategy.name, tally, fallback, gadget)
+            row = _row(i, g, photons_label, strategy.name, tally, fallback)
             acc["C1X"] += row.cx
             acc["H"] += row.h
             acc["T"] += row.t
@@ -252,11 +255,11 @@ def lower_circuit(c: Circuit, strategy: Strategy) -> LoweringReport:
     return report
 
 
-def _row(i, g, photons_label, strategy_name, tally, fallback, gadget=None) -> LoweredGate:
+def _row(i, g, photons_label, strategy_name, tally, fallback) -> LoweredGate:
     return LoweredGate(
         index=i, kind=g.kind, arity=g.arity, photons=photons_label, strategy=strategy_name,
         cx=tally["C1X"], h=tally["H"], t=tally["T"], tdag=tally["Tdag"], os=tally["OS"],
-        fallback=fallback, gadget=gadget,
+        fallback=fallback,
     )
 
 
@@ -275,10 +278,7 @@ def emit_gadget(k: int, os_cost_per_control: int = 2) -> GadgetDescriptor:
     """Descriptor of the switch gadget for a C_kX whose k controls share photon 0."""
     if k < 1:
         raise ValueError(f"gadget arity must be >= 1, got {k}")
-    return GadgetDescriptor(
-        arity=k, routed_photon=0, stages_in=k, stages_out=k,
-        inner="CX", os_count=os_cost_per_control * k,
-    )
+    return _switch_gadget(k, k, os_cost_per_control)
 
 
 # ----------------------------------------------------------------------

@@ -36,12 +36,12 @@ class BasisState:
             reg = table[name]
             if not 0 <= value < (1 << reg.width):
                 raise ValueError(f"value {value} does not fit register {name!r} of width {reg.width}")
-            bits |= value << table._offsets[name]
+            bits |= value << table.offset(name)
         return cls(bits, table)
 
     def register(self, name: str) -> int:
         reg = self.table[name]
-        return (self.bits >> self.table._offsets[name]) & ((1 << reg.width) - 1)
+        return (self.bits >> self.table.offset(name)) & ((1 << reg.width) - 1)
 
     def wire(self, w: Wire) -> int:
         return (self.bits >> self.table.resolve(w)) & 1
@@ -66,7 +66,8 @@ def compile_permutation(c: Circuit) -> list[tuple[int, int, int]]:
     return compiled
 
 
-def _run(compiled: list[tuple[int, int, int]], bits: int) -> int:
+def run_compiled(compiled: list[tuple[int, int, int]], bits: int) -> int:
+    """Apply a compile_permutation result to one basis state given as a bitmask."""
     for cmask, cval, flip in compiled:
         if bits & cmask == cval:
             bits ^= flip
@@ -75,7 +76,7 @@ def _run(compiled: list[tuple[int, int, int]], bits: int) -> int:
 
 def simulate_basis(c: Circuit, s: BasisState) -> BasisState:
     """Apply the circuit to one basis state; MCX flips its target iff every control matches its polarity."""
-    return BasisState(_run(compile_permutation(c), s.bits), s.table)
+    return BasisState(run_compiled(compile_permutation(c), s.bits), s.table)
 
 
 def truth_table(c: Circuit, wires: list[Wire]) -> dict[int, int]:
@@ -94,7 +95,7 @@ def truth_table(c: Circuit, wires: list[Wire]) -> dict[int, int]:
         for i, pos in enumerate(positions):
             if assignment >> i & 1:
                 bits |= 1 << pos
-        out_bits = _run(compiled, bits)
+        out_bits = run_compiled(compiled, bits)
         table[assignment] = sum(((out_bits >> pos) & 1) << i for i, pos in enumerate(positions))
     return table
 
@@ -134,17 +135,17 @@ def verify_sum(d: int, c: Circuit) -> VerificationReport:
     report = VerificationReport(d=d)
     compiled = compile_permutation(c)
     table = c.table
-    a_off, b_off = table._offsets["A"], table._offsets["B"]
+    a_off, b_off = table.offset("A"), table.offset("B")
     k = table["A"].width
     mask = (1 << k) - 1
     ancilla_mask = 0
     for reg in table.registers:
         if reg.role in ("carry", "check-if", "work"):
-            ancilla_mask |= ((1 << reg.width) - 1) << table._offsets[reg.name]
+            ancilla_mask |= ((1 << reg.width) - 1) << table.offset(reg.name)
 
     for a in range(d):
         for b in range(d):
-            out = _run(compiled, (a << a_off) | (b << b_off))
+            out = run_compiled(compiled, (a << a_off) | (b << b_off))
             got_b = (out >> b_off) & mask
             got_a = (out >> a_off) & mask
             want = (a + b) % d

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from qrsmux import analysis
+from qrsmux import analysis, sumsynth
 from qrsmux.analysis import (
     CSV_HEADER, SweepReport, detect_jumps, emit_csv, emit_svg, get_convention,
     primes_in, ratio_curve, series_points, sum_gate_count, sweep, sweep_row,
@@ -101,6 +101,19 @@ def test_convention_variants_change_totals():
     # five carry-controlled flags drop from one Toffoli tally to one CX each
     assert base.nsum_multiplexed - collapsed.nsum_multiplexed == 5 * 5
     assert base.checkif_cx == 5 * 6 + 1 and collapsed.checkif_cx == 6
+
+
+@pytest.mark.parametrize("convention_id, cx_per_carry_flag", [("default-v1", 6), ("inner-collapse-v1", 1)])
+def test_checkif_cx_counts_flags_by_hand(convention_id, cx_per_carry_flag):
+    # Independent of lowering: a plain flag collapses to one CX; a
+    # carry-controlled flag costs one Toffoli (6 CX) or, with its inner
+    # Toffoli collapsed, one CX.  The carry-substituted outcome has no gate.
+    report = sweep(3, 257, strategies=("multiplexed",), convention=convention_id)
+    assert len(report.rows) == len(primes_in(3, 257))
+    for row in report.rows:
+        flags = [f for f in sumsynth.plan(row.d).flags if not f.uses_carry_substitute]
+        n_carry = sum(f.needs_carry_control for f in flags)
+        assert row.checkif_cx == (len(flags) - n_carry) + cx_per_carry_flag * n_carry, row.d
 
 
 def test_unknown_convention_rejected():
@@ -219,6 +232,13 @@ def test_nrca_series_is_flat_between_powers_of_two(small_report):
     plateau = {by_d[d] for d in (17, 19, 23, 29, 31)}
     assert len(plateau) == 1
     assert by_d[37] != by_d[31]
+
+
+def test_nrca_series_matches_adder_formula(small_report):
+    # 3k-2 Toffolis at 6 CX each plus 2k-1 CX
+    (_, pts), = series_points(small_report, "nrca")
+    assert [y for _, y in pts] == [6 * (3 * r.k - 2) + (2 * r.k - 1) for r in small_report.rows]
+    assert dict(pts)[17] == 87  # k = 5
 
 
 def test_checkif_series_available(small_report):

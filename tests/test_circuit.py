@@ -43,6 +43,14 @@ def test_out_of_range_index_rejected():
         c.append(ir.x(Wire("nope", 0)))
 
 
+def test_register_offsets():
+    table = two_reg_table()
+    assert (table.offset("B"), table.offset("carry")) == (0, 3)
+    assert table.resolve(Wire("carry", 1)) == table.offset("carry") + 1
+    with pytest.raises(ResolutionError, match="unknown register"):
+        table.offset("nope")
+
+
 def test_polarity_restricted_to_mcx():
     with pytest.raises(InvalidGateError, match="zero-polarity"):
         Gate("SUM", controls=(Control(Wire("A"), ir.ZERO),), targets=(Wire("B"),), d=5)

@@ -114,3 +114,53 @@ def test_cli_convention_flag_beats_config(capsys, tmp_path):
     assert rc == 0
     with open(out_csv) as fh:
         assert next(csv.DictReader(fh))["convention"] == "default-v1"
+
+
+# ---------------------------------------------------------------
+# Input faults: exit 2 with one error line, no traceback
+# ---------------------------------------------------------------
+
+def assert_input_error(rc, err, *fragments):
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_lower_rejects_zero_os_cost(capsys, tmp_path):
+    doc = tmp_path / "sum5.json"
+    run(capsys, "synth-sum", "--d", "5", "--emit", str(doc))
+    report = tmp_path / "lower.csv"
+    rc, _, err = run(capsys, "lower", "--in", str(doc), "--strategy", "multiplexed",
+                     "--os-cost", "0", "--report", str(report))
+    assert_input_error(rc, err, "--os-cost")
+    assert not report.exists()
+
+
+def test_sweep_rejects_unknown_convention(capsys, tmp_path):
+    out_csv = tmp_path / "r.csv"
+    rc, _, err = run(capsys, "sweep", "--d-min", "5", "--d-max", "5", "--out", str(out_csv),
+                     "--convention", "nope")
+    assert_input_error(rc, err, "--convention", "'nope'")
+    assert not out_csv.exists()
+
+
+def test_config_rejects_unknown_convention(capsys, tmp_path):
+    cfg = tmp_path / "qrs.cfg"
+    cfg.write_text("convention.id=bogus\n")
+    out_csv = tmp_path / "r.csv"
+    rc, _, err = run(capsys, "--config", str(cfg), "sweep", "--d-min", "5", "--d-max", "5",
+                     "--out", str(out_csv))
+    assert_input_error(rc, err, "convention.id", "'bogus'")
+    assert not out_csv.exists()
+
+
+def test_verify_rejects_out_of_range_mutation(capsys):
+    rc, out, err = run(capsys, "verify", "--d", "5", "--mutate", "999")
+    assert_input_error(rc, err, "--mutate", "out of range")
+    assert "mutated" not in out
+
+
+def test_gf2m_rejects_m_without_default_polynomial(capsys):
+    rc, _, err = run(capsys, "gf2m", "--m", "9")
+    assert_input_error(rc, err, "--m 9", "primitive polynomial")
