@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Exhaustively verify every synthesized SUM gate for prime dimensions <= 61.
+"""Exhaustively verify every synthesized SUM gate for prime dimensions <= 257,
+the range scripts/make_figures.py sweeps.
 
 For each prime the circuit is simulated over all d^2 basis inputs and the
 gate tally is checked against the closed form.  Exits nonzero on any
@@ -13,7 +14,7 @@ from qrsmux import analysis
 from qrsmux.revsim import verify_sum
 from qrsmux.sumsynth import predicted_counts, synth_sum
 
-D_MAX = 61
+D_MAX = 257
 
 
 def main() -> int:

@@ -11,14 +11,27 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from . import analysis, config as config_mod, gf2m, lowering, revsim, sumsynth
 from .circuit import parse, serialize
 from .errors import QrsError, UnsupportedConfigurationError
 
 
+@contextmanager
+def _user_input(source: str, faults=(ValueError,)):
+    """Report a fault raised while consuming one flag, key or file as an error naming it."""
+    try:
+        yield
+    except faults as e:
+        raise UnsupportedConfigurationError(f"{source}: {e}") from None
+
+
 def _load_config(path: str | None) -> dict[str, str]:
-    return config_mod.load_config(path) if path else {}
+    if not path:
+        return {}
+    with _user_input(f"--config {path}", (ValueError, OSError)):
+        return config_mod.load_config(path)
 
 
 def _out_path(path: str, out_dir: str | None) -> str:
@@ -56,12 +69,12 @@ def cmd_synth_sum(args) -> int:
 
 
 def cmd_lower(args) -> int:
-    with open(args.in_path, encoding="utf-8") as fh:
-        circuit = parse(fh.read())
-    try:
+    with _user_input(f"--in {args.in_path}", OSError):
+        with open(args.in_path, encoding="utf-8") as fh:
+            document = fh.read()
+    circuit = parse(document)
+    with _user_input(f"--os-cost {args.os_cost}"):
         strategy = lowering.Strategy(args.strategy, os_cost_per_control=args.os_cost)
-    except ValueError as e:
-        raise UnsupportedConfigurationError(f"--os-cost {args.os_cost}: {e}") from None
     report = lowering.lower_circuit(circuit, strategy)
     _write_lowering_report(report, args.report)
     print(f"strategy={args.strategy}: totals {report.total.as_dict()}")
@@ -73,12 +86,11 @@ def cmd_lower(args) -> int:
 
 def cmd_gf2m(args) -> int:
     cfg = _load_config(args.config)
-    overrides = config_mod.poly_overrides(cfg)
-    try:
+    with _user_input(f"--config {args.config}"):
+        overrides = config_mod.poly_overrides(cfg)
+    with _user_input(f"--m {args.m}"):
         k = args.k if args.k is not None else 1 << (args.m - 1)
         spec = gf2m.build_code(args.m, k, poly=args.poly, overrides=overrides)
-    except ValueError as e:
-        raise UnsupportedConfigurationError(f"--m {args.m}: {e}") from None
     encoder = gf2m.synth_encoder_gf2m(spec)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
@@ -105,10 +117,8 @@ def cmd_gf2m(args) -> int:
 def cmd_verify(args) -> int:
     circuit = sumsynth.synth_sum(args.d)
     if args.mutate is not None:
-        try:
+        with _user_input(f"--mutate {args.mutate}", IndexError):
             circuit = circuit.without_gate(args.mutate)
-        except IndexError as e:
-            raise UnsupportedConfigurationError(f"--mutate {args.mutate}: {e}") from None
         print(f"mutated: removed gate {args.mutate}")
     report = revsim.verify_sum(args.d, circuit)
     print(report.summary())
@@ -117,13 +127,18 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    source = "--convention" if args.convention else "convention.id"
-    try:
+    with _user_input("--convention" if args.convention else "convention.id"):
         convention = analysis.get_convention(
             args.convention or config_mod.convention_id(cfg, analysis.DEFAULT_CONVENTION_ID))
-    except ValueError as e:
-        raise UnsupportedConfigurationError(f"{source}: {e}") from None
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
+    unknown = sorted(set(strategies) - set(analysis.ALL_STRATEGIES))
+    if unknown:
+        raise UnsupportedConfigurationError(
+            f"--strategies {args.strategies}: unknown strategies {unknown}; "
+            f"known: {list(analysis.ALL_STRATEGIES)}")
+    if args.d_max < args.d_min:
+        raise UnsupportedConfigurationError(
+            f"--d-min {args.d_min} --d-max {args.d_max}: empty sweep range")
     report = analysis.sweep(args.d_min, args.d_max, strategies, convention)
     out_dir = os.environ.get("QRS_OUT_DIR")
     out_path = _out_path(args.out, out_dir)

@@ -30,8 +30,10 @@ def poly_overrides(cfg: dict[str, str]) -> dict[int, int]:
     overrides: dict[int, int] = {}
     for key, value in cfg.items():
         if key.startswith("gf2m.poly."):
-            m = int(key.rsplit(".", 1)[1])
-            overrides[m] = int(value, 0)
+            try:
+                overrides[int(key.rsplit(".", 1)[1])] = int(value, 0)
+            except ValueError:
+                raise ValueError(f"{key} = {value}: expected gf2m.poly.<m> = <integer bitmask>") from None
     return overrides
 
 

@@ -21,7 +21,7 @@ from . import galois
 from .circuit import Circuit, Meta, Register, RegisterTable, Wire, cmuladd, cx, dft
 from .errors import UnsupportedConfigurationError
 from .galois import FieldElement, FieldSpec, hamming_weight, mul_by_alpha_matrix
-from .revsim import compile_permutation, run_compiled
+from .revsim import pack_blocks, pair_slices, simulate_slices
 
 
 # ----------------------------------------------------------------------
@@ -186,22 +186,25 @@ def synth_cmuladd(f: FieldSpec, n: int) -> Circuit:
 
 
 def find_cmuladd_counterexample(c: Circuit, f: FieldSpec, n: int) -> tuple[int, int] | None:
-    """First basis pair (a, b) on which the circuit disagrees with b <- alpha^n * a + b."""
-    compiled = compile_permutation(c)
-    a_reg, b_reg = c.table.registers[0], c.table.registers[1]
-    a_off = c.table.offset(a_reg.name)
-    b_off = c.table.offset(b_reg.name)
+    """Lexicographically first basis pair (a, b) on which the circuit disagrees with b <- alpha^n * a + b."""
+    table = c.table
     m = f.m
-    mask = (1 << m) - 1
-    for a in range(1 << m):
-        expect_shift = galois.mul(f.alpha_power(n), FieldElement(a, f)).value if a else 0
-        for b in range(1 << m):
-            out = run_compiled(compiled, (a << a_off) | (b << b_off))
-            got_a = (out >> a_off) & mask
-            got_b = (out >> b_off) & mask
-            if got_a != a or got_b != (expect_shift ^ b):
-                return (a, b)
-    return None
+    size = 1 << m
+    a_pos = [table.offset(table.registers[0].name) + j for j in range(m)]
+    b_pos = [table.offset(table.registers[1].name) + j for j in range(m)]
+    a_in, b_in = pair_slices(size, m)
+    factor = f.alpha_power(n)
+    shifts = [galois.mul(factor, FieldElement(a, f)).value if a else 0 for a in range(size)]
+    ones = (1 << size) - 1
+    want = [b_in[j] ^ pack_blocks([ones if s >> j & 1 else 0 for s in shifts], size) for j in range(m)]
+
+    out = simulate_slices(c, dict(zip(a_pos + b_pos, a_in + b_in)), size * size)
+    bad = 0
+    for pos, expect in zip(a_pos + b_pos, a_in + want):
+        bad |= out[pos] ^ expect
+    if not bad:
+        return None
+    return divmod((bad & -bad).bit_length() - 1, size)  # lowest failing case is the first (a, b)
 
 
 def verify_cmuladd(c: Circuit, f: FieldSpec, n: int) -> bool:

@@ -1,10 +1,20 @@
 """Exhaustive classical simulation of reversible (permutation) circuits.
 
-Circuits made of X and MCX gates permute computational basis states, so a
-state is a single integer bitmask over the register table.  Each gate is
-compiled once into a (control-mask, control-value, flip-mask) triple: the
-gate fires exactly when the masked state equals the control value, which
-encodes positive and zero polarities uniformly.
+Circuits made of X and MCX gates permute computational basis states, so
+they are simulated on many basis inputs at once by bit-slicing (Biham, FSE
+1997).  A slice is one integer per wire whose bit i is that wire's value in
+input case i; an MCX then XORs the AND of its control slices into its
+target slice, with zero-polarity controls complemented against the all-cases
+mask.  Each gate is compiled once into (positive-control offsets,
+zero-control offsets, target offset), and ``simulate_slices`` runs the whole
+circuit once over the whole case set.  ``verify_sum``, ``truth_table``,
+``simulate_basis`` (one case) and ``gf2m.find_cmuladd_counterexample`` all
+go through it.
+
+Inputs are packed and outputs unpacked a block or a whole slice at a time,
+never one bit at a time on a huge integer: ``pair_slices`` lays out every
+(a, b) pair as case a*block + b, and ``pack_blocks`` concatenates per-block
+patterns.
 """
 
 from __future__ import annotations
@@ -47,36 +57,97 @@ class BasisState:
         return (self.bits >> self.table.resolve(w)) & 1
 
 
-def compile_permutation(c: Circuit) -> list[tuple[int, int, int]]:
-    """(control-mask, control-value, flip-mask) per gate; rejects non-permutation gates."""
+# ----------------------------------------------------------------------
+# The kernel
+# ----------------------------------------------------------------------
+
+def compile_permutation(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(positive-control offsets, zero-control offsets, target offset) per gate.
+
+    Rejects non-permutation gates.
+    """
+    resolve = c.table.resolve
     compiled = []
     for i, g in enumerate(c.gates):
-        if g.kind == "X":
-            compiled.append((0, 0, 1 << c.table.resolve(g.targets[0])))
-        elif g.kind == "MCX":
-            cmask = cval = 0
-            for ctrl in g.controls:
-                bit = 1 << c.table.resolve(ctrl.wire)
-                cmask |= bit
-                if ctrl.pol != ZERO:
-                    cval |= bit
-            compiled.append((cmask, cval, 1 << c.table.resolve(g.targets[0])))
-        else:
+        if g.kind not in ("X", "MCX"):
             raise UnsupportedGateError(f"gate {i} ({g.kind}) is not a permutation gate")
+        positive = tuple(resolve(ct.wire) for ct in g.controls if ct.pol != ZERO)
+        zero = tuple(resolve(ct.wire) for ct in g.controls if ct.pol == ZERO)
+        compiled.append((positive, zero, resolve(g.targets[0])))
     return compiled
 
 
-def run_compiled(compiled: list[tuple[int, int, int]], bits: int) -> int:
-    """Apply a compile_permutation result to one basis state given as a bitmask."""
-    for cmask, cval, flip in compiled:
-        if bits & cmask == cval:
-            bits ^= flip
-    return bits
+def simulate_slices(c: Circuit, inputs: dict[int, int], n_cases: int) -> list[int]:
+    """Run the circuit once over n_cases basis inputs.
 
+    ``inputs`` maps a wire's global offset to its input slice (bit i is the
+    wire's value in case i); other wires start at 0.  Returns the output
+    slice of every wire, indexed by global offset.
+    """
+    full = (1 << n_cases) - 1
+    state = [0] * c.table.total_width
+    for pos, value in inputs.items():
+        state[pos] = value
+    for positive, zero, target in compile_permutation(c):
+        fire = full
+        for pos in positive:
+            fire &= state[pos]
+        for pos in zero:
+            fire &= full ^ state[pos]  # complement against the mask: negative ints are slow
+        state[target] ^= fire
+    return state
+
+
+# ----------------------------------------------------------------------
+# Packing inputs and unpacking outputs
+# ----------------------------------------------------------------------
+
+def _tile(pattern: int, period: int, n_cases: int) -> int:
+    """Repeat a period-bit pattern across n_cases bits by doubling."""
+    length = period
+    while length < n_cases:
+        pattern |= pattern << length
+        length *= 2
+    return pattern & ((1 << n_cases) - 1)
+
+
+def _counter_slice(n_cases: int, j: int, run: int = 1) -> int:
+    """Bit j of i // run for every case i < n_cases."""
+    half = run << j
+    return _tile(((1 << half) - 1) << half, 2 * half, n_cases)
+
+
+def pack_blocks(blocks: list[int], width: int) -> int:
+    """One slice from width-bit blocks, blocks[0] in the lowest bits."""
+    return int("".join(format(b, f"0{width}b") for b in reversed(blocks)), 2)
+
+
+def pair_slices(block: int, width: int) -> tuple[list[int], list[int]]:
+    """Slices of two width-bit registers (a, b) over the cases i = a*block + b, a, b < block.
+
+    Returns (a slices, b slices), low bit first.  Increasing case index is
+    increasing (a, b).
+    """
+    n_cases = block * block
+    a = [_counter_slice(n_cases, j, block) for j in range(width)]
+    b = [_tile(_counter_slice(block, j), block, n_cases) for j in range(width)]
+    return a, b
+
+
+def _columns(slices: list[int], n_cases: int) -> list[str]:
+    """Each slice as a string whose character i is its bit in case i."""
+    return [format(s, f"0{n_cases}b")[::-1] for s in slices]
+
+
+# ----------------------------------------------------------------------
+# Callers
+# ----------------------------------------------------------------------
 
 def simulate_basis(c: Circuit, s: BasisState) -> BasisState:
     """Apply the circuit to one basis state; MCX flips its target iff every control matches its polarity."""
-    return BasisState(run_compiled(compile_permutation(c), s.bits), s.table)
+    width = c.table.total_width
+    out = simulate_slices(c, {pos: s.bits >> pos & 1 for pos in range(width)}, 1)
+    return BasisState(sum(bit << pos for pos, bit in enumerate(out)), s.table)
 
 
 def truth_table(c: Circuit, wires: list[Wire]) -> dict[int, int]:
@@ -87,17 +158,14 @@ def truth_table(c: Circuit, wires: list[Wire]) -> dict[int, int]:
     if len(wires) > TRUTH_TABLE_WIDTH_LIMIT:
         raise ResourceLimitError(
             f"truth table over {len(wires)} wires exceeds the {TRUTH_TABLE_WIDTH_LIMIT}-wire limit")
-    compiled = compile_permutation(c)
+    n_cases = 1 << len(wires)
     positions = [c.table.resolve(w) for w in wires]
-    table = {}
-    for assignment in range(1 << len(wires)):
-        bits = 0
-        for i, pos in enumerate(positions):
-            if assignment >> i & 1:
-                bits |= 1 << pos
-        out_bits = run_compiled(compiled, bits)
-        table[assignment] = sum(((out_bits >> pos) & 1) << i for i, pos in enumerate(positions))
-    return table
+    out = simulate_slices(c, {pos: _counter_slice(n_cases, i) for i, pos in enumerate(positions)},
+                          n_cases)
+    if not wires:
+        return {0: 0}
+    columns = _columns([out[pos] for pos in reversed(positions)], n_cases)
+    return {case: int("".join(bits), 2) for case, bits in enumerate(zip(*columns))}
 
 
 @dataclass
@@ -130,30 +198,44 @@ def verify_sum(d: int, c: Circuit) -> VerificationReport:
     """Exhaustively check B' = (A+B) mod d with A unchanged over all d^2 input pairs.
 
     Ancillas start at 0; their final values are recorded but not asserted.
+    Failures are sorted by (A, B); got is -1 where A was corrupted.
     """
     start = time.perf_counter()
-    report = VerificationReport(d=d)
-    compiled = compile_permutation(c)
     table = c.table
-    a_off, b_off = table.offset("A"), table.offset("B")
     k = table["A"].width
-    mask = (1 << k) - 1
-    ancilla_mask = 0
+    n_cases = d * d
+    a_pos = [table.offset("A") + j for j in range(k)]
+    b_pos = [table.offset("B") + j for j in range(k)]
+    a_in, b_in = pair_slices(d, k)
+    # Block a of bit j of (a+b) mod d is bit j of b rotated down by a.
+    ones = (1 << d) - 1
+    want = []
+    for j in range(k):
+        pattern = _counter_slice(d, j)
+        want.append(pack_blocks([((pattern >> a) | (pattern << (d - a))) & ones for a in range(d)], d))
+
+    out = simulate_slices(c, dict(zip(a_pos + b_pos, a_in + b_in)), n_cases)
+    a_bad = b_bad = dirty = 0
+    for pos, expect in zip(a_pos, a_in):
+        a_bad |= out[pos] ^ expect
+    for pos, expect in zip(b_pos, want):
+        b_bad |= out[pos] ^ expect
     for reg in table.registers:
         if reg.role in ("carry", "check-if", "work"):
-            ancilla_mask |= ((1 << reg.width) - 1) << table.offset(reg.name)
+            for j in range(reg.width):
+                dirty |= out[table.offset(reg.name) + j]
 
-    for a in range(d):
-        for b in range(d):
-            out = run_compiled(compiled, (a << a_off) | (b << b_off))
-            got_b = (out >> b_off) & mask
-            got_a = (out >> a_off) & mask
-            want = (a + b) % d
-            report.total_cases += 1
-            if got_b != want or got_a != a:
-                report.failures.append((a, b, want, got_b if got_a == a else -1))
-            if out & ancilla_mask:
-                report.ancilla_dirty_cases += 1
-    report.failures.sort()
-    report.elapsed_s = time.perf_counter() - start
-    return report
+    failures = []
+    bad = a_bad | b_bad
+    if bad:
+        failing, a_col = _columns([bad, a_bad], n_cases)
+        b_cols = _columns([out[pos] for pos in reversed(b_pos)], n_cases)
+        case = failing.find("1")
+        while case >= 0:
+            a, b = divmod(case, d)
+            got = -1 if a_col[case] == "1" else int("".join(col[case] for col in b_cols), 2)
+            failures.append((a, b, (a + b) % d, got))
+            case = failing.find("1", case + 1)
+    return VerificationReport(d=d, total_cases=n_cases, failures=failures,
+                              ancilla_dirty_cases=dirty.bit_count(),
+                              elapsed_s=time.perf_counter() - start)

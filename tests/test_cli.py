@@ -164,3 +164,45 @@ def test_verify_rejects_out_of_range_mutation(capsys):
 def test_gf2m_rejects_m_without_default_polynomial(capsys):
     rc, _, err = run(capsys, "gf2m", "--m", "9")
     assert_input_error(rc, err, "--m 9", "primitive polynomial")
+
+
+def test_sweep_rejects_unknown_strategy(capsys, tmp_path):
+    out_csv = tmp_path / "r.csv"
+    rc, _, err = run(capsys, "sweep", "--d-min", "5", "--d-max", "5", "--out", str(out_csv),
+                     "--strategies", "general,qft")
+    assert_input_error(rc, err, "--strategies", "'qft'")
+    assert not out_csv.exists()
+
+
+def test_sweep_rejects_empty_range(capsys, tmp_path):
+    out_csv = tmp_path / "r.csv"
+    rc, _, err = run(capsys, "sweep", "--d-min", "9", "--d-max", "3", "--out", str(out_csv))
+    assert_input_error(rc, err, "--d-min 9", "--d-max 3")
+    assert not out_csv.exists()
+
+
+def test_config_rejects_line_without_equals(capsys, tmp_path):
+    cfg = tmp_path / "qrs.cfg"
+    cfg.write_text("convention.id = default-v1\nnot a setting\n")
+    out_csv = tmp_path / "r.csv"
+    rc, _, err = run(capsys, "--config", str(cfg), "sweep", "--d-min", "5", "--d-max", "5",
+                     "--out", str(out_csv))
+    assert_input_error(rc, err, "--config", ":2:", "key=value")
+    assert not out_csv.exists()
+
+
+def test_config_rejects_non_integer_poly_key(capsys, tmp_path):
+    cfg = tmp_path / "qrs.cfg"
+    cfg.write_text("gf2m.poly.x = 0b1101\n")
+    enc = tmp_path / "enc.json"
+    rc, _, err = run(capsys, "--config", str(cfg), "gf2m", "--m", "3", "--emit", str(enc))
+    assert_input_error(rc, err, "--config", "gf2m.poly.x")
+    assert not enc.exists()
+
+
+def test_lower_rejects_missing_input_file(capsys, tmp_path):
+    report = tmp_path / "lower.csv"
+    rc, _, err = run(capsys, "lower", "--in", str(tmp_path / "missing.json"),
+                     "--strategy", "general", "--report", str(report))
+    assert_input_error(rc, err, "--in", "missing.json")
+    assert not report.exists()

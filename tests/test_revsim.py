@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrsmux import circuit as ir
+from qrsmux import circuit as ir, galois
 from qrsmux.circuit import Circuit, Control, Register, RegisterTable, Wire
 from qrsmux.errors import ResourceLimitError, UnsupportedGateError
+from qrsmux.galois import FieldElement, FieldSpec
+from qrsmux.gf2m import find_cmuladd_counterexample, synth_cmuladd
 from qrsmux.revsim import BasisState, simulate_basis, truth_table, verify_sum
 from qrsmux.sumsynth import synth_rca, synth_sum
 
@@ -127,6 +129,11 @@ def test_verify_sum_mutation_fails_exactly_on_affected_value():
                                                           if a + b == 6}
 
 
+def test_verify_sum_d1021_k_max_boundary():
+    report = verify_sum(1021, synth_sum(1021))
+    assert report.verified and report.total_cases == 1_042_441
+
+
 def test_verify_report_summary_text():
     report = verify_sum(3, synth_sum(3))
     text = report.summary()
@@ -174,3 +181,97 @@ def test_reversed_circuit_inverts(c):
     for bits in (0, (1 << c.table.total_width) - 1, 0b10101 & ((1 << c.table.total_width) - 1)):
         forward = simulate_basis(c, BasisState(bits, c.table))
         assert simulate_basis(rev, forward).bits == bits
+
+
+# ---------------------------------------------------------------
+# Independent per-case reference for the bit-sliced kernel.  It reads only
+# Gate fields and RegisterTable.resolve, and runs one basis state at a time.
+# ---------------------------------------------------------------
+
+def reference_runner(c):
+    """Per-case simulator of an X/MCX circuit over global-offset bitmasks."""
+    resolve = c.table.resolve
+    gates = [(1 << resolve(g.targets[0]),
+              [(resolve(ct.wire), int(ct.pol == ir.POSITIVE)) for ct in g.controls])
+             for g in c.gates]
+
+    def run(bits):
+        for flip, controls in gates:
+            if all(bits >> pos & 1 == want for pos, want in controls):
+                bits ^= flip
+        return bits
+    return run
+
+
+def register_positions(table, name):
+    return [table.resolve(Wire(name, j)) for j in range(table[name].width)]
+
+
+def pack(value, positions):
+    return sum((value >> j & 1) << pos for j, pos in enumerate(positions))
+
+
+def unpack(bits, positions):
+    return sum((bits >> pos & 1) << j for j, pos in enumerate(positions))
+
+
+def reference_verify_sum(d, c):
+    """(failures, dirty-ancilla cases) of verify_sum, one (A, B) pair at a time."""
+    run = reference_runner(c)
+    a_pos, b_pos = register_positions(c.table, "A"), register_positions(c.table, "B")
+    ancillas = [pos for reg in c.table.registers if reg.role in ("carry", "check-if", "work")
+                for pos in register_positions(c.table, reg.name)]
+    failures, dirty = [], 0
+    for a in range(d):
+        for b in range(d):
+            out = run(pack(a, a_pos) | pack(b, b_pos))
+            got_a, got_b = unpack(out, a_pos), unpack(out, b_pos)
+            if got_a != a or got_b != (a + b) % d:
+                failures.append((a, b, (a + b) % d, got_b if got_a == a else -1))
+            dirty += any(out >> pos & 1 for pos in ancillas)
+    return failures, dirty
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_verify_sum_matches_reference_on_every_single_gate_mutant(d):
+    c = synth_sum(d)
+    # No gate of synth_sum targets A, so one extra gate corrupts A on some cases
+    # and exercises the got = -1 convention.
+    corrupt_a = Circuit(c.table, c.gates + [ir.cx(Wire("B", 0), Wire("A", 0))])
+    for circuit in [c, corrupt_a] + [c.without_gate(i) for i in range(len(c))]:
+        report = verify_sum(d, circuit)
+        failures, dirty = reference_verify_sum(d, circuit)
+        assert report.total_cases == d * d
+        assert report.failures == failures
+        assert report.ancilla_dirty_cases == dirty
+    assert any(got == -1 for *_, got in verify_sum(d, corrupt_a).failures)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_cmuladd_witness_is_first_failing_pair(m):
+    f = FieldSpec.binary_extension(m)
+    size = 1 << m
+    for n in range(f.order - 1):
+        c = synth_cmuladd(f, n)
+        a_pos, b_pos = register_positions(c.table, "a"), register_positions(c.table, "b")
+        corrupt_a = Circuit(c.table, c.gates + [ir.cx(Wire("b", 0), Wire("a", 0))])
+        for circuit in [c, corrupt_a] + [c.without_gate(i) for i in range(len(c))]:
+            run = reference_runner(circuit)
+            first = None
+            for a in range(size):
+                for b in range(size):
+                    out = run(pack(a, a_pos) | pack(b, b_pos))
+                    want = galois.mul(f.alpha_power(n), FieldElement(a, f)).value ^ b
+                    if (unpack(out, a_pos), unpack(out, b_pos)) != (a, want):
+                        first = first or (a, b)
+            assert find_cmuladd_counterexample(circuit, f, n) == first, (n, first)
+
+
+@settings(deadline=None)
+@given(permutation_circuits())
+def test_truth_table_matches_reference(c):
+    wires = [Wire("q", i) for i in range(c.table.total_width)]
+    positions = [c.table.resolve(w) for w in wires]
+    run = reference_runner(c)
+    reference = {key: unpack(run(pack(key, positions)), positions) for key in range(1 << len(wires))}
+    assert truth_table(c, wires) == reference
