@@ -19,8 +19,6 @@ from .errors import InvalidDimensionError, SweepConsistencyError
 from .galois import is_prime
 from .lowering import MULTIPLEXED, STRATEGY_NAMES, Strategy
 
-ALL_STRATEGIES = STRATEGY_NAMES
-
 
 # ----------------------------------------------------------------------
 # Convention registry
@@ -130,7 +128,7 @@ class SweepReport:
         return [getattr(r, name) for r in self.rows]
 
 
-def sweep_row(d: int, strategies=ALL_STRATEGIES, convention: Convention | None = None) -> SweepRow:
+def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: Convention | None = None) -> SweepRow:
     """Synthesize, gate-check against the closed form, and lower one dimension."""
     conv = convention or get_convention()
     p = sumsynth.plan(d)
@@ -162,13 +160,13 @@ def sweep_row(d: int, strategies=ALL_STRATEGIES, convention: Convention | None =
     return row
 
 
-def sweep(d_min: int, d_max: int, strategies=ALL_STRATEGIES,
+def sweep(d_min: int, d_max: int, strategies=STRATEGY_NAMES,
           convention: Convention | str | None = None) -> SweepReport:
     """One row per prime in [d_min, d_max], sorted by d.  Non-primes are skipped."""
     if d_max < d_min:
         raise ValueError(f"empty sweep range [{d_min}, {d_max}]")
     conv = convention if isinstance(convention, Convention) else get_convention(convention)
-    unknown = set(strategies) - set(ALL_STRATEGIES)
+    unknown = set(strategies) - set(STRATEGY_NAMES)
     if unknown:
         raise ValueError(f"unknown strategies: {sorted(unknown)}")
     report = SweepReport(convention=conv.id)

@@ -399,60 +399,103 @@ def serialize(c: Circuit) -> str:
     return json.dumps(doc, indent=1)
 
 
-def _field(obj: dict, key: str, path: str):
-    if key not in obj:
+_MISSING = object()
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, path: str):
+    """value, if it is the JSON object, list or string that kind names."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{path}: expected {_JSON_TYPES[kind]}, got {value!r:.40}")
+    return value
+
+
+def _field(obj: dict, key: str, path: str, kind: type = object, default=_MISSING):
+    """obj[key], type-checked when kind is dict, list or str; default if missing."""
+    value = obj.get(key, default)
+    if value is _MISSING:
         raise ParseError(f"{path}: missing field {key!r}")
-    return obj[key]
+    if not isinstance(value, kind):
+        raise ParseError(f"{path}.{key}: expected {_JSON_TYPES[kind]}, got {value!r:.40}")
+    return value
+
+
+def _integer(obj: dict, key: str, path: str, minimum: int, optional: bool = False) -> int | None:
+    """obj[key], if it is an integer >= minimum; an optional one may be missing or null."""
+    value = obj.get(key) if optional else _field(obj, key, path)
+    if value is None and optional:
+        return None
+    if type(value) is not int or value < minimum:  # JSON true/false arrive as bool
+        raise ParseError(f"{path}.{key}: expected an integer >= {minimum}, got {value!r:.40}")
+    return value
+
+
+def _wire(wd, path: str) -> Wire:
+    if isinstance(wd, dict):  # the common, well-formed case without helper calls
+        reg, idx = wd.get("reg"), wd.get("idx")
+        if type(reg) is str and (idx is None or type(idx) is int and idx >= 0):
+            return Wire(reg, idx)
+    wd = _typed(wd, dict, path)  # raises, naming the faulty field
+    return Wire(_field(wd, "reg", path, str), _integer(wd, "idx", path, 0, optional=True))
 
 
 def parse(document: str) -> Circuit:
-    """Rebuild a circuit from its interchange document.  Errors carry field context."""
+    """Rebuild a circuit from its interchange document.
+
+    Every malformed document raises ParseError naming the offending field.
+    """
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("document root must be an object")
+    except (ValueError, RecursionError) as e:  # integer too long, nesting too deep
+        raise ParseError(f"document: {e}") from None
+    doc = _typed(doc, dict, "document")
 
     registers = []
-    for i, rd in enumerate(_field(doc, "registers", "document")):
+    for i, rd in enumerate(_field(doc, "registers", "document", list)):
         path = f"registers[{i}]"
+        rd = _typed(rd, dict, path)
         try:
             registers.append(Register(
-                name=_field(rd, "name", path),
-                width=_field(rd, "width", path),
-                photon=_field(rd, "photon", path),
+                name=_field(rd, "name", path, str),
+                width=_integer(rd, "width", path, 1),
+                photon=_integer(rd, "photon", path, 0),
                 role=_field(rd, "role", path),
             ))
-        except (ValueError, TypeError) as e:
+        except ValueError as e:
             raise ParseError(f"{path}: {e}") from None
     try:
         table = RegisterTable(registers)
     except ValueError as e:
         raise ParseError(f"registers: {e}") from None
 
-    md = doc.get("meta") or {}
-    circuit = Circuit(table, meta=Meta(d=md.get("d"), strategy=md.get("strategy") or "", note=md.get("note") or ""))
+    md = _field(doc, "meta", "document", dict, {})
+    circuit = Circuit(table, meta=Meta(
+        d=_integer(md, "d", "meta", 2, optional=True),
+        strategy=_field(md, "strategy", "meta", str, ""),
+        note=_field(md, "note", "meta", str, ""),
+    ))
 
-    for i, gd in enumerate(_field(doc, "gates", "document")):
+    for i, gd in enumerate(_field(doc, "gates", "document", list)):
         path = f"gates[{i}]"
+        gd = _typed(gd, dict, path)
         kind = _field(gd, "kind", path)
-        if kind not in GATE_KINDS:
-            raise ParseError(f"{path}: unknown gate kind {kind!r}")
         controls = []
-        for j, cd in enumerate(gd.get("controls", [])):
+        for j, cd in enumerate(_field(gd, "controls", path, list, [])):
             cpath = f"{path}.controls[{j}]"
+            wire = _wire(cd, cpath)
             pol = cd.get("pol", POSITIVE)
             if pol not in POLARITIES:
                 raise ParseError(f"{cpath}: unknown polarity {pol!r}")
-            controls.append(Control(Wire(_field(cd, "reg", cpath), cd.get("idx")), pol))
-        targets = []
-        for j, td in enumerate(gd.get("targets", [])):
-            tpath = f"{path}.targets[{j}]"
-            targets.append(Wire(_field(td, "reg", tpath), td.get("idx")))
+            controls.append(Control(wire, pol))
+        targets = [_wire(td, f"{path}.targets[{j}]")
+                   for j, td in enumerate(_field(gd, "targets", path, list, []))]
         try:
             gate = Gate(kind, tuple(controls), tuple(targets),
-                        d=gd.get("d"), n=gd.get("n"), poly=gd.get("poly"))
+                        d=_integer(gd, "d", path, 2, optional=True),
+                        n=_integer(gd, "n", path, 0, optional=True),
+                        poly=_integer(gd, "poly", path, 0, optional=True))
             circuit.append(gate)
         except (InvalidGateError, ResolutionError) as e:
             raise ParseError(f"{path}: {e}") from None

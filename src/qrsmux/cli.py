@@ -13,7 +13,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from . import analysis, config as config_mod, gf2m, lowering, revsim, sumsynth
+from . import analysis, config as config_mod, galois, gf2m, lowering, revsim, sumsynth
 from .circuit import parse, serialize
 from .errors import QrsError, UnsupportedConfigurationError
 
@@ -52,8 +52,9 @@ def cmd_synth_sum(args) -> int:
     circuit = sumsynth.synth_sum(args.d)
     counted = circuit.count()
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(serialize(circuit))
+        document = serialize(circuit)
+        with _user_input(f"--emit {args.emit}", OSError), open(args.emit, "w", encoding="utf-8") as fh:
+            fh.write(document)
         print(f"wrote {args.emit} ({len(circuit)} gates)")
     if args.oracle:
         predicted = sumsynth.predicted_counts(args.d)
@@ -69,14 +70,15 @@ def cmd_synth_sum(args) -> int:
 
 
 def cmd_lower(args) -> int:
-    with _user_input(f"--in {args.in_path}", OSError):
+    with _user_input(f"--in {args.in_path}", (OSError, UnicodeDecodeError)):
         with open(args.in_path, encoding="utf-8") as fh:
             document = fh.read()
     circuit = parse(document)
     with _user_input(f"--os-cost {args.os_cost}"):
         strategy = lowering.Strategy(args.strategy, os_cost_per_control=args.os_cost)
     report = lowering.lower_circuit(circuit, strategy)
-    _write_lowering_report(report, args.report)
+    with _user_input(f"--report {args.report}", OSError):
+        _write_lowering_report(report, args.report)
     print(f"strategy={args.strategy}: totals {report.total.as_dict()}")
     for note in report.notes:
         print(f"note: {note}")
@@ -88,26 +90,31 @@ def cmd_gf2m(args) -> int:
     cfg = _load_config(args.config)
     with _user_input(f"--config {args.config}"):
         overrides = config_mod.poly_overrides(cfg)
-    with _user_input(f"--m {args.m}"):
-        k = args.k if args.k is not None else 1 << (args.m - 1)
-        spec = gf2m.build_code(args.m, k, poly=args.poly, overrides=overrides)
+    with _user_input(f"--m {args.m}" if args.poly is None else f"--poly {args.poly:#b}"):
+        field = galois.FieldSpec.binary_extension(args.m, args.poly, overrides)
+    k = args.k if args.k is not None else 1 << (args.m - 1)
+    with _user_input(f"--m {args.m}" if args.k is None else f"--k {args.k}"):
+        spec = gf2m.build_code(args.m, k, poly=field.poly)
     encoder = gf2m.synth_encoder_gf2m(spec)
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(serialize(encoder))
+        document = serialize(encoder)
+        with _user_input(f"--emit {args.emit}", OSError), open(args.emit, "w", encoding="utf-8") as fh:
+            fh.write(document)
         print(f"wrote {args.emit} ({len(encoder)} gates)")
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            fh.write("gate,exponent,cx-count,formula-count,verified\n")
-            for g in encoder.gates:
-                if g.kind != "CMulAdd":
-                    continue
-                circuit = gf2m.synth_cmuladd(spec.field, g.n)
-                counted = circuit.count()["C1X"]
-                formula = gf2m.cmuladd_cx_formula(spec.field, g.n)
-                verified = gf2m.verify_cmuladd(circuit, spec.field, g.n)
-                name = "C1" if g.n == 0 else ("Calpha" if g.n == 1 else f"Calpha^{g.n}")
-                fh.write(f"{name},{g.n},{counted},{formula},{str(verified).lower()}\n")
+        lines = ["gate,exponent,cx-count,formula-count,verified\n"]
+        for g in encoder.gates:
+            if g.kind != "CMulAdd":
+                continue
+            circuit = gf2m.synth_cmuladd(spec.field, g.n)
+            counted = circuit.count()["C1X"]
+            formula = gf2m.cmuladd_cx_formula(spec.field, g.n)
+            verified = gf2m.verify_cmuladd(circuit, spec.field, g.n)
+            name = "C1" if g.n == 0 else ("Calpha" if g.n == 1 else f"Calpha^{g.n}")
+            lines.append(f"{name},{g.n},{counted},{formula},{str(verified).lower()}\n")
+        with _user_input(f"--report {args.report}", OSError), \
+                open(args.report, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
         print(f"wrote {args.report}")
     print(f"[{spec.n},{spec.K}] over GF({spec.field.order}): "
           f"classical part costs {gf2m.encoder_classical_cx_cost(spec)} CX")
@@ -131,23 +138,25 @@ def cmd_sweep(args) -> int:
         convention = analysis.get_convention(
             args.convention or config_mod.convention_id(cfg, analysis.DEFAULT_CONVENTION_ID))
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-    unknown = sorted(set(strategies) - set(analysis.ALL_STRATEGIES))
+    unknown = sorted(set(strategies) - set(lowering.STRATEGY_NAMES))
     if unknown:
         raise UnsupportedConfigurationError(
             f"--strategies {args.strategies}: unknown strategies {unknown}; "
-            f"known: {list(analysis.ALL_STRATEGIES)}")
+            f"known: {list(lowering.STRATEGY_NAMES)}")
     if args.d_max < args.d_min:
         raise UnsupportedConfigurationError(
             f"--d-min {args.d_min} --d-max {args.d_max}: empty sweep range")
     report = analysis.sweep(args.d_min, args.d_max, strategies, convention)
     out_dir = os.environ.get("QRS_OUT_DIR")
-    out_path = _out_path(args.out, out_dir)
-    analysis.emit_csv(report, out_path)
+    with _user_input(f"--out {args.out}", OSError):
+        out_path = _out_path(args.out, out_dir)
+        analysis.emit_csv(report, out_path)
     print(f"wrote {out_path} ({len(report.rows)} rows, convention {report.convention})")
     if args.svg:
         series = analysis.series_points(report, args.series)
-        svg_path = _out_path(args.svg, out_dir)
-        analysis.emit_svg(series, ("d", args.series), svg_path, log_y=args.log_y)
+        with _user_input(f"--svg {args.svg}", OSError):
+            svg_path = _out_path(args.svg, out_dir)
+            analysis.emit_svg(series, ("d", args.series), svg_path, log_y=args.log_y)
         print(f"wrote {svg_path}")
     return 0
 
@@ -188,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep primes and emit the gate-count report")
     p.add_argument("--d-min", type=int, default=3)
     p.add_argument("--d-max", type=int, default=257)
-    p.add_argument("--strategies", default=",".join(analysis.ALL_STRATEGIES))
+    p.add_argument("--strategies", default=",".join(lowering.STRATEGY_NAMES))
     p.add_argument("--out", required=True, help="CSV path (QRS_OUT_DIR prefixes relative paths)")
     p.add_argument("--svg", help="optional SVG chart path")
     p.add_argument("--series", default="nsum", choices=sorted(analysis.SVG_SERIES))

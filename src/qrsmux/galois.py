@@ -156,6 +156,8 @@ class FieldSpec:
                 raise ValueError(f"extension degree m={self.m} must be >= 1")
             if self.poly is None:
                 raise ValueError("extension field requires a primitive polynomial")
+            if self.poly < 0:  # _gf2_mod would never terminate
+                raise ValueError(f"polynomial {self.poly} must be a non-negative bitmask")
             if _gf2_degree(self.poly) != self.m:
                 raise ValueError(
                     f"polynomial 0b{self.poly:b} has degree {_gf2_degree(self.poly)}, expected {self.m}"

@@ -1,6 +1,7 @@
 """Rewrite multi-controlled X gates into the target gate set under three strategies.
 
 Every gate-cost rule lives here; sweeps and reports only read LoweringReports.
+lower_circuit looks costs up per (kind, control registers) signature.
 
 * general: arity j >= 3 becomes 4(j-2) Toffolis, each Toffoli costing
   {6 CX, 2 H, 3 Tdag, 5 T}; arity 2 is one Toffoli; arity 1 is a CX.
@@ -22,6 +23,7 @@ OS counts and the X gates of polarity normalization never enter CX totals.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import circuit as ir
@@ -204,63 +206,59 @@ class LoweringReport:
 _PASSTHROUGH = ("X", "H", "T", "Tdag")
 
 
+def _lower_signature(c: Circuit, g: Gate, i: int, strategy: Strategy) -> tuple:
+    """Lower gate i, the first of its signature, by the strategy's own rule: the
+    LoweredGate fields after the index, the tally, the ralph qudit-ancilla
+    dimension, whether a gadget of arity >= 2 applies and any fallback note."""
+    qudit_dim, gadget, note, fallback = None, False, None, False
+    if g.kind in _PASSTHROUGH:
+        tally, photons = CostBreakdown({g.kind: 1}), "-"
+    elif g.kind == "MCX":
+        partition = photon_partition(c, g)
+        photons = "+".join(f"{p}:{len(ctrls)}" for p, ctrls in sorted(partition.items()))
+        if strategy.name == GENERAL:
+            tally = lower_general(g)
+        elif strategy.name == RALPH:
+            tally, qudit_dim = lower_ralph(g)
+        else:
+            descriptor, tally, fallback = lower_multiplexed(g, partition, strategy)
+            gadget = descriptor is not None and g.arity >= 2
+            if len(partition) >= 3:
+                note = f"controls span {len(partition)} photons; fell back to the general tally"
+    else:
+        raise LoweringError(f"gate {i} ({g.kind}) must be expanded before lowering")
+    return ((g.kind, g.arity, photons, strategy.name, tally["C1X"], tally["H"], tally["T"],
+             tally["Tdag"], tally["OS"], fallback), tally, qudit_dim, gadget, note)
+
+
 def lower_circuit(c: Circuit, strategy: Strategy) -> LoweringReport:
     """Apply the per-gate lowering componentwise over a sealed circuit."""
     report = LoweringReport(strategy=strategy)
-    # A plain CX is emitted unchanged by every strategy; the multiplexed
-    # route adds the degenerate one-control switch pair.
-    cx_os = emit_gadget(1, strategy.os_cost_per_control).os_count if strategy.name == MULTIPLEXED else 0
-    acc = {"C1X": 0, "X": 0, "H": 0, "T": 0, "Tdag": 0, "OS": 0}
+    # A gate's kind and control registers fix its arity and photon partition,
+    # hence its cost, so each signature is lowered once.  A collapsed gate's
+    # gadget names its own control wires and is built per gate.
+    signatures: dict[tuple, tuple] = {}
+    uses: Counter[tuple] = Counter()
     for i, g in enumerate(c.gates):
-        if g.kind in _PASSTHROUGH:
-            tally = CostBreakdown({g.kind: 1})
-            row = _row(i, g, "-", strategy.name, tally, fallback=False)
-            acc[g.kind] += 1
-        elif g.kind == "MCX" and g.arity == 1:
-            photon = c.table.photon_of(g.controls[0].wire.reg)
-            row = LoweredGate(index=i, kind="MCX", arity=1, photons=f"{photon}:1",
-                              strategy=strategy.name, cx=1, h=0, t=0, tdag=0,
-                              os=cx_os, fallback=False)
-            acc["C1X"] += 1
-            acc["OS"] += cx_os
-        elif g.kind == "MCX":
-            partition = photon_partition(c, g)
-            photons_label = "+".join(f"{p}:{len(ctrls)}" for p, ctrls in sorted(partition.items()))
-            fallback = False
-            if strategy.name == GENERAL:
-                tally = lower_general(g)
-            elif strategy.name == RALPH:
-                tally, dim = lower_ralph(g)
-                if dim is not None:
-                    report.qudit_ancillas.append((i, dim))
-                if RALPH_NOTE not in report.notes:
-                    report.notes.append(RALPH_NOTE)
-            else:
-                gadget, tally, fallback = lower_multiplexed(g, partition, strategy)
-                if gadget is not None:
-                    report.gadgets.append((i, gadget))
-                elif len(partition) >= 3:
-                    report.notes.append(
-                        f"gate {i}: controls span {len(partition)} photons; fell back to the general tally")
-            row = _row(i, g, photons_label, strategy.name, tally, fallback)
-            acc["C1X"] += row.cx
-            acc["H"] += row.h
-            acc["T"] += row.t
-            acc["Tdag"] += row.tdag
-            acc["OS"] += row.os
-        else:
-            raise LoweringError(f"gate {i} ({g.kind}) must be expanded before lowering")
-        report.rows.append(row)
-    report.total = CostBreakdown(acc)
+        key = (g.kind, tuple(ct.wire.reg for ct in g.controls))
+        if key not in signatures:
+            signatures[key] = _lower_signature(c, g, i, strategy)
+        row, _, qudit_dim, gadget, note = signatures[key]
+        uses[key] += 1
+        report.rows.append(LoweredGate(i, *row))
+        if qudit_dim is not None:
+            report.qudit_ancillas.append((i, qudit_dim))
+        elif gadget:
+            report.gadgets.append((i, lower_multiplexed(g, photon_partition(c, g), strategy)[0]))
+        elif note:
+            report.notes.append(f"gate {i}: {note}")
+    if report.qudit_ancillas:
+        report.notes.append(RALPH_NOTE)
+    total: Counter[str] = Counter()
+    for key, n in uses.items():
+        total.update({cls: n * v for cls, v in signatures[key][1].as_dict().items()})
+    report.total = CostBreakdown(total)
     return report
-
-
-def _row(i, g, photons_label, strategy_name, tally, fallback) -> LoweredGate:
-    return LoweredGate(
-        index=i, kind=g.kind, arity=g.arity, photons=photons_label, strategy=strategy_name,
-        cx=tally["C1X"], h=tally["H"], t=tally["T"], tdag=tally["Tdag"], os=tally["OS"],
-        fallback=fallback,
-    )
 
 
 REPORT_COLUMNS = ("gate-index", "kind", "arity", "photons", "strategy", "cx", "h", "t", "tdag", "os", "fallback-flag")

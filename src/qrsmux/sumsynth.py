@@ -7,6 +7,8 @@ corrects the B register from i mod 2^k to i mod d.
 
 Layout choices that pin the exact gate tally:
 
+* A sits on photon 0, B on photon 1 and every ancilla (carry, check-if) on
+  photon 2; multiplexed lowering collapses controls that share a photon.
 * RCA stage i >= 1 computes the next carry as a 3-Toffoli majority
   (a_i b_i, a_i c_{i-1}, b_i c_{i-1} into carry_i) before updating b_i with
   two CX; stage 0 is a half adder.  Total: 3k-2 Toffolis, 2k-1 CX.
@@ -40,15 +42,6 @@ CASE_B = "B"   # 2(d-1) >  2^k: outcomes >= 2^k also control on the top carry
 DIRTY_ANCILLA_NOTE = (
     "carry/check-if ancillas are not uncomputed; cascading SUM gates requires fresh or reset ancillas"
 )
-
-
-@dataclass(frozen=True)
-class PhotonMap:
-    """Photon (multiplexing group) assignment for the SUM registers."""
-
-    data_a: int = 0
-    data_b: int = 1
-    ancilla: int = 2
 
 
 @dataclass(frozen=True)
@@ -112,14 +105,18 @@ def plan(d: int, k_max: int = DEFAULT_K_MAX) -> SumPlan:
     return SumPlan(d=d, k=k, case=case, n_checkif=n_checkif, n_aux=k + n_checkif, flags=tuple(flags))
 
 
-def sum_registers(p: SumPlan, photons: PhotonMap = PhotonMap()) -> RegisterTable:
-    regs = [
-        Register("A", p.k, photons.data_a, "data-A"),
-        Register("B", p.k, photons.data_b, "data-B"),
-        Register("carry", p.k, photons.ancilla, "carry"),
+def _adder_registers(k: int) -> list[Register]:
+    return [
+        Register("A", k, 0, "data-A"),
+        Register("B", k, 1, "data-B"),
+        Register("carry", k, 2, "carry"),
     ]
+
+
+def sum_registers(p: SumPlan) -> RegisterTable:
+    regs = _adder_registers(p.k)
     if p.n_checkif:
-        regs.append(Register("checkif", p.n_checkif, photons.ancilla, "check-if"))
+        regs.append(Register("checkif", p.n_checkif, 2, "check-if"))
     return RegisterTable(regs)
 
 
@@ -158,29 +155,25 @@ def _mod_gates(p: SumPlan):
                 yield cx(flag_wire, b[j])
 
 
-def synth_rca(k: int, photons: PhotonMap = PhotonMap()) -> Circuit:
+def synth_rca(k: int) -> Circuit:
     """Standalone ripple-carry adder circuit over A(k), B(k), carry(k)."""
     if k < 1:
         raise InvalidDimensionError(f"k={k} must be >= 1")
-    table = RegisterTable([
-        Register("A", k, photons.data_a, "data-A"),
-        Register("B", k, photons.data_b, "data-B"),
-        Register("carry", k, photons.ancilla, "carry"),
-    ])
+    table = RegisterTable(_adder_registers(k))
     return Circuit(table, meta=Meta(note=f"{k}-bit ripple-carry adder")).extend(_rca_gates(k)).seal()
 
 
-def synth_mod(p: SumPlan, photons: PhotonMap = PhotonMap()) -> Circuit:
+def synth_mod(p: SumPlan) -> Circuit:
     """Standalone modulo-conversion circuit (expects the adder to have run)."""
-    table = sum_registers(p, photons)
+    table = sum_registers(p)
     note = f"modulo conversion for d={p.d} (case {p.case}); {DIRTY_ANCILLA_NOTE}"
     return Circuit(table, meta=Meta(d=p.d, note=note)).extend(_mod_gates(p)).seal()
 
 
-def synth_sum(d: int, photons: PhotonMap = PhotonMap(), k_max: int = DEFAULT_K_MAX) -> Circuit:
+def synth_sum(d: int, k_max: int = DEFAULT_K_MAX) -> Circuit:
     """Full SUM gate: RCA then modulo conversion on a shared register table."""
     p = plan(d, k_max)
-    table = sum_registers(p, photons)
+    table = sum_registers(p)
     note = f"SUM gate, case {p.case}, k={p.k}; {DIRTY_ANCILLA_NOTE}"
     circuit = Circuit(table, meta=Meta(d=d, note=note))
     circuit.extend(_rca_gates(p.k))

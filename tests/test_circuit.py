@@ -238,6 +238,90 @@ def test_parse_bad_polarity_value():
         parse(json.dumps(doc))
 
 
+def qudit_doc():
+    """Document with a SUM, a DFT and a CMulAdd gate (in that order)."""
+    table = RegisterTable([Register("A", 2, 0, "data-A"), Register("B", 2, 1, "data-B")])
+    c = Circuit(table).extend([ir.sum_gate("A", "B", 4), ir.dft("B", 4), ir.cmuladd("A", "B", 1)])
+    return json.loads(serialize(c.seal()))
+
+
+def _set(path, value, doc_fn=lambda: json.loads(serialize(synth_sum(3)))):
+    """A malformed document: doc_fn()'s field at path replaced by value."""
+    def build():
+        doc = doc_fn()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return json.dumps(doc)
+    return build
+
+
+@pytest.mark.parametrize("build, where", [
+    (_set(["registers"], {"name": "A"}), "registers: expected a list"),
+    (_set(["gates"], "MCX"), "gates: expected a list"),
+    (_set(["gates", 0], ["MCX"]), r"gates\[0\]: expected an object"),
+    (_set(["gates", 0, "controls"], {"reg": "A"}), r"gates\[0\].controls: expected a list"),
+    (_set(["gates", 0, "controls", 0], "A"), r"gates\[0\].controls\[0\]: expected an object"),
+    (_set(["gates", 0, "targets", 0], 3), r"gates\[0\].targets\[0\]: expected an object"),
+    (_set(["gates", 0, "controls", 0, "idx"], "0"), r"gates\[0\].controls\[0\].idx: expected an integer"),
+    (_set(["registers", 0, "name"], ["A"]), r"registers\[0\].name: expected a string"),
+    (_set(["meta"], ["d", 3]), "meta: expected an object"),
+    (_set(["registers", 0, "width"], True), r"registers\[0\].width: expected an integer >= 1"),
+    (_set(["registers", 0, "photon"], "p"), r"registers\[0\].photon: expected an integer >= 0"),
+    (_set(["gates", 0, "d"], -4, qudit_doc), r"gates\[0\].d: expected an integer >= 2, got -4"),
+    (_set(["gates", 1, "d"], "4", qudit_doc), r"gates\[1\].d: expected an integer >= 2"),
+    (_set(["gates", 2, "n"], 1.5, qudit_doc), r"gates\[2\].n: expected an integer >= 0, got 1.5"),
+    (lambda: "[" * 100_000 + "]" * 100_000, "document: maximum recursion depth"),
+    (lambda: '{"registers": [], "gates": [], "meta": {"d": 1' + "0" * 5000 + "}}", "document: Exceeds the limit"),
+], ids=["registers-not-list", "gates-not-list", "gate-not-object", "controls-not-list",
+        "control-not-object", "target-not-object", "idx-string", "register-name-unhashable",
+        "meta-list", "width-true", "photon-string", "sum-d-negative", "dft-d-string",
+        "cmuladd-n-float", "deep-nesting", "integer-too-long"])
+def test_parse_rejects_malformed_shape(build, where):
+    with pytest.raises(ParseError, match=where):
+        parse(build())
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6) | st.sampled_from(["A", "B", "carry", "MCX", "SUM", "zero", "work"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_parse_mutated_document_round_trips_or_raises(data):
+    doc = json.loads(serialize(data.draw(circuits())))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        value = data.draw(json_values)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    try:
+        c = parse(json.dumps(doc))
+    except ParseError:
+        return
+    back = parse(serialize(c))
+    assert (back.table, back.gates, back.meta) == (c.table, c.gates, c.meta)
+
+
 # ---------------------------------------------------------------
 # Property tests over randomized circuits
 # ---------------------------------------------------------------

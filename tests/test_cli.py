@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from qrsmux.cli import main
 
 
@@ -206,3 +208,70 @@ def test_lower_rejects_missing_input_file(capsys, tmp_path):
                      "--strategy", "general", "--report", str(report))
     assert_input_error(rc, err, "--in", "missing.json")
     assert not report.exists()
+
+
+def test_lower_rejects_non_utf8_input(capsys, tmp_path):
+    doc = tmp_path / "latin1.json"
+    doc.write_bytes(b'{"note": "\xe9"}')
+    report = tmp_path / "lower.csv"
+    rc, _, err = run(capsys, "lower", "--in", str(doc), "--strategy", "general",
+                     "--report", str(report))
+    assert_input_error(rc, err, "--in", "latin1.json", "utf-8")
+    assert not report.exists()
+
+
+def test_lower_rejects_unwritable_report(capsys, tmp_path):
+    doc = tmp_path / "sum5.json"
+    run(capsys, "synth-sum", "--d", "5", "--emit", str(doc))
+    report = tmp_path / "missing" / "lower.csv"
+    rc, out, err = run(capsys, "lower", "--in", str(doc), "--strategy", "general",
+                       "--report", str(report))
+    assert_input_error(rc, err, "--report", "lower.csv")
+    assert not report.exists() and "wrote" not in out
+
+
+def test_synth_sum_rejects_unwritable_emit(capsys, tmp_path):
+    doc = tmp_path / "missing" / "sum5.json"
+    rc, out, err = run(capsys, "synth-sum", "--d", "5", "--emit", str(doc))
+    assert_input_error(rc, err, "--emit", "sum5.json")
+    assert not doc.exists() and "wrote" not in out
+
+
+def test_gf2m_rejects_unwritable_emit(capsys, tmp_path):
+    doc = tmp_path / "missing" / "enc.json"
+    rc, out, err = run(capsys, "gf2m", "--m", "2", "--emit", str(doc))
+    assert_input_error(rc, err, "--emit", "enc.json")
+    assert not doc.exists() and "wrote" not in out
+
+
+def test_gf2m_rejects_unwritable_report(capsys, tmp_path):
+    report = tmp_path / "missing" / "enc.csv"
+    rc, out, err = run(capsys, "gf2m", "--m", "2", "--report", str(report))
+    assert_input_error(rc, err, "--report", "enc.csv")
+    assert not report.exists() and "wrote" not in out
+
+
+def test_sweep_rejects_unwritable_out(capsys, tmp_path):
+    out_csv = tmp_path / "missing" / "r.csv"
+    rc, out, err = run(capsys, "sweep", "--d-min", "5", "--d-max", "5", "--out", str(out_csv))
+    assert_input_error(rc, err, "--out", "r.csv")
+    assert not out_csv.exists() and "wrote" not in out
+
+
+def test_sweep_rejects_unwritable_svg(capsys, tmp_path):
+    svg = tmp_path / "missing" / "fig.svg"
+    rc, out, err = run(capsys, "sweep", "--d-min", "5", "--d-max", "5", "--out", str(tmp_path / "r.csv"),
+                       "--svg", str(svg))
+    assert_input_error(rc, err, "--svg", "fig.svg")
+    assert not svg.exists() and "fig.svg" not in out
+
+
+def test_gf2m_names_k_for_bad_message_length(capsys):
+    rc, _, err = run(capsys, "gf2m", "--m", "2", "--k", "5")
+    assert_input_error(rc, err, "--k 5", "message length")
+
+
+@pytest.mark.parametrize("poly, fragment", [("0b1001", "reducible"), ("-9", "non-negative")])
+def test_gf2m_names_poly_for_bad_polynomial(capsys, poly, fragment):
+    rc, _, err = run(capsys, "gf2m", "--m", "3", "--poly", poly)
+    assert_input_error(rc, err, "--poly", fragment)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qrsmux import circuit as ir, lowering
 from qrsmux.circuit import Circuit, Control, Register, RegisterTable, Wire, photon_partition
@@ -217,6 +217,73 @@ def test_report_rows_shape():
     assert len(lowering.REPORT_COLUMNS) == 11
     idx = lowering.REPORT_COLUMNS.index("fallback-flag")
     assert {r[idx] for r in rows} == {0, 1}  # adder Toffolis fall back, flags collapse
+
+
+def per_gate_reference(c, strategy):
+    """Report fields from calling the strategy's rule on every gate, one by one."""
+    rows, total, gadgets, qudit_ancillas, notes = [], ir.CostBreakdown(), [], [], []
+    for i, g in enumerate(c.gates):
+        photons, fallback = "-", False
+        if g.kind != "MCX":
+            tally = ir.CostBreakdown({g.kind: 1})
+        else:
+            partition = photon_partition(c, g)
+            photons = "+".join(f"{p}:{len(cs)}" for p, cs in sorted(partition.items()))
+            if strategy.name == lowering.GENERAL:
+                tally = lower_general(g)
+            elif strategy.name == lowering.RALPH:
+                tally, dim = lower_ralph(g)
+                if dim is not None:
+                    qudit_ancillas.append((i, dim))
+                    if lowering.RALPH_NOTE not in notes:
+                        notes.append(lowering.RALPH_NOTE)
+            else:
+                gadget, tally, fallback = lower_multiplexed(g, partition, strategy)
+                if gadget is not None and g.arity >= 2:
+                    gadgets.append((i, gadget))
+                if len(partition) >= 3:
+                    notes.append(f"gate {i}: controls span {len(partition)} photons; "
+                                 "fell back to the general tally")
+        rows.append([i, g.kind, g.arity, photons, strategy.name, tally["C1X"], tally["H"],
+                     tally["T"], tally["Tdag"], tally["OS"], int(fallback)])
+        total = total + tally
+    return rows, total, gadgets, qudit_ancillas, notes
+
+
+@st.composite
+def spread_circuits(draw):
+    """Circuits of MCX/X/H/T/Tdag gates on registers spread over 3-4 photons."""
+    n_photons = draw(st.integers(3, 4))
+    widths = draw(st.lists(st.integers(1, 3), min_size=n_photons, max_size=6))
+    photons = list(range(n_photons)) + [draw(st.integers(0, n_photons - 1))
+                                        for _ in widths[n_photons:]]
+    regs = [Register(f"r{k}", w, p, "work") for k, (w, p) in enumerate(zip(widths, photons))]
+    wires = [Wire(r.name, j) for r in regs for j in range(r.width)]
+    c = Circuit(RegisterTable(regs))
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["MCX", "MCX", "MCX", "X", "H", "T", "Tdag"]))
+        if kind == "MCX":
+            chosen = draw(st.permutations(wires))[:draw(st.integers(2, min(6, len(wires))))]
+            c.append(ir.mcx([Control(w, draw(st.sampled_from(ir.POLARITIES))) for w in chosen[:-1]],
+                            chosen[-1]))
+        else:
+            c.append(ir.Gate(kind, targets=(draw(st.sampled_from(wires)),)))
+    return c.seal()
+
+
+@pytest.mark.parametrize("os_cost", [2, 3])
+@pytest.mark.parametrize("name", lowering.STRATEGY_NAMES)
+@settings(deadline=None, max_examples=60)
+@given(c=spread_circuits())
+def test_lower_circuit_equals_per_gate_rules(name, os_cost, c):
+    strategy = lowering.Strategy(name, os_cost)
+    report = lower_circuit(c, strategy)
+    rows, total, gadgets, qudit_ancillas, notes = per_gate_reference(c, strategy)
+    assert lowering.report_rows(report) == rows
+    assert report.total.as_dict() == total.as_dict()
+    assert report.gadgets == gadgets
+    assert report.qudit_ancillas == qudit_ancillas
+    assert report.notes == notes
 
 
 # ---------------------------------------------------------------
