@@ -150,8 +150,8 @@ def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: Convention | None =
         if name == MULTIPLEXED:
             row.os_count = report.os_total
             checkif = {reg.name for reg in circuit.table.registers if reg.role == "check-if"}
-            row.checkif_cx = sum(r.cx for r, g in zip(report.rows, circuit.gates)
-                                 if g.targets[0].reg in checkif)
+            row.checkif_cx = sum(uses * tally["C1X"] for (_, _, target), (uses, tally)
+                                 in report.signatures.items() if target in checkif)
     if row.nsum_multiplexed:
         if row.nsum_general is not None:
             row.ratio_general = row.nsum_general / row.nsum_multiplexed
@@ -218,16 +218,21 @@ def _cell(value) -> str:
     return str(value)
 
 
-def emit_csv(report: SweepReport, path: str | os.PathLike) -> None:
-    """Write the sweep CSV with the fixed column order."""
+def csv_document(report: SweepReport) -> str:
+    """The sweep CSV, with the fixed column order."""
     if not report.rows:
         raise ValueError("refusing to write an empty sweep report")
     columns = CSV_HEADER.split(",")
+    lines = [CSV_HEADER] + [",".join(_cell(getattr(row, col)) for col in columns) for row in report.rows]
+    return "\n".join(lines) + "\n"
+
+
+def emit_csv(report: SweepReport, path: str | os.PathLike) -> None:
+    """Write the sweep CSV."""
+    document = csv_document(report)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in report.rows:
-                fh.write(",".join(_cell(getattr(row, col)) for col in columns) + "\n")
+            fh.write(document)
     except OSError as e:
         raise OSError(f"cannot write sweep CSV to {path}: {e}") from e
 
@@ -262,8 +267,8 @@ def series_points(report: SweepReport, series: str) -> list[tuple[str, list[tupl
     return out
 
 
-def emit_svg(series: list[tuple[str, list[tuple[int, float]]]], axes: tuple[str, str],
-             path: str | os.PathLike, log_y: bool = False) -> None:
+def svg_document(series: list[tuple[str, list[tuple[int, float]]]], axes: tuple[str, str],
+                 log_y: bool = False) -> str:
     """Simple polyline chart; log_y plots log10 of the values."""
     if not series or all(not pts for _, pts in series):
         raise ValueError("refusing to write an empty SVG chart")
@@ -306,9 +311,16 @@ def emit_svg(series: list[tuple[str, list[tuple[int, float]]]], axes: tuple[str,
         parts.append(f'<text x="{width - margin + 4}" y="{margin + 14 * s + 8}" font-size="11" '
                      f'fill="{color}" text-anchor="end">{label}</text>')
     parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def emit_svg(series: list[tuple[str, list[tuple[int, float]]]], axes: tuple[str, str],
+             path: str | os.PathLike, log_y: bool = False) -> None:
+    """Write the svg_document chart."""
+    document = svg_document(series, axes, log_y)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(parts))
+            fh.write(document)
     except OSError as e:
         raise OSError(f"cannot write SVG to {path}: {e}") from e
 

@@ -29,7 +29,6 @@ POLARITIES = (POSITIVE, ZERO)
 
 GATE_KINDS = ("X", "H", "T", "Tdag", "MCX", "SUM", "DFT", "CMulAdd", "OS")
 _SINGLE_QUBIT = ("X", "H", "T", "Tdag", "OS")
-_REGISTER_LEVEL = ("SUM", "DFT", "CMulAdd")
 
 
 class Wire(NamedTuple):
@@ -64,11 +63,13 @@ class RegisterTable:
         self._by_name: dict[str, Register] = {}
         offset = 0
         self._offsets: dict[str, int] = {}
+        self.widths: dict[str, int] = {}  # name -> width, read by Circuit.append per wire
         for r in self.registers:
             if r.name in self._by_name:
                 raise ValueError(f"duplicate register name {r.name!r}")
             self._by_name[r.name] = r
             self._offsets[r.name] = offset
+            self.widths[r.name] = r.width
             offset += r.width
         self.total_width = offset
 
@@ -95,11 +96,6 @@ class RegisterTable:
             raise ResolutionError(f"index {wire.idx} out of range for register {wire.reg!r} of width {reg.width}")
         return self._offsets[wire.reg] + wire.idx
 
-    def check_wire(self, wire: Wire):
-        reg = self[wire.reg]
-        if wire.idx is not None and not 0 <= wire.idx < reg.width:
-            raise ResolutionError(f"index {wire.idx} out of range for register {wire.reg!r} of width {reg.width}")
-
     def photon_of(self, reg_name: str) -> int:
         return self[reg_name].photon
 
@@ -119,36 +115,45 @@ class Gate:
     poly: int | None = None    # primitive polynomial for CMulAdd (None = default)
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise InvalidGateError(f"unknown gate kind {self.kind!r}")
-        wires = [c.wire for c in self.controls] + list(self.targets)
-        if len(set(wires)) != len(wires):
-            raise InvalidGateError(f"{self.kind} gate reuses a wire: {wires}")
+        kind = self.kind
+        if kind not in GATE_KINDS:
+            raise InvalidGateError(f"unknown gate kind {kind!r}")
+        # One loop over the controls.  Faults are reported in a fixed order: a
+        # reused wire, the first control with a bad polarity, then the shape.
+        wires, fault, qubit_controls = set(self.targets), None, 0
         for c in self.controls:
-            if c.pol not in POLARITIES:
-                raise InvalidGateError(f"unknown polarity {c.pol!r}")
-            if c.pol == ZERO and self.kind != "MCX":
-                raise InvalidGateError(f"zero-polarity control is only permitted on MCX, not {self.kind}")
-        if self.kind in _SINGLE_QUBIT:
-            if self.controls or len(self.targets) != 1:
-                raise InvalidGateError(f"{self.kind} takes no controls and exactly one target")
-            if self.targets[0].idx is None:
-                raise InvalidGateError(f"{self.kind} target must be a single qubit wire")
-        elif self.kind == "MCX":
+            wires.add(c.wire)
+            if c.pol != POSITIVE and fault is None:
+                if c.pol not in POLARITIES:
+                    fault = f"unknown polarity {c.pol!r}"
+                elif kind != "MCX":
+                    fault = f"zero-polarity control is only permitted on MCX, not {kind}"
+            if c.wire.idx is not None:
+                qubit_controls += 1
+        if len(wires) != len(self.controls) + len(self.targets):
+            raise InvalidGateError(
+                f"{kind} gate reuses a wire: {[c.wire for c in self.controls] + list(self.targets)}")
+        if fault is not None:
+            raise InvalidGateError(fault)
+        if kind == "MCX":
             if not self.controls or len(self.targets) != 1:
                 raise InvalidGateError("MCX takes >= 1 control and exactly one target")
-            if any(c.wire.idx is None for c in self.controls) or self.targets[0].idx is None:
+            if qubit_controls != len(self.controls) or self.targets[0].idx is None:
                 raise InvalidGateError("MCX wires must be single qubits")
-        elif self.kind in _REGISTER_LEVEL:
-            n_ctrl = 1 if self.kind in ("SUM", "CMulAdd") else 0
+        elif kind in _SINGLE_QUBIT:
+            if self.controls or len(self.targets) != 1:
+                raise InvalidGateError(f"{kind} takes no controls and exactly one target")
+            if self.targets[0].idx is None:
+                raise InvalidGateError(f"{kind} target must be a single qubit wire")
+        else:  # SUM, DFT, CMulAdd
+            n_ctrl = 1 if kind in ("SUM", "CMulAdd") else 0
             if len(self.controls) != n_ctrl or len(self.targets) != 1:
-                raise InvalidGateError(f"{self.kind} takes {n_ctrl} control register and one target register")
-            for w in [c.wire for c in self.controls] + list(self.targets):
-                if w.idx is not None:
-                    raise InvalidGateError(f"{self.kind} addresses whole registers (idx must be None)")
-            if self.kind in ("SUM", "DFT") and self.d is None:
-                raise InvalidGateError(f"{self.kind} requires the qudit dimension d")
-            if self.kind == "CMulAdd" and self.n is None:
+                raise InvalidGateError(f"{kind} takes {n_ctrl} control register and one target register")
+            if qubit_controls or self.targets[0].idx is not None:
+                raise InvalidGateError(f"{kind} addresses whole registers (idx must be None)")
+            if kind in ("SUM", "DFT") and self.d is None:
+                raise InvalidGateError(f"{kind} requires the qudit dimension d")
+            if kind == "CMulAdd" and self.n is None:
                 raise InvalidGateError("CMulAdd requires the multiplier exponent n")
 
     @property
@@ -203,11 +208,11 @@ def cmuladd(control_reg: str, target_reg: str, n: int, poly: int | None = None) 
     return Gate("CMulAdd", controls=(Control(Wire(control_reg)),), targets=(Wire(target_reg),), n=n, poly=poly)
 
 
-def gate_class(g: Gate) -> str:
-    """Cost-breakdown key of a gate: MCX by control arity, others by kind."""
-    if g.kind == "MCX":
-        return f"C{g.arity}X"
-    return g.kind
+def signature(g: Gate) -> tuple:
+    """(kind, control register names, target register name).  The kind and
+    control registers fix a gate's class and lowering cost; the target
+    register tells the phases of a circuit apart."""
+    return g.kind, tuple([ct.wire.reg for ct in g.controls]), g.targets[0].reg
 
 
 # ----------------------------------------------------------------------
@@ -293,15 +298,21 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
     meta: Meta = field(default_factory=Meta)
     sealed: bool = False
+    _histogram: dict[tuple, tuple[int, int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def append(self, g: Gate) -> "Circuit":
         if self.sealed:
             raise InvalidGateError("circuit is sealed; no further gates may be appended")
+        widths = self.table.widths
         for w in [c.wire for c in g.controls] + list(g.targets):
-            self.table.check_wire(w)
+            width = widths.get(w.reg)
+            if width is None:
+                raise ResolutionError(f"unknown register {w.reg!r}")
+            if w.idx is not None and not 0 <= w.idx < width:
+                raise ResolutionError(f"index {w.idx} out of range for register {w.reg!r} of width {width}")
         if g.kind in ("SUM", "CMulAdd"):
-            cw = self.table[g.controls[0].wire.reg].width
-            tw = self.table[g.targets[0].reg].width
+            cw = widths[g.controls[0].wire.reg]
+            tw = widths[g.targets[0].reg]
             if cw != tw:
                 raise InvalidGateError(
                     f"{g.kind} needs equal-width registers, got {cw} and {tw}")
@@ -317,11 +328,32 @@ class Circuit:
         self.sealed = True
         return self
 
+    def signature_histogram(self) -> dict[tuple, tuple[int, int]]:
+        """signature(g) -> (index of its first gate, number of gates), in order of first use.
+
+        Built on first read and kept once the circuit is sealed; an unsealed
+        circuit builds it afresh on every read.
+        """
+        if self._histogram is not None:
+            return self._histogram
+        entries: dict[tuple, list[int]] = {}
+        for i, g in enumerate(self.gates):
+            key = signature(g)
+            entry = entries.get(key)
+            if entry is None:
+                entries[key] = entry = [i, 0]
+            entry[1] += 1
+        histogram = {key: (first, uses) for key, (first, uses) in entries.items()}
+        if self.sealed:
+            self._histogram = histogram
+        return histogram
+
     def count(self) -> CostBreakdown:
-        tally = Counter(gate_class(g) for g in self.gates)
-        out = CostBreakdown()
-        out._counts = tally
-        return out
+        """Tally by gate class: MCX by control arity ("C{j}X"), other gates by kind."""
+        tally: Counter[str] = Counter()
+        for (kind, controls, _), (_, n) in self.signature_histogram().items():
+            tally[f"C{len(controls)}X" if kind == "MCX" else kind] += n
+        return CostBreakdown(tally)
 
     def without_gate(self, index: int) -> "Circuit":
         """Copy of the circuit with one gate removed (mutation testing)."""

@@ -41,6 +41,28 @@ def _out_path(path: str, out_dir: str | None) -> str:
     return path
 
 
+def _write_outputs(outputs: list[tuple[str, str, str]], out_dir: str | None) -> list[str]:
+    """Write each (flag, path, text), opening every path before writing any.
+
+    A path that cannot be opened is reported under its flag, and the files
+    opened before it are removed.  Returns the paths written.
+    """
+    opened = []
+    try:
+        for flag, path, _ in outputs:
+            with _user_input(flag, OSError):
+                opened.append(open(_out_path(path, out_dir), "w", encoding="utf-8", newline=""))
+    except UnsupportedConfigurationError:
+        for fh in opened:
+            fh.close()
+            os.remove(fh.name)
+        raise
+    for fh, (_, _, text) in zip(opened, outputs):
+        with fh:
+            fh.write(text)
+    return [fh.name for fh in opened]
+
+
 def _write_lowering_report(report, path: str):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(lowering.REPORT_COLUMNS) + "\n")
@@ -90,7 +112,13 @@ def cmd_gf2m(args) -> int:
     cfg = _load_config(args.config)
     with _user_input(f"--config {args.config}"):
         overrides = config_mod.poly_overrides(cfg)
-    with _user_input(f"--m {args.m}" if args.poly is None else f"--poly {args.poly:#b}"):
+    if args.poly is not None:
+        poly_source = f"--poly {args.poly:#b}"
+    elif args.m in overrides:
+        poly_source = f"gf2m.poly.{args.m}"
+    else:
+        poly_source = f"--m {args.m}"
+    with _user_input(poly_source):
         field = galois.FieldSpec.binary_extension(args.m, args.poly, overrides)
     k = args.k if args.k is not None else 1 << (args.m - 1)
     with _user_input(f"--m {args.m}" if args.k is None else f"--k {args.k}"):
@@ -147,17 +175,15 @@ def cmd_sweep(args) -> int:
         raise UnsupportedConfigurationError(
             f"--d-min {args.d_min} --d-max {args.d_max}: empty sweep range")
     report = analysis.sweep(args.d_min, args.d_max, strategies, convention)
-    out_dir = os.environ.get("QRS_OUT_DIR")
-    with _user_input(f"--out {args.out}", OSError):
-        out_path = _out_path(args.out, out_dir)
-        analysis.emit_csv(report, out_path)
-    print(f"wrote {out_path} ({len(report.rows)} rows, convention {report.convention})")
+    outputs = [(f"--out {args.out}", args.out, analysis.csv_document(report))]
     if args.svg:
         series = analysis.series_points(report, args.series)
-        with _user_input(f"--svg {args.svg}", OSError):
-            svg_path = _out_path(args.svg, out_dir)
-            analysis.emit_svg(series, ("d", args.series), svg_path, log_y=args.log_y)
-        print(f"wrote {svg_path}")
+        outputs.append((f"--svg {args.svg}", args.svg,
+                        analysis.svg_document(series, ("d", args.series), log_y=args.log_y)))
+    paths = _write_outputs(outputs, os.environ.get("QRS_OUT_DIR"))
+    print(f"wrote {paths[0]} ({len(report.rows)} rows, convention {report.convention})")
+    for path in paths[1:]:
+        print(f"wrote {path}")
     return 0
 
 

@@ -107,7 +107,6 @@ class RSCodeSpec:
     gen_poly_dual: tuple[int, ...]   # generator of the dual, degree K, roots alpha^0..alpha^(K-1)
     G: tuple[tuple[int, ...], ...]   # K x n systematic generator matrix [I | P]
     H: tuple[tuple[int, ...], ...]   # (n-K) x n parity-check matrix
-    systematic: bool = True
 
     @property
     def parity(self) -> tuple[tuple[int, ...], ...]:

@@ -1,7 +1,10 @@
 """Rewrite multi-controlled X gates into the target gate set under three strategies.
 
 Every gate-cost rule lives here; sweeps and reports only read LoweringReports.
-lower_circuit looks costs up per (kind, control registers) signature.
+lower_circuit lowers each signature of a circuit's signature histogram once,
+on its first gate, and totals use count times tally.  The per-gate rows,
+gadgets, qudit ancillas and notes are built from those per-signature results
+the first time a report's reader asks for them.
 
 * general: arity j >= 3 becomes 4(j-2) Toffolis, each Toffoli costing
   {6 CX, 2 H, 3 Tdag, 5 T}; arity 2 is one Toffoli; arity 1 is a CX.
@@ -27,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import circuit as ir
-from .circuit import CostBreakdown, Circuit, Control, Gate, photon_partition
+from .circuit import CostBreakdown, Circuit, Control, Gate, photon_partition, signature
 from .errors import LoweringError
 
 GENERAL = "general"
@@ -187,12 +190,21 @@ class LoweredGate:
 
 @dataclass
 class LoweringReport:
+    """One circuit lowered under one strategy.
+
+    total and signatures (signature -> (uses, tally)) are computed by
+    lower_circuit.  rows, gadgets, qudit_ancillas (gate index, dimension) and
+    notes are built in one pass over the gates as they were at lowering time,
+    the first time any of them is read.
+    """
+
     strategy: Strategy
-    rows: list[LoweredGate] = field(default_factory=list)
     total: CostBreakdown = field(default_factory=CostBreakdown)
-    gadgets: list[tuple[int, GadgetDescriptor]] = field(default_factory=list)
-    qudit_ancillas: list[tuple[int, int]] = field(default_factory=list)  # (gate index, dimension)
-    notes: list[str] = field(default_factory=list)
+    signatures: dict[tuple, tuple[int, CostBreakdown]] = field(default_factory=dict)
+    _gates: tuple[Gate, ...] = field(default=(), init=False, repr=False, compare=False)
+    _circuit: Circuit | None = field(default=None, init=False, repr=False, compare=False)
+    _lowered: dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _per_gate: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def cx_total(self) -> int:
@@ -201,6 +213,40 @@ class LoweringReport:
     @property
     def os_total(self) -> int:
         return self.total["OS"]
+
+    @property
+    def rows(self) -> list[LoweredGate]:
+        return self._details()[0]
+
+    @property
+    def gadgets(self) -> list[tuple[int, GadgetDescriptor]]:
+        return self._details()[1]
+
+    @property
+    def qudit_ancillas(self) -> list[tuple[int, int]]:
+        return self._details()[2]
+
+    @property
+    def notes(self) -> list[str]:
+        return self._details()[3]
+
+    def _details(self) -> tuple:
+        if self._per_gate is None:
+            rows, gadgets, qudit_ancillas, notes = [], [], [], []
+            for i, g in enumerate(self._gates):
+                row, _, qudit_dim, gadget, note = self._lowered[signature(g)]
+                rows.append(LoweredGate(i, *row))
+                if qudit_dim is not None:
+                    qudit_ancillas.append((i, qudit_dim))
+                elif gadget:  # a collapsed gate's gadget names its own control wires
+                    partition = photon_partition(self._circuit, g)
+                    gadgets.append((i, lower_multiplexed(g, partition, self.strategy)[0]))
+                elif note:
+                    notes.append(f"gate {i}: {note}")
+            if qudit_ancillas:
+                notes.append(RALPH_NOTE)
+            self._per_gate = rows, gadgets, qudit_ancillas, notes
+        return self._per_gate
 
 
 _PASSTHROUGH = ("X", "H", "T", "Tdag")
@@ -232,32 +278,18 @@ def _lower_signature(c: Circuit, g: Gate, i: int, strategy: Strategy) -> tuple:
 
 
 def lower_circuit(c: Circuit, strategy: Strategy) -> LoweringReport:
-    """Apply the per-gate lowering componentwise over a sealed circuit."""
-    report = LoweringReport(strategy=strategy)
+    """Lower every gate of a circuit; raises LoweringError on a gate that must be expanded first."""
     # A gate's kind and control registers fix its arity and photon partition,
-    # hence its cost, so each signature is lowered once.  A collapsed gate's
-    # gadget names its own control wires and is built per gate.
-    signatures: dict[tuple, tuple] = {}
-    uses: Counter[tuple] = Counter()
-    for i, g in enumerate(c.gates):
-        key = (g.kind, tuple(ct.wire.reg for ct in g.controls))
-        if key not in signatures:
-            signatures[key] = _lower_signature(c, g, i, strategy)
-        row, _, qudit_dim, gadget, note = signatures[key]
-        uses[key] += 1
-        report.rows.append(LoweredGate(i, *row))
-        if qudit_dim is not None:
-            report.qudit_ancillas.append((i, qudit_dim))
-        elif gadget:
-            report.gadgets.append((i, lower_multiplexed(g, photon_partition(c, g), strategy)[0]))
-        elif note:
-            report.notes.append(f"gate {i}: {note}")
-    if report.qudit_ancillas:
-        report.notes.append(RALPH_NOTE)
+    # hence its cost, so each signature is lowered once, on its first gate.
+    report = LoweringReport(strategy=strategy)
     total: Counter[str] = Counter()
-    for key, n in uses.items():
-        total.update({cls: n * v for cls, v in signatures[key][1].as_dict().items()})
+    for key, (first, uses) in c.signature_histogram().items():
+        lowered = _lower_signature(c, c.gates[first], first, strategy)
+        report._lowered[key] = lowered
+        report.signatures[key] = (uses, lowered[1])
+        total.update({cls: uses * v for cls, v in lowered[1].as_dict().items()})
     report.total = CostBreakdown(total)
+    report._gates, report._circuit = tuple(c.gates), c
     return report
 
 

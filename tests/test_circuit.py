@@ -35,11 +35,35 @@ def test_mcx_control_equals_target_rejected():
         ir.mcx([Wire("B", 0)], Wire("B", 0))
 
 
+_B0, _B1, _B2 = Wire("B", 0), Wire("B", 1), Wire("B", 2)
+
+
+@pytest.mark.parametrize("controls, targets, message", [
+    ((Control(_B0, "up"), Control(_B0)), (_B1,),
+     "MCX gate reuses a wire: [Wire(reg='B', idx=0), Wire(reg='B', idx=0), Wire(reg='B', idx=1)]"),
+    ((Control(_B0),), (_B0,), "MCX gate reuses a wire: [Wire(reg='B', idx=0), Wire(reg='B', idx=0)]"),
+    ((Control(_B0), Control(_B1, "up"), Control(_B2, None)), (Wire("t", 0),), "unknown polarity 'up'"),
+    ((Control(_B0, "up"),), (_B1, _B2), "unknown polarity 'up'"),
+    ((Control(Wire("B")), Control(_B0, None)), (_B1,), "unknown polarity None"),
+    ((), (_B1,), "MCX takes >= 1 control and exactly one target"),
+    ((Control(_B0),), (_B1, _B2), "MCX takes >= 1 control and exactly one target"),
+    ((Control(Wire("B")),), (), "MCX takes >= 1 control and exactly one target"),
+    ((Control(_B0), Control(Wire("B"))), (_B1,), "MCX wires must be single qubits"),
+    ((Control(_B0),), (Wire("t"),), "MCX wires must be single qubits"),
+], ids=["reuse-before-polarity", "reuse-with-target", "first-bad-polarity", "polarity-before-shape",
+        "polarity-before-qubits", "no-controls", "two-targets", "shape-before-qubits",
+        "whole-register-control", "whole-register-target"])
+def test_mcx_reports_its_first_fault(controls, targets, message):
+    with pytest.raises(InvalidGateError) as info:
+        Gate("MCX", controls, targets)
+    assert str(info.value) == message
+
+
 def test_out_of_range_index_rejected():
     c = Circuit(two_reg_table())
-    with pytest.raises(ResolutionError, match="out of range"):
+    with pytest.raises(ResolutionError, match=r"^index 3 out of range for register 'B' of width 3$"):
         c.append(ir.cx(Wire("B", 3), Wire("carry", 0)))
-    with pytest.raises(ResolutionError, match="unknown register"):
+    with pytest.raises(ResolutionError, match=r"^unknown register 'nope'$"):
         c.append(ir.x(Wire("nope", 0)))
 
 

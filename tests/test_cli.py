@@ -264,6 +264,7 @@ def test_sweep_rejects_unwritable_svg(capsys, tmp_path):
                        "--svg", str(svg))
     assert_input_error(rc, err, "--svg", "fig.svg")
     assert not svg.exists() and "fig.svg" not in out
+    assert not (tmp_path / "r.csv").exists() and "wrote" not in out
 
 
 def test_gf2m_names_k_for_bad_message_length(capsys):
@@ -275,3 +276,13 @@ def test_gf2m_names_k_for_bad_message_length(capsys):
 def test_gf2m_names_poly_for_bad_polynomial(capsys, poly, fragment):
     rc, _, err = run(capsys, "gf2m", "--m", "3", "--poly", poly)
     assert_input_error(rc, err, "--poly", fragment)
+
+
+def test_gf2m_names_config_key_for_bad_polynomial(capsys, tmp_path):
+    cfg = tmp_path / "qrs.cfg"
+    cfg.write_text("gf2m.poly.3 = 0b1001\n")
+    enc = tmp_path / "enc.json"
+    rc, out, err = run(capsys, "--config", str(cfg), "gf2m", "--m", "3", "--emit", str(enc))
+    assert_input_error(rc, err, "gf2m.poly.3", "reducible")
+    assert "--m" not in err
+    assert not enc.exists() and "wrote" not in out

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,6 +286,98 @@ def test_lower_circuit_equals_per_gate_rules(name, os_cost, c):
     assert report.gadgets == gadgets
     assert report.qudit_ancillas == qudit_ancillas
     assert report.notes == notes
+
+
+def test_lower_circuit_signature_table_sums_to_total():
+    c = synth_sum(137)
+    for name in lowering.STRATEGY_NAMES:
+        report = lower_circuit(c, lowering.Strategy(name))
+        assert report.signatures.keys() == c.signature_histogram().keys()
+        assert sum(uses for uses, _ in report.signatures.values()) == len(c)
+        total = sum((ir.CostBreakdown({k: uses * v for k, v in tally.as_dict().items()})
+                     for uses, tally in report.signatures.values()), ir.CostBreakdown())
+        assert total == report.total
+
+
+@pytest.mark.parametrize("name", lowering.STRATEGY_NAMES)
+@pytest.mark.parametrize("unexpanded", [ir.sum_gate("A", "B", 4), ir.dft("B", 4), ir.cmuladd("A", "B", 1)],
+                         ids=["SUM", "DFT", "CMulAdd"])
+def test_lower_circuit_raises_on_unexpanded_gate_before_any_read(name, unexpanded):
+    table = RegisterTable([Register("A", 2, 0, "data-A"), Register("B", 2, 1, "data-B")])
+    c = Circuit(table).extend([ir.cx(Wire("A", 0), Wire("B", 0)), ir.h(Wire("A", 1)), unexpanded,
+                               ir.cx(Wire("A", 1), Wire("B", 1))]).seal()
+    with pytest.raises(LoweringError, match=rf"gate 2 \({unexpanded.kind}\)"):
+        lower_circuit(c, lowering.Strategy(name))
+
+
+@pytest.mark.parametrize("name", lowering.STRATEGY_NAMES)
+def test_report_rows_are_those_of_the_gates_lowered(name):
+    sealed = synth_sum(5)
+    c = Circuit(sealed.table, list(sealed.gates))  # unsealed: appending stays allowed
+    strategy = lowering.Strategy(name)
+    report = lower_circuit(c, strategy)
+    c.extend(sealed.gates)
+    want = lower_circuit(sealed, strategy)
+    assert len(report.rows) == len(sealed)
+    assert lowering.report_rows(report) == lowering.report_rows(want)
+    assert (report.gadgets, report.qudit_ancillas, report.notes) == (want.gadgets, want.qudit_ancillas, want.notes)
+    assert report.total == want.total
+
+
+# ---------------------------------------------------------------
+# Signature histogram
+# ---------------------------------------------------------------
+
+def per_gate_count(gates):
+    """Gate-class tally taken gate by gate, without the signature histogram."""
+    return ir.CostBreakdown(Counter(f"C{len(g.controls)}X" if g.kind == "MCX" else g.kind for g in gates))
+
+
+@st.composite
+def spread_circuits_with_qudit_gates(draw):
+    """Unsealed spread_circuits with register-level SUM and DFT gates inserted."""
+    base = draw(spread_circuits())
+    regs = base.table.registers
+    gates = list(base.gates)
+    for _ in range(draw(st.integers(1, 6))):
+        reg = draw(st.sampled_from(regs))
+        partners = [r for r in regs if r.width == reg.width and r is not reg]
+        if partners and draw(st.booleans()):
+            g = ir.sum_gate(draw(st.sampled_from(partners)).name, reg.name, 1 << reg.width)
+        else:
+            g = ir.dft(reg.name, 1 << reg.width)
+        gates.insert(draw(st.integers(0, len(gates))), g)
+    return Circuit(base.table).extend(gates)
+
+
+@settings(deadline=None, max_examples=60)
+@given(c=spread_circuits_with_qudit_gates())
+def test_count_equals_per_gate_tally(c):
+    assert c.count() == per_gate_count(c.gates)
+    c.append(ir.x(Wire(c.table.registers[0].name, 0)))  # unsealed: the next read sees it
+    assert c.count() == per_gate_count(c.gates)
+    sealed = Circuit(c.table, list(c.gates)).seal()
+    assert sealed.count() == sealed.count() == per_gate_count(c.gates)
+    histogram = sealed.signature_histogram()
+    assert list(histogram) == list(dict.fromkeys(ir.signature(g) for g in c.gates))
+    for key, (first, uses) in histogram.items():
+        assert ir.signature(c.gates[first]) == key
+        assert [ir.signature(g) for g in c.gates[:first]].count(key) == 0
+        assert [ir.signature(g) for g in c.gates].count(key) == uses
+
+
+@settings(deadline=None, max_examples=40)
+@given(c=spread_circuits_with_qudit_gates(), data=st.data())
+def test_without_gate_count_drops_that_gates_class(c, data):
+    c.seal()
+    before = c.count()  # fills the sealed circuit's histogram
+    i = data.draw(st.integers(0, len(c) - 1))
+    g = c.gates[i]
+    dropped = ir.CostBreakdown({f"C{g.arity}X" if g.kind == "MCX" else g.kind: 1})
+    assert c.without_gate(i).count() + dropped == before
+    zero_controls = sum(ct.pol == ir.ZERO for g in c.gates for ct in g.controls)
+    assert ir.normalize_polarities(c).count()["X"] == before["X"] + 2 * zero_controls
+    assert c.count() == before
 
 
 # ---------------------------------------------------------------
