@@ -401,34 +401,60 @@ def normalize_polarities(c: Circuit) -> Circuit:
 # Interchange document (JSON-shaped structured text)
 # ----------------------------------------------------------------------
 
-def _wire_doc(w: Wire) -> dict:
-    return {"reg": w.reg, "idx": w.idx}
+def _gate_head(g: Gate) -> str:
+    """The text of g's JSON object up to its controls: '{"kind": ..., "controls": ['."""
+    entry: dict = {"kind": g.kind}
+    if g.d is not None:
+        entry["d"] = g.d
+    if g.n is not None:
+        entry["n"] = g.n
+    if g.poly is not None:
+        entry["poly"] = g.poly
+    return json.dumps(entry)[:-1] + ', "controls": ['
 
 
 def serialize(c: Circuit) -> str:
-    """Interchange document for a sealed circuit; parse() inverts it losslessly."""
+    """Interchange document for a sealed circuit; parse() inverts it losslessly.
+
+    A JSON object with "registers", "gates" and "meta", one gate per line.
+    Each distinct control, target and gate head is encoded once per document
+    and its text reused.  Wire("A", True) equals Wire("A", 1) but encodes
+    differently, so fragments are keyed by the index's type as well.
+    """
     if not c.sealed:
         raise InvalidGateError("only sealed circuits are serialized")
-    doc = {
-        "registers": [
-            {"name": r.name, "width": r.width, "photon": r.photon, "role": r.role}
-            for r in c.table.registers
-        ],
-        "gates": [],
-        "meta": {"d": c.meta.d, "strategy": c.meta.strategy, "note": c.meta.note},
-    }
+    dumps = json.dumps
+    registers = dumps([{"name": r.name, "width": r.width, "photon": r.photon, "role": r.role}
+                       for r in c.table.registers])
+    meta = dumps({"d": c.meta.d, "strategy": c.meta.strategy, "note": c.meta.note})
+    heads: dict[str, str] = {}            # kind -> head of a gate without d, n and poly
+    control_texts: dict[tuple, str] = {}  # (Control, index type) -> its JSON text
+    target_texts: dict[tuple, str] = {}   # (Wire, index type) -> its JSON text
+    lines = []
     for g in c.gates:
-        entry: dict = {"kind": g.kind}
-        if g.d is not None:
-            entry["d"] = g.d
-        if g.n is not None:
-            entry["n"] = g.n
-        if g.poly is not None:
-            entry["poly"] = g.poly
-        entry["controls"] = [{"reg": ct.wire.reg, "idx": ct.wire.idx, "pol": ct.pol} for ct in g.controls]
-        entry["targets"] = [_wire_doc(w) for w in g.targets]
-        doc["gates"].append(entry)
-    return json.dumps(doc, indent=1)
+        if g.d is None and g.n is None and g.poly is None:
+            head = heads.get(g.kind)
+            if head is None:
+                head = heads[g.kind] = _gate_head(g)
+        else:
+            head = _gate_head(g)
+        controls = []
+        for ct in g.controls:
+            key = (ct, type(ct.wire.idx))
+            text = control_texts.get(key)
+            if text is None:
+                text = control_texts[key] = dumps({"reg": ct.wire.reg, "idx": ct.wire.idx, "pol": ct.pol})
+            controls.append(text)
+        targets = []
+        for w in g.targets:
+            key = (w, type(w.idx))
+            text = target_texts.get(key)
+            if text is None:
+                text = target_texts[key] = dumps({"reg": w.reg, "idx": w.idx})
+            targets.append(text)
+        lines.append(f'{head}{", ".join(controls)}], "targets": [{", ".join(targets)}]}}')
+    gates = ",\n".join(lines)
+    return f'{{"registers": {registers},\n"gates": [\n{gates}\n],\n"meta": {meta}}}\n'
 
 
 _MISSING = object()
@@ -462,13 +488,23 @@ def _integer(obj: dict, key: str, path: str, minimum: int, optional: bool = Fals
     return value
 
 
-def _wire(wd, path: str) -> Wire:
+def _wire(wd, i: int, role: str, j: int) -> Wire:
+    """The wire of entry gates[i].<role>[j]; its path is built only to name a fault."""
     if isinstance(wd, dict):  # the common, well-formed case without helper calls
         reg, idx = wd.get("reg"), wd.get("idx")
         if type(reg) is str and (idx is None or type(idx) is int and idx >= 0):
             return Wire(reg, idx)
+    path = f"gates[{i}].{role}[{j}]"
     wd = _typed(wd, dict, path)  # raises, naming the faulty field
     return Wire(_field(wd, "reg", path, str), _integer(wd, "idx", path, 0, optional=True))
+
+
+def _control(cd, i: int, j: int) -> Control:
+    wire = _wire(cd, i, "controls", j)
+    pol = cd.get("pol", POSITIVE)
+    if pol not in POLARITIES:
+        raise ParseError(f"gates[{i}].controls[{j}]: unknown polarity {pol!r}")
+    return Control(wire, pol)
 
 
 def parse(document: str) -> Circuit:
@@ -509,26 +545,54 @@ def parse(document: str) -> Circuit:
         note=_field(md, "note", "meta", str, ""),
     ))
 
+    # Each distinct well-formed control or target entry is checked and built
+    # once per document.  A key holds the index's type as well as its value:
+    # JSON true and 1.0 equal 1 but are rejected, so they must miss.
+    controls_seen: dict[tuple, Control] = {}
+    targets_seen: dict[tuple, Wire] = {}
+    append = circuit.append
     for i, gd in enumerate(_field(doc, "gates", "document", list)):
-        path = f"gates[{i}]"
-        gd = _typed(gd, dict, path)
-        kind = _field(gd, "kind", path)
+        if not isinstance(gd, dict):
+            _typed(gd, dict, f"gates[{i}]")  # raises
+        kind = gd.get("kind", _MISSING)
+        if kind is _MISSING:
+            _field(gd, "kind", f"gates[{i}]")  # raises
+        entries = gd.get("controls", [])
+        if type(entries) is not list:
+            _field(gd, "controls", f"gates[{i}]", list)  # raises
         controls = []
-        for j, cd in enumerate(_field(gd, "controls", path, list, [])):
-            cpath = f"{path}.controls[{j}]"
-            wire = _wire(cd, cpath)
-            pol = cd.get("pol", POSITIVE)
-            if pol not in POLARITIES:
-                raise ParseError(f"{cpath}: unknown polarity {pol!r}")
-            controls.append(Control(wire, pol))
-        targets = [_wire(td, f"{path}.targets[{j}]")
-                   for j, td in enumerate(_field(gd, "targets", path, list, []))]
+        for j, cd in enumerate(entries):
+            try:
+                idx = cd.get("idx")
+                key = (cd.get("reg"), idx, type(idx), cd.get("pol", POSITIVE))
+                control = controls_seen.get(key)
+            except (AttributeError, TypeError):  # not an object, or an unhashable field:
+                key = control = None              # _control raises on it
+            if control is None:
+                control = controls_seen[key] = _control(cd, i, j)
+            controls.append(control)
+        entries = gd.get("targets", [])
+        if type(entries) is not list:
+            _field(gd, "targets", f"gates[{i}]", list)  # raises
+        targets = []
+        for j, td in enumerate(entries):
+            try:
+                idx = td.get("idx")
+                key = (td.get("reg"), idx, type(idx))
+                wire = targets_seen.get(key)
+            except (AttributeError, TypeError):
+                key = wire = None
+            if wire is None:
+                wire = targets_seen[key] = _wire(td, i, "targets", j)
+            targets.append(wire)
+        d, n, poly = gd.get("d"), gd.get("n"), gd.get("poly")
+        if d is not None or n is not None or poly is not None:  # qudit-level gates
+            path = f"gates[{i}]"
+            d = _integer(gd, "d", path, 2, optional=True)
+            n = _integer(gd, "n", path, 0, optional=True)
+            poly = _integer(gd, "poly", path, 0, optional=True)
         try:
-            gate = Gate(kind, tuple(controls), tuple(targets),
-                        d=_integer(gd, "d", path, 2, optional=True),
-                        n=_integer(gd, "n", path, 0, optional=True),
-                        poly=_integer(gd, "poly", path, 0, optional=True))
-            circuit.append(gate)
+            append(Gate(kind, tuple(controls), tuple(targets), d=d, n=n, poly=poly))
         except (InvalidGateError, ResolutionError) as e:
-            raise ParseError(f"{path}: {e}") from None
+            raise ParseError(f"gates[{i}]: {e}") from None
     return circuit.seal()

@@ -63,13 +63,6 @@ def _write_outputs(outputs: list[tuple[str, str, str]], out_dir: str | None) -> 
     return [fh.name for fh in opened]
 
 
-def _write_lowering_report(report, path: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(lowering.REPORT_COLUMNS) + "\n")
-        for row in lowering.report_rows(report):
-            fh.write(",".join(str(v) for v in row) + "\n")
-
-
 def cmd_synth_sum(args) -> int:
     circuit = sumsynth.synth_sum(args.d)
     counted = circuit.count()
@@ -99,8 +92,10 @@ def cmd_lower(args) -> int:
     with _user_input(f"--os-cost {args.os_cost}"):
         strategy = lowering.Strategy(args.strategy, os_cost_per_control=args.os_cost)
     report = lowering.lower_circuit(circuit, strategy)
-    with _user_input(f"--report {args.report}", OSError):
-        _write_lowering_report(report, args.report)
+    document = lowering.report_csv(report)
+    with _user_input(f"--report {args.report}", OSError), \
+            open(args.report, "w", encoding="utf-8", newline="") as fh:
+        fh.write(document)
     print(f"strategy={args.strategy}: totals {report.total.as_dict()}")
     for note in report.notes:
         print(f"note: {note}")
@@ -175,6 +170,9 @@ def cmd_sweep(args) -> int:
         raise UnsupportedConfigurationError(
             f"--d-min {args.d_min} --d-max {args.d_max}: empty sweep range")
     report = analysis.sweep(args.d_min, args.d_max, strategies, convention)
+    if not report.rows:
+        raise UnsupportedConfigurationError(
+            f"--d-min {args.d_min} --d-max {args.d_max}: no primes in the sweep range")
     outputs = [(f"--out {args.out}", args.out, analysis.csv_document(report))]
     if args.svg:
         series = analysis.series_points(report, args.series)

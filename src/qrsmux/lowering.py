@@ -3,8 +3,8 @@
 Every gate-cost rule lives here; sweeps and reports only read LoweringReports.
 lower_circuit lowers each signature of a circuit's signature histogram once,
 on its first gate, and totals use count times tally.  The per-gate rows,
-gadgets, qudit ancillas and notes are built from those per-signature results
-the first time a report's reader asks for them.
+gadgets, qudit ancillas, notes and report CSV are built from those
+per-signature results when a report's reader asks for them.
 
 * general: arity j >= 3 becomes 4(j-2) Toffolis, each Toffoli costing
   {6 CX, 2 H, 3 Tdag, 5 T}; arity 2 is one Toffoli; arity 1 is a CX.
@@ -193,9 +193,10 @@ class LoweringReport:
     """One circuit lowered under one strategy.
 
     total and signatures (signature -> (uses, tally)) are computed by
-    lower_circuit.  rows, gadgets, qudit_ancillas (gate index, dimension) and
-    notes are built in one pass over the gates as they were at lowering time,
-    the first time any of them is read.
+    lower_circuit.  rows, gadgets and qudit_ancillas (gate index, dimension)
+    are built in one pass over the gates as they were at lowering time, the
+    first time any of them is read.  notes are read off the per-signature
+    results, and walk the gates only when some signature carries a note.
     """
 
     strategy: Strategy
@@ -228,24 +229,31 @@ class LoweringReport:
 
     @property
     def notes(self) -> list[str]:
-        return self._details()[3]
+        """One note per gate that fell back with a note, in gate order, then
+        RALPH_NOTE if any gate takes a qudit ancilla."""
+        lowered = self._lowered
+        notes = []
+        if any(note for *_, note in lowered.values()):
+            for i, g in enumerate(self._gates):
+                note = lowered[signature(g)][4]
+                if note:
+                    notes.append(f"gate {i}: {note}")
+        if any(qudit_dim is not None for _, _, qudit_dim, *_ in lowered.values()):
+            notes.append(RALPH_NOTE)
+        return notes
 
     def _details(self) -> tuple:
         if self._per_gate is None:
-            rows, gadgets, qudit_ancillas, notes = [], [], [], []
+            rows, gadgets, qudit_ancillas = [], [], []
             for i, g in enumerate(self._gates):
-                row, _, qudit_dim, gadget, note = self._lowered[signature(g)]
+                row, _, qudit_dim, gadget, _ = self._lowered[signature(g)]
                 rows.append(LoweredGate(i, *row))
                 if qudit_dim is not None:
                     qudit_ancillas.append((i, qudit_dim))
                 elif gadget:  # a collapsed gate's gadget names its own control wires
                     partition = photon_partition(self._circuit, g)
                     gadgets.append((i, lower_multiplexed(g, partition, self.strategy)[0]))
-                elif note:
-                    notes.append(f"gate {i}: {note}")
-            if qudit_ancillas:
-                notes.append(RALPH_NOTE)
-            self._per_gate = rows, gadgets, qudit_ancillas, notes
+            self._per_gate = rows, gadgets, qudit_ancillas
         return self._per_gate
 
 
@@ -294,6 +302,20 @@ def lower_circuit(c: Circuit, strategy: Strategy) -> LoweringReport:
 
 
 REPORT_COLUMNS = ("gate-index", "kind", "arity", "photons", "strategy", "cx", "h", "t", "tdag", "os", "fallback-flag")
+
+
+def report_csv(report: LoweringReport) -> str:
+    """The lowering report CSV: the REPORT_COLUMNS header, then one line per gate.
+
+    The columns after the gate index are rendered once per signature.
+    """
+    suffixes = {}
+    for key, (row, *_) in report._lowered.items():
+        *fields, fallback = row
+        suffixes[key] = ",".join([*map(str, fields), str(int(fallback))])
+    lines = [",".join(REPORT_COLUMNS)]
+    lines += [f"{i},{suffixes[signature(g)]}" for i, g in enumerate(report._gates)]
+    return "\n".join(lines) + "\n"
 
 
 def report_rows(report: LoweringReport) -> list[list]:

@@ -224,6 +224,18 @@ def test_serialize_requires_sealed():
         serialize(Circuit(two_reg_table()))
 
 
+def test_serialize_keeps_equal_wires_of_other_index_types_apart():
+    # Wire("q", True) == Wire("q", 1), yet each is written with its own index.
+    c = Circuit(RegisterTable([Register("q", 3, 0, "work")])).extend([
+        ir.cx(Wire("q", 1), Wire("q", 0)), ir.cx(Wire("q", True), Wire("q", 0)),
+        ir.x(Wire("q", 1)), ir.x(Wire("q", True)),
+    ]).seal()
+    gates = json.loads(serialize(c))["gates"]
+    idx = [gates[0]["controls"][0]["idx"], gates[1]["controls"][0]["idx"],
+           gates[2]["targets"][0]["idx"], gates[3]["targets"][0]["idx"]]
+    assert [type(i) for i in idx] == [int, bool, int, bool]
+
+
 def test_parse_unknown_gate_kind():
     doc = json.loads(serialize(synth_sum(3)))
     doc["gates"][0]["kind"] = "CSWAP"
@@ -307,6 +319,23 @@ def test_parse_rejects_malformed_shape(build, where):
         parse(build())
 
 
+@pytest.mark.parametrize("role", ["controls", "targets"])
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
+def test_parse_rejects_non_integer_index_equal_to_a_valid_one(role, value):
+    q = lambda idx: {"reg": "q", "idx": idx}
+    doc = {
+        "registers": [{"name": "q", "width": 4, "photon": 0, "role": "work"}],
+        "gates": [{"kind": "MCX", "controls": [q(1)], "targets": [q(0)]},
+                  {"kind": "MCX", "controls": [q(0)], "targets": [q(1)]},
+                  {"kind": "MCX", "controls": [q(2), q(1)], "targets": [q(3)]}],
+        "meta": {},
+    }
+    doc["gates"][2][role][-1]["idx"] = value  # a valid entry with idx 1 came before it
+    j = len(doc["gates"][2][role]) - 1
+    with pytest.raises(ParseError, match=rf"^gates\[2\]\.{role}\[{j}\]\.idx: expected an integer >= 0, got {value}$"):
+        parse(json.dumps(doc))
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=6) | st.sampled_from(["A", "B", "carry", "MCX", "SUM", "zero", "work"]),
@@ -353,17 +382,21 @@ def test_parse_mutated_document_round_trips_or_raises(data):
 ROLE_SAMPLES = ("data-A", "data-B", "carry", "check-if", "work")
 
 
+# Any text, with the characters a JSON encoder must escape drawn often.
+names = st.text(st.sampled_from('"\\/\n\t\x00\u2028\u2029é☃𝄞') | st.characters(), max_size=8)
+
+
 @st.composite
 def circuits(draw):
     n_regs = draw(st.integers(2, 4))
     width = draw(st.integers(1, 3))
-    regs = [Register(f"r{i}", width, draw(st.integers(0, 2)), draw(st.sampled_from(ROLE_SAMPLES)))
-            for i in range(n_regs)]
+    regs = [Register(name, width, draw(st.integers(0, 2)), draw(st.sampled_from(ROLE_SAMPLES)))
+            for name in draw(st.lists(names, min_size=n_regs, max_size=n_regs, unique=True))]
     table = RegisterTable(regs)
     wires = [Wire(r.name, i) for r in regs for i in range(width)]
     c = Circuit(table, meta=Meta(d=draw(st.one_of(st.none(), st.integers(2, 9))),
-                                 strategy=draw(st.sampled_from(["", "general", "multiplexed"])),
-                                 note=draw(st.text(alphabet="abc xyz", max_size=12))))
+                                 strategy=draw(st.one_of(st.sampled_from(["", "general", "multiplexed"]), names)),
+                                 note=draw(names)))
     n_gates = draw(st.integers(0, 12))
     for _ in range(n_gates):
         kind = draw(st.sampled_from(["X", "H", "T", "Tdag", "OS", "MCX", "MCX", "SUM", "DFT", "CMulAdd"]))
@@ -392,6 +425,7 @@ def test_round_trip_preserves_everything(c):
     assert back.gates == c.gates
     assert back.count() == c.count()
     assert back.table == c.table
+    assert back.meta == c.meta
 
 
 @settings(deadline=None)

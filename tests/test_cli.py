@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,40 @@ def test_synth_sum_emit_and_lower(capsys, tmp_path):
     assert set(rows[0]) == {"gate-index", "kind", "arity", "photons", "strategy",
                             "cx", "h", "t", "tdag", "os", "fallback-flag"}
     assert sum(int(r["cx"]) for r in rows) == 59
+
+
+# SHA-256 of `lower --report` for the SUM circuit of d, per strategy, and the
+# note lines `lower` prints.
+REPORT_SHA256 = {
+    5: {"general": "129a240041319496c21da8783ada61a2b0da378717ea30b54de745c2b7e8980a",
+        "ralph": "1d0441b004127b59d6de73514307c4ab7f56c33578367ad3c7c1ca2521ad380d",
+        "multiplexed": "9a19b85bedc2228554daa06753d4c42f38e11ea4ba5a0b8ce22961f1884bab2e"},
+    137: {"general": "f8ee6e78325a89cf0d164c59860632f64f2ee9f1424ca734bc07921a33b2baee",
+          "ralph": "d32a6a3a2f839ef745bfb8a26745657930c0a797b621f2af874e563cf3c8fa9c",
+          "multiplexed": "81c79251ecffc49bc11912e8c442c4302774d0d8b8ae988407d10baad41a35c4"},
+    1021: {"general": "2be8eda32dc6e41ae3bf0dedb7bb998388c096367e6d56ec8e3c033b38f89acb",
+           "ralph": "fcf9b0cbd51bff7a819967770f53b5b8299115c4e8587bb7ab2628fc9a250aef",
+           "multiplexed": "eec319892003071c9d92b458c4f1d8b115196c8ffbd4c840872832c4a07a24ec"},
+}
+REPORT_NOTES = {
+    "general": [],
+    "ralph": ["note: two-qubit totals counted 1:1 against CX; companion single-qudit gates are"
+              " treated as free, so these totals are a lower bound"],
+    "multiplexed": [],
+}
+
+
+@pytest.mark.parametrize("d", sorted(REPORT_SHA256))
+def test_lower_report_bytes_are_pinned(capsys, tmp_path, d):
+    doc = tmp_path / f"sum{d}.json"
+    assert run(capsys, "synth-sum", "--d", str(d), "--emit", str(doc))[0] == 0
+    for strategy, digest in REPORT_SHA256[d].items():
+        report = tmp_path / f"lower-{strategy}.csv"
+        rc, out, _ = run(capsys, "lower", "--in", str(doc), "--strategy", strategy,
+                         "--report", str(report))
+        assert rc == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, strategy
+        assert [line for line in out.splitlines() if line.startswith("note:")] == REPORT_NOTES[strategy]
 
 
 def test_lower_os_cost_flag(capsys, tmp_path):
@@ -181,6 +216,13 @@ def test_sweep_rejects_empty_range(capsys, tmp_path):
     rc, _, err = run(capsys, "sweep", "--d-min", "9", "--d-max", "3", "--out", str(out_csv))
     assert_input_error(rc, err, "--d-min 9", "--d-max 3")
     assert not out_csv.exists()
+
+
+def test_sweep_rejects_range_without_primes(capsys, tmp_path):
+    out_csv = tmp_path / "r.csv"
+    rc, out, err = run(capsys, "sweep", "--d-min", "8", "--d-max", "10", "--out", str(out_csv))
+    assert_input_error(rc, err, "--d-min 8", "--d-max 10", "no primes")
+    assert not out_csv.exists() and "wrote" not in out
 
 
 def test_config_rejects_line_without_equals(capsys, tmp_path):
