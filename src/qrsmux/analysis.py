@@ -131,7 +131,6 @@ class SweepReport:
 def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: Convention | None = None) -> SweepRow:
     """Synthesize, gate-check against the closed form, and lower one dimension."""
     conv = convention or get_convention()
-    p = sumsynth.plan(d)
     circuit = sumsynth.synth_sum(d)
     counted = circuit.count()
     predicted = sumsynth.predicted_counts(d)
@@ -139,9 +138,12 @@ def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: Convention | None =
         raise SweepConsistencyError(
             f"d={d}: synthesized tally {counted.as_dict()} != predicted {predicted.as_dict()}")
 
+    widths = circuit.table.widths
+    checkif = {reg.name for reg in circuit.table.registers if reg.role == "check-if"}
+    n_checkif = sum(widths[name] for name in checkif)
     row = SweepRow(
-        d=d, k=p.k, n_sum_gates=sum_gate_count(d),
-        n_checkif=p.n_checkif, n_aux=p.n_aux, convention=conv.id,
+        d=d, k=widths["A"], n_sum_gates=sum_gate_count(d),
+        n_checkif=n_checkif, n_aux=widths["carry"] + n_checkif, convention=conv.id,
     )
     for name in strategies:
         report = lowering.lower_circuit(circuit, conv.strategy(name))
@@ -149,9 +151,8 @@ def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: Convention | None =
         setattr(row, f"ntot_{name}", row.n_sum_gates * report.cx_total)
         if name == MULTIPLEXED:
             row.os_count = report.os_total
-            checkif = {reg.name for reg in circuit.table.registers if reg.role == "check-if"}
-            row.checkif_cx = sum(uses * tally["C1X"] for (_, _, target), (uses, tally)
-                                 in report.signatures.items() if target in checkif)
+            row.checkif_cx = sum(len(lowered.indices) * lowered.tally["C1X"]
+                                 for (_, _, target), lowered in report.signatures.items() if target in checkif)
     if row.nsum_multiplexed:
         if row.nsum_general is not None:
             row.ratio_general = row.nsum_general / row.nsum_multiplexed

@@ -15,7 +15,7 @@ tallied under "X" and never enter CX totals.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
@@ -298,7 +298,7 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
     meta: Meta = field(default_factory=Meta)
     sealed: bool = False
-    _histogram: dict[tuple, tuple[int, int]] | None = field(default=None, init=False, repr=False, compare=False)
+    _histogram: dict[tuple, tuple[int, ...]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def append(self, g: Gate) -> "Circuit":
         if self.sealed:
@@ -328,22 +328,18 @@ class Circuit:
         self.sealed = True
         return self
 
-    def signature_histogram(self) -> dict[tuple, tuple[int, int]]:
-        """signature(g) -> (index of its first gate, number of gates), in order of first use.
+    def signature_histogram(self) -> dict[tuple, tuple[int, ...]]:
+        """signature(g) -> indices of its gates, in order of first use.
 
         Built on first read and kept once the circuit is sealed; an unsealed
         circuit builds it afresh on every read.
         """
         if self._histogram is not None:
             return self._histogram
-        entries: dict[tuple, list[int]] = {}
+        groups: dict[tuple, list[int]] = defaultdict(list)
         for i, g in enumerate(self.gates):
-            key = signature(g)
-            entry = entries.get(key)
-            if entry is None:
-                entries[key] = entry = [i, 0]
-            entry[1] += 1
-        histogram = {key: (first, uses) for key, (first, uses) in entries.items()}
+            groups[signature(g)].append(i)
+        histogram = {key: tuple(indices) for key, indices in groups.items()}
         if self.sealed:
             self._histogram = histogram
         return histogram
@@ -351,8 +347,8 @@ class Circuit:
     def count(self) -> CostBreakdown:
         """Tally by gate class: MCX by control arity ("C{j}X"), other gates by kind."""
         tally: Counter[str] = Counter()
-        for (kind, controls, _), (_, n) in self.signature_histogram().items():
-            tally[f"C{len(controls)}X" if kind == "MCX" else kind] += n
+        for (kind, controls, _), indices in self.signature_histogram().items():
+            tally[f"C{len(controls)}X" if kind == "MCX" else kind] += len(indices)
         return CostBreakdown(tally)
 
     def without_gate(self, index: int) -> "Circuit":

@@ -103,6 +103,15 @@ def cmd_lower(args) -> int:
     return 0
 
 
+def _cmuladd_report_line(f: galois.FieldSpec, n: int) -> str:
+    """One gf2m --report line for a multiplier-add gate of exponent n."""
+    circuit = gf2m.synth_cmuladd(f, n)
+    counted = circuit.count()["C1X"]
+    verified = gf2m.verify_cmuladd(circuit, f, n)
+    name = "C1" if n == 0 else ("Calpha" if n == 1 else f"Calpha^{n}")
+    return f"{name},{n},{counted},{gf2m.cmuladd_cx_formula(f, n)},{str(verified).lower()}\n"
+
+
 def cmd_gf2m(args) -> int:
     cfg = _load_config(args.config)
     with _user_input(f"--config {args.config}"):
@@ -125,16 +134,9 @@ def cmd_gf2m(args) -> int:
             fh.write(document)
         print(f"wrote {args.emit} ({len(encoder)} gates)")
     if args.report:
-        lines = ["gate,exponent,cx-count,formula-count,verified\n"]
-        for g in encoder.gates:
-            if g.kind != "CMulAdd":
-                continue
-            circuit = gf2m.synth_cmuladd(spec.field, g.n)
-            counted = circuit.count()["C1X"]
-            formula = gf2m.cmuladd_cx_formula(spec.field, g.n)
-            verified = gf2m.verify_cmuladd(circuit, spec.field, g.n)
-            name = "C1" if g.n == 0 else ("Calpha" if g.n == 1 else f"Calpha^{g.n}")
-            lines.append(f"{name},{g.n},{counted},{formula},{str(verified).lower()}\n")
+        exponents = [g.n for g in encoder.gates if g.kind == "CMulAdd"]
+        line = {n: _cmuladd_report_line(spec.field, n) for n in dict.fromkeys(exponents)}
+        lines = ["gate,exponent,cx-count,formula-count,verified\n"] + [line[n] for n in exponents]
         with _user_input(f"--report {args.report}", OSError), \
                 open(args.report, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)

@@ -15,6 +15,7 @@ sum_p H_w(alpha^(n+p)) CX in total.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import galois
@@ -45,13 +46,6 @@ def _poly_from_roots(f: FieldSpec, root_exponents: list[int]) -> list[int]:
     for e in root_exponents:
         poly = _poly_mul(f, poly, [f.alpha_power(e).value, 1])  # (x + alpha^e); char 2
     return poly
-
-
-def _poly_eval(f: FieldSpec, coeffs: list[int], x: FieldElement) -> FieldElement:
-    acc = FieldElement(0, f)
-    for c in reversed(coeffs):
-        acc = galois.add(galois.mul(acc, x), FieldElement(c, f))
-    return acc
 
 
 # ----------------------------------------------------------------------
@@ -281,12 +275,8 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
 
 
 def encoder_classical_cx_cost(spec: RSCodeSpec) -> int:
-    """CX cost of the encoder's classical part, from the per-gate closed form."""
+    """CX cost of the encoder's classical part, from the per-gate closed form
+    summed once per exponent and weighted by that exponent's gate count."""
     f = spec.field
-    total = 0
-    for i in range(spec.K):
-        for j in range(spec.n - spec.K):
-            entry = spec.parity[i][j]
-            if entry:
-                total += cmuladd_cx_formula(f, f.exponent_of(FieldElement(entry, f)))
-    return total
+    uses = Counter(f.exponent_of(FieldElement(entry, f)) for row in spec.parity for entry in row if entry)
+    return sum(n * cmuladd_cx_formula(f, exponent) for exponent, n in uses.items())

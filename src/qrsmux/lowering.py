@@ -1,10 +1,10 @@
 """Rewrite multi-controlled X gates into the target gate set under three strategies.
 
 Every gate-cost rule lives here; sweeps and reports only read LoweringReports.
-lower_circuit lowers each signature of a circuit's signature histogram once,
-on its first gate, and totals use count times tally.  The per-gate rows,
-gadgets, qudit ancillas, notes and report CSV are built from those
-per-signature results when a report's reader asks for them.
+lower_circuit lowers each signature of a circuit's signature histogram
+(signature -> indices of its gates) once, on its first gate, into one Lowered
+record, and totals gate count times tally.  The per-gate rows, gadgets, qudit
+ancillas, notes and report CSV put each record's values at its indices when read.
 
 * general: arity j >= 3 becomes 4(j-2) Toffolis, each Toffoli costing
   {6 CX, 2 H, 3 Tdag, 5 T}; arity 2 is one Toffoli; arity 1 is a CX.
@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import circuit as ir
-from .circuit import CostBreakdown, Circuit, Control, Gate, photon_partition, signature
+from .circuit import CostBreakdown, Circuit, Control, Gate, photon_partition
 from .errors import LoweringError
 
 GENERAL = "general"
@@ -188,24 +189,33 @@ class LoweredGate:
     fallback: bool
 
 
+class Lowered(NamedTuple):
+    """One signature lowered by its strategy's rule, on its first gate."""
+
+    indices: tuple[int, ...]      # its gates, in gate order
+    tally: CostBreakdown          # of one gate
+    columns: tuple                # LoweredGate fields between the index and the fallback flag
+    fallback: bool
+    qudit_dim: int | None         # ralph qudit-ancilla dimension
+    gadget: bool                  # a switch gadget of arity >= 2 applies
+    note: str | None              # why it fell back, when that needs saying
+
+
 @dataclass
 class LoweringReport:
     """One circuit lowered under one strategy.
 
-    total and signatures (signature -> (uses, tally)) are computed by
-    lower_circuit.  rows, gadgets and qudit_ancillas (gate index, dimension)
-    are built in one pass over the gates as they were at lowering time, the
-    first time any of them is read.  notes are read off the per-signature
-    results, and walk the gates only when some signature carries a note.
+    signatures maps each signature of the circuit's histogram to its Lowered
+    record, and total is each record's tally times its gate count; both come
+    from lower_circuit.  rows, gadgets, qudit_ancillas (gate index, dimension),
+    notes and report_csv put each record's values at its gate indices, in gate
+    order, when they are read.
     """
 
     strategy: Strategy
     total: CostBreakdown = field(default_factory=CostBreakdown)
-    signatures: dict[tuple, tuple[int, CostBreakdown]] = field(default_factory=dict)
-    _gates: tuple[Gate, ...] = field(default=(), init=False, repr=False, compare=False)
-    _circuit: Circuit | None = field(default=None, init=False, repr=False, compare=False)
-    _lowered: dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _per_gate: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    signatures: dict[tuple, Lowered] = field(default_factory=dict)
+    _circuit: Circuit | None = field(default=None, repr=False, compare=False)
 
     @property
     def cx_total(self) -> int:
@@ -215,55 +225,52 @@ class LoweringReport:
     def os_total(self) -> int:
         return self.total["OS"]
 
+    def _gate_values(self, value=None) -> list:
+        """value(record), or the record itself, at each of the record's gate
+        indices: one entry per gate, in gate order."""
+        values = [None] * sum(len(lowered.indices) for lowered in self.signatures.values())
+        for lowered in self.signatures.values():
+            v = lowered if value is None else value(lowered)
+            for i in lowered.indices:
+                values[i] = v
+        return values
+
     @property
     def rows(self) -> list[LoweredGate]:
-        return self._details()[0]
+        return [LoweredGate(i, *lowered.columns, lowered.fallback)
+                for i, lowered in enumerate(self._gate_values())]
 
     @property
     def gadgets(self) -> list[tuple[int, GadgetDescriptor]]:
-        return self._details()[1]
+        gadgets = []
+        for i, lowered in enumerate(self._gate_values()):
+            if lowered.gadget:  # a collapsed gate's gadget names its own control wires
+                g = self._circuit.gates[i]
+                gadget, _, _ = lower_multiplexed(g, photon_partition(self._circuit, g), self.strategy)
+                gadgets.append((i, gadget))
+        return gadgets
 
     @property
     def qudit_ancillas(self) -> list[tuple[int, int]]:
-        return self._details()[2]
+        return [(i, lowered.qudit_dim) for i, lowered in enumerate(self._gate_values())
+                if lowered.qudit_dim is not None]
 
     @property
     def notes(self) -> list[str]:
         """One note per gate that fell back with a note, in gate order, then
         RALPH_NOTE if any gate takes a qudit ancilla."""
-        lowered = self._lowered
-        notes = []
-        if any(note for *_, note in lowered.values()):
-            for i, g in enumerate(self._gates):
-                note = lowered[signature(g)][4]
-                if note:
-                    notes.append(f"gate {i}: {note}")
-        if any(qudit_dim is not None for _, _, qudit_dim, *_ in lowered.values()):
+        notes = [f"gate {i}: {lowered.note}" for i, lowered in enumerate(self._gate_values()) if lowered.note]
+        if any(lowered.qudit_dim is not None for lowered in self.signatures.values()):
             notes.append(RALPH_NOTE)
         return notes
-
-    def _details(self) -> tuple:
-        if self._per_gate is None:
-            rows, gadgets, qudit_ancillas = [], [], []
-            for i, g in enumerate(self._gates):
-                row, _, qudit_dim, gadget, _ = self._lowered[signature(g)]
-                rows.append(LoweredGate(i, *row))
-                if qudit_dim is not None:
-                    qudit_ancillas.append((i, qudit_dim))
-                elif gadget:  # a collapsed gate's gadget names its own control wires
-                    partition = photon_partition(self._circuit, g)
-                    gadgets.append((i, lower_multiplexed(g, partition, self.strategy)[0]))
-            self._per_gate = rows, gadgets, qudit_ancillas
-        return self._per_gate
 
 
 _PASSTHROUGH = ("X", "H", "T", "Tdag")
 
 
-def _lower_signature(c: Circuit, g: Gate, i: int, strategy: Strategy) -> tuple:
-    """Lower gate i, the first of its signature, by the strategy's own rule: the
-    LoweredGate fields after the index, the tally, the ralph qudit-ancilla
-    dimension, whether a gadget of arity >= 2 applies and any fallback note."""
+def _lower_signature(c: Circuit, indices: tuple[int, ...], strategy: Strategy) -> Lowered:
+    """Lower the first gate of a signature by the strategy's own rule."""
+    g = c.gates[indices[0]]
     qudit_dim, gadget, note, fallback = None, False, None, False
     if g.kind in _PASSTHROUGH:
         tally, photons = CostBreakdown({g.kind: 1}), "-"
@@ -280,25 +287,22 @@ def _lower_signature(c: Circuit, g: Gate, i: int, strategy: Strategy) -> tuple:
             if len(partition) >= 3:
                 note = f"controls span {len(partition)} photons; fell back to the general tally"
     else:
-        raise LoweringError(f"gate {i} ({g.kind}) must be expanded before lowering")
-    return ((g.kind, g.arity, photons, strategy.name, tally["C1X"], tally["H"], tally["T"],
-             tally["Tdag"], tally["OS"], fallback), tally, qudit_dim, gadget, note)
+        raise LoweringError(f"gate {indices[0]} ({g.kind}) must be expanded before lowering")
+    columns = (g.kind, g.arity, photons, strategy.name,
+               tally["C1X"], tally["H"], tally["T"], tally["Tdag"], tally["OS"])
+    return Lowered(indices, tally, columns, fallback, qudit_dim, gadget, note)
 
 
 def lower_circuit(c: Circuit, strategy: Strategy) -> LoweringReport:
     """Lower every gate of a circuit; raises LoweringError on a gate that must be expanded first."""
     # A gate's kind and control registers fix its arity and photon partition,
     # hence its cost, so each signature is lowered once, on its first gate.
-    report = LoweringReport(strategy=strategy)
+    signatures = {key: _lower_signature(c, indices, strategy)
+                  for key, indices in c.signature_histogram().items()}
     total: Counter[str] = Counter()
-    for key, (first, uses) in c.signature_histogram().items():
-        lowered = _lower_signature(c, c.gates[first], first, strategy)
-        report._lowered[key] = lowered
-        report.signatures[key] = (uses, lowered[1])
-        total.update({cls: uses * v for cls, v in lowered[1].as_dict().items()})
-    report.total = CostBreakdown(total)
-    report._gates, report._circuit = tuple(c.gates), c
-    return report
+    for lowered in signatures.values():
+        total.update({cls: len(lowered.indices) * v for cls, v in lowered.tally.as_dict().items()})
+    return LoweringReport(strategy, CostBreakdown(total), signatures, c)
 
 
 REPORT_COLUMNS = ("gate-index", "kind", "arity", "photons", "strategy", "cx", "h", "t", "tdag", "os", "fallback-flag")
@@ -309,12 +313,9 @@ def report_csv(report: LoweringReport) -> str:
 
     The columns after the gate index are rendered once per signature.
     """
-    suffixes = {}
-    for key, (row, *_) in report._lowered.items():
-        *fields, fallback = row
-        suffixes[key] = ",".join([*map(str, fields), str(int(fallback))])
-    lines = [",".join(REPORT_COLUMNS)]
-    lines += [f"{i},{suffixes[signature(g)]}" for i, g in enumerate(report._gates)]
+    suffixes = report._gate_values(
+        lambda lowered: ",".join([*map(str, lowered.columns), str(int(lowered.fallback))]))
+    lines = [",".join(REPORT_COLUMNS)] + [f"{i},{suffix}" for i, suffix in enumerate(suffixes)]
     return "\n".join(lines) + "\n"
 
 

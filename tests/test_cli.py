@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qrsmux import circuit, gf2m, lowering
 from qrsmux.cli import main
 
 
@@ -104,6 +105,52 @@ def test_gf2m_reports(capsys, tmp_path):
     assert [r["gate"] for r in rows] == ["Calpha", "Calpha^2"]
     assert all(r["verified"] == "true" for r in rows)
     assert all(r["cx-count"] == r["formula-count"] for r in rows)
+
+
+# SHA-256 of `gf2m --report` per m, and the line `gf2m` prints last.
+GF2M_REPORT_SHA256 = {
+    3: ("2394070c59b3e357310919cab8e637e3a4892cb4eb0c3dc856b6cd88292be396",
+        "[7,4] over GF(8): classical part costs 59 CX"),
+    4: ("82f61953d905e5dc8bb7d1285fe79552f595cdf33ff53cd6e8f3ae9cc0b72353",
+        "[15,8] over GF(16): classical part costs 438 CX"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(GF2M_REPORT_SHA256))
+def test_gf2m_report_bytes_are_pinned(capsys, tmp_path, m):
+    report = tmp_path / "enc.csv"
+    rc, out, _ = run(capsys, "gf2m", "--m", str(m), "--report", str(report))
+    assert rc == 0
+    digest, summary = GF2M_REPORT_SHA256[m]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert out.splitlines()[-1] == summary
+
+
+def test_gf2m_report_verifies_each_exponent_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    verify = gf2m.verify_cmuladd
+    monkeypatch.setattr(gf2m, "verify_cmuladd", lambda *a: calls.append(a[2]) or verify(*a))
+    report = tmp_path / "enc.csv"
+    assert run(capsys, "gf2m", "--m", "4", "--report", str(report))[0] == 0
+    with open(report) as fh:
+        exponents = [int(r["exponent"]) for r in csv.DictReader(fh)]
+    assert len(exponents) == 56
+    assert sorted(calls) == sorted(set(exponents)) and len(calls) == 15
+
+
+def test_lower_report_computes_each_signature_once(capsys, tmp_path, monkeypatch):
+    doc = tmp_path / "sum1021.json"
+    assert run(capsys, "synth-sum", "--d", "1021", "--emit", str(doc))[0] == 0
+    calls = []
+    signature = circuit.signature
+    counted = lambda g: calls.append(g) or signature(g)
+    for module in (circuit, lowering):
+        if hasattr(module, "signature"):
+            monkeypatch.setattr(module, "signature", counted)
+    rc, _, _ = run(capsys, "lower", "--in", str(doc), "--strategy", "multiplexed",
+                   "--report", str(tmp_path / "lower.csv"))
+    assert rc == 0
+    assert len(calls) == 4124
 
 
 def test_sweep_with_env_out_dir(capsys, tmp_path, monkeypatch):

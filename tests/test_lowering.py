@@ -292,10 +292,15 @@ def test_lower_circuit_signature_table_sums_to_total():
     c = synth_sum(137)
     for name in lowering.STRATEGY_NAMES:
         report = lower_circuit(c, lowering.Strategy(name))
-        assert report.signatures.keys() == c.signature_histogram().keys()
-        assert sum(uses for uses, _ in report.signatures.values()) == len(c)
-        total = sum((ir.CostBreakdown({k: uses * v for k, v in tally.as_dict().items()})
-                     for uses, tally in report.signatures.values()), ir.CostBreakdown())
+        histogram = c.signature_histogram()
+        assert report.signatures.keys() == histogram.keys()
+        indices = [i for lowered in report.signatures.values() for i in lowered.indices]
+        assert sorted(indices) == list(range(len(c)))
+        for key, lowered in report.signatures.items():
+            assert lowered.indices == histogram[key]
+            assert all(ir.signature(c.gates[i]) == key for i in lowered.indices)
+        total = sum((ir.CostBreakdown({k: len(lowered.indices) * v for k, v in lowered.tally.as_dict().items()})
+                     for lowered in report.signatures.values()), ir.CostBreakdown())
         assert total == report.total
 
 
@@ -360,10 +365,10 @@ def test_count_equals_per_gate_tally(c):
     assert sealed.count() == sealed.count() == per_gate_count(c.gates)
     histogram = sealed.signature_histogram()
     assert list(histogram) == list(dict.fromkeys(ir.signature(g) for g in c.gates))
-    for key, (first, uses) in histogram.items():
-        assert ir.signature(c.gates[first]) == key
-        assert [ir.signature(g) for g in c.gates[:first]].count(key) == 0
-        assert [ir.signature(g) for g in c.gates].count(key) == uses
+    assert sorted(i for indices in histogram.values() for i in indices) == list(range(len(c)))
+    for key, indices in histogram.items():
+        assert list(indices) == sorted(indices)
+        assert [i for i, g in enumerate(c.gates) if ir.signature(g) == key] == list(indices)
 
 
 @settings(deadline=None, max_examples=40)
