@@ -5,14 +5,6 @@ class QrsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class FieldMismatchError(QrsError):
-    """Two elements from different fields were combined."""
-
-
-class UnsupportedFieldError(QrsError):
-    """Operation requires a field kind other than the one supplied."""
-
-
 class InvalidGateError(QrsError):
     """Gate violates a structural invariant (arity, polarity, wire distinctness)."""
 

@@ -1,9 +1,10 @@
-"""Exact arithmetic over prime fields GF(d) and binary extension fields GF(2^m).
+"""Exact arithmetic over binary extension fields GF(2^m), on plain integers.
 
-Prime-field elements are plain residues mod d.  Extension-field elements are
-integers whose bits are polynomial coefficients over GF(2); bit 0 is the
-least-significant coefficient.  That bit-order convention (LSB = bit 0) is
-used everywhere in the package: registers, matrices and the Hamming helpers.
+An element is an int whose bits are polynomial coefficients over GF(2); bit 0
+is the least-significant coefficient.  That bit-order convention (LSB = bit 0)
+is used everywhere in the package: registers, matrices and the Hamming
+helpers.  Addition is XOR; multiplication and inversion read exp/log tables of
+alpha = x, built once per field.
 
 Default primitive polynomials, one per extension degree (overridable via a
 config file with keys ``gf2m.poly.<m>``):
@@ -22,10 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .errors import FieldMismatchError, UnsupportedFieldError
-
 DEFAULT_PRIMITIVE_POLYS: dict[int, int] = {
     1: 0b11,
     2: 0b111,
@@ -36,10 +33,6 @@ DEFAULT_PRIMITIVE_POLYS: dict[int, int] = {
     7: 0b10001001,
     8: 0b100011101,
 }
-
-PRIME = "prime"
-BINARY_EXTENSION = "binary-extension"
-
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality check (intended for n <= 10^4 scale)."""
@@ -135,63 +128,48 @@ def primitive_poly(m: int, overrides: dict[int, int] | None = None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Field specification and elements
+# Field specification and arithmetic
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Prime field GF(d) or binary extension field GF(2^m) with a primitive polynomial."""
+    """Binary extension field GF(2^m) with a primitive polynomial."""
 
-    kind: str
-    d: int | None = None
-    m: int | None = None
-    poly: int | None = None
+    m: int
+    poly: int
 
     def __post_init__(self):
-        if self.kind == PRIME:
-            if self.d is None or not is_prime(self.d):
-                raise ValueError(f"d={self.d} is not prime")
-        elif self.kind == BINARY_EXTENSION:
-            if self.m is None or self.m < 1:
-                raise ValueError(f"extension degree m={self.m} must be >= 1")
-            if self.poly is None:
-                raise ValueError("extension field requires a primitive polynomial")
-            if self.poly < 0:  # _gf2_mod would never terminate
-                raise ValueError(f"polynomial {self.poly} must be a non-negative bitmask")
-            if _gf2_degree(self.poly) != self.m:
-                raise ValueError(
-                    f"polynomial 0b{self.poly:b} has degree {_gf2_degree(self.poly)}, expected {self.m}"
-                )
-            if not _gf2_irreducible(self.poly):
-                raise ValueError(f"polynomial 0b{self.poly:b} is reducible over GF(2)")
-            if not _gf2_primitive(self.poly):
-                raise ValueError(f"polynomial 0b{self.poly:b} is irreducible but not primitive")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-
-    @classmethod
-    def prime(cls, d: int) -> "FieldSpec":
-        return cls(kind=PRIME, d=d)
+        if self.m < 1:
+            raise ValueError(f"extension degree m={self.m} must be >= 1")
+        if self.poly < 0:  # _gf2_mod would never terminate
+            raise ValueError(f"polynomial {self.poly} must be a non-negative bitmask")
+        if _gf2_degree(self.poly) != self.m:
+            raise ValueError(
+                f"polynomial 0b{self.poly:b} has degree {_gf2_degree(self.poly)}, expected {self.m}"
+            )
+        if not _gf2_irreducible(self.poly):
+            raise ValueError(f"polynomial 0b{self.poly:b} is reducible over GF(2)")
+        if not _gf2_primitive(self.poly):
+            raise ValueError(f"polynomial 0b{self.poly:b} is irreducible but not primitive")
 
     @classmethod
     def binary_extension(cls, m: int, poly: int | None = None,
                          overrides: dict[int, int] | None = None) -> "FieldSpec":
         if poly is None:
             poly = primitive_poly(m, overrides)
-        return cls(kind=BINARY_EXTENSION, m=m, poly=poly)
+        return cls(m, poly)
 
     @property
     def order(self) -> int:
-        return self.d if self.kind == PRIME else 1 << self.m
+        return 1 << self.m
 
     @cached_property
     def _exp_log(self) -> tuple[list[int], list[int]]:
-        """exp/log tables for the extension field (alpha = x)."""
-        assert self.kind == BINARY_EXTENSION
+        """exp/log tables (alpha = x); log[0] is unused."""
         n = self.order - 1
-        exp = [0] * max(n, 1)
+        exp = [0] * n
         log = [-1] * self.order
-        val = _gf2_mod(0b10, self.poly) if self.m == 1 else 0b10
+        val = _gf2_mod(0b10, self.poly)  # x itself unless m = 1
         acc = 1
         for i in range(n):
             exp[i] = acc
@@ -199,109 +177,41 @@ class FieldSpec:
             acc = _gf2_mulmod(acc, val, self.poly)
         return exp, log
 
-    def alpha_power(self, i: int) -> "FieldElement":
-        """alpha^i as a field element; the exponent wraps mod 2^m - 1."""
-        if self.kind != BINARY_EXTENSION:
-            raise UnsupportedFieldError("alpha powers only exist in extension fields")
+    def alpha_power(self, i: int) -> int:
+        """alpha^i; the exponent wraps mod 2^m - 1."""
         exp, _ = self._exp_log
-        return FieldElement(exp[i % (self.order - 1)], self)
+        return exp[i % (self.order - 1)]
 
-    def exponent_of(self, x: "FieldElement") -> int:
+    def exponent_of(self, value: int) -> int:
         """Discrete log base alpha of a nonzero element."""
-        if self.kind != BINARY_EXTENSION:
-            raise UnsupportedFieldError("exponential representation only exists in extension fields")
-        if x.value == 0:
-            raise ValueError("zero has no exponential representation")
+        if not 0 < value < self.order:
+            raise ValueError(f"{value} has no exponential representation in GF({self.order})")
         _, log = self._exp_log
-        return log[x.value]
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    def elements(self):
-        return (FieldElement(v, self) for v in range(self.order))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Value in [0, field order) together with its owning field."""
-
-    value: int
-    field: FieldSpec
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.order:
-            raise ValueError(f"value {self.value} out of range for field of order {self.field.order}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return add(self, other)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return mul(self, other)
-
-
-def _require_same_field(x: FieldElement, y: FieldElement):
-    if x.field != y.field:
-        raise FieldMismatchError(f"elements belong to different fields: {x.field} vs {y.field}")
-
-
-def add(x: FieldElement, y: FieldElement) -> FieldElement:
-    """Field addition: residue sum mod d, or XOR of coefficient vectors."""
-    _require_same_field(x, y)
-    f = x.field
-    if f.kind == PRIME:
-        return FieldElement((x.value + y.value) % f.d, f)
-    return FieldElement(x.value ^ y.value, f)
-
-
-def mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    """Field multiplication: residue product mod d, or polynomial product mod poly."""
-    _require_same_field(x, y)
-    f = x.field
-    if f.kind == PRIME:
-        return FieldElement((x.value * y.value) % f.d, f)
-    return FieldElement(_gf2_mulmod(x.value, y.value, f.poly), f)
+        return log[value]
 
 
 def mul_int(f: FieldSpec, a: int, b: int) -> int:
-    """Raw-integer field multiplication (table-backed for extension fields)."""
-    if f.kind == PRIME:
-        return (a * b) % f.d
+    """Field product of a and b."""
     if a == 0 or b == 0:
         return 0
     exp, log = f._exp_log
     return exp[(log[a] + log[b]) % (f.order - 1)]
 
 
-def add_int(f: FieldSpec, a: int, b: int) -> int:
-    """Raw-integer field addition."""
-    return (a + b) % f.d if f.kind == PRIME else a ^ b
-
-
 def inv_int(f: FieldSpec, a: int) -> int:
-    """Raw-integer multiplicative inverse."""
+    """Multiplicative inverse of a."""
     if a == 0:
         raise ZeroDivisionError("zero is not invertible")
-    if f.kind == PRIME:
-        return pow(a, f.d - 2, f.d)
     exp, log = f._exp_log
     return exp[(-log[a]) % (f.order - 1)]
 
 
-def mul_by_alpha_matrix(f: FieldSpec, n: int) -> np.ndarray:
-    """m x m GF(2) matrix M with vec(alpha^n * a) = M @ vec(a) for every a.
+def mul_by_alpha_matrix(f: FieldSpec, n: int) -> list[int]:
+    """Columns of the m x m GF(2) matrix M with vec(alpha^n * a) = M @ vec(a).
 
-    Column p is the coefficient vector of alpha^(n+p); entry order follows the
-    package bit convention (row j = bit j = coefficient of x^j).
+    Column p is alpha^(n+p) as a bitmask; its bit j is row j (the coefficient
+    of x^j), following the package bit convention.
     """
-    if f.kind != BINARY_EXTENSION:
-        raise UnsupportedFieldError("multiplication matrices are defined for extension fields only")
     if not 0 <= n < f.order - 1:
         raise ValueError(f"exponent {n} out of range [0, {f.order - 1})")
-    m = f.m
-    mat = np.zeros((m, m), dtype=np.uint8)
-    for p in range(m):
-        col = mul(f.alpha_power(n), FieldElement(1 << p, f)).value
-        for j in range(m):
-            mat[j, p] = (col >> j) & 1
-    return mat
+    return [f.alpha_power(n + p) for p in range(f.m)]

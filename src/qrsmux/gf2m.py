@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import galois
 from .circuit import Circuit, Meta, Register, RegisterTable, Wire, cmuladd, cx, dft
 from .errors import UnsupportedConfigurationError
-from .galois import FieldElement, FieldSpec, hamming_weight, mul_by_alpha_matrix
+from .galois import FieldSpec, hamming_weight, mul_by_alpha_matrix
 from .revsim import pack_blocks, pair_slices, simulate_slices
 
 
@@ -37,14 +37,14 @@ def _poly_mul(f: FieldSpec, a: list[int], b: list[int]) -> list[int]:
         for j, bj in enumerate(b):
             if bj == 0:
                 continue
-            out[i + j] = galois.add_int(f, out[i + j], galois.mul_int(f, ai, bj))
+            out[i + j] ^= galois.mul_int(f, ai, bj)
     return out
 
 
 def _poly_from_roots(f: FieldSpec, root_exponents: list[int]) -> list[int]:
     poly = [1]
     for e in root_exponents:
-        poly = _poly_mul(f, poly, [f.alpha_power(e).value, 1])  # (x + alpha^e); char 2
+        poly = _poly_mul(f, poly, [f.alpha_power(e), 1])  # (x + alpha^e); char 2
     return poly
 
 
@@ -66,8 +66,7 @@ def _mat_inverse(f: FieldSpec, mat: list[list[int]]) -> list[list[int]]:
         for r in range(size):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
-                aug[r] = [galois.add_int(f, a, galois.mul_int(f, factor, b))
-                          for a, b in zip(aug[r], aug[col])]
+                aug[r] = [a ^ galois.mul_int(f, factor, b) for a, b in zip(aug[r], aug[col])]
     return [row[size:] for row in aug]
 
 
@@ -80,7 +79,7 @@ def _matmul_transposed(f: FieldSpec, a: list[list[int]], b: list[list[int]]) -> 
             acc = 0
             for x, y in zip(row, col):
                 if x and y:
-                    acc = galois.add_int(f, acc, galois.mul_int(f, x, y))
+                    acc ^= galois.mul_int(f, x, y)
             out_row.append(acc)
         out.append(out_row)
     return out
@@ -157,13 +156,13 @@ def build_code(m: int, K: int, poly: int | None = None,
 
 def cmuladd_cx_formula(f: FieldSpec, n: int) -> int:
     """Closed-form CX count of the multiplier-add gate: sum_p H_w(alpha^(n+p))."""
-    return sum(hamming_weight(f.alpha_power(n + p).value, f.m) for p in range(f.m))
+    return sum(hamming_weight(f.alpha_power(n + p), f.m) for p in range(f.m))
 
 
 def _cmuladd_cx_pairs(f: FieldSpec, n: int) -> list[tuple[int, int]]:
     """(p, j) per CX a[p] -> b[j] of b <- alpha^n * a + b, in emission order."""
-    mat = mul_by_alpha_matrix(f, n)
-    return [(p, j) for p in range(f.m) for j in range(f.m) if mat[j, p]]
+    columns = mul_by_alpha_matrix(f, n)
+    return [(p, j) for p, col in enumerate(columns) for j in range(f.m) if col >> j & 1]
 
 
 def synth_cmuladd(f: FieldSpec, n: int) -> Circuit:
@@ -187,7 +186,7 @@ def find_cmuladd_counterexample(c: Circuit, f: FieldSpec, n: int) -> tuple[int, 
     b_pos = [table.offset(table.registers[1].name) + j for j in range(m)]
     a_in, b_in = pair_slices(size, m)
     factor = f.alpha_power(n)
-    shifts = [galois.mul(factor, FieldElement(a, f)).value if a else 0 for a in range(size)]
+    shifts = [galois.mul_int(f, factor, a) for a in range(size)]
     ones = (1 << size) - 1
     want = [b_in[j] ^ pack_blocks([ones if s >> j & 1 else 0 for s in shifts], size) for j in range(m)]
 
@@ -242,7 +241,7 @@ def synth_encoder_gf2m(spec: RSCodeSpec) -> Circuit:
         for j in range(n - K):
             entry = spec.parity[i][j]
             if entry:
-                exponent = f.exponent_of(FieldElement(entry, f))
+                exponent = f.exponent_of(entry)
                 c.append(cmuladd(f"msg{i}", f"par{j}", exponent, poly=gate_poly))
     return c.seal()
 
@@ -278,5 +277,5 @@ def encoder_classical_cx_cost(spec: RSCodeSpec) -> int:
     """CX cost of the encoder's classical part, from the per-gate closed form
     summed once per exponent and weighted by that exponent's gate count."""
     f = spec.field
-    uses = Counter(f.exponent_of(FieldElement(entry, f)) for row in spec.parity for entry in row if entry)
+    uses = Counter(f.exponent_of(entry) for row in spec.parity for entry in row if entry)
     return sum(n * cmuladd_cx_formula(f, exponent) for exponent, n in uses.items())

@@ -218,8 +218,8 @@ def test_criterion_9_gf2m():
     with criterion(9, "GF(2^m) matrices, gate costs, encoder free of multi-controlled gates"):
         start = time.perf_counter()
         spec = gf2m.build_code(2, 2)
-        alpha = spec.field.alpha_power(1).value
-        alpha2 = spec.field.alpha_power(2).value
+        alpha = spec.field.alpha_power(1)
+        alpha2 = spec.field.alpha_power(2)
         assert spec.gen_poly_dual == (alpha, 1 ^ alpha, 1)
         assert spec.G == ((1, 0, alpha), (0, 1, alpha2))
         assert spec.H == ((alpha, alpha2, 1),)

@@ -1,10 +1,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qrsmux import circuit, gf2m, lowering
+from qrsmux import analysis, circuit, gf2m, lowering
 from qrsmux.cli import main
 
 
@@ -153,6 +157,24 @@ def test_lower_report_computes_each_signature_once(capsys, tmp_path, monkeypatch
     assert len(calls) == 4124
 
 
+def test_cli_runs_without_numpy(tmp_path):
+    """numpy is a test dependency only: gf2m and verify run with its import blocked."""
+    report = tmp_path / "enc.csv"
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from qrsmux import cli\n"
+        f"print([cli.main(['gf2m', '--m', '3', '--report', {str(report)!r}]), cli.main(['verify', '--d', '5'])])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0]"
+    assert report.stat().st_size > 0
+
+
 def test_sweep_with_env_out_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QRS_OUT_DIR", str(tmp_path / "out"))
     rc, out, _ = run(capsys, "sweep", "--d-min", "3", "--d-max", "13",
@@ -272,6 +294,24 @@ def test_sweep_rejects_range_without_primes(capsys, tmp_path):
     assert not out_csv.exists() and "wrote" not in out
 
 
+def test_sweep_checks_k_max_before_sweeping(capsys, tmp_path, monkeypatch):
+    rows = []
+    monkeypatch.setattr(analysis, "sweep_row", lambda d, *args: rows.append(d))
+    out_csv = tmp_path / "r.csv"
+    rc, out, err = run(capsys, "sweep", "--d-min", "3", "--d-max", "1031", "--out", str(out_csv))
+    assert rc == 2
+    assert err == "error: --d-max 1031: d=1031 needs k=11 qubits, above the limit k_max=10\n"
+    assert rows == [] and not out_csv.exists() and "wrote" not in out
+
+
+def test_sweep_range_ending_above_its_largest_prime(capsys, tmp_path):
+    out_csv = tmp_path / "r.csv"
+    rc, out, _ = run(capsys, "sweep", "--d-min", "1019", "--d-max", "1024", "--out", str(out_csv))
+    assert rc == 0 and "(2 rows," in out
+    with open(out_csv) as fh:
+        assert [row["d"] for row in csv.DictReader(fh)] == ["1019", "1021"]
+
+
 def test_config_rejects_line_without_equals(capsys, tmp_path):
     cfg = tmp_path / "qrs.cfg"
     cfg.write_text("convention.id = default-v1\nnot a setting\n")
@@ -365,6 +405,12 @@ def test_gf2m_names_k_for_bad_message_length(capsys):
 def test_gf2m_names_poly_for_bad_polynomial(capsys, poly, fragment):
     rc, _, err = run(capsys, "gf2m", "--m", "3", "--poly", poly)
     assert_input_error(rc, err, "--poly", fragment)
+
+
+def test_gf2m_reducible_poly_message(capsys):
+    rc, out, err = run(capsys, "gf2m", "--m", "3", "--poly", "0b1111")
+    assert rc == 2 and out == ""
+    assert err == "error: --poly 0b1111: polynomial 0b1111 is reducible over GF(2)\n"
 
 
 def test_gf2m_names_config_key_for_bad_polynomial(capsys, tmp_path):

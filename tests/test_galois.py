@@ -3,37 +3,42 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qrsmux import galois
-from qrsmux.errors import FieldMismatchError, UnsupportedFieldError
-from qrsmux.galois import (
-    FieldElement, FieldSpec, add, hamming_distance, hamming_weight, is_prime,
-    mul, mul_by_alpha_matrix,
-)
+from qrsmux.galois import FieldSpec, hamming_distance, hamming_weight, is_prime, mul_by_alpha_matrix
 
 
 def gf(m):
     return FieldSpec.binary_extension(m)
 
 
+def shift_and_xor_product(a, b, poly):
+    """a * b in GF(2)[x]/(poly), computed without the field's exp/log tables."""
+    top = 1 << (poly.bit_length() - 1)
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= poly
+    return product
+
+
 # ---------------------------------------------------------------
 # Construction and validation
 # ---------------------------------------------------------------
 
-def test_prime_field_requires_prime():
-    FieldSpec.prime(2)
-    FieldSpec.prime(7919)
-    for bad in (0, 1, 4, 9, 100):
-        with pytest.raises(ValueError):
-            FieldSpec.prime(bad)
-
-
 def test_extension_field_rejects_bad_polynomials():
-    with pytest.raises(ValueError, match="reducible"):
-        FieldSpec.binary_extension(2, poly=0b101)  # x^2+1 = (x+1)^2
-    # x^4+x^3+x^2+x+1 is irreducible but x has order 5, not 15
-    with pytest.raises(ValueError, match="not primitive"):
-        FieldSpec.binary_extension(4, poly=0b11111)
-    with pytest.raises(ValueError, match="degree"):
-        FieldSpec.binary_extension(3, poly=0b111)
+    for m, poly, message in [
+        (2, 0b101, "polynomial 0b101 is reducible over GF(2)"),  # x^2+1 = (x+1)^2
+        # x^4+x^3+x^2+x+1 is irreducible but x has order 5, not 15
+        (4, 0b11111, "polynomial 0b11111 is irreducible but not primitive"),
+        (3, 0b111, "polynomial 0b111 has degree 2, expected 3"),
+        (3, -11, "polynomial -11 must be a non-negative bitmask"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            FieldSpec.binary_extension(m, poly=poly)
+        assert str(info.value) == message
 
 
 def test_default_polynomials_all_valid():
@@ -42,70 +47,57 @@ def test_default_polynomials_all_valid():
         assert f.order == 1 << m
 
 
-def test_element_range_checked():
-    f = FieldSpec.prime(5)
-    FieldElement(4, f)
-    with pytest.raises(ValueError):
-        FieldElement(5, f)
-    with pytest.raises(ValueError):
-        FieldElement(-1, f)
-
-
 def test_poly_override():
     # x^3 + x^2 + 1 is also primitive for m=3
     f = FieldSpec.binary_extension(3, overrides={3: 0b1101})
     assert f.poly == 0b1101
     # alpha^3 = alpha^2 + 1 under this modulus
-    assert f.alpha_power(3).value == 0b101
+    assert f.alpha_power(3) == 0b101
 
 
 # ---------------------------------------------------------------
-# add / mul
+# Addition (XOR) and multiplication
 # ---------------------------------------------------------------
-
-def test_prime_add_examples():
-    f5 = FieldSpec.prime(5)
-    assert add(FieldElement(3, f5), FieldElement(4, f5)).value == 2
-    f7 = FieldSpec.prime(7)
-    assert add(FieldElement(0, f7), FieldElement(6, f7)).value == 6
-    assert mul(FieldElement(1, f5), FieldElement(4, f5)).value == 4
-
 
 def test_gf4_vector_representation():
     # {00, 01, 10, 11} = {0, 1, alpha, alpha^2} with x^2+x+1
     f = gf(2)
     alpha = f.alpha_power(1)
-    assert alpha.value == 0b10
-    assert f.alpha_power(2).value == 0b11
-    assert add(alpha, FieldElement(1, f)).value == 0b11        # alpha + 1 = alpha^2
-    assert mul(alpha, alpha).value == 0b11                     # alpha^2 = alpha + 1
+    assert alpha == 0b10
+    assert f.alpha_power(2) == 0b11
+    assert alpha ^ 1 == 0b11                                   # alpha + 1 = alpha^2
+    assert galois.mul_int(f, alpha, alpha) == 0b11             # alpha^2 = alpha + 1
 
 
 def test_gf4_alpha_cubed_is_one():
     # exhaustive power table from the primitive polynomial
     f = gf(2)
-    powers = [f.alpha_power(i).value for i in range(3)]
+    powers = [f.alpha_power(i) for i in range(3)]
     assert sorted(powers) == [1, 2, 3]
-    assert mul(f.alpha_power(1), f.alpha_power(2)).value == 1
+    assert galois.mul_int(f, f.alpha_power(1), f.alpha_power(2)) == 1
 
 
-def test_field_mismatch_raises():
-    a = FieldElement(1, FieldSpec.prime(5))
-    b = FieldElement(1, FieldSpec.prime(7))
-    with pytest.raises(FieldMismatchError):
-        add(a, b)
-    with pytest.raises(FieldMismatchError):
-        mul(a, FieldElement(1, gf(2)))
+def test_mul_int_matches_shift_and_xor_product():
+    """The exp/log table product equals a carry-less multiply for every pair, m <= 8."""
+    for m in range(1, 9):
+        f = gf(m)
+        for a in range(f.order):
+            for b in range(f.order):
+                assert galois.mul_int(f, a, b) == shift_and_xor_product(a, b, f.poly), (m, a, b)
 
 
 def test_exponential_representation_round_trips():
     for m in range(1, 9):
         f = gf(m)
         for v in range(1, f.order):
-            e = f.exponent_of(FieldElement(v, f))
-            assert f.alpha_power(e).value == v
-    with pytest.raises(ValueError):
-        gf(3).exponent_of(FieldElement(0, gf(3)))
+            e = f.exponent_of(v)
+            assert f.alpha_power(e) == v
+
+
+@pytest.mark.parametrize("value", [0, -1, 8])  # -1 must not index log from the end
+def test_exponent_of_rejects_values_outside_the_multiplicative_group(value):
+    with pytest.raises(ValueError, match=r"no exponential representation in GF\(8\)"):
+        gf(3).exponent_of(value)
 
 
 # ---------------------------------------------------------------
@@ -122,14 +114,11 @@ def _mul_table(f):
 
 
 def _add_table(f):
-    n = f.order
-    idx = np.arange(n)
-    if f.kind == galois.PRIME:
-        return (idx[:, None] + idx[None, :]) % f.d
+    idx = np.arange(f.order)
     return idx[:, None] ^ idx[None, :]
 
 
-@pytest.mark.parametrize("fieldspec", [FieldSpec.prime(251), gf(8), FieldSpec.prime(13), gf(4)])
+@pytest.mark.parametrize("fieldspec", [gf(8), gf(4)])
 def test_field_axioms_exhaustive(fieldspec):
     """Commutativity, identities, inverses, associativity, distributivity
     over every element triple (vectorized; order <= 256)."""
@@ -154,41 +143,35 @@ def test_field_axioms_exhaustive(fieldspec):
 # ---------------------------------------------------------------
 
 def test_alpha_matrix_identity():
-    assert np.array_equal(mul_by_alpha_matrix(gf(2), 0), np.eye(2, dtype=np.uint8))
+    assert mul_by_alpha_matrix(gf(2), 0) == [0b01, 0b10]
 
 
 def test_alpha_matrix_gf4_n1_columns():
-    mat = mul_by_alpha_matrix(gf(2), 1)
     # column p is the bit vector of alpha^(1+p): vec(alpha)=10, vec(alpha^2)=11
-    assert [mat[0, 0], mat[1, 0]] == [0, 1]
-    assert [mat[0, 1], mat[1, 1]] == [1, 1]
+    assert mul_by_alpha_matrix(gf(2), 1) == [0b10, 0b11]
 
 
 def test_alpha_matrix_gf8_n1_columns():
     f = gf(3)
-    mat = mul_by_alpha_matrix(f, 1)
-    for p in range(3):
-        want = f.alpha_power(1 + p).value
-        assert sum(int(mat[j, p]) << j for j in range(3)) == want
+    columns = mul_by_alpha_matrix(f, 1)
+    assert columns == [f.alpha_power(1 + p) for p in range(3)]
 
 
 def test_alpha_matrix_matches_mul_exhaustively():
     """vec(alpha^n * a) == M @ vec(a) for every field m <= 8, every n, every a."""
     for m in range(1, 9):
         f = gf(m)
-        vecs = np.array([[(a >> j) & 1 for j in range(m)] for a in range(f.order)], dtype=np.uint8)
-        for n in range(max(f.order - 1, 1)):
-            mat = mul_by_alpha_matrix(f, n)
-            got = (vecs @ mat.T) % 2
-            want = np.array(
-                [[(galois.mul_int(f, f.alpha_power(n).value, a) >> j) & 1 for j in range(m)]
-                 for a in range(f.order)], dtype=np.uint8)
-            assert np.array_equal(got, want), (m, n)
+        for n in range(f.order - 1):
+            columns = mul_by_alpha_matrix(f, n)
+            for a in range(f.order):
+                got = 0
+                for p, col in enumerate(columns):  # M @ vec(a): XOR of the columns a selects
+                    if a >> p & 1:
+                        got ^= col
+                assert got == shift_and_xor_product(f.alpha_power(n), a, f.poly), (m, n, a)
 
 
-def test_alpha_matrix_rejects_prime_field():
-    with pytest.raises(UnsupportedFieldError):
-        mul_by_alpha_matrix(FieldSpec.prime(5), 1)
+def test_alpha_matrix_rejects_exponent_out_of_range():
     with pytest.raises(ValueError):
         mul_by_alpha_matrix(gf(2), 3)
 
