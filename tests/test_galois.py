@@ -118,7 +118,7 @@ def _add_table(f):
     return idx[:, None] ^ idx[None, :]
 
 
-@pytest.mark.parametrize("fieldspec", [gf(8), gf(4)])
+@pytest.mark.parametrize("fieldspec", [gf(7), gf(8), gf(3), gf(4)])
 def test_field_axioms_exhaustive(fieldspec):
     """Commutativity, identities, inverses, associativity, distributivity
     over every element triple (vectorized; order <= 256)."""
