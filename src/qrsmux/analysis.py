@@ -170,8 +170,13 @@ def sweep(d_min: int, d_max: int, strategies=STRATEGY_NAMES,
     unknown = set(strategies) - set(STRATEGY_NAMES)
     if unknown:
         raise ValueError(f"unknown strategies: {sorted(unknown)}")
+    primes = primes_in(max(d_min, 3), d_max)
+    if len(primes) > 1:
+        # The largest prime needs the most qubits: raise on it before any work.
+        # A lone prime is planned first by its own row, so it is not planned twice.
+        sumsynth.plan(primes[-1])
     report = SweepReport(convention=conv.id)
-    for d in primes_in(max(d_min, 3), d_max):
+    for d in primes:
         report.rows.append(sweep_row(d, strategies, conv))
     return report
 

@@ -10,6 +10,15 @@ Zero-polarity controls are first-class on MCX so gate-class counts do not
 depend on the control pattern; ``normalize_polarities`` expands them into X
 conjugation pairs when an X-explicit circuit is wanted.  Those X gates are
 tallied under "X" and never enter CX totals.
+
+Trust boundary.  ``Gate(...)``, the gate constructors (``cx``, ``mcx``, ...),
+``Circuit.append``/``extend`` and ``parse`` check every gate they build or
+take.  ``Emitter`` alone skips those checks: the synthesizers
+(``sumsynth.synth_sum``/``synth_rca``/``synth_mod``, ``gf2m.synth_cmuladd``
+and ``gf2m.expand_cmuladds``) emit through it gates whose wires they built
+from a validated plan or register table, and it hands back a sealed circuit
+whose signature histogram is already filled.  Tests rebuild every emitted
+gate through the checked path and compare.
 """
 
 from __future__ import annotations
@@ -360,6 +369,60 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
+
+
+# Gate construction without __post_init__, for Emitter: a bare object and its slot setters.
+_new = object.__new__
+_set_kind, _set_controls, _set_targets, _set_d, _set_n, _set_poly = (
+    Gate.kind.__set__, Gate.controls.__set__, Gate.targets.__set__,
+    Gate.d.__set__, Gate.n.__set__, Gate.poly.__set__)
+
+
+class Emitter:
+    """Builds a sealed circuit from gates whose validity the caller vouches for.
+
+    ``mcx`` skips ``Gate.__post_init__`` and ``Circuit.append``: it is for
+    synthesizers whose wires lie inside their own register table by
+    construction.  Each gate's index is recorded under its signature as it
+    is emitted, so the circuit gets its signature histogram without a walk.
+    """
+
+    __slots__ = ("gates", "_groups")
+
+    def __init__(self):
+        self.gates: list[Gate] = []
+        self._groups: dict[tuple, list[int]] = {}  # signature -> indices of its gates
+
+    def indices(self, sig: tuple) -> list[int]:
+        """The index list of signature sig, (kind, control registers, target
+        register); mcx records into it.  Fetch it once per signature."""
+        return self._groups.setdefault(sig, [])
+
+    def mcx(self, indices: list[int], controls: tuple[Control, ...], targets: tuple[Wire]) -> None:
+        """Emit MCX(controls -> targets) unchecked; indices is its signature's list."""
+        g = _new(Gate)
+        _set_kind(g, "MCX")
+        _set_controls(g, controls)
+        _set_targets(g, targets)
+        _set_d(g, None)
+        _set_n(g, None)
+        _set_poly(g, None)
+        indices.append(len(self.gates))
+        self.gates.append(g)
+
+    def add(self, g: Gate) -> None:
+        """Emit a gate that was already checked, e.g. one taken from another circuit."""
+        self.indices(signature(g)).append(len(self.gates))
+        self.gates.append(g)
+
+    def circuit(self, table: RegisterTable, meta: Meta, sealed: bool = True) -> Circuit:
+        """The emitted gates as a circuit; a sealed one carries their histogram,
+        keyed in order of first use as signature_histogram() would build it."""
+        c = Circuit(table, self.gates, meta, sealed=sealed)
+        if sealed:
+            used = sorted((kv for kv in self._groups.items() if kv[1]), key=lambda kv: kv[1][0])
+            c._histogram = {sig: tuple(indices) for sig, indices in used}
+        return c
 
 
 def photon_partition(c: Circuit, g: Gate) -> dict[int, list[Control]]:

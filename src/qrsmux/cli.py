@@ -171,11 +171,8 @@ def cmd_sweep(args) -> int:
     if args.d_max < args.d_min:
         raise UnsupportedConfigurationError(
             f"--d-min {args.d_min} --d-max {args.d_max}: empty sweep range")
-    largest = next((d for d in range(args.d_max, max(args.d_min, 3) - 1, -1) if galois.is_prime(d)), None)
-    if largest is not None:
-        with _user_input(f"--d-max {args.d_max}", (InvalidDimensionError,)):
-            sumsynth.plan(largest)  # the largest prime needs the most qubits
-    report = analysis.sweep(args.d_min, args.d_max, strategies, convention)
+    with _user_input(f"--d-max {args.d_max}", (InvalidDimensionError,)):  # a prime past k_max, raised before any work
+        report = analysis.sweep(args.d_min, args.d_max, strategies, convention)
     if not report.rows:
         raise UnsupportedConfigurationError(
             f"--d-min {args.d_min} --d-max {args.d_max}: no primes in the sweep range")

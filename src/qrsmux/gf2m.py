@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import galois
-from .circuit import Circuit, Meta, Register, RegisterTable, Wire, cmuladd, cx, dft
+from .circuit import Circuit, Control, Emitter, Meta, Register, RegisterTable, Wire, cmuladd, dft
 from .errors import UnsupportedConfigurationError
 from .galois import FieldSpec, hamming_weight, mul_by_alpha_matrix
 from .revsim import pack_blocks, pair_slices, simulate_slices
@@ -101,9 +102,9 @@ class RSCodeSpec:
     G: tuple[tuple[int, ...], ...]   # K x n systematic generator matrix [I | P]
     H: tuple[tuple[int, ...], ...]   # (n-K) x n parity-check matrix
 
-    @property
+    @cached_property
     def parity(self) -> tuple[tuple[int, ...], ...]:
-        """The P block of G = [I | P]:  K x (n-K)."""
+        """The P block of G = [I | P]:  K x (n-K); built on first read."""
         return tuple(row[self.K:] for row in self.G)
 
     def dual_contained(self) -> bool:
@@ -172,9 +173,13 @@ def synth_cmuladd(f: FieldSpec, n: int) -> Circuit:
         Register("a", m, 0, "gf-message"),
         Register("b", m, 1, "gf-code"),
     ])
-    c = Circuit(table, meta=Meta(d=f.order, note=f"b <- alpha^{n} * a + b over GF({f.order})"))
-    c.extend(cx(Wire("a", p), Wire("b", j)) for p, j in _cmuladd_cx_pairs(f, n))
-    return c.seal()
+    a = [(Control(Wire("a", p)),) for p in range(m)]
+    b = [(Wire("b", j),) for j in range(m)]
+    em = Emitter()
+    indices = em.indices(("MCX", ("a",), "b"))
+    for p, j in _cmuladd_cx_pairs(f, n):
+        em.mcx(indices, a[p], b[j])
+    return em.circuit(table, Meta(d=f.order, note=f"b <- alpha^{n} * a + b over GF({f.order})"))
 
 
 def find_cmuladd_counterexample(c: Circuit, f: FieldSpec, n: int) -> tuple[int, int] | None:
@@ -253,24 +258,29 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
     registers and drops DFT gates; returns the expanded circuit and the
     number of DFT gates dropped.
     """
-    gates = []
+    em = Emitter()
     n_dft = 0
     pairs_cache: dict[tuple[int | None, int, int], list[tuple[int, int]]] = {}
+    # register -> the 1-tuple control, and the 1-tuple target, of each of its qubits
+    controls = {r.name: [(Control(Wire(r.name, i)),) for i in range(r.width)] for r in c.table.registers}
+    targets = {r.name: [(Wire(r.name, i),) for i in range(r.width)] for r in c.table.registers}
     for g in c.gates:
         if g.kind == "DFT":
             n_dft += 1
         elif g.kind == "CMulAdd":
-            m = c.table[g.targets[0].reg].width
+            src, dst = g.controls[0].wire.reg, g.targets[0].reg
+            m = c.table[dst].width
             key = (g.poly, m, g.n)
             pairs = pairs_cache.get(key)
             if pairs is None:
                 pairs = pairs_cache[key] = _cmuladd_cx_pairs(FieldSpec.binary_extension(m, g.poly), g.n)
-            src, dst = g.controls[0].wire.reg, g.targets[0].reg
-            gates.extend(cx(Wire(src, p), Wire(dst, j)) for p, j in pairs)
+            src_controls, dst_targets = controls[src], targets[dst]
+            indices = em.indices(("MCX", (src,), dst))
+            for p, j in pairs:
+                em.mcx(indices, src_controls[p], dst_targets[j])
         else:
-            gates.append(g)
-    out = Circuit(c.table, gates, meta=c.meta, sealed=c.sealed)
-    return out, n_dft
+            em.add(g)
+    return em.circuit(c.table, c.meta, sealed=c.sealed), n_dft
 
 
 def encoder_classical_cx_cost(spec: RSCodeSpec) -> int:

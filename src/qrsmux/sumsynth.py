@@ -26,10 +26,11 @@ Layout choices that pin the exact gate tally:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import (
-    CostBreakdown, Circuit, Control, Meta, Register, RegisterTable, Wire,
-    POSITIVE, ZERO, cx, mcx, toffoli,
+    CostBreakdown, Circuit, Control, Emitter, Meta, Register, RegisterTable, Wire,
+    POSITIVE, ZERO,
 )
 from .errors import InvalidDimensionError
 from .galois import hamming_distance, is_prime
@@ -44,8 +45,7 @@ DIRTY_ANCILLA_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class FlagSpec:
+class FlagSpec(NamedTuple):
     """One adder outcome needing modulo conversion."""
 
     value: int                 # outcome i in [d, 2(d-1)]
@@ -120,65 +120,85 @@ def sum_registers(p: SumPlan) -> RegisterTable:
     return RegisterTable(regs)
 
 
-def _rca_gates(k: int):
+def _emit_rca(em: Emitter, k: int) -> None:
     """Ripple-carry adder gates: B <- (A+B) mod 2^k, overflow in carry[k-1]."""
-    a = [Wire("A", i) for i in range(k)]
-    b = [Wire("B", i) for i in range(k)]
-    c = [Wire("carry", i) for i in range(k)]
-    yield toffoli(a[0], b[0], c[0])
-    yield cx(a[0], b[0])
+    a = [Control(Wire("A", i)) for i in range(k)]
+    b = [Control(Wire("B", i)) for i in range(k)]
+    c = [Control(Wire("carry", i)) for i in range(k)]
+    b_out = [(ct.wire,) for ct in b]
+    c_out = [(ct.wire,) for ct in c]
+    ab_c = em.indices(("MCX", ("A", "B"), "carry"))
+    ac_c = em.indices(("MCX", ("A", "carry"), "carry"))
+    bc_c = em.indices(("MCX", ("B", "carry"), "carry"))
+    a_b = em.indices(("MCX", ("A",), "B"))
+    c_b = em.indices(("MCX", ("carry",), "B"))
+    em.mcx(ab_c, (a[0], b[0]), c_out[0])
+    em.mcx(a_b, (a[0],), b_out[0])
     for i in range(1, k):
-        yield toffoli(a[i], b[i], c[i])
-        yield toffoli(a[i], c[i - 1], c[i])
-        yield toffoli(b[i], c[i - 1], c[i])
-        yield cx(a[i], b[i])
-        yield cx(c[i - 1], b[i])
+        em.mcx(ab_c, (a[i], b[i]), c_out[i])
+        em.mcx(ac_c, (a[i], c[i - 1]), c_out[i])
+        em.mcx(bc_c, (b[i], c[i - 1]), c_out[i])
+        em.mcx(a_b, (a[i],), b_out[i])
+        em.mcx(c_b, (c[i - 1],), b_out[i])
 
 
-def _mod_gates(p: SumPlan):
+def _emit_mod(em: Emitter, p: SumPlan) -> None:
     """Flag phase then correction phase for the modulo conversion."""
-    b = [Wire("B", i) for i in range(p.k)]
-    top_carry = Wire("carry", p.k - 1)
+    k = p.k
+    b = [Wire("B", j) for j in range(k)]
+    b_out = [(w,) for w in b]
+    b_by_bit = [(Control(w, ZERO), Control(w, POSITIVE)) for w in b]  # [j][pattern bit j]
+    top_carry = Control(Wire("carry", k - 1))
+    checkif_out = [(Wire("checkif", i),) for i in range(p.n_checkif)]
     # flag phase
+    flag = em.indices(("MCX", ("B",) * k, "checkif"))
+    flag_with_carry = em.indices(("MCX", ("B",) * k + ("carry",), "checkif"))
     for f in p.flags:
         if f.uses_carry_substitute:
             continue
-        controls = [Control(b[j], POSITIVE if (f.pattern >> j) & 1 else ZERO) for j in range(p.k)]
+        controls = tuple([b_by_bit[j][f.pattern >> j & 1] for j in range(k)])
         if f.needs_carry_control:
-            controls.append(Control(top_carry))
-        yield mcx(controls, Wire("checkif", f.checkif_index))
+            em.mcx(flag_with_carry, controls + (top_carry,), checkif_out[f.checkif_index])
+        else:
+            em.mcx(flag, controls, checkif_out[f.checkif_index])
     # correction phase
+    from_checkif = em.indices(("MCX", ("checkif",), "B"))
+    from_carry = em.indices(("MCX", ("carry",), "B"))
     for f in p.flags:
-        flag_wire = top_carry if f.uses_carry_substitute else Wire("checkif", f.checkif_index)
-        for j in range(p.k):
-            if (f.correction_mask >> j) & 1:
-                yield cx(flag_wire, b[j])
+        if f.uses_carry_substitute:
+            indices, controls = from_carry, (top_carry,)
+        else:
+            indices, controls = from_checkif, (Control(checkif_out[f.checkif_index][0]),)
+        for j in range(k):
+            if f.correction_mask >> j & 1:
+                em.mcx(indices, controls, b_out[j])
 
 
 def synth_rca(k: int) -> Circuit:
     """Standalone ripple-carry adder circuit over A(k), B(k), carry(k)."""
     if k < 1:
         raise InvalidDimensionError(f"k={k} must be >= 1")
-    table = RegisterTable(_adder_registers(k))
-    return Circuit(table, meta=Meta(note=f"{k}-bit ripple-carry adder")).extend(_rca_gates(k)).seal()
+    em = Emitter()
+    _emit_rca(em, k)
+    return em.circuit(RegisterTable(_adder_registers(k)), Meta(note=f"{k}-bit ripple-carry adder"))
 
 
 def synth_mod(p: SumPlan) -> Circuit:
     """Standalone modulo-conversion circuit (expects the adder to have run)."""
-    table = sum_registers(p)
+    em = Emitter()
+    _emit_mod(em, p)
     note = f"modulo conversion for d={p.d} (case {p.case}); {DIRTY_ANCILLA_NOTE}"
-    return Circuit(table, meta=Meta(d=p.d, note=note)).extend(_mod_gates(p)).seal()
+    return em.circuit(sum_registers(p), Meta(d=p.d, note=note))
 
 
 def synth_sum(d: int, k_max: int = DEFAULT_K_MAX) -> Circuit:
     """Full SUM gate: RCA then modulo conversion on a shared register table."""
     p = plan(d, k_max)
-    table = sum_registers(p)
+    em = Emitter()
+    _emit_rca(em, p.k)
+    _emit_mod(em, p)
     note = f"SUM gate, case {p.case}, k={p.k}; {DIRTY_ANCILLA_NOTE}"
-    circuit = Circuit(table, meta=Meta(d=d, note=note))
-    circuit.extend(_rca_gates(p.k))
-    circuit.extend(_mod_gates(p))
-    return circuit.seal()
+    return em.circuit(sum_registers(p), Meta(d=d, note=note))
 
 
 def correction_cx_total(d: int, k: int | None = None) -> int:

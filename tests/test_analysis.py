@@ -132,6 +132,15 @@ def test_consistency_gate_aborts_on_mismatch(monkeypatch):
         sweep_row(5)
 
 
+def test_sweep_checks_k_max_before_synthesizing(monkeypatch):
+    def fail(d, k_max=sumsynth.DEFAULT_K_MAX):
+        raise AssertionError(f"synth_sum({d}) ran before the k_max check")
+
+    monkeypatch.setattr(sumsynth, "synth_sum", fail)
+    with pytest.raises(InvalidDimensionError, match="d=1031"):
+        sweep(3, 1031)
+
+
 # ---------------------------------------------------------------
 # Ratio curve
 # ---------------------------------------------------------------

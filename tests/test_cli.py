@@ -304,6 +304,14 @@ def test_sweep_checks_k_max_before_sweeping(capsys, tmp_path, monkeypatch):
     assert rows == [] and not out_csv.exists() and "wrote" not in out
 
 
+def test_sweep_of_one_prime_past_k_max(capsys, tmp_path):
+    out_csv = tmp_path / "r.csv"
+    rc, out, err = run(capsys, "sweep", "--d-min", "1031", "--d-max", "1032", "--out", str(out_csv))
+    assert rc == 2
+    assert err == "error: --d-max 1032: d=1031 needs k=11 qubits, above the limit k_max=10\n"
+    assert not out_csv.exists() and "wrote" not in out
+
+
 def test_sweep_range_ending_above_its_largest_prime(capsys, tmp_path):
     out_csv = tmp_path / "r.csv"
     rc, out, _ = run(capsys, "sweep", "--d-min", "1019", "--d-max", "1024", "--out", str(out_csv))

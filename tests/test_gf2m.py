@@ -1,6 +1,7 @@
 import pytest
 
 from qrsmux import galois, gf2m, lowering
+from qrsmux.circuit import Circuit, Register, RegisterTable, Wire, cmuladd, cx, dft, h, x
 from qrsmux.errors import UnsupportedConfigurationError
 from qrsmux.galois import FieldSpec
 from qrsmux.gf2m import (
@@ -58,6 +59,12 @@ def test_g_rows_vanish_on_code_roots():
                 for coeff in reversed(row):  # Horner, highest degree first
                     acc = galois.mul_int(f, acc, x) ^ coeff
                 assert acc == 0
+
+
+def test_parity_is_built_once():
+    spec = build_code(4, 8)
+    assert spec.parity is spec.parity
+    assert spec.parity == tuple(row[spec.K:] for row in spec.G)
 
 
 def test_build_code_k_range():
@@ -144,6 +151,39 @@ def test_encoder_classical_cost_matches_recount():
         expanded, n_dft = expand_cmuladds(synth_encoder_gf2m(spec))
         assert expanded.count()["C1X"] == encoder_classical_cx_cost(spec)
         assert n_dft == spec.n - spec.K
+
+
+def relabeled(c, src, dst):
+    """The gates of a synth_cmuladd circuit moved from registers a, b onto src, dst."""
+    names = {"a": src, "b": dst}
+    return [cx(Wire(names[g.controls[0].wire.reg], g.controls[0].wire.idx),
+               Wire(names[g.targets[0].reg], g.targets[0].idx)) for g in c.gates]
+
+
+def test_expansion_is_each_cmuladd_circuit_on_its_registers():
+    for m, K in [(2, 2), (3, 4), (4, 8), (5, 16)]:
+        spec = build_code(m, K)
+        enc = synth_encoder_gf2m(spec)
+        want = []
+        for g in enc.gates:
+            if g.kind == "CMulAdd":
+                want += relabeled(synth_cmuladd(spec.field, g.n), g.controls[0].wire.reg, g.targets[0].reg)
+        expanded, _ = expand_cmuladds(enc)
+        assert expanded.gates == want
+        assert expanded.sealed
+
+
+def test_expansion_passes_other_gates_through_and_keeps_sealing():
+    f = FieldSpec.binary_extension(3)
+    table = RegisterTable([Register("u", 3, 0, "gf-message"), Register("v", 3, 1, "gf-code")])
+    c = Circuit(table)
+    c.extend([x(Wire("u", 2)), dft("u", 8), cmuladd("u", "v", 4), h(Wire("v", 0))])
+    expanded, n_dft = expand_cmuladds(c)
+    assert n_dft == 1 and not expanded.sealed
+    assert expanded.gates == [x(Wire("u", 2))] + relabeled(synth_cmuladd(f, 4), "u", "v") + [h(Wire("v", 0))]
+    sealed, _ = expand_cmuladds(c.seal())
+    assert sealed.sealed and sealed.gates == expanded.gates
+    assert list(sealed.signature_histogram().items()) == list(expanded.signature_histogram().items())
 
 
 def test_encoder_multiplexing_gives_no_advantage():
