@@ -11,14 +11,21 @@ depend on the control pattern; ``normalize_polarities`` expands them into X
 conjugation pairs when an X-explicit circuit is wanted.  Those X gates are
 tallied under "X" and never enter CX totals.
 
-Trust boundary.  ``Gate(...)``, the gate constructors (``cx``, ``mcx``, ...),
-``Circuit.append``/``extend`` and ``parse`` check every gate they build or
-take.  ``Emitter`` alone skips those checks: the synthesizers
+Trust boundary.  ``Gate(...)``, the gate constructors (``cx``, ``mcx``, ...)
+and ``Circuit.append``/``extend`` check every gate they build or take.
+``Emitter`` alone skips those checks: the synthesizers
 (``sumsynth.synth_sum``/``synth_rca``/``synth_mod``, ``gf2m.synth_cmuladd``
 and ``gf2m.expand_cmuladds``) emit through it gates whose wires they built
 from a validated plan or register table, and it hands back a sealed circuit
-whose signature histogram is already filled.  Tests rebuild every emitted
-gate through the checked path and compare.
+whose signature histogram is already filled.  ``parse`` emits through it
+too.  It checks each distinct control and target entry of a document once,
+resolving its wire against the register table, and emits a gate unchecked
+only in the shape ``Gate(...)`` and ``Circuit.append`` accept as is: an MCX
+without d, n or poly, with at least one control and one target, every wire
+an in-range qubit and none repeated.  Every other gate goes through
+``Gate(...)`` and the table checks of ``Circuit.append``, so each fault is
+reported as before.  Tests rebuild every emitted or parsed gate through the
+checked path and compare.
 """
 
 from __future__ import annotations
@@ -294,6 +301,23 @@ def _class_sort_key(item):
 # Circuits
 # ----------------------------------------------------------------------
 
+def _check_in_table(g: Gate, widths: dict[str, int]) -> None:
+    """Raise unless every wire of g lies in the table with these register widths
+    and a SUM or CMulAdd joins registers of equal width."""
+    for w in [c.wire for c in g.controls] + list(g.targets):
+        width = widths.get(w.reg)
+        if width is None:
+            raise ResolutionError(f"unknown register {w.reg!r}")
+        if w.idx is not None and not 0 <= w.idx < width:
+            raise ResolutionError(f"index {w.idx} out of range for register {w.reg!r} of width {width}")
+    if g.kind in ("SUM", "CMulAdd"):
+        cw = widths[g.controls[0].wire.reg]
+        tw = widths[g.targets[0].reg]
+        if cw != tw:
+            raise InvalidGateError(
+                f"{g.kind} needs equal-width registers, got {cw} and {tw}")
+
+
 @dataclass(frozen=True)
 class Meta:
     d: int | None = None
@@ -312,19 +336,7 @@ class Circuit:
     def append(self, g: Gate) -> "Circuit":
         if self.sealed:
             raise InvalidGateError("circuit is sealed; no further gates may be appended")
-        widths = self.table.widths
-        for w in [c.wire for c in g.controls] + list(g.targets):
-            width = widths.get(w.reg)
-            if width is None:
-                raise ResolutionError(f"unknown register {w.reg!r}")
-            if w.idx is not None and not 0 <= w.idx < width:
-                raise ResolutionError(f"index {w.idx} out of range for register {w.reg!r} of width {width}")
-        if g.kind in ("SUM", "CMulAdd"):
-            cw = widths[g.controls[0].wire.reg]
-            tw = widths[g.targets[0].reg]
-            if cw != tw:
-                raise InvalidGateError(
-                    f"{g.kind} needs equal-width registers, got {cw} and {tw}")
+        _check_in_table(g, self.table.widths)
         self.gates.append(g)
         return self
 
@@ -383,8 +395,10 @@ class Emitter:
 
     ``mcx`` skips ``Gate.__post_init__`` and ``Circuit.append``: it is for
     synthesizers whose wires lie inside their own register table by
-    construction.  Each gate's index is recorded under its signature as it
-    is emitted, so the circuit gets its signature histogram without a walk.
+    construction, and for ``parse`` once it has resolved every wire of a
+    qubit MCX against the table.  Each gate's index is recorded under its
+    signature as it is emitted, so the circuit gets its signature histogram
+    without a walk.
     """
 
     __slots__ = ("gates", "_groups")
@@ -395,7 +409,7 @@ class Emitter:
 
     def indices(self, sig: tuple) -> list[int]:
         """The index list of signature sig, (kind, control registers, target
-        register); mcx records into it.  Fetch it once per signature."""
+        register); mcx records into it."""
         return self._groups.setdefault(sig, [])
 
     def mcx(self, indices: list[int], controls: tuple[Control, ...], targets: tuple[Wire]) -> None:
@@ -566,8 +580,17 @@ def _control(cd, i: int, j: int) -> Control:
     return Control(wire, pol)
 
 
+def _qubit_offset(table: RegisterTable, w: Wire) -> int | None:
+    """w's global bit offset if it is a qubit of the table, else None."""
+    try:
+        return table.resolve(w)
+    except ResolutionError:
+        return None
+
+
 def parse(document: str) -> Circuit:
-    """Rebuild a circuit from its interchange document.
+    """Rebuild a sealed circuit, with its signature histogram, from its
+    interchange document.
 
     Every malformed document raises ParseError naming the offending field.
     """
@@ -598,18 +621,22 @@ def parse(document: str) -> Circuit:
         raise ParseError(f"registers: {e}") from None
 
     md = _field(doc, "meta", "document", dict, {})
-    circuit = Circuit(table, meta=Meta(
+    meta = Meta(
         d=_integer(md, "d", "meta", 2, optional=True),
         strategy=_field(md, "strategy", "meta", str, ""),
         note=_field(md, "note", "meta", str, ""),
-    ))
+    )
 
-    # Each distinct well-formed control or target entry is checked and built
-    # once per document.  A key holds the index's type as well as its value:
-    # JSON true and 1.0 equal 1 but are rejected, so they must miss.
-    controls_seen: dict[tuple, Control] = {}
-    targets_seen: dict[tuple, Wire] = {}
-    append = circuit.append
+    # Each distinct well-formed control or target entry is checked, built and
+    # resolved against the table once per document.  Its cache value, which
+    # the gate's controls and targets lists collect, is (control or target
+    # wire, global offset, register name), the offset None unless the wire is
+    # a qubit of the table.  A key holds the index's type as well as its
+    # value: JSON true and 1.0 equal 1 but are rejected, so they must miss.
+    controls_seen: dict[tuple, tuple[Control, int | None, str]] = {}
+    targets_seen: dict[tuple, tuple[Wire, int | None, str]] = {}
+    emitter = Emitter()
+    emit_mcx, indices = emitter.mcx, emitter.indices
     for i, gd in enumerate(_field(doc, "gates", "document", list)):
         if not isinstance(gd, dict):
             _typed(gd, dict, f"gates[{i}]")  # raises
@@ -624,12 +651,13 @@ def parse(document: str) -> Circuit:
             try:
                 idx = cd.get("idx")
                 key = (cd.get("reg"), idx, type(idx), cd.get("pol", POSITIVE))
-                control = controls_seen.get(key)
+                seen = controls_seen.get(key)
             except (AttributeError, TypeError):  # not an object, or an unhashable field:
-                key = control = None              # _control raises on it
-            if control is None:
-                control = controls_seen[key] = _control(cd, i, j)
-            controls.append(control)
+                key = seen = None                 # _control raises on it
+            if seen is None:
+                control = _control(cd, i, j)
+                seen = controls_seen[key] = (control, _qubit_offset(table, control.wire), control.wire.reg)
+            controls.append(seen)
         entries = gd.get("targets", [])
         if type(entries) is not list:
             _field(gd, "targets", f"gates[{i}]", list)  # raises
@@ -638,20 +666,31 @@ def parse(document: str) -> Circuit:
             try:
                 idx = td.get("idx")
                 key = (td.get("reg"), idx, type(idx))
-                wire = targets_seen.get(key)
+                seen = targets_seen.get(key)
             except (AttributeError, TypeError):
-                key = wire = None
-            if wire is None:
-                wire = targets_seen[key] = _wire(td, i, "targets", j)
-            targets.append(wire)
+                key = seen = None
+            if seen is None:
+                wire = _wire(td, i, "targets", j)
+                seen = targets_seen[key] = (wire, _qubit_offset(table, wire), wire.reg)
+            targets.append(seen)
         d, n, poly = gd.get("d"), gd.get("n"), gd.get("poly")
-        if d is not None or n is not None or poly is not None:  # qudit-level gates
+        if d is None and n is None and poly is None:
+            # The qubit MCX shape, which Gate(...) and Circuit.append accept as is.
+            if kind == "MCX" and controls and len(targets) == 1:
+                ctrl, offsets, regs = zip(*controls)
+                target, offset, reg = targets[0]
+                if offset is not None and None not in offsets and len({offset, *offsets}) == len(offsets) + 1:
+                    emit_mcx(indices(("MCX", regs, reg)), ctrl, (target,))
+                    continue
+        else:  # qudit-level gates
             path = f"gates[{i}]"
             d = _integer(gd, "d", path, 2, optional=True)
             n = _integer(gd, "n", path, 0, optional=True)
             poly = _integer(gd, "poly", path, 0, optional=True)
         try:
-            append(Gate(kind, tuple(controls), tuple(targets), d=d, n=n, poly=poly))
+            g = Gate(kind, tuple([c[0] for c in controls]), tuple([t[0] for t in targets]), d=d, n=n, poly=poly)
+            _check_in_table(g, table.widths)
         except (InvalidGateError, ResolutionError) as e:
             raise ParseError(f"gates[{i}]: {e}") from None
-    return circuit.seal()
+        emitter.add(g)
+    return emitter.circuit(table, meta)

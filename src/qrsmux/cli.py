@@ -9,6 +9,7 @@ artifacts; a --config file can override primitive polynomials
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -188,7 +189,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="qrsmux", description=__doc__)
     parser.add_argument("--config", help="key=value config file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)

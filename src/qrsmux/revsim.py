@@ -14,7 +14,9 @@ go through it.
 Inputs are packed and outputs unpacked a block or a whole slice at a time,
 never one bit at a time on a huge integer: ``pair_slices`` lays out every
 (a, b) pair as case a*block + b, and ``pack_blocks`` concatenates per-block
-patterns.
+patterns.  ``verify_sum`` runs its d^2 cases in blocks of consecutive A
+values, so each wire's slice stays below a fixed number of cases however
+large d is.
 """
 
 from __future__ import annotations
@@ -84,11 +86,16 @@ def simulate_slices(c: Circuit, inputs: dict[int, int], n_cases: int) -> list[in
     wire's value in case i); other wires start at 0.  Returns the output
     slice of every wire, indexed by global offset.
     """
+    return _run(compile_permutation(c), c.table.total_width, inputs, n_cases)
+
+
+def _run(compiled: list, width: int, inputs: dict[int, int], n_cases: int) -> list[int]:
+    """simulate_slices on a compiled circuit over width wires."""
     full = (1 << n_cases) - 1
-    state = [0] * c.table.total_width
+    state = [0] * width
     for pos, value in inputs.items():
         state[pos] = value
-    for positive, zero, target in compile_permutation(c):
+    for positive, zero, target in compiled:
         fire = full
         for pos in positive:
             fire &= state[pos]
@@ -194,48 +201,60 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+# Cases per simulation block of verify_sum.  It bounds the slices every wire
+# holds at once; every d <= 257 (d^2 <= 66,049 cases) runs as one block.
+_CASES_PER_BLOCK = 1 << 17
+
+
 def verify_sum(d: int, c: Circuit) -> VerificationReport:
     """Exhaustively check B' = (A+B) mod d with A unchanged over all d^2 input pairs.
 
     Ancillas start at 0; their final values are recorded but not asserted.
-    Failures are sorted by (A, B); got is -1 where A was corrupted.
+    Failures are sorted by (A, B); got is -1 where A was corrupted.  The
+    cases are simulated in blocks of consecutive A values.
     """
     start = time.perf_counter()
     table = c.table
     k = table["A"].width
-    n_cases = d * d
     a_pos = [table.offset("A") + j for j in range(k)]
     b_pos = [table.offset("B") + j for j in range(k)]
-    a_in, b_in = pair_slices(d, k)
-    # Block a of bit j of (a+b) mod d is bit j of b rotated down by a.
+    ancillas = [table.offset(reg.name) + j for reg in table.registers
+                if reg.role in ("carry", "check-if", "work") for j in range(reg.width)]
+    compiled = compile_permutation(c)
+    patterns = [_counter_slice(d, j) for j in range(k)]  # bit j of b, for b < d
     ones = (1 << d) - 1
-    want = []
-    for j in range(k):
-        pattern = _counter_slice(d, j)
-        want.append(pack_blocks([((pattern >> a) | (pattern << (d - a))) & ones for a in range(d)], d))
+    rows = max(1, _CASES_PER_BLOCK // d)  # A values per block
 
-    out = simulate_slices(c, dict(zip(a_pos + b_pos, a_in + b_in)), n_cases)
-    a_bad = b_bad = dirty = 0
-    for pos, expect in zip(a_pos, a_in):
-        a_bad |= out[pos] ^ expect
-    for pos, expect in zip(b_pos, want):
-        b_bad |= out[pos] ^ expect
-    for reg in table.registers:
-        if reg.role in ("carry", "check-if", "work"):
-            for j in range(reg.width):
-                dirty |= out[table.offset(reg.name) + j]
+    failures, dirty = [], 0
+    for a0 in range(0, d, rows):
+        a1 = min(d, a0 + rows)
+        n_cases = (a1 - a0) * d  # case i is (a0 + i // d, i % d)
+        a_in = [_counter_slice(a1 * d, j, d) >> (a0 * d) for j in range(k)]
+        b_in = [_tile(pattern, d, n_cases) for pattern in patterns]
+        # Block a of bit j of (a+b) mod d is bit j of b rotated down by a.
+        want = [pack_blocks([((pattern >> a) | (pattern << (d - a))) & ones for a in range(a0, a1)], d)
+                for pattern in patterns]
 
-    failures = []
-    bad = a_bad | b_bad
-    if bad:
-        failing, a_col = _columns([bad, a_bad], n_cases)
-        b_cols = _columns([out[pos] for pos in reversed(b_pos)], n_cases)
-        case = failing.find("1")
-        while case >= 0:
-            a, b = divmod(case, d)
-            got = -1 if a_col[case] == "1" else int("".join(col[case] for col in b_cols), 2)
-            failures.append((a, b, (a + b) % d, got))
-            case = failing.find("1", case + 1)
-    return VerificationReport(d=d, total_cases=n_cases, failures=failures,
-                              ancilla_dirty_cases=dirty.bit_count(),
+        out = _run(compiled, table.total_width, dict(zip(a_pos + b_pos, a_in + b_in)), n_cases)
+        a_bad = b_bad = block_dirty = 0
+        for pos, expect in zip(a_pos, a_in):
+            a_bad |= out[pos] ^ expect
+        for pos, expect in zip(b_pos, want):
+            b_bad |= out[pos] ^ expect
+        for pos in ancillas:
+            block_dirty |= out[pos]
+        dirty += block_dirty.bit_count()
+
+        bad = a_bad | b_bad
+        if bad:
+            failing, a_col = _columns([bad, a_bad], n_cases)
+            b_cols = _columns([out[pos] for pos in reversed(b_pos)], n_cases)
+            case = failing.find("1")
+            while case >= 0:
+                a, b = divmod(case, d)
+                a += a0
+                got = -1 if a_col[case] == "1" else int("".join(col[case] for col in b_cols), 2)
+                failures.append((a, b, (a + b) % d, got))
+                case = failing.find("1", case + 1)
+    return VerificationReport(d=d, total_cases=d * d, failures=failures, ancilla_dirty_cases=dirty,
                               elapsed_s=time.perf_counter() - start)

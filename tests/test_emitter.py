@@ -1,20 +1,26 @@
 """Trusted emission: every synthesizer builds its gates through circuit.Emitter,
-which skips the per-gate checks.  Each emitted circuit must equal the one the
-checked path (Gate(...) plus Circuit.append) builds from the same values, and
-its pre-built signature histogram must equal the one computed from its gates.
+which skips the per-gate checks, and so does parse for the qubit MCX gates of
+a document.  Each emitted or parsed circuit must equal the one the checked
+path (Gate(...) plus Circuit.append) builds from the same values, and its
+pre-built signature histogram must equal the one computed from its gates.
 """
 
 import copy
 import functools
+import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
 
 from qrsmux import sumsynth
 from qrsmux.analysis import primes_in
-from qrsmux.circuit import Circuit, Gate
+from qrsmux.circuit import Circuit, Gate, parse, serialize
+from qrsmux.errors import ParseError
 from qrsmux.galois import FieldSpec
 from qrsmux.gf2m import build_code, expand_cmuladds, synth_cmuladd, synth_encoder_gf2m
+from test_circuit import circuits
 
 SAMPLED_MOD_PRIMES = [2, 3, 5, 7, 17, 31, 61, 127, 131, 137, 257, 509, 1021]
 
@@ -97,3 +103,97 @@ def test_prebuilt_histogram_equals_computed(family):
             shifted = [(key, tuple(j - (j > i) for j in indices if j != i)) for key, indices in prebuilt]
             want = sorted([(key, indices) for key, indices in shifted if indices], key=lambda kv: kv[1][0])
             assert list(mutant.signature_histogram().items()) == want, (label, i)
+
+
+# ---------------------------------------------------------------
+# parse: qubit MCX gates unchecked, every other gate checked
+# ---------------------------------------------------------------
+
+# The smallest and largest prime of each register width k = 2..10; 1021 is
+# the largest prime the sweep takes.
+STRATIFIED_PRIMES = [p for width_k in (primes_in(1 << (k - 1), (1 << k) - 1) for k in range(2, 11))
+                     for p in (width_k[0], width_k[-1])]
+
+
+def assert_parsed_like_checked(document: str, label) -> Circuit:
+    parsed = parse(document)
+    assert parsed.sealed, label
+    checked = checked_copy(parsed)
+    assert parsed.gates == checked.gates, label
+    assert list(map(hash, parsed.gates)) == list(map(hash, checked.gates)), label
+    cleared = copy.copy(parsed)
+    cleared._histogram = None
+    assert list(parsed.signature_histogram().items()) == list(cleared.signature_histogram().items()), label
+    return parsed
+
+
+def test_parsed_sum_documents_equal_checked_gates():
+    assert STRATIFIED_PRIMES[-1] == 1021 and len(STRATIFIED_PRIMES) == 18
+    for d in STRATIFIED_PRIMES:
+        c = sumsynth.synth_sum(d)
+        parsed = assert_parsed_like_checked(serialize(c), d)
+        assert parsed.gates == c.gates, d
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_parsed_encoder_documents_equal_checked_gates(m):
+    parsed = assert_parsed_like_checked(serialize(encoder(m)), m)
+    assert parsed.gates == encoder(m).gates
+
+
+@settings(deadline=None)
+@given(circuits())
+def test_parsed_random_documents_equal_checked_gates(c):
+    parsed = assert_parsed_like_checked(serialize(c), c)
+    assert parsed.gates == c.gates
+
+
+def _doc(*gates):
+    """A document over register q (4 qubits, photon 0) and register r (photon 1)."""
+    return json.dumps({
+        "registers": [{"name": "q", "width": 4, "photon": 0, "role": "work"},
+                      {"name": "r", "width": 2, "photon": 1, "role": "work"}],
+        "gates": [{"kind": "MCX", "controls": [{"reg": "q", "idx": 1}], "targets": [{"reg": "q", "idx": 0}]},
+                  *gates],
+        "meta": {},
+    })
+
+
+def q(idx, pol="positive"):
+    return {"reg": "q", "idx": idx, "pol": pol}
+
+
+@pytest.mark.parametrize("gate, message", [
+    ({"kind": "MCX", "controls": [q(0), q(9)], "targets": [{"reg": "q", "idx": 0}]},
+     "gates[1]: MCX gate reuses a wire: [Wire(reg='q', idx=0), Wire(reg='q', idx=9), Wire(reg='q', idx=0)]"),
+    ({"kind": "MCX", "controls": [q(2), q(0)], "targets": [{"reg": "q", "idx": 0}]},
+     "gates[1]: MCX gate reuses a wire: [Wire(reg='q', idx=2), Wire(reg='q', idx=0), Wire(reg='q', idx=0)]"),
+    ({"kind": "MCX", "controls": [q(1, "zero"), q(1)], "targets": [{"reg": "q", "idx": 0}]},
+     "gates[1]: MCX gate reuses a wire: [Wire(reg='q', idx=1), Wire(reg='q', idx=1), Wire(reg='q', idx=0)]"),
+    ({"kind": "MCX", "controls": [q(1), {"reg": "r", "idx": None}], "targets": [{"reg": "q", "idx": 0}]},
+     "gates[1]: MCX wires must be single qubits"),
+    ({"kind": "MCX", "controls": [], "targets": [{"reg": "q", "idx": 0}]},
+     "gates[1]: MCX takes >= 1 control and exactly one target"),
+    ({"kind": "MCX", "controls": [q(1)], "targets": [{"reg": "q", "idx": 0}, {"reg": "q", "idx": 2}]},
+     "gates[1]: MCX takes >= 1 control and exactly one target"),
+    ({"kind": "MCX", "controls": [q(1), q(4)], "targets": [{"reg": "q", "idx": 0}]},
+     "gates[1]: index 4 out of range for register 'q' of width 4"),
+    ({"kind": "MCX", "controls": [q(1)], "targets": [{"reg": "s", "idx": 0}]},
+     "gates[1]: unknown register 's'"),
+    ({"kind": "X", "controls": [q(1)], "targets": [{"reg": "q", "idx": 0}]},
+     "gates[1]: X takes no controls and exactly one target"),
+], ids=["repeat-and-out-of-range", "target-is-control", "repeat-across-polarities", "register-control", "no-controls",
+        "two-targets", "out-of-range", "unknown-register", "x-with-control"])
+def test_parse_faults_at_the_fast_path_edge(gate, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(_doc(gate))
+
+
+def test_parse_keeps_a_qubit_mcx_that_carries_d():
+    gate = {"kind": "MCX", "d": 3, "controls": [q(1), q(2, "zero")], "targets": [{"reg": "r", "idx": 1}]}
+    parsed = assert_parsed_like_checked(_doc(gate, gate), "d=3")
+    assert [g.d for g in parsed.gates] == [None, 3, 3]
+    assert list(parsed.signature_histogram().items()) == [
+        (("MCX", ("q",), "q"), (0,)), (("MCX", ("q", "q"), "r"), (1, 2))]
+    back = parse(serialize(parsed))
+    assert (back.gates, back.signature_histogram()) == (parsed.gates, parsed.signature_histogram())

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrsmux import circuit as ir
+from qrsmux import circuit as ir, revsim
+from qrsmux.analysis import primes_in
 from qrsmux.circuit import Circuit, Control, Register, RegisterTable, Wire
 from qrsmux.errors import ResourceLimitError, UnsupportedGateError
 from qrsmux.galois import FieldSpec
@@ -245,6 +248,31 @@ def test_verify_sum_matches_reference_on_every_single_gate_mutant(d):
         assert report.failures == failures
         assert report.ancilla_dirty_cases == dirty
     assert any(got == -1 for *_, got in verify_sum(d, corrupt_a).failures)
+
+
+@pytest.mark.parametrize("cap", [1, 40, 500])
+def test_verify_sum_in_blocks_equals_one_block(cap, monkeypatch):
+    """verify_sum runs consecutive A values block by block.  A small cap on the
+    cases per block splits primes up to 61 into several blocks, and every
+    report equals the single-block one."""
+    rng = random.Random(cap)
+    circuits = []
+    for d in primes_in(3, 61):
+        c = synth_sum(d)
+        corrupt_a = Circuit(c.table, c.gates + [ir.cx(Wire("B", 0), Wire("A", 0))])
+        circuits += [(d, c), (d, corrupt_a)] + [(d, c.without_gate(i)) for i in rng.sample(range(len(c)), 3)]
+    whole = [verify_sum(d, circuit) for d, circuit in circuits]
+    failures = [f for r in whole for f in r.failures]
+    assert any(got == -1 for *_, got in failures) and any(got >= 0 for *_, got in failures)
+    blocks = []
+    monkeypatch.setattr(revsim, "_CASES_PER_BLOCK", cap)
+    monkeypatch.setattr(revsim, "_run", lambda *a, run=revsim._run: blocks.append(a[3]) or run(*a))
+    for (d, circuit), one in zip(circuits, whole):
+        blocked = verify_sum(d, circuit)
+        assert blocked.total_cases == one.total_cases == d * d
+        assert blocked.failures == one.failures, d
+        assert blocked.ancilla_dirty_cases == one.ancilla_dirty_cases, d
+    assert len(blocks) > 2 * len(circuits) and max(blocks) <= max(cap, 61)
 
 
 def shift_and_xor_product(a, b, poly):
