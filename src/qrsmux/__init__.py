@@ -8,11 +8,10 @@ from .circuit import (
 from .galois import FieldSpec, hamming_distance, hamming_weight, is_prime
 from .sumsynth import SumPlan, plan, predicted_counts, synth_mod, synth_rca, synth_sum
 from .lowering import (
-    GadgetDescriptor, Strategy, emit_gadget, lower_circuit, lower_general,
-    lower_multiplexed, lower_ralph,
+    GadgetDescriptor, Strategy, lower_circuit, lower_general, lower_multiplexed, lower_ralph,
 )
 from .gf2m import RSCodeSpec, build_code, synth_cmuladd, synth_encoder_gf2m, verify_cmuladd
-from .revsim import BasisState, VerificationReport, simulate_basis, truth_table, verify_sum
+from .revsim import VerificationReport, truth_table, verify_sum
 from .analysis import Convention, SweepReport, SweepRow, ratio_curve, sum_gate_count, sweep
 
 __version__ = "0.1.0"

@@ -7,9 +7,7 @@ level gates (SUM, DFT, CMulAdd) address whole registers: their wires have
 ``idx`` set to None.
 
 Zero-polarity controls are first-class on MCX so gate-class counts do not
-depend on the control pattern; ``normalize_polarities`` expands them into X
-conjugation pairs when an X-explicit circuit is wanted.  Those X gates are
-tallied under "X" and never enter CX totals.
+depend on the control pattern.
 
 Trust boundary.  ``Gate(...)``, the gate constructors (``cx``, ``mcx``, ...)
 and ``Circuit.append``/``extend`` check every gate they build or take.
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidGateError, ParseError, ResolutionError
@@ -447,27 +445,6 @@ def photon_partition(c: Circuit, g: Gate) -> dict[int, list[Control]]:
     for ctrl in g.controls:
         groups.setdefault(c.table.photon_of(ctrl.wire.reg), []).append(ctrl)
     return groups
-
-
-def normalize_polarities(c: Circuit) -> Circuit:
-    """Expand zero-polarity MCX controls into X-conjugation pairs.
-
-    The inserted X gates count under "X"; CX-level figures exclude them.
-    """
-    out = Circuit(c.table, meta=c.meta)
-    for g in c.gates:
-        if g.kind == "MCX" and any(ct.pol == ZERO for ct in g.controls):
-            flips = [ct.wire for ct in g.controls if ct.pol == ZERO]
-            for w in flips:
-                out.append(x(w))
-            out.append(replace(g, controls=tuple(Control(ct.wire) for ct in g.controls)))
-            for w in flips:
-                out.append(x(w))
-        else:
-            out.append(g)
-    if c.sealed:
-        out.seal()
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 Builds the classical [n, K] code over GF(2^m) with n = 2^m - 1: the dual's
 generator polynomial has roots 1, alpha, ..., alpha^(K-1); the parity-check
-matrix H stacks its shifts; the generator matrix G is put in systematic
-[I | P] form.  The encoder circuit applies DFT gates to the coset qudits and
-one multiplier-add gate per nonzero parity entry of G, so it contains no
-multi-controlled X gate of any arity >= 2 and quantum multiplexing cannot
-reduce its CX count.
+matrix H stacks its shifts.  The code's own generator polynomial g(x) has
+roots alpha, ..., alpha^(n-K), and the generator matrix G = [I | P] is
+systematic: row i of P is the remainder x^(n-K+i) mod g(x), built by
+repeated multiplication by x and reduction (the textbook systematic encoder
+of a cyclic code), with no matrix algebra.  The encoder circuit applies DFT
+gates to the coset qudits and one multiplier-add gate per nonzero parity
+entry of G, so it contains no multi-controlled X gate of any arity >= 2 and
+quantum multiplexing cannot reduce its CX count.
 
 Every multiplier-add gate b <- alpha^n * a + b synthesizes to plain CX gates:
 one per set entry of the multiplication matrix, giving
@@ -53,24 +56,6 @@ def _poly_from_roots(f: FieldSpec, root_exponents: list[int]) -> list[int]:
 # Field matrices
 # ----------------------------------------------------------------------
 
-def _mat_inverse(f: FieldSpec, mat: list[list[int]]) -> list[list[int]]:
-    """Gauss-Jordan inverse over the field."""
-    size = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(size)] for i, row in enumerate(mat)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = galois.inv_int(f, aug[col][col])
-        aug[col] = [galois.mul_int(f, v, inv) for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a ^ galois.mul_int(f, factor, b) for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
-
-
 def _matmul_transposed(f: FieldSpec, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """a @ b^T over the field."""
     out = []
@@ -115,7 +100,12 @@ class RSCodeSpec:
 
 def build_code(m: int, K: int, poly: int | None = None,
                overrides: dict[int, int] | None = None) -> RSCodeSpec:
-    """Construct the [n, K] code and verify G . H^T = 0 exhaustively."""
+    """Construct the [n, K] code and verify G . H^T = 0 exhaustively.
+
+    The parity block P of G = [I | P] is read off g_code (row i is
+    x^(n-K+i) mod g_code) and H off g_dual, so the check compares two
+    independent derivations.
+    """
     f = FieldSpec.binary_extension(m, poly, overrides)
     n = f.order - 1
     if not 1 <= K < n:
@@ -132,12 +122,17 @@ def build_code(m: int, K: int, poly: int | None = None,
             row[j + deg] = coeff
         H.append(row)
 
-    # Systematic G = [I | P] with P = H1^T (H2^T)^-1, where H = [H1 | H2].
-    h1 = [row[:K] for row in H]
-    h2 = [row[K:] for row in H]
-    h2_inv = _mat_inverse(f, h2)
-    h1_t = [[h1[r][c] for r in range(n - K)] for c in range(K)]
-    P = _matmul_transposed(f, h1_t, h2_inv)  # H1^T @ (H2^T)^-1
+    # Systematic G = [I | P]: row i of P is x^(n-K+i) mod g_code, since the
+    # codeword x^(n-K+i) + (x^(n-K+i) mod g_code), shifted cyclically by K
+    # places, is x^i + x^K (x^(n-K+i) mod g_code).
+    low = g_code[:n - K]  # x^(n-K) mod g_code, as g_code is monic
+    P = [low]
+    for _ in range(1, K):
+        prev = P[-1]
+        row = [0] + prev[:-1]  # x * prev without its x^(n-K) term,
+        if prev[-1]:           # which reduces to prev[-1] * low
+            row = [v ^ galois.mul_int(f, prev[-1], c) for v, c in zip(row, low)]
+        P.append(row)
     G = [[1 if i == j else 0 for j in range(K)] + P[i] for i in range(K)]
 
     ght = _matmul_transposed(f, G, H)

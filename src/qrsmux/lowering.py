@@ -3,8 +3,8 @@
 Every gate-cost rule lives here; sweeps and reports only read LoweringReports.
 lower_circuit lowers each signature of a circuit's signature histogram
 (signature -> indices of its gates) once, on its first gate, into one Lowered
-record, and totals gate count times tally.  The per-gate rows, gadgets, qudit
-ancillas, notes and report CSV put each record's values at its indices when read.
+record, and totals gate count times tally.  The per-gate rows, gadgets, notes
+and report CSV put each record's values at its indices when read.
 
 * general: arity j >= 3 becomes 4(j-2) Toffolis, each Toffoli costing
   {6 CX, 2 H, 3 Tdag, 5 T}; arity 2 is one Toffoli; arity 1 is a CX.
@@ -21,7 +21,7 @@ ancillas, notes and report CSV put each record's values at its indices when read
   one CX routing j).  A two-photon split with one control on each (the adder
   Toffolis) falls back to the general Toffoli tally, as do three or more photons.
 
-OS counts and the X gates of polarity normalization never enter CX totals.
+OS counts never enter CX totals.
 """
 
 from __future__ import annotations
@@ -91,18 +91,6 @@ class GadgetDescriptor:
     collapsed: tuple[Control, ...] = ()
     residual: tuple[Control, ...] = ()
 
-    def render(self) -> str:
-        lines = [
-            f"C{self.arity}X gadget (controls multiplexed on photon {self.routed_photon}):",
-            f"  split: {self.stages_in} OS stage(s) isolate the satisfying time-bin component",
-            f"  inner: {self.inner} onto the target",
-        ]
-        if self.residual:
-            lines.append(f"  extra control(s) outside photon {self.routed_photon}: {len(self.residual)}")
-        lines.append(f"  merge: {self.stages_out} OS stage(s) restore one spatial mode")
-        lines.append(f"  OS total: {self.os_count}")
-        return "\n".join(lines)
-
 
 def _require_mcx(g: Gate):
     if g.kind != "MCX":
@@ -132,17 +120,6 @@ def lower_ralph(g: Gate) -> tuple[CostBreakdown, int | None]:
 _INNER_TALLY = {"CX": {"C1X": 1}, "C2X": TOFFOLI_TALLY}
 
 
-def _switch_gadget(arity: int, routed: int, os_cost_per_control: int, inner: str = "CX",
-                   routed_photon: int = 0, collapsed=(), residual=()) -> GadgetDescriptor:
-    """The switch-gadget rule: routing s controls takes s OS stages in, s
-    stages out and os_cost_per_control * s switches."""
-    return GadgetDescriptor(
-        arity=arity, routed_photon=routed_photon, stages_in=routed, stages_out=routed,
-        inner=inner, os_count=os_cost_per_control * routed,
-        collapsed=tuple(collapsed), residual=tuple(residual),
-    )
-
-
 def lower_multiplexed(
     g: Gate,
     photons: dict[int, list[Control]],
@@ -170,7 +147,13 @@ def lower_multiplexed(
             routed, inner = j - 1, "C2X"
     else:
         return None, lower_general(g), True
-    gadget = _switch_gadget(j, routed, strategy.os_cost_per_control, inner, photon, collapsed, residual)
+    # The switch-gadget rule: routing s controls takes s OS stages in, s
+    # stages out and os_cost_per_control * s switches.
+    gadget = GadgetDescriptor(
+        arity=j, routed_photon=photon, stages_in=routed, stages_out=routed,
+        inner=inner, os_count=strategy.os_cost_per_control * routed,
+        collapsed=tuple(collapsed), residual=tuple(residual),
+    )
     return gadget, CostBreakdown({**_INNER_TALLY[inner], "OS": gadget.os_count}), False
 
 
@@ -207,9 +190,8 @@ class LoweringReport:
 
     signatures maps each signature of the circuit's histogram to its Lowered
     record, and total is each record's tally times its gate count; both come
-    from lower_circuit.  rows, gadgets, qudit_ancillas (gate index, dimension),
-    notes and report_csv put each record's values at its gate indices, in gate
-    order, when they are read.
+    from lower_circuit.  rows, gadgets, notes and report_csv put each record's
+    values at its gate indices, in gate order, when they are read.
     """
 
     strategy: Strategy
@@ -249,11 +231,6 @@ class LoweringReport:
                 gadget, _, _ = lower_multiplexed(g, photon_partition(self._circuit, g), self.strategy)
                 gadgets.append((i, gadget))
         return gadgets
-
-    @property
-    def qudit_ancillas(self) -> list[tuple[int, int]]:
-        return [(i, lowered.qudit_dim) for i, lowered in enumerate(self._gate_values())
-                if lowered.qudit_dim is not None]
 
     @property
     def notes(self) -> list[str]:
@@ -325,13 +302,6 @@ def report_rows(report: LoweringReport) -> list[list]:
         [r.index, r.kind, r.arity, r.photons, r.strategy, r.cx, r.h, r.t, r.tdag, r.os, int(r.fallback)]
         for r in report.rows
     ]
-
-
-def emit_gadget(k: int, os_cost_per_control: int = 2) -> GadgetDescriptor:
-    """Descriptor of the switch gadget for a C_kX whose k controls share photon 0."""
-    if k < 1:
-        raise ValueError(f"gadget arity must be >= 1, got {k}")
-    return _switch_gadget(k, k, os_cost_per_control)
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,8 @@ input case i; an MCX then XORs the AND of its control slices into its
 target slice, with zero-polarity controls complemented against the all-cases
 mask.  Each gate is compiled once into (positive-control offsets,
 zero-control offsets, target offset), and ``simulate_slices`` runs the whole
-circuit once over the whole case set.  ``verify_sum``, ``truth_table``,
-``simulate_basis`` (one case) and ``gf2m.find_cmuladd_counterexample`` all
-go through it.
+circuit once over the whole case set.  ``verify_sum``, ``truth_table`` and
+``gf2m.find_cmuladd_counterexample`` all go through it.
 
 Inputs are packed and outputs unpacked a block or a whole slice at a time,
 never one bit at a time on a huge integer: ``pair_slices`` lays out every
@@ -24,39 +23,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, RegisterTable, Wire, ZERO
+from .circuit import Circuit, Wire, ZERO
 from .errors import ResourceLimitError, UnsupportedGateError
 
 TRUTH_TABLE_WIDTH_LIMIT = 24
-
-
-@dataclass(frozen=True)
-class BasisState:
-    """Bit assignment per wire, addressed through the circuit's register table."""
-
-    bits: int
-    table: RegisterTable
-
-    @classmethod
-    def zeros(cls, table) -> "BasisState":
-        return cls(0, table)
-
-    @classmethod
-    def from_registers(cls, table, **values: int) -> "BasisState":
-        bits = 0
-        for name, value in values.items():
-            reg = table[name]
-            if not 0 <= value < (1 << reg.width):
-                raise ValueError(f"value {value} does not fit register {name!r} of width {reg.width}")
-            bits |= value << table.offset(name)
-        return cls(bits, table)
-
-    def register(self, name: str) -> int:
-        reg = self.table[name]
-        return (self.bits >> self.table.offset(name)) & ((1 << reg.width) - 1)
-
-    def wire(self, w: Wire) -> int:
-        return (self.bits >> self.table.resolve(w)) & 1
 
 
 # ----------------------------------------------------------------------
@@ -149,13 +119,6 @@ def _columns(slices: list[int], n_cases: int) -> list[str]:
 # ----------------------------------------------------------------------
 # Callers
 # ----------------------------------------------------------------------
-
-def simulate_basis(c: Circuit, s: BasisState) -> BasisState:
-    """Apply the circuit to one basis state; MCX flips its target iff every control matches its polarity."""
-    width = c.table.total_width
-    out = simulate_slices(c, {pos: s.bits >> pos & 1 for pos in range(width)}, 1)
-    return BasisState(sum(bit << pos for pos, bit in enumerate(out)), s.table)
-
 
 def truth_table(c: Circuit, wires: list[Wire]) -> dict[int, int]:
     """Complete input->output map over a wire subset, all other wires starting at 0.

@@ -78,13 +78,19 @@ def compute_k(d: int) -> int:
     return k
 
 
-def plan(d: int, k_max: int = DEFAULT_K_MAX) -> SumPlan:
-    """Register and flag plan for the dimension-d SUM gate."""
+def _checked_k(d: int, k_max: int) -> int:
+    """compute_k(d), after checking that d is prime and that k fits k_max."""
     if not is_prime(d):
         raise InvalidDimensionError(f"d={d} is not prime")
     k = compute_k(d)
     if k > k_max:
         raise InvalidDimensionError(f"d={d} needs k={k} qubits, above the limit k_max={k_max}")
+    return k
+
+
+def plan(d: int, k_max: int = DEFAULT_K_MAX) -> SumPlan:
+    """Register and flag plan for the dimension-d SUM gate."""
+    k = _checked_k(d, k_max)
     top = 1 << k
     case = CASE_A if 2 * (d - 1) <= top else CASE_B
     flags = []
@@ -221,11 +227,7 @@ def predicted_counts(d: int, k_max: int = DEFAULT_K_MAX) -> CostBreakdown:
     fits in k bits, else 2^k - d gates of arity k and 2d - 2^k - 1 gates of
     arity k+1.  Corrections: one CX per set correction-mask bit.
     """
-    if not is_prime(d):
-        raise InvalidDimensionError(f"d={d} is not prime")
-    k = compute_k(d)
-    if k > k_max:
-        raise InvalidDimensionError(f"d={d} needs k={k} qubits, above the limit k_max={k_max}")
+    k = _checked_k(d, k_max)
     top = 1 << k
     counts = {"C2X": 3 * k - 2, "C1X": (2 * k - 1) + correction_cx_total(d, k)}
     if 2 * (d - 1) <= top:

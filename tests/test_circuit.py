@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 from qrsmux import circuit as ir
 from qrsmux.circuit import (
     Circuit, Control, CostBreakdown, Gate, Meta, Register, RegisterTable, Wire,
-    normalize_polarities, parse, photon_partition, serialize,
+    parse, photon_partition, serialize,
 )
 from qrsmux.errors import InvalidGateError, ParseError, ResolutionError
-from qrsmux.revsim import truth_table
 from qrsmux.sumsynth import synth_sum
 
 
@@ -187,23 +186,6 @@ def test_photon_partition_rejects_non_mcx():
     c = Circuit(two_reg_table())
     with pytest.raises(InvalidGateError):
         photon_partition(c, ir.x(Wire("B", 0)))
-
-
-# ---------------------------------------------------------------
-# Polarity normalization
-# ---------------------------------------------------------------
-
-def test_normalize_polarities_wraps_zero_controls_in_x():
-    table = two_reg_table()
-    c = Circuit(table)
-    c.append(ir.mcx([Control(Wire("B", 0), ir.ZERO), Control(Wire("B", 1))], Wire("carry", 0)))
-    c.seal()
-    norm = normalize_polarities(c)
-    assert norm.count()["X"] == 2
-    assert norm.count()["C2X"] == 1
-    assert all(ct.pol == ir.POSITIVE for g in norm.gates if g.kind == "MCX" for ct in g.controls)
-    wires = [Wire("B", 0), Wire("B", 1), Wire("carry", 0)]
-    assert truth_table(c, wires) == truth_table(norm, wires)
 
 
 # ---------------------------------------------------------------

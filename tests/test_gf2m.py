@@ -48,9 +48,16 @@ def test_g_h_orthogonal_and_unit_messages():
                 assert acc == 0
 
 
+# Every K at m = 2..5 over the default polynomials, and every primitive
+# polynomial of m = 3 and 4 at K = (n+1)/2.
+CODE_ROOT_CASES = ([(m, K, None) for m in range(2, 6) for K in range(1, (1 << m) - 1)]
+                   + [(3, 4, poly) for poly in (0b1011, 0b1101)]
+                   + [(4, 8, poly) for poly in (0b10011, 0b11001)])
+
+
 def test_g_rows_vanish_on_code_roots():
-    for m, K in [(2, 2), (3, 4), (4, 8)]:
-        spec = build_code(m, K)
+    for m, K, poly in CODE_ROOT_CASES:
+        spec = build_code(m, K, poly=poly)
         f = spec.field
         for row in spec.G:
             for e in range(1, spec.n - K + 1):

@@ -9,7 +9,7 @@ from qrsmux.circuit import Circuit, Control, Register, RegisterTable, Wire
 from qrsmux.errors import ResourceLimitError, UnsupportedGateError
 from qrsmux.galois import FieldSpec
 from qrsmux.gf2m import find_cmuladd_counterexample, synth_cmuladd
-from qrsmux.revsim import BasisState, simulate_basis, truth_table, verify_sum
+from qrsmux.revsim import truth_table, verify_sum
 from qrsmux.sumsynth import synth_rca, synth_sum
 
 
@@ -18,49 +18,32 @@ def single_reg(width=3):
 
 
 # ---------------------------------------------------------------
-# simulate_basis
+# Gate semantics through truth_table and simulate_slices
 # ---------------------------------------------------------------
 
 def test_x_flips():
     c = Circuit(single_reg(1)).extend([ir.x(Wire("q", 0))]).seal()
-    out = simulate_basis(c, BasisState.zeros(c.table))
-    assert out.register("q") == 1
+    assert truth_table(c, [Wire("q", 0)]) == {0: 1, 1: 0}
 
 
 def test_zero_polarity_control_fires_on_zero():
     c = Circuit(single_reg(2))
     c.append(ir.mcx([Control(Wire("q", 0), ir.ZERO)], Wire("q", 1))).seal()
-    out = simulate_basis(c, BasisState.zeros(c.table))
-    assert out.wire(Wire("q", 1)) == 1
-    out = simulate_basis(c, BasisState.from_registers(c.table, q=0b01))
-    assert out.wire(Wire("q", 1)) == 0
+    # q1 flips exactly where q0 is 0
+    tt = truth_table(c, [Wire("q", 0), Wire("q", 1)])
+    assert tt == {0b00: 0b10, 0b01: 0b01, 0b10: 0b00, 0b11: 0b11}
 
 
 def test_empty_circuit_is_identity():
     c = Circuit(single_reg()).seal()
-    s = BasisState.from_registers(c.table, q=0b101)
-    assert simulate_basis(c, s).bits == s.bits
-
-
-def test_simulation_is_pure():
-    c = Circuit(single_reg(1)).extend([ir.x(Wire("q", 0))]).seal()
-    s = BasisState.zeros(c.table)
-    first = simulate_basis(c, s)
-    second = simulate_basis(c, s)
-    assert first.bits == second.bits == 1
-    assert s.bits == 0
+    tt = truth_table(c, [Wire("q", i) for i in range(3)])
+    assert tt == {bits: bits for bits in range(8)}
 
 
 def test_unsupported_gate_named():
     c = Circuit(single_reg()).extend([ir.x(Wire("q", 0)), ir.h(Wire("q", 1))]).seal()
     with pytest.raises(UnsupportedGateError, match=r"gate 1 \(H\)"):
-        simulate_basis(c, BasisState.zeros(c.table))
-
-
-def test_basis_state_value_range():
-    table = single_reg(2)
-    with pytest.raises(ValueError):
-        BasisState.from_registers(table, q=4)
+        revsim.simulate_slices(c, {}, 1)
 
 
 # ---------------------------------------------------------------
@@ -166,14 +149,16 @@ def permutation_circuits(draw):
     return c.seal()
 
 
+def full_table(c):
+    """truth_table over every wire of the circuit, in offset order."""
+    return truth_table(c, [Wire("q", i) for i in range(c.table.total_width)])
+
+
 @settings(deadline=None)
 @given(permutation_circuits())
 def test_permutation_circuits_are_bijections(c):
-    width = c.table.total_width
-    outputs = set()
-    for bits in range(1 << width):
-        outputs.add(simulate_basis(c, BasisState(bits, c.table)).bits)
-    assert len(outputs) == 1 << width
+    outputs = set(full_table(c).values())
+    assert len(outputs) == 1 << c.table.total_width
 
 
 @settings(deadline=None)
@@ -181,9 +166,8 @@ def test_permutation_circuits_are_bijections(c):
 def test_reversed_circuit_inverts(c):
     # X and MCX are self-inverse, so running the gates backwards undoes the circuit
     rev = Circuit(c.table, list(reversed(c.gates))).seal()
-    for bits in (0, (1 << c.table.total_width) - 1, 0b10101 & ((1 << c.table.total_width) - 1)):
-        forward = simulate_basis(c, BasisState(bits, c.table))
-        assert simulate_basis(rev, forward).bits == bits
+    forward, backward = full_table(c), full_table(rev)
+    assert all(backward[out] == bits for bits, out in forward.items())
 
 
 # ---------------------------------------------------------------
