@@ -124,9 +124,6 @@ class SweepReport:
                 return r
         raise KeyError(f"no sweep row for d={d}")
 
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.rows]
-
 
 def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: Convention | None = None) -> SweepRow:
     """Synthesize, gate-check against the closed form, and lower one dimension."""
@@ -170,11 +167,13 @@ def sweep(d_min: int, d_max: int, strategies=STRATEGY_NAMES,
     unknown = set(strategies) - set(STRATEGY_NAMES)
     if unknown:
         raise ValueError(f"unknown strategies: {sorted(unknown)}")
-    primes = primes_in(max(d_min, 3), d_max)
-    if len(primes) > 1:
-        # The largest prime needs the most qubits: raise on it before any work.
-        # A lone prime is planned first by its own row, so it is not planned twice.
-        sumsynth.plan(primes[-1])
+    lo = max(d_min, 3)
+    top = next((p for p in range(d_max, lo - 1, -1) if is_prime(p)), None)
+    if top is not None and sumsynth.compute_k(top) > sumsynth.DEFAULT_K_MAX:
+        # The largest prime needs the most qubits: raise on it before sieving
+        # or any work.  An accepted prime is planned by its own row alone.
+        sumsynth.plan(top)
+    primes = primes_in(lo, top) if top else []
     report = SweepReport(convention=conv.id)
     for d in primes:
         report.rows.append(sweep_row(d, strategies, conv))

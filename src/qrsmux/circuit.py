@@ -9,21 +9,21 @@ level gates (SUM, DFT, CMulAdd) address whole registers: their wires have
 Zero-polarity controls are first-class on MCX so gate-class counts do not
 depend on the control pattern.
 
-Trust boundary.  ``Gate(...)``, the gate constructors (``cx``, ``mcx``, ...)
-and ``Circuit.append``/``extend`` check every gate they build or take.
-``Emitter`` alone skips those checks: the synthesizers
-(``sumsynth.synth_sum``/``synth_rca``/``synth_mod``, ``gf2m.synth_cmuladd``
-and ``gf2m.expand_cmuladds``) emit through it gates whose wires they built
-from a validated plan or register table, and it hands back a sealed circuit
-whose signature histogram is already filled.  ``parse`` emits through it
-too.  It checks each distinct control and target entry of a document once,
-resolving its wire against the register table, and emits a gate unchecked
-only in the shape ``Gate(...)`` and ``Circuit.append`` accept as is: an MCX
-without d, n or poly, with at least one control and one target, every wire
-an in-range qubit and none repeated.  Every other gate goes through
-``Gate(...)`` and the table checks of ``Circuit.append``, so each fault is
-reported as before.  Tests rebuild every emitted or parsed gate through the
-checked path and compare.
+Trust boundary.  A circuit is built once and never changes.  ``Gate(...)``,
+the gate constructors (``cx``, ``mcx``, ...) and ``Circuit(table, gates)``
+check every gate they build or take.  ``Emitter`` alone skips those checks:
+the synthesizers (``sumsynth.synth_sum``/``synth_rca``/``synth_mod``,
+``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``) emit through it gates
+whose wires they built from a validated plan or register table, and it hands
+back a circuit whose signature histogram is already filled.  ``parse`` emits
+through it too.  It checks each distinct control and target entry of a
+document once, resolving its wire against the register table, and emits a
+gate unchecked only in the shape ``Gate(...)`` and ``Circuit(...)`` accept as
+is: an MCX without d, n or poly, with at least one control and one target,
+every wire an in-range qubit and none repeated.  Every other gate goes
+through ``Gate(...)`` and the table checks of ``Circuit(...)``, so each fault
+is reported as before.  Tests rebuild every emitted or parsed gate through
+the checked path and compare.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class RegisterTable:
         self._by_name: dict[str, Register] = {}
         offset = 0
         self._offsets: dict[str, int] = {}
-        self.widths: dict[str, int] = {}  # name -> width, read by Circuit.append per wire
+        self.widths: dict[str, int] = {}  # name -> width, read by Circuit(...) per wire
         for r in self.registers:
             if r.name in self._by_name:
                 raise ValueError(f"duplicate register name {r.name!r}")
@@ -92,9 +92,6 @@ class RegisterTable:
             return self._by_name[name]
         except KeyError:
             raise ResolutionError(f"unknown register {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
 
     def offset(self, name: str) -> int:
         """Global bit offset of a register's qubit 0."""
@@ -323,45 +320,36 @@ class Meta:
     note: str = ""
 
 
-@dataclass
+# Bare construction and attribute setting, past __post_init__ and the frozen
+# dataclass guard: for _trusted_circuit, Emitter.mcx and Circuit's own fields.
+_new, _set = object.__new__, object.__setattr__
+
+
+@dataclass(frozen=True)
 class Circuit:
+    """Gates on a register table.  The constructor copies gates and checks
+    each against the table; the circuit never changes afterwards."""
+
     table: RegisterTable
     gates: list[Gate] = field(default_factory=list)
     meta: Meta = field(default_factory=Meta)
-    sealed: bool = False
     _histogram: dict[tuple, tuple[int, ...]] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def append(self, g: Gate) -> "Circuit":
-        if self.sealed:
-            raise InvalidGateError("circuit is sealed; no further gates may be appended")
-        _check_in_table(g, self.table.widths)
-        self.gates.append(g)
-        return self
-
-    def extend(self, gates: Iterable[Gate]) -> "Circuit":
-        for g in gates:
-            self.append(g)
-        return self
-
-    def seal(self) -> "Circuit":
-        self.sealed = True
-        return self
+    def __post_init__(self):
+        _set(self, "gates", list(self.gates))
+        widths = self.table.widths
+        for g in self.gates:
+            _check_in_table(g, widths)
 
     def signature_histogram(self) -> dict[tuple, tuple[int, ...]]:
-        """signature(g) -> indices of its gates, in order of first use.
-
-        Built on first read and kept once the circuit is sealed; an unsealed
-        circuit builds it afresh on every read.
-        """
-        if self._histogram is not None:
-            return self._histogram
-        groups: dict[tuple, list[int]] = defaultdict(list)
-        for i, g in enumerate(self.gates):
-            groups[signature(g)].append(i)
-        histogram = {key: tuple(indices) for key, indices in groups.items()}
-        if self.sealed:
-            self._histogram = histogram
-        return histogram
+        """signature(g) -> indices of its gates, in order of first use; built
+        on first read and kept."""
+        if self._histogram is None:
+            groups: dict[tuple, list[int]] = defaultdict(list)
+            for i, g in enumerate(self.gates):
+                groups[signature(g)].append(i)
+            _set(self, "_histogram", {key: tuple(indices) for key, indices in groups.items()})
+        return self._histogram
 
     def count(self) -> CostBreakdown:
         """Tally by gate class: MCX by control arity ("C{j}X"), other gates by kind."""
@@ -374,26 +362,33 @@ class Circuit:
         """Copy of the circuit with one gate removed (mutation testing)."""
         if not 0 <= index < len(self.gates):
             raise IndexError(f"gate index {index} out of range (circuit has {len(self.gates)} gates)")
-        gates = self.gates[:index] + self.gates[index + 1:]
-        return Circuit(self.table, gates, self.meta, sealed=self.sealed)
+        return _trusted_circuit(self.table, self.gates[:index] + self.gates[index + 1:], self.meta, None)
 
     def __len__(self) -> int:
         return len(self.gates)
 
 
-# Gate construction without __post_init__, for Emitter: a bare object and its slot setters.
-_new = object.__new__
+# Gate construction without __post_init__, for Emitter: the slot setters.
 _set_kind, _set_controls, _set_targets, _set_d, _set_n, _set_poly = (
     Gate.kind.__set__, Gate.controls.__set__, Gate.targets.__set__,
     Gate.d.__set__, Gate.n.__set__, Gate.poly.__set__)
 
 
-class Emitter:
-    """Builds a sealed circuit from gates whose validity the caller vouches for.
+def _trusted_circuit(table: RegisterTable, gates: list[Gate], meta: Meta, histogram) -> Circuit:
+    """Circuit(table, gates, meta) without its checks, for gates that come from
+    a checked plan or circuit; a histogram of None is built on first read."""
+    c = _new(Circuit)
+    for name, value in (("table", table), ("gates", gates), ("meta", meta), ("_histogram", histogram)):
+        _set(c, name, value)
+    return c
 
-    ``mcx`` skips ``Gate.__post_init__`` and ``Circuit.append``: it is for
-    synthesizers whose wires lie inside their own register table by
-    construction, and for ``parse`` once it has resolved every wire of a
+
+class Emitter:
+    """Builds a circuit from gates whose validity the caller vouches for.
+
+    ``mcx`` skips ``Gate.__post_init__`` and the checks of ``Circuit(...)``:
+    it is for synthesizers whose wires lie inside their own register table
+    by construction, and for ``parse`` once it has resolved every wire of a
     qubit MCX against the table.  Each gate's index is recorded under its
     signature as it is emitted, so the circuit gets its signature histogram
     without a walk.
@@ -427,14 +422,11 @@ class Emitter:
         self.indices(signature(g)).append(len(self.gates))
         self.gates.append(g)
 
-    def circuit(self, table: RegisterTable, meta: Meta, sealed: bool = True) -> Circuit:
-        """The emitted gates as a circuit; a sealed one carries their histogram,
-        keyed in order of first use as signature_histogram() would build it."""
-        c = Circuit(table, self.gates, meta, sealed=sealed)
-        if sealed:
-            used = sorted((kv for kv in self._groups.items() if kv[1]), key=lambda kv: kv[1][0])
-            c._histogram = {sig: tuple(indices) for sig, indices in used}
-        return c
+    def circuit(self, table: RegisterTable, meta: Meta) -> Circuit:
+        """The emitted gates as a circuit, unchecked, with their histogram keyed
+        in order of first use as signature_histogram() would build it."""
+        used = sorted((kv for kv in self._groups.items() if kv[1]), key=lambda kv: kv[1][0])
+        return _trusted_circuit(table, self.gates, meta, {sig: tuple(indices) for sig, indices in used})
 
 
 def photon_partition(c: Circuit, g: Gate) -> dict[int, list[Control]]:
@@ -464,15 +456,13 @@ def _gate_head(g: Gate) -> str:
 
 
 def serialize(c: Circuit) -> str:
-    """Interchange document for a sealed circuit; parse() inverts it losslessly.
+    """Interchange document for a circuit; parse() inverts it losslessly.
 
     A JSON object with "registers", "gates" and "meta", one gate per line.
     Each distinct control, target and gate head is encoded once per document
     and its text reused.  Wire("A", True) equals Wire("A", 1) but encodes
     differently, so fragments are keyed by the index's type as well.
     """
-    if not c.sealed:
-        raise InvalidGateError("only sealed circuits are serialized")
     dumps = json.dumps
     registers = dumps([{"name": r.name, "width": r.width, "photon": r.photon, "role": r.role}
                        for r in c.table.registers])
@@ -566,8 +556,8 @@ def _qubit_offset(table: RegisterTable, w: Wire) -> int | None:
 
 
 def parse(document: str) -> Circuit:
-    """Rebuild a sealed circuit, with its signature histogram, from its
-    interchange document.
+    """Rebuild a circuit, with its signature histogram, from its interchange
+    document.
 
     Every malformed document raises ParseError naming the offending field.
     """
@@ -652,7 +642,7 @@ def parse(document: str) -> Circuit:
             targets.append(seen)
         d, n, poly = gd.get("d"), gd.get("n"), gd.get("poly")
         if d is None and n is None and poly is None:
-            # The qubit MCX shape, which Gate(...) and Circuit.append accept as is.
+            # The qubit MCX shape, which Gate(...) and Circuit(...) accept as is.
             if kind == "MCX" and controls and len(targets) == 1:
                 ctrl, offsets, regs = zip(*controls)
                 target, offset, reg = targets[0]

@@ -179,9 +179,10 @@ def cmd_sweep(args) -> int:
             f"--d-min {args.d_min} --d-max {args.d_max}: no primes in the sweep range")
     outputs = [(f"--out {args.out}", args.out, analysis.csv_document(report))]
     if args.svg:
-        series = analysis.series_points(report, args.series)
-        outputs.append((f"--svg {args.svg}", args.svg,
-                        analysis.svg_document(series, ("d", args.series), log_y=args.log_y)))
+        with _user_input(f"--series {args.series}"):  # a series the chosen strategies leave empty
+            series = analysis.series_points(report, args.series)
+            chart = analysis.svg_document(series, ("d", args.series), log_y=args.log_y)
+        outputs.append((f"--svg {args.svg}", args.svg, chart))
     paths = _write_outputs(outputs, os.environ.get("QRS_OUT_DIR"))
     print(f"wrote {paths[0]} ({len(report.rows)} rows, convention {report.convention})")
     for path in paths[1:]:

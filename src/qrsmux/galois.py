@@ -198,14 +198,6 @@ def mul_int(f: FieldSpec, a: int, b: int) -> int:
     return exp[(log[a] + log[b]) % (f.order - 1)]
 
 
-def inv_int(f: FieldSpec, a: int) -> int:
-    """Multiplicative inverse of a."""
-    if a == 0:
-        raise ZeroDivisionError("zero is not invertible")
-    exp, log = f._exp_log
-    return exp[(-log[a]) % (f.order - 1)]
-
-
 def mul_by_alpha_matrix(f: FieldSpec, n: int) -> list[int]:
     """Columns of the m x m GF(2) matrix M with vec(alpha^n * a) = M @ vec(a).
 

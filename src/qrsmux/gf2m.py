@@ -234,16 +234,10 @@ def synth_encoder_gf2m(spec: RSCodeSpec) -> Circuit:
     label = f"[[{n},{n_logical},>={n - K + 1}]]_{f.order} encoder"
     if (f.m, K) != (2, 2):
         label += "; generalized construction"
-    c = Circuit(encoder_registers(spec), meta=Meta(d=f.order, note=label))
-    for i in range(n_logical, K):
-        c.append(dft(f"msg{i}", f.order))
-    for i in range(K):
-        for j in range(n - K):
-            entry = spec.parity[i][j]
-            if entry:
-                exponent = f.exponent_of(entry)
-                c.append(cmuladd(f"msg{i}", f"par{j}", exponent, poly=gate_poly))
-    return c.seal()
+    gates = [dft(f"msg{i}", f.order) for i in range(n_logical, K)]
+    gates += [cmuladd(f"msg{i}", f"par{j}", f.exponent_of(entry), poly=gate_poly)
+              for i, row in enumerate(spec.parity) for j, entry in enumerate(row) if entry]
+    return Circuit(encoder_registers(spec), gates, Meta(d=f.order, note=label))
 
 
 def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
@@ -275,7 +269,7 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
                 em.mcx(indices, src_controls[p], dst_targets[j])
         else:
             em.add(g)
-    return em.circuit(c.table, c.meta, sealed=c.sealed), n_dft
+    return em.circuit(c.table, c.meta), n_dft
 
 
 def encoder_classical_cx_cost(spec: RSCodeSpec) -> int:

@@ -331,11 +331,10 @@ def explicit_general_circuit(arity: int) -> Circuit:
     table = ir.RegisterTable(regs)
     c = [ir.Wire("ctrl", i) for i in range(arity)]
     tg = ir.Wire("tgt", 0)
-    out = Circuit(table, meta=ir.Meta(note=f"explicit C{arity}X"))
     if arity == 1:
-        out.append(ir.cx(c[0], tg))
+        gates = [ir.cx(c[0], tg)]
     elif arity == 2:
-        out.extend(_toffoli_seq(c[0], c[1], tg))
+        gates = _toffoli_seq(c[0], c[1], tg)
     else:
         w = ir.Wire("work", 0)
         if arity == 3:
@@ -346,6 +345,5 @@ def explicit_general_circuit(arity: int) -> Circuit:
                 (c[0], c[3], tg), (w, c[2], c[0]), (c[0], c[3], tg), (w, c[2], c[0]),
                 (c[0], c[1], w),
             ]
-        for a, b, d in toffolis:
-            out.extend(_toffoli_seq(a, b, d))
-    return out.seal()
+        gates = [g for a, b, d in toffolis for g in _toffoli_seq(a, b, d)]
+    return Circuit(table, gates, ir.Meta(note=f"explicit C{arity}X"))

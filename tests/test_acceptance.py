@@ -250,7 +250,7 @@ def test_criterion_10_gadget_soundness():
                                    Register("t", 1, 2, "check-if")])
             pols = [ir.ZERO if i % 2 else ir.POSITIVE for i in range(arity)]
             g = ir.mcx([Control(Wire("c", i), p) for i, p in enumerate(pols)], Wire("t", 0))
-            circ = Circuit(table).extend([g]).seal()
+            circ = Circuit(table, [g])
             gadget, _, fb = lowering.lower_multiplexed(g, photon_partition(circ, g))
             assert not fb
             assert _gadget_tt(g, gadget) == _mcx_tt(g)
@@ -259,7 +259,7 @@ def test_criterion_10_gadget_soundness():
                                Register("checkif", 1, 2, "check-if")])
         g = ir.mcx([Wire("B", 0), Wire("B", 1), Wire("B", 2), Wire("carry", 0)],
                    Wire("checkif", 0))
-        circ = Circuit(table).extend([g]).seal()
+        circ = Circuit(table, [g])
         gadget, tally, fb = lowering.lower_multiplexed(g, photon_partition(circ, g))
         assert not fb and gadget.inner == "C2X"
         assert tally.restrict(["C1X", "H", "T", "Tdag"]) == CostBreakdown(lowering.TOFFOLI_TALLY)
@@ -300,9 +300,9 @@ def test_criterion_11_round_trip_1000_circuits():
                     for i in range(rng.randint(2, 4))]
             table = RegisterTable(regs)
             wires = [Wire(r.name, i) for r in regs for i in range(width)]
-            c = Circuit(table, meta=ir.Meta(d=rng.choice([None, 2, 5, 8]),
-                                            strategy=rng.choice(["", "general"]),
-                                            note=f"case {case}"))
+            meta = ir.Meta(d=rng.choice([None, 2, 5, 8]), strategy=rng.choice(["", "general"]),
+                           note=f"case {case}")
+            gates = []
             for _ in range(rng.randint(0, 15)):
                 kind = rng.choice(("X", "H", "T", "Tdag", "OS", "MCX", "MCX", "MCX",
                                    "SUM", "DFT", "CMulAdd"))
@@ -311,18 +311,18 @@ def test_criterion_11_round_trip_1000_circuits():
                     chosen = rng.sample(wires, k)
                     ctrls = [Control(w, rng.choice((ir.POSITIVE, ir.ZERO)))
                              for w in chosen[:-1]]
-                    c.append(ir.mcx(ctrls, chosen[-1]))
+                    gates.append(ir.mcx(ctrls, chosen[-1]))
                 elif kind in ("SUM", "CMulAdd"):
                     a, b = rng.sample(regs, 2)
                     if kind == "SUM":
-                        c.append(ir.sum_gate(a.name, b.name, d=1 << width))
+                        gates.append(ir.sum_gate(a.name, b.name, d=1 << width))
                     else:
-                        c.append(ir.cmuladd(a.name, b.name, n=rng.randint(0, 6)))
+                        gates.append(ir.cmuladd(a.name, b.name, n=rng.randint(0, 6)))
                 elif kind == "DFT":
-                    c.append(ir.dft(rng.choice(regs).name, d=1 << width))
+                    gates.append(ir.dft(rng.choice(regs).name, d=1 << width))
                 else:
-                    c.append(ir.Gate(kind, targets=(rng.choice(wires),)))
-            c.seal()
+                    gates.append(ir.Gate(kind, targets=(rng.choice(wires),)))
+            c = Circuit(table, gates, meta)
             back = parse(serialize(c))
             assert back.count() == c.count(), case
             assert back.gates == c.gates, case

@@ -141,6 +141,16 @@ def test_sweep_checks_k_max_before_synthesizing(monkeypatch):
         sweep(3, 1031)
 
 
+def test_sweep_plans_each_prime_once(monkeypatch):
+    planned = []
+    monkeypatch.setattr(sumsynth, "plan", lambda d, *args, plan=sumsynth.plan: planned.append(d) or plan(d, *args))
+    sweep(3, 31)
+    assert planned == primes_in(3, 31)
+    planned.clear()
+    sweep(29, 29)
+    assert planned == [29]
+
+
 # ---------------------------------------------------------------
 # Ratio curve
 # ---------------------------------------------------------------

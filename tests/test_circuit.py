@@ -20,12 +20,11 @@ def two_reg_table():
 
 
 # ---------------------------------------------------------------
-# Gate and append validation
+# Gate and circuit validation
 # ---------------------------------------------------------------
 
-def test_append_cx():
-    c = Circuit(two_reg_table())
-    c.append(ir.cx(Wire("B", 0), Wire("carry", 0)))
+def test_circuit_of_one_cx():
+    c = Circuit(two_reg_table(), [ir.cx(Wire("B", 0), Wire("carry", 0))])
     assert len(c) == 1
 
 
@@ -59,11 +58,35 @@ def test_mcx_reports_its_first_fault(controls, targets, message):
 
 
 def test_out_of_range_index_rejected():
-    c = Circuit(two_reg_table())
+    ok = ir.x(Wire("B", 2))
     with pytest.raises(ResolutionError, match=r"^index 3 out of range for register 'B' of width 3$"):
-        c.append(ir.cx(Wire("B", 3), Wire("carry", 0)))
+        Circuit(two_reg_table(), [ir.cx(Wire("B", 3), Wire("carry", 0))])
+    with pytest.raises(ResolutionError, match=r"^index 2 out of range for register 'carry' of width 2$"):
+        Circuit(two_reg_table(), [ok, ir.cx(Wire("B", 0), Wire("carry", 2))])
     with pytest.raises(ResolutionError, match=r"^unknown register 'nope'$"):
-        c.append(ir.x(Wire("nope", 0)))
+        Circuit(two_reg_table(), [ok, ir.x(Wire("nope", 0))])
+
+
+def test_gate_on_unknown_register_rejected():
+    # Before the constructor checked its gates, this circuit was counted and
+    # serialized into a document that parse rejects.
+    table = RegisterTable([Register("A", 2, 0, "data-A")])
+    with pytest.raises(ResolutionError, match=r"^unknown register 'Z'$"):
+        Circuit(table, [ir.cx(Wire("A", 0), Wire("Z", 5))])
+    with pytest.raises(ResolutionError, match=r"^unknown register 'Z'$"):
+        Circuit(table, [ir.sum_gate("Z", "A", 4)])
+
+
+def test_circuit_keeps_its_own_copy_of_the_gates():
+    gates = [ir.cx(Wire("B", 0), Wire("carry", 0)), ir.x(Wire("B", 1))]
+    c = Circuit(two_reg_table(), gates)
+    histogram = dict(c.signature_histogram())
+    gates.append(ir.x(Wire("B", 2)))
+    gates[0] = ir.h(Wire("B", 0))
+    assert c.gates == [ir.cx(Wire("B", 0), Wire("carry", 0)), ir.x(Wire("B", 1))]
+    assert c.signature_histogram() == histogram == {
+        ("MCX", ("B",), "carry"): (0,), ("X", (), "B"): (1,)}
+    assert c.count().as_dict() == {"C1X": 1, "X": 1}
 
 
 def test_register_offsets():
@@ -103,14 +126,10 @@ def test_sum_requires_equal_widths():
         Register("A", 3, 0, "data-A"),
         Register("B", 2, 1, "data-B"),
     ])
-    with pytest.raises(InvalidGateError, match="equal-width"):
-        Circuit(table).append(ir.sum_gate("A", "B", 5))
-
-
-def test_sealed_circuit_rejects_append():
-    c = Circuit(two_reg_table()).seal()
-    with pytest.raises(InvalidGateError, match="sealed"):
-        c.append(ir.x(Wire("B", 0)))
+    with pytest.raises(InvalidGateError, match="^SUM needs equal-width registers, got 3 and 2$"):
+        Circuit(table, [ir.sum_gate("A", "B", 5)])
+    with pytest.raises(InvalidGateError, match="^CMulAdd needs equal-width registers, got 2 and 3$"):
+        Circuit(table, [ir.x(Wire("A", 0)), ir.cmuladd("B", "A", 1)])
 
 
 # ---------------------------------------------------------------
@@ -118,11 +137,8 @@ def test_sealed_circuit_rejects_append():
 # ---------------------------------------------------------------
 
 def test_count_by_control_arity():
-    c = Circuit(two_reg_table())
-    for _ in range(7):
-        c.append(ir.toffoli(Wire("B", 0), Wire("B", 1), Wire("carry", 0)))
-    for _ in range(5):
-        c.append(ir.cx(Wire("B", 2), Wire("carry", 1)))
+    c = Circuit(two_reg_table(), [ir.toffoli(Wire("B", 0), Wire("B", 1), Wire("carry", 0))] * 7
+                + [ir.cx(Wire("B", 2), Wire("carry", 1))] * 5)
     assert c.count().as_dict() == {"C2X": 7, "C1X": 5}
 
 
@@ -164,18 +180,13 @@ def test_photon_partition_groups():
         Register("carry", 3, 2, "carry"),
         Register("checkif", 2, 2, "check-if"),
     ])
-    c = Circuit(table)
     all_b = ir.mcx([Wire("B", i) for i in range(3)], Wire("checkif", 0))
-    c.append(all_b)
-    assert {p: len(g) for p, g in photon_partition(c, all_b).items()} == {1: 3}
-
     with_carry = ir.mcx([Wire("B", 0), Wire("B", 1), Wire("B", 2), Wire("carry", 2)],
                         Wire("checkif", 1))
-    c.append(with_carry)
-    assert {p: len(g) for p, g in photon_partition(c, with_carry).items()} == {1: 3, 2: 1}
-
     plain = ir.cx(Wire("A", 0), Wire("B", 0))
-    c.append(plain)
+    c = Circuit(table, [all_b, with_carry, plain])
+    assert {p: len(g) for p, g in photon_partition(c, all_b).items()} == {1: 3}
+    assert {p: len(g) for p, g in photon_partition(c, with_carry).items()} == {1: 3, 2: 1}
     assert {p: len(g) for p, g in photon_partition(c, plain).items()} == {0: 1}
 
     groups = photon_partition(c, with_carry)
@@ -201,17 +212,12 @@ def test_round_trip_sum_circuit():
     assert back.meta == c.meta
 
 
-def test_serialize_requires_sealed():
-    with pytest.raises(InvalidGateError, match="sealed"):
-        serialize(Circuit(two_reg_table()))
-
-
 def test_serialize_keeps_equal_wires_of_other_index_types_apart():
     # Wire("q", True) == Wire("q", 1), yet each is written with its own index.
-    c = Circuit(RegisterTable([Register("q", 3, 0, "work")])).extend([
+    c = Circuit(RegisterTable([Register("q", 3, 0, "work")]), [
         ir.cx(Wire("q", 1), Wire("q", 0)), ir.cx(Wire("q", True), Wire("q", 0)),
         ir.x(Wire("q", 1)), ir.x(Wire("q", True)),
-    ]).seal()
+    ])
     gates = json.loads(serialize(c))["gates"]
     idx = [gates[0]["controls"][0]["idx"], gates[1]["controls"][0]["idx"],
            gates[2]["targets"][0]["idx"], gates[3]["targets"][0]["idx"]]
@@ -259,8 +265,8 @@ def test_parse_bad_polarity_value():
 def qudit_doc():
     """Document with a SUM, a DFT and a CMulAdd gate (in that order)."""
     table = RegisterTable([Register("A", 2, 0, "data-A"), Register("B", 2, 1, "data-B")])
-    c = Circuit(table).extend([ir.sum_gate("A", "B", 4), ir.dft("B", 4), ir.cmuladd("A", "B", 1)])
-    return json.loads(serialize(c.seal()))
+    c = Circuit(table, [ir.sum_gate("A", "B", 4), ir.dft("B", 4), ir.cmuladd("A", "B", 1)])
+    return json.loads(serialize(c))
 
 
 def _set(path, value, doc_fn=lambda: json.loads(serialize(synth_sum(3)))):
@@ -376,9 +382,10 @@ def circuits(draw):
             for name in draw(st.lists(names, min_size=n_regs, max_size=n_regs, unique=True))]
     table = RegisterTable(regs)
     wires = [Wire(r.name, i) for r in regs for i in range(width)]
-    c = Circuit(table, meta=Meta(d=draw(st.one_of(st.none(), st.integers(2, 9))),
-                                 strategy=draw(st.one_of(st.sampled_from(["", "general", "multiplexed"]), names)),
-                                 note=draw(names)))
+    meta = Meta(d=draw(st.one_of(st.none(), st.integers(2, 9))),
+                strategy=draw(st.one_of(st.sampled_from(["", "general", "multiplexed"]), names)),
+                note=draw(names))
+    gates = []
     n_gates = draw(st.integers(0, 12))
     for _ in range(n_gates):
         kind = draw(st.sampled_from(["X", "H", "T", "Tdag", "OS", "MCX", "MCX", "SUM", "DFT", "CMulAdd"]))
@@ -386,18 +393,18 @@ def circuits(draw):
             k = draw(st.integers(1, min(4, len(wires) - 1)))
             chosen = draw(st.lists(st.sampled_from(wires), min_size=k + 1, max_size=k + 1, unique=True))
             controls = [Control(w, draw(st.sampled_from([ir.POSITIVE, ir.ZERO]))) for w in chosen[:-1]]
-            c.append(ir.mcx(controls, chosen[-1]))
+            gates.append(ir.mcx(controls, chosen[-1]))
         elif kind in ("SUM", "CMulAdd"):
             a, b = draw(st.lists(st.sampled_from(regs), min_size=2, max_size=2, unique=True))
             if kind == "SUM":
-                c.append(ir.sum_gate(a.name, b.name, d=1 << width))
+                gates.append(ir.sum_gate(a.name, b.name, d=1 << width))
             else:
-                c.append(ir.cmuladd(a.name, b.name, n=draw(st.integers(0, 5))))
+                gates.append(ir.cmuladd(a.name, b.name, n=draw(st.integers(0, 5))))
         elif kind == "DFT":
-            c.append(ir.dft(draw(st.sampled_from(regs)).name, d=1 << width))
+            gates.append(ir.dft(draw(st.sampled_from(regs)).name, d=1 << width))
         else:
-            c.append(Gate(kind, targets=(draw(st.sampled_from(wires)),)))
-    return c.seal()
+            gates.append(Gate(kind, targets=(draw(st.sampled_from(wires)),)))
+    return Circuit(table, gates, meta)
 
 
 @settings(deadline=None)

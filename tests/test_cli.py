@@ -324,6 +324,18 @@ def test_sweep_checks_k_max_before_sweeping(capsys, tmp_path, monkeypatch):
     assert rows == [] and not out_csv.exists() and "wrote" not in out
 
 
+def test_sweep_checks_k_max_before_sieving(capsys, tmp_path, monkeypatch):
+    def fail(lo, hi):
+        raise AssertionError(f"primes_in({lo}, {hi}) ran before the k_max check")
+
+    monkeypatch.setattr(analysis, "primes_in", fail)
+    out_csv = tmp_path / "r.csv"
+    rc, out, err = run(capsys, "sweep", "--d-max", "100000000", "--out", str(out_csv))
+    assert rc == 2
+    assert err == "error: --d-max 100000000: d=99999989 needs k=27 qubits, above the limit k_max=10\n"
+    assert not out_csv.exists() and "wrote" not in out
+
+
 def test_sweep_of_one_prime_past_k_max(capsys, tmp_path):
     out_csv = tmp_path / "r.csv"
     rc, out, err = run(capsys, "sweep", "--d-min", "1031", "--d-max", "1032", "--out", str(out_csv))
@@ -422,6 +434,16 @@ def test_sweep_rejects_unwritable_svg(capsys, tmp_path):
     assert_input_error(rc, err, "--svg", "fig.svg")
     assert not svg.exists() and "fig.svg" not in out
     assert not (tmp_path / "r.csv").exists() and "wrote" not in out
+
+
+@pytest.mark.parametrize("strategies", ["general", "multiplexed"])
+def test_sweep_rejects_a_series_its_strategies_leave_empty(capsys, tmp_path, strategies):
+    # The ratio series needs both the general and the multiplexed columns.
+    out_csv, svg = tmp_path / "r.csv", tmp_path / "f.svg"
+    rc, out, err = run(capsys, "sweep", "--d-min", "3", "--d-max", "5", "--out", str(out_csv),
+                       "--svg", str(svg), "--series", "ratio", "--strategies", strategies)
+    assert_input_error(rc, err, "--series ratio", "empty SVG chart")
+    assert not out_csv.exists() and not svg.exists() and "wrote" not in out
 
 
 def test_gf2m_names_k_for_bad_message_length(capsys):

@@ -18,7 +18,7 @@ def mk_mcx(arity, polarities=None):
     table = RegisterTable([Register("c", arity, 1, "data-B"), Register("t", 1, 2, "check-if")])
     pols = polarities or [ir.POSITIVE] * arity
     gate = ir.mcx([Control(Wire("c", i), p) for i, p in enumerate(pols)], Wire("t", 0))
-    circ = Circuit(table).extend([gate]).seal()
+    circ = Circuit(table, [gate])
     return circ, gate
 
 
@@ -97,7 +97,7 @@ def test_multiplexed_carry_controlled_gate_costs_one_toffoli():
         Register("checkif", 1, 2, "check-if"),
     ])
     g = ir.mcx([Wire("B", 0), Wire("B", 1), Wire("B", 2), Wire("carry", 2)], Wire("checkif", 0))
-    circ = Circuit(table).extend([g]).seal()
+    circ = Circuit(table, [g])
     gadget, tally, fb = lower_multiplexed(g, photon_partition(circ, g))
     assert not fb
     assert gadget.inner == "C2X"
@@ -112,7 +112,7 @@ def test_multiplexed_cross_photon_toffoli_falls_back():
         Register("carry", 1, 2, "carry"),
     ])
     g = ir.toffoli(Wire("A", 0), Wire("B", 0), Wire("carry", 0))
-    circ = Circuit(table).extend([g]).seal()
+    circ = Circuit(table, [g])
     gadget, tally, fb = lower_multiplexed(g, photon_partition(circ, g))
     assert fb and gadget is None
     assert tally == lower_general(g)
@@ -122,7 +122,7 @@ def test_multiplexed_three_photons_falls_back():
     table = RegisterTable([Register(n, 1, p, "work") for n, p in
                            [("a", 0), ("b", 1), ("c", 2), ("t", 3)]])
     g = ir.mcx([Wire("a", 0), Wire("b", 0), Wire("c", 0)], Wire("t", 0))
-    circ = Circuit(table).extend([g]).seal()
+    circ = Circuit(table, [g])
     gadget, tally, fb = lower_multiplexed(g, photon_partition(circ, g))
     assert fb and tally == lower_general(g)
     report = lower_circuit(circ, lowering.multiplexed())
@@ -133,7 +133,7 @@ def test_multiplexed_balanced_two_photon_split_falls_back():
     table = RegisterTable([Register("a", 2, 0, "work"), Register("b", 2, 1, "work"),
                            Register("t", 1, 2, "work")])
     g = ir.mcx([Wire("a", 0), Wire("a", 1), Wire("b", 0), Wire("b", 1)], Wire("t", 0))
-    circ = Circuit(table).extend([g]).seal()
+    circ = Circuit(table, [g])
     _, tally, fb = lower_multiplexed(g, photon_partition(circ, g))
     assert fb and tally == lower_general(g)
 
@@ -151,7 +151,7 @@ def test_inner_collapse_variant():
         Register("checkif", 1, 2, "check-if"),
     ])
     g = ir.mcx([Wire("B", 0), Wire("B", 1), Wire("B", 2), Wire("carry", 2)], Wire("checkif", 0))
-    circ = Circuit(table).extend([g]).seal()
+    circ = Circuit(table, [g])
     gadget, tally, fb = lower_multiplexed(
         g, photon_partition(circ, g), lowering.multiplexed(collapse_inner_c2x=True))
     assert not fb and tally.as_dict() == {"C1X": 1, "OS": 8}
@@ -203,15 +203,14 @@ def test_lower_circuit_ralph_d5():
 
 def test_lower_circuit_rejects_qudit_gates():
     table = RegisterTable([Register("A", 2, 0, "data-A"), Register("B", 2, 1, "data-B")])
-    c = Circuit(table).extend([ir.sum_gate("A", "B", 4)]).seal()
+    c = Circuit(table, [ir.sum_gate("A", "B", 4)])
     with pytest.raises(LoweringError, match=r"gate 0 \(SUM\)"):
         lower_circuit(c, lowering.general())
 
 
 def test_lower_circuit_passthrough_gates():
     table = RegisterTable([Register("q", 2, 0, "work")])
-    c = Circuit(table).extend([ir.h(Wire("q", 0)), ir.x(Wire("q", 1)),
-                               ir.cx(Wire("q", 0), Wire("q", 1))]).seal()
+    c = Circuit(table, [ir.h(Wire("q", 0)), ir.x(Wire("q", 1)), ir.cx(Wire("q", 0), Wire("q", 1))])
     report = lower_circuit(c, lowering.general())
     assert report.total.as_dict() == {"C1X": 1, "X": 1, "H": 1}
     assert report.cx_total == 1  # X and H stay out of CX figures
@@ -267,16 +266,16 @@ def spread_circuits(draw):
                                         for _ in widths[n_photons:]]
     regs = [Register(f"r{k}", w, p, "work") for k, (w, p) in enumerate(zip(widths, photons))]
     wires = [Wire(r.name, j) for r in regs for j in range(r.width)]
-    c = Circuit(RegisterTable(regs))
+    gates = []
     for _ in range(draw(st.integers(1, 40))):
         kind = draw(st.sampled_from(["MCX", "MCX", "MCX", "X", "H", "T", "Tdag"]))
         if kind == "MCX":
             chosen = draw(st.permutations(wires))[:draw(st.integers(2, min(6, len(wires))))]
-            c.append(ir.mcx([Control(w, draw(st.sampled_from(ir.POLARITIES))) for w in chosen[:-1]],
-                            chosen[-1]))
+            gates.append(ir.mcx([Control(w, draw(st.sampled_from(ir.POLARITIES))) for w in chosen[:-1]],
+                                chosen[-1]))
         else:
-            c.append(ir.Gate(kind, targets=(draw(st.sampled_from(wires)),)))
-    return c.seal()
+            gates.append(ir.Gate(kind, targets=(draw(st.sampled_from(wires)),)))
+    return Circuit(RegisterTable(regs), gates)
 
 
 @pytest.mark.parametrize("os_cost", [2, 3])
@@ -315,21 +314,20 @@ def test_lower_circuit_signature_table_sums_to_total():
                          ids=["SUM", "DFT", "CMulAdd"])
 def test_lower_circuit_raises_on_unexpanded_gate_before_any_read(name, unexpanded):
     table = RegisterTable([Register("A", 2, 0, "data-A"), Register("B", 2, 1, "data-B")])
-    c = Circuit(table).extend([ir.cx(Wire("A", 0), Wire("B", 0)), ir.h(Wire("A", 1)), unexpanded,
-                               ir.cx(Wire("A", 1), Wire("B", 1))]).seal()
+    c = Circuit(table, [ir.cx(Wire("A", 0), Wire("B", 0)), ir.h(Wire("A", 1)), unexpanded,
+                        ir.cx(Wire("A", 1), Wire("B", 1))])
     with pytest.raises(LoweringError, match=rf"gate 2 \({unexpanded.kind}\)"):
         lower_circuit(c, lowering.Strategy(name))
 
 
 @pytest.mark.parametrize("name", lowering.STRATEGY_NAMES)
 def test_report_rows_are_those_of_the_gates_lowered(name):
-    sealed = synth_sum(5)
-    c = Circuit(sealed.table, list(sealed.gates))  # unsealed: appending stays allowed
+    emitted = synth_sum(5)
+    checked = Circuit(emitted.table, emitted.gates)  # its histogram is built by walking the gates
     strategy = lowering.Strategy(name)
-    report = lower_circuit(c, strategy)
-    c.extend(sealed.gates)
-    want = lower_circuit(sealed, strategy)
-    assert len(report.rows) == len(sealed)
+    report = lower_circuit(checked, strategy)
+    want = lower_circuit(emitted, strategy)
+    assert len(report.rows) == len(emitted)
     assert lowering.report_rows(report) == lowering.report_rows(want)
     assert (report.gadgets, qudit_ancillas(report), report.notes) == (want.gadgets, qudit_ancillas(want), want.notes)
     assert report.total == want.total
@@ -346,7 +344,7 @@ def per_gate_count(gates):
 
 @st.composite
 def spread_circuits_with_qudit_gates(draw):
-    """Unsealed spread_circuits with register-level SUM and DFT gates inserted."""
+    """spread_circuits with register-level SUM and DFT gates inserted."""
     base = draw(spread_circuits())
     regs = base.table.registers
     gates = list(base.gates)
@@ -358,18 +356,14 @@ def spread_circuits_with_qudit_gates(draw):
         else:
             g = ir.dft(reg.name, 1 << reg.width)
         gates.insert(draw(st.integers(0, len(gates))), g)
-    return Circuit(base.table).extend(gates)
+    return Circuit(base.table, gates)
 
 
 @settings(deadline=None, max_examples=60)
 @given(c=spread_circuits_with_qudit_gates())
 def test_count_equals_per_gate_tally(c):
-    assert c.count() == per_gate_count(c.gates)
-    c.append(ir.x(Wire(c.table.registers[0].name, 0)))  # unsealed: the next read sees it
-    assert c.count() == per_gate_count(c.gates)
-    sealed = Circuit(c.table, list(c.gates)).seal()
-    assert sealed.count() == sealed.count() == per_gate_count(c.gates)
-    histogram = sealed.signature_histogram()
+    assert c.count() == c.count() == per_gate_count(c.gates)
+    histogram = c.signature_histogram()
     assert list(histogram) == list(dict.fromkeys(ir.signature(g) for g in c.gates))
     assert sorted(i for indices in histogram.values() for i in indices) == list(range(len(c)))
     for key, indices in histogram.items():
@@ -380,8 +374,7 @@ def test_count_equals_per_gate_tally(c):
 @settings(deadline=None, max_examples=40)
 @given(c=spread_circuits_with_qudit_gates(), data=st.data())
 def test_without_gate_count_drops_that_gates_class(c, data):
-    c.seal()
-    before = c.count()  # fills the sealed circuit's histogram
+    before = c.count()  # fills the circuit's histogram
     i = data.draw(st.integers(0, len(c) - 1))
     g = c.gates[i]
     dropped = ir.CostBreakdown({f"C{g.arity}X" if g.kind == "MCX" else g.kind: 1})
@@ -439,7 +432,7 @@ def test_gadget_soundness_carry_controlled(arity):
     ])
     g = ir.mcx([Wire("B", i) for i in range(arity - 1)] + [Wire("carry", 0)],
                Wire("checkif", 0))
-    circ = Circuit(table).extend([g]).seal()
+    circ = Circuit(table, [g])
     gadget, tally, fb = lower_multiplexed(g, photon_partition(circ, g))
     assert not fb and gadget.inner == "C2X"
     assert tally.restrict(["C1X", "H", "T", "Tdag"]) == ir.CostBreakdown(TOFFOLI_TALLY)

@@ -22,26 +22,25 @@ def single_reg(width=3):
 # ---------------------------------------------------------------
 
 def test_x_flips():
-    c = Circuit(single_reg(1)).extend([ir.x(Wire("q", 0))]).seal()
+    c = Circuit(single_reg(1), [ir.x(Wire("q", 0))])
     assert truth_table(c, [Wire("q", 0)]) == {0: 1, 1: 0}
 
 
 def test_zero_polarity_control_fires_on_zero():
-    c = Circuit(single_reg(2))
-    c.append(ir.mcx([Control(Wire("q", 0), ir.ZERO)], Wire("q", 1))).seal()
+    c = Circuit(single_reg(2), [ir.mcx([Control(Wire("q", 0), ir.ZERO)], Wire("q", 1))])
     # q1 flips exactly where q0 is 0
     tt = truth_table(c, [Wire("q", 0), Wire("q", 1)])
     assert tt == {0b00: 0b10, 0b01: 0b01, 0b10: 0b00, 0b11: 0b11}
 
 
 def test_empty_circuit_is_identity():
-    c = Circuit(single_reg()).seal()
+    c = Circuit(single_reg())
     tt = truth_table(c, [Wire("q", i) for i in range(3)])
     assert tt == {bits: bits for bits in range(8)}
 
 
 def test_unsupported_gate_named():
-    c = Circuit(single_reg()).extend([ir.x(Wire("q", 0)), ir.h(Wire("q", 1))]).seal()
+    c = Circuit(single_reg(), [ir.x(Wire("q", 0)), ir.h(Wire("q", 1))])
     with pytest.raises(UnsupportedGateError, match=r"gate 1 \(H\)"):
         revsim.simulate_slices(c, {}, 1)
 
@@ -52,15 +51,14 @@ def test_unsupported_gate_named():
 
 def test_truth_table_cx():
     table = single_reg(2)
-    c = Circuit(table).extend([ir.cx(Wire("q", 0), Wire("q", 1))]).seal()
+    c = Circuit(table, [ir.cx(Wire("q", 0), Wire("q", 1))])
     tt = truth_table(c, [Wire("q", 0), Wire("q", 1)])
     assert tt == {0b00: 0b00, 0b01: 0b11, 0b10: 0b10, 0b11: 0b01}
 
 
 def test_truth_table_c3x_fires_only_on_all_ones():
     table = single_reg(4)
-    c = Circuit(table)
-    c.append(ir.mcx([Wire("q", 0), Wire("q", 1), Wire("q", 2)], Wire("q", 3))).seal()
+    c = Circuit(table, [ir.mcx([Wire("q", 0), Wire("q", 1), Wire("q", 2)], Wire("q", 3))])
     tt = truth_table(c, [Wire("q", i) for i in range(4)])
     for key, out in tt.items():
         if key & 0b111 == 0b111:
@@ -81,7 +79,7 @@ def test_truth_table_rca2_is_mod4_addition():
 
 def test_truth_table_width_limit():
     table = RegisterTable([Register("q", 25, 0, "work")])
-    c = Circuit(table).seal()
+    c = Circuit(table)
     with pytest.raises(ResourceLimitError):
         truth_table(c, [Wire("q", i) for i in range(25)])
 
@@ -135,18 +133,18 @@ def permutation_circuits(draw):
     width = draw(st.integers(2, 5))
     table = RegisterTable([Register("q", width, 0, "work")])
     wires = [Wire("q", i) for i in range(width)]
-    c = Circuit(table)
+    gates = []
     for _ in range(draw(st.integers(0, 10))):
         if draw(st.booleans()):
-            c.append(ir.x(draw(st.sampled_from(wires))))
+            gates.append(ir.x(draw(st.sampled_from(wires))))
         else:
             k = draw(st.integers(1, width - 1))
             chosen = draw(st.lists(st.sampled_from(wires), min_size=k + 1, max_size=k + 1,
                                    unique=True))
             controls = [Control(w, draw(st.sampled_from([ir.POSITIVE, ir.ZERO])))
                         for w in chosen[:-1]]
-            c.append(ir.mcx(controls, chosen[-1]))
-    return c.seal()
+            gates.append(ir.mcx(controls, chosen[-1]))
+    return Circuit(table, gates)
 
 
 def full_table(c):
@@ -165,7 +163,7 @@ def test_permutation_circuits_are_bijections(c):
 @given(permutation_circuits())
 def test_reversed_circuit_inverts(c):
     # X and MCX are self-inverse, so running the gates backwards undoes the circuit
-    rev = Circuit(c.table, list(reversed(c.gates))).seal()
+    rev = Circuit(c.table, list(reversed(c.gates)))
     forward, backward = full_table(c), full_table(rev)
     assert all(backward[out] == bits for bits, out in forward.items())
 
