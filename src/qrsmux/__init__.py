@@ -5,7 +5,7 @@ from .circuit import (
     Circuit, Control, CostBreakdown, Gate, Meta, Register, RegisterTable, Wire,
     parse, photon_partition, serialize,
 )
-from .galois import FieldSpec, hamming_distance, hamming_weight, is_prime
+from .galois import FieldSpec, is_prime
 from .sumsynth import SumPlan, plan, predicted_counts, synth_mod, synth_rca, synth_sum
 from .lowering import (
     GadgetDescriptor, Strategy, lower_circuit, lower_general, lower_multiplexed, lower_ralph,

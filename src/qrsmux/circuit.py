@@ -107,9 +107,6 @@ class RegisterTable:
             raise ResolutionError(f"index {wire.idx} out of range for register {wire.reg!r} of width {reg.width}")
         return self._offsets[wire.reg] + wire.idx
 
-    def photon_of(self, reg_name: str) -> int:
-        return self[reg_name].photon
-
     def __eq__(self, other):
         return isinstance(other, RegisterTable) and self.registers == other.registers
 
@@ -188,10 +185,6 @@ def t(w: Wire) -> Gate:
 
 def tdag(w: Wire) -> Gate:
     return Gate("Tdag", targets=(w,))
-
-
-def os(w: Wire) -> Gate:
-    return Gate("OS", targets=(w,))
 
 
 def cx(control: Wire, target: Wire) -> Gate:
@@ -277,9 +270,6 @@ class CostBreakdown:
     def as_dict(self) -> dict[str, int]:
         return {k: v for k, v in sorted(self._counts.items(), key=_class_sort_key) if v}
 
-    def keys(self):
-        return self.as_dict().keys()
-
     def __repr__(self) -> str:
         return f"CostBreakdown({self.as_dict()})"
 
@@ -297,14 +287,18 @@ def _class_sort_key(item):
 # ----------------------------------------------------------------------
 
 def _check_in_table(g: Gate, widths: dict[str, int]) -> None:
-    """Raise unless every wire of g lies in the table with these register widths
-    and a SUM or CMulAdd joins registers of equal width."""
+    """Raise unless every wire of g lies in the table with these register widths,
+    every qubit index is an int, and a SUM or CMulAdd joins registers of equal
+    width."""
     for w in [c.wire for c in g.controls] + list(g.targets):
         width = widths.get(w.reg)
         if width is None:
             raise ResolutionError(f"unknown register {w.reg!r}")
-        if w.idx is not None and not 0 <= w.idx < width:
-            raise ResolutionError(f"index {w.idx} out of range for register {w.reg!r} of width {width}")
+        idx = w.idx
+        if idx is not None and not (type(idx) is int and 0 <= idx < width):
+            if type(idx) is not int:  # True and 1.0 equal 1, but serialize apart
+                raise ResolutionError(f"index {idx!r} for register {w.reg!r} is not an int")
+            raise ResolutionError(f"index {idx} out of range for register {w.reg!r} of width {width}")
     if g.kind in ("SUM", "CMulAdd"):
         cw = widths[g.controls[0].wire.reg]
         tw = widths[g.targets[0].reg]
@@ -435,7 +429,7 @@ def photon_partition(c: Circuit, g: Gate) -> dict[int, list[Control]]:
         raise InvalidGateError(f"photon partition is defined for MCX gates, not {g.kind}")
     groups: dict[int, list[Control]] = {}
     for ctrl in g.controls:
-        groups.setdefault(c.table.photon_of(ctrl.wire.reg), []).append(ctrl)
+        groups.setdefault(c.table[ctrl.wire.reg].photon, []).append(ctrl)
     return groups
 
 
@@ -460,16 +454,15 @@ def serialize(c: Circuit) -> str:
 
     A JSON object with "registers", "gates" and "meta", one gate per line.
     Each distinct control, target and gate head is encoded once per document
-    and its text reused.  Wire("A", True) equals Wire("A", 1) but encodes
-    differently, so fragments are keyed by the index's type as well.
+    and its text reused.
     """
     dumps = json.dumps
     registers = dumps([{"name": r.name, "width": r.width, "photon": r.photon, "role": r.role}
                        for r in c.table.registers])
     meta = dumps({"d": c.meta.d, "strategy": c.meta.strategy, "note": c.meta.note})
-    heads: dict[str, str] = {}            # kind -> head of a gate without d, n and poly
-    control_texts: dict[tuple, str] = {}  # (Control, index type) -> its JSON text
-    target_texts: dict[tuple, str] = {}   # (Wire, index type) -> its JSON text
+    heads: dict[str, str] = {}              # kind -> head of a gate without d, n and poly
+    control_texts: dict[Control, str] = {}  # Control -> its JSON text
+    target_texts: dict[Wire, str] = {}      # Wire -> its JSON text
     lines = []
     for g in c.gates:
         if g.d is None and g.n is None and g.poly is None:
@@ -480,17 +473,15 @@ def serialize(c: Circuit) -> str:
             head = _gate_head(g)
         controls = []
         for ct in g.controls:
-            key = (ct, type(ct.wire.idx))
-            text = control_texts.get(key)
+            text = control_texts.get(ct)
             if text is None:
-                text = control_texts[key] = dumps({"reg": ct.wire.reg, "idx": ct.wire.idx, "pol": ct.pol})
+                text = control_texts[ct] = dumps({"reg": ct.wire.reg, "idx": ct.wire.idx, "pol": ct.pol})
             controls.append(text)
         targets = []
         for w in g.targets:
-            key = (w, type(w.idx))
-            text = target_texts.get(key)
+            text = target_texts.get(w)
             if text is None:
-                text = target_texts[key] = dumps({"reg": w.reg, "idx": w.idx})
+                text = target_texts[w] = dumps({"reg": w.reg, "idx": w.idx})
             targets.append(text)
         lines.append(f'{head}{", ".join(controls)}], "targets": [{", ".join(targets)}]}}')
     gates = ",\n".join(lines)

@@ -68,9 +68,7 @@ def cmd_synth_sum(args) -> int:
     circuit = sumsynth.synth_sum(args.d)
     counted = circuit.count()
     if args.emit:
-        document = serialize(circuit)
-        with _user_input(f"--emit {args.emit}", OSError), open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(document)
+        _write_outputs([(f"--emit {args.emit}", args.emit, serialize(circuit))], None)
         print(f"wrote {args.emit} ({len(circuit)} gates)")
     if args.oracle:
         predicted = sumsynth.predicted_counts(args.d)
@@ -93,10 +91,7 @@ def cmd_lower(args) -> int:
     with _user_input(f"--os-cost {args.os_cost}"):
         strategy = lowering.Strategy(args.strategy, os_cost_per_control=args.os_cost)
     report = lowering.lower_circuit(circuit, strategy)
-    document = lowering.report_csv(report)
-    with _user_input(f"--report {args.report}", OSError), \
-            open(args.report, "w", encoding="utf-8", newline="") as fh:
-        fh.write(document)
+    _write_outputs([(f"--report {args.report}", args.report, lowering.report_csv(report))], None)
     print(f"strategy={args.strategy}: totals {report.total.as_dict()}")
     for note in report.notes:
         print(f"note: {note}")
@@ -129,18 +124,18 @@ def cmd_gf2m(args) -> int:
     with _user_input(f"--m {args.m}" if args.k is None else f"--k {args.k}"):
         spec = gf2m.build_code(args.m, k, poly=field.poly)
     encoder = gf2m.synth_encoder_gf2m(spec)
+    outputs = []
     if args.emit:
-        document = serialize(encoder)
-        with _user_input(f"--emit {args.emit}", OSError), open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(document)
-        print(f"wrote {args.emit} ({len(encoder)} gates)")
+        outputs.append((f"--emit {args.emit}", args.emit, serialize(encoder)))
     if args.report:
         exponents = [g.n for g in encoder.gates if g.kind == "CMulAdd"]
         line = {n: _cmuladd_report_line(spec.field, n) for n in dict.fromkeys(exponents)}
-        lines = ["gate,exponent,cx-count,formula-count,verified\n"] + [line[n] for n in exponents]
-        with _user_input(f"--report {args.report}", OSError), \
-                open(args.report, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
+        text = "".join(["gate,exponent,cx-count,formula-count,verified\n"] + [line[n] for n in exponents])
+        outputs.append((f"--report {args.report}", args.report, text))
+    _write_outputs(outputs, None)  # both texts are built before either file is opened
+    if args.emit:
+        print(f"wrote {args.emit} ({len(encoder)} gates)")
+    if args.report:
         print(f"wrote {args.report}")
     print(f"[{spec.n},{spec.K}] over GF({spec.field.order}): "
           f"classical part costs {gf2m.encoder_classical_cx_cost(spec)} CX")
@@ -162,7 +157,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     with _user_input("--convention" if args.convention else "convention.id"):
         convention = analysis.get_convention(
-            args.convention or config_mod.convention_id(cfg, analysis.DEFAULT_CONVENTION_ID))
+            args.convention or cfg.get("convention.id", analysis.DEFAULT_CONVENTION_ID))
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     unknown = sorted(set(strategies) - set(lowering.STRATEGY_NAMES))
     if unknown:

@@ -35,7 +35,3 @@ def poly_overrides(cfg: dict[str, str]) -> dict[int, int]:
             except ValueError:
                 raise ValueError(f"{key} = {value}: expected gf2m.poly.<m> = <integer bitmask>") from None
     return overrides
-
-
-def convention_id(cfg: dict[str, str], default: str) -> str:
-    return cfg.get("convention.id", default)

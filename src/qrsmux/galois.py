@@ -2,9 +2,9 @@
 
 An element is an int whose bits are polynomial coefficients over GF(2); bit 0
 is the least-significant coefficient.  That bit-order convention (LSB = bit 0)
-is used everywhere in the package: registers, matrices and the Hamming
-helpers.  Addition is XOR; multiplication and inversion read exp/log tables of
-alpha = x, built once per field.
+is used everywhere in the package: registers and matrices.  Addition is XOR;
+multiplication and inversion read exp/log tables of alpha = x, built once per
+field.
 
 Default primitive polynomials, one per extension degree (overridable via a
 config file with keys ``gf2m.poly.<m>``):
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 DEFAULT_PRIMITIVE_POLYS: dict[int, int] = {
     1: 0b11,
@@ -34,35 +35,32 @@ DEFAULT_PRIMITIVE_POLYS: dict[int, int] = {
     8: 0b100011101,
 }
 
+# The first 13 primes.  As Miller-Rabin witnesses they decide every n below
+# _WITNESS_BOUND (Sorenson and Webster, 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (intended for n <= 10^4 scale)."""
+    """Exact for every integer n: trial division by the witnesses decides n < 43^2,
+    Miller-Rabin with them n < 3,317,044,064,679,887,385,961,981, and trial
+    division up to the square root every larger n."""
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    if n >= _WITNESS_BOUND:
+        return all(n % f for f in range(43, isqrt(n) + 1, 2))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:  # n passes base a if a^d = 1 or a^(d 2^j) = -1 for some j < s
+        x = pow(a, d, n)
+        if x != 1 and n - 1 not in [pow(x, 1 << j, n) for j in range(s)]:
             return False
-        f += 1
     return True
-
-
-def hamming_weight(v: int, width: int) -> int:
-    """Number of set bits of v over exactly `width` bits."""
-    if width < 0:
-        raise ValueError(f"width must be nonnegative, got {width}")
-    if not 0 <= v < (1 << width):
-        raise ValueError(f"value {v} out of range for width {width}")
-    return bin(v).count("1")
-
-
-def hamming_distance(a: int, b: int, width: int) -> int:
-    """Number of differing bits between a and b over exactly `width` bits."""
-    if width < 0:
-        raise ValueError(f"width must be nonnegative, got {width}")
-    for name, v in (("a", a), ("b", b)):
-        if not 0 <= v < (1 << width):
-            raise ValueError(f"{name}={v} out of range for width {width}")
-    return bin(a ^ b).count("1")
 
 
 # ----------------------------------------------------------------------

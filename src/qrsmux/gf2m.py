@@ -25,7 +25,7 @@ from functools import cached_property
 from . import galois
 from .circuit import Circuit, Control, Emitter, Meta, Register, RegisterTable, Wire, cmuladd, dft
 from .errors import UnsupportedConfigurationError
-from .galois import FieldSpec, hamming_weight, mul_by_alpha_matrix
+from .galois import FieldSpec, mul_by_alpha_matrix
 from .revsim import pack_blocks, pair_slices, simulate_slices
 
 
@@ -98,15 +98,14 @@ class RSCodeSpec:
         return all(v == 0 for row in hht for v in row)
 
 
-def build_code(m: int, K: int, poly: int | None = None,
-               overrides: dict[int, int] | None = None) -> RSCodeSpec:
+def build_code(m: int, K: int, poly: int | None = None) -> RSCodeSpec:
     """Construct the [n, K] code and verify G . H^T = 0 exhaustively.
 
     The parity block P of G = [I | P] is read off g_code (row i is
     x^(n-K+i) mod g_code) and H off g_dual, so the check compares two
     independent derivations.
     """
-    f = FieldSpec.binary_extension(m, poly, overrides)
+    f = FieldSpec.binary_extension(m, poly)
     n = f.order - 1
     if not 1 <= K < n:
         raise ValueError(f"message length K={K} must satisfy 1 <= K < n={n}")
@@ -152,7 +151,7 @@ def build_code(m: int, K: int, poly: int | None = None,
 
 def cmuladd_cx_formula(f: FieldSpec, n: int) -> int:
     """Closed-form CX count of the multiplier-add gate: sum_p H_w(alpha^(n+p))."""
-    return sum(hamming_weight(f.alpha_power(n + p), f.m) for p in range(f.m))
+    return sum(f.alpha_power(n + p).bit_count() for p in range(f.m))
 
 
 def _cmuladd_cx_pairs(f: FieldSpec, n: int) -> list[tuple[int, int]]:

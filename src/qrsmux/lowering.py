@@ -157,27 +157,12 @@ def lower_multiplexed(
     return gadget, CostBreakdown({**_INNER_TALLY[inner], "OS": gadget.os_count}), False
 
 
-@dataclass(slots=True)
-class LoweredGate:
-    index: int
-    kind: str
-    arity: int
-    photons: str
-    strategy: str
-    cx: int
-    h: int
-    t: int
-    tdag: int
-    os: int
-    fallback: bool
-
-
 class Lowered(NamedTuple):
     """One signature lowered by its strategy's rule, on its first gate."""
 
     indices: tuple[int, ...]      # its gates, in gate order
     tally: CostBreakdown          # of one gate
-    columns: tuple                # LoweredGate fields between the index and the fallback flag
+    columns: tuple                # report columns between the gate index and the fallback flag
     fallback: bool
     qudit_dim: int | None         # ralph qudit-ancilla dimension
     gadget: bool                  # a switch gadget of arity >= 2 applies
@@ -218,9 +203,9 @@ class LoweringReport:
         return values
 
     @property
-    def rows(self) -> list[LoweredGate]:
-        return [LoweredGate(i, *lowered.columns, lowered.fallback)
-                for i, lowered in enumerate(self._gate_values())]
+    def rows(self) -> list[Lowered]:
+        """Each gate's Lowered record, in gate order."""
+        return self._gate_values()
 
     @property
     def gadgets(self) -> list[tuple[int, GadgetDescriptor]]:
@@ -298,10 +283,7 @@ def report_csv(report: LoweringReport) -> str:
 
 def report_rows(report: LoweringReport) -> list[list]:
     """Rows for the lowering report CSV, in REPORT_COLUMNS order."""
-    return [
-        [r.index, r.kind, r.arity, r.photons, r.strategy, r.cx, r.h, r.t, r.tdag, r.os, int(r.fallback)]
-        for r in report.rows
-    ]
+    return [[i, *lowered.columns, int(lowered.fallback)] for i, lowered in enumerate(report.rows)]
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .circuit import (
     POSITIVE, ZERO,
 )
 from .errors import InvalidDimensionError
-from .galois import hamming_distance, is_prime
+from .galois import is_prime
 
 DEFAULT_K_MAX = 10
 
@@ -210,13 +210,13 @@ def synth_sum(d: int, k_max: int = DEFAULT_K_MAX) -> Circuit:
 def correction_cx_total(d: int, k: int | None = None) -> int:
     """Sum over i in [d, 2(d-1)] of the Hamming distance between i mod 2^k and i mod d.
 
-    Both arguments are truncated to k bits, so the top carry never receives a
-    correction.
+    Both residues are below 2^k when d <= 2^k, so the top carry never
+    receives a correction.
     """
     if k is None:
         k = compute_k(d)
     top = 1 << k
-    return sum(hamming_distance(i % top, i % d, k) for i in range(d, 2 * (d - 1) + 1))
+    return sum(((i % top) ^ (i % d)).bit_count() for i in range(d, 2 * (d - 1) + 1))
 
 
 def predicted_counts(d: int, k_max: int = DEFAULT_K_MAX) -> CostBreakdown:

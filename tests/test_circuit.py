@@ -212,16 +212,15 @@ def test_round_trip_sum_circuit():
     assert back.meta == c.meta
 
 
-def test_serialize_keeps_equal_wires_of_other_index_types_apart():
-    # Wire("q", True) == Wire("q", 1), yet each is written with its own index.
-    c = Circuit(RegisterTable([Register("q", 3, 0, "work")]), [
-        ir.cx(Wire("q", 1), Wire("q", 0)), ir.cx(Wire("q", True), Wire("q", 0)),
-        ir.x(Wire("q", 1)), ir.x(Wire("q", True)),
-    ])
-    gates = json.loads(serialize(c))["gates"]
-    idx = [gates[0]["controls"][0]["idx"], gates[1]["controls"][0]["idx"],
-           gates[2]["targets"][0]["idx"], gates[3]["targets"][0]["idx"]]
-    assert [type(i) for i in idx] == [int, bool, int, bool]
+@pytest.mark.parametrize("role", ["control", "target"])
+@pytest.mark.parametrize("idx", [True, 1.0], ids=["true", "1.0"])
+def test_circuit_rejects_a_non_int_qubit_index(role, idx):
+    # True and 1.0 equal 1, which is in range, but would serialize as true and 1.0.
+    table = RegisterTable([Register("A", 3, 0, "work"), Register("B", 3, 1, "work")])
+    gate = ir.cx(Wire("A", idx), Wire("B", 0)) if role == "control" else ir.cx(Wire("A", 0), Wire("B", idx))
+    reg = "A" if role == "control" else "B"
+    with pytest.raises(ResolutionError, match=rf"^index {idx!r} for register '{reg}' is not an int$"):
+        Circuit(table, [gate])
 
 
 def test_parse_unknown_gate_kind():

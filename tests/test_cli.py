@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -344,6 +345,17 @@ def test_sweep_of_one_prime_past_k_max(capsys, tmp_path):
     assert not out_csv.exists() and "wrote" not in out
 
 
+def test_sweep_finds_a_large_prime_past_k_max_quickly(capsys, tmp_path):
+    out_csv = tmp_path / "r.csv"
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "sweep", "--d-max", "10000000000000000", "--out", str(out_csv))
+    assert time.perf_counter() - start < 2  # trial division up to the prime's root takes tens of seconds
+    assert rc == 2
+    assert err == ("error: --d-max 10000000000000000: d=9999999999999937 needs k=54 qubits, "
+                   "above the limit k_max=10\n")
+    assert not out_csv.exists() and "wrote" not in out
+
+
 def test_sweep_range_ending_above_its_largest_prime(capsys, tmp_path):
     out_csv = tmp_path / "r.csv"
     rc, out, _ = run(capsys, "sweep", "--d-min", "1019", "--d-max", "1024", "--out", str(out_csv))
@@ -418,6 +430,14 @@ def test_gf2m_rejects_unwritable_report(capsys, tmp_path):
     rc, out, err = run(capsys, "gf2m", "--m", "2", "--report", str(report))
     assert_input_error(rc, err, "--report", "enc.csv")
     assert not report.exists() and "wrote" not in out
+
+
+def test_gf2m_writes_no_emit_file_when_report_is_unwritable(capsys, tmp_path):
+    doc = tmp_path / "enc.json"
+    report = tmp_path / "missing" / "r.csv"
+    rc, out, err = run(capsys, "gf2m", "--m", "2", "--emit", str(doc), "--report", str(report))
+    assert_input_error(rc, err, "--report", "r.csv")
+    assert not doc.exists() and not report.exists() and "wrote" not in out
 
 
 def test_sweep_rejects_unwritable_out(capsys, tmp_path):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from qrsmux import galois
-from qrsmux.galois import FieldSpec, hamming_distance, hamming_weight, is_prime, mul_by_alpha_matrix
+from qrsmux.analysis import primes_in
+from qrsmux.galois import FieldSpec, is_prime, mul_by_alpha_matrix
 
 
 def gf(m):
@@ -177,30 +177,27 @@ def test_alpha_matrix_rejects_exponent_out_of_range():
 
 
 # ---------------------------------------------------------------
-# Hamming helpers
+# Primality
 # ---------------------------------------------------------------
-
-def test_hamming_examples():
-    assert hamming_distance(5, 0, 3) == 2  # 101 -> 000 flips two bits
-    assert hamming_distance(6, 1, 3) == 3  # 110 -> 001 flips all three
-    assert hamming_weight(0, 7) == 0
-
-
-def test_hamming_range_errors():
-    with pytest.raises(ValueError):
-        hamming_weight(8, 3)
-    with pytest.raises(ValueError):
-        hamming_distance(1, 4, 2)
-    with pytest.raises(ValueError):
-        hamming_weight(-1, 3)
-
-
-@given(st.integers(1, 16).flatmap(
-    lambda w: st.tuples(st.just(w), st.integers(0, 2**w - 1), st.integers(0, 2**w - 1))))
-def test_hamming_distance_is_weight_of_xor(args):
-    w, a, b = args
-    assert hamming_distance(a, b, w) == hamming_weight(a ^ b, w)
-
 
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_agrees_with_the_sieve():
+    primes = set(primes_in(0, 200_000))
+    assert [n for n in range(-2, 200_000) if is_prime(n)] == sorted(primes)
+
+
+@pytest.mark.parametrize("n", [
+    2047, 3215031751, 3825123056546413051,
+    318665857834031151167461,  # a strong pseudoprime to each of the first 12 prime bases
+    561, 41041,                # Carmichael numbers
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [99999989, 9999999999999937, 2**61 - 1])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)

@@ -333,6 +333,17 @@ def test_report_rows_are_those_of_the_gates_lowered(name):
     assert report.total == want.total
 
 
+@pytest.mark.parametrize("d", [5, 137, 1021])
+@pytest.mark.parametrize("name", lowering.STRATEGY_NAMES)
+def test_rows_and_report_csv_agree_with_report_rows(name, d):
+    c = synth_sum(d)
+    report = lower_circuit(c, lowering.Strategy(name))
+    assert len(report.rows) == len(c)
+    assert all(i in lowered.indices for i, lowered in enumerate(report.rows))
+    lines = [lowering.REPORT_COLUMNS] + lowering.report_rows(report)
+    assert lowering.report_csv(report) == "".join(",".join(map(str, line)) + "\n" for line in lines)
+
+
 # ---------------------------------------------------------------
 # Signature histogram
 # ---------------------------------------------------------------
