@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 from . import analysis, config as config_mod, galois, gf2m, lowering, revsim, sumsynth
 from .circuit import parse, serialize
-from .errors import InvalidDimensionError, QrsError, UnsupportedConfigurationError
+from .errors import InvalidDimensionError, ParseError, QrsError, UnsupportedConfigurationError
 
 
 @contextmanager
@@ -45,14 +45,23 @@ def _out_path(path: str, out_dir: str | None) -> str:
 def _write_outputs(outputs: list[tuple[str, str, str]], out_dir: str | None) -> list[str]:
     """Write each (flag, path, text), opening every path before writing any.
 
-    A path that cannot be opened is reported under its flag, and the files
-    opened before it are removed.  Returns the paths written.
+    Two flags naming one file are refused, naming the second flag, before
+    any file is opened.  A path that cannot be opened is reported under its
+    flag, and the files opened before it are removed.  Returns the paths
+    written.
     """
+    paths, flags = [], {}  # real path -> the flag that named it first
+    for flag, path, _ in outputs:
+        paths.append(_out_path(path, out_dir))
+        real = os.path.realpath(paths[-1])
+        if real in flags:
+            raise UnsupportedConfigurationError(f"{flag}: names the same file as {flags[real]}")
+        flags[real] = flag
     opened = []
     try:
-        for flag, path, _ in outputs:
+        for (flag, _, _), path in zip(outputs, paths):
             with _user_input(flag, OSError):
-                opened.append(open(_out_path(path, out_dir), "w", encoding="utf-8", newline=""))
+                opened.append(open(path, "w", encoding="utf-8", newline=""))
     except UnsupportedConfigurationError:
         for fh in opened:
             fh.close()
@@ -87,7 +96,8 @@ def cmd_lower(args) -> int:
     with _user_input(f"--in {args.in_path}", (OSError, UnicodeDecodeError)):
         with open(args.in_path, encoding="utf-8") as fh:
             document = fh.read()
-    circuit = parse(document)
+    with _user_input(f"--in {args.in_path}", (ParseError,)):
+        circuit = parse(document)
     with _user_input(f"--os-cost {args.os_cost}"):
         strategy = lowering.Strategy(args.strategy, os_cost_per_control=args.os_cost)
     report = lowering.lower_circuit(circuit, strategy)

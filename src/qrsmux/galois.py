@@ -4,7 +4,8 @@ An element is an int whose bits are polynomial coefficients over GF(2); bit 0
 is the least-significant coefficient.  That bit-order convention (LSB = bit 0)
 is used everywhere in the package: registers and matrices.  Addition is XOR;
 multiplication and inversion read exp/log tables of alpha = x, built once per
-field.
+field.  ``gf2_mulmod``, the carry-less multiply-and-reduce the tables are
+built from, reads no table; checkers use it to stay independent of them.
 
 Default primitive polynomials, one per extension degree (overridable via a
 config file with keys ``gf2m.poly.<m>``):
@@ -79,8 +80,8 @@ def _gf2_mod(a: int, p: int) -> int:
     return a
 
 
-def _gf2_mulmod(a: int, b: int, p: int) -> int:
-    """Carry-less product of a and b reduced by p."""
+def gf2_mulmod(a: int, b: int, p: int) -> int:
+    """Carry-less product of a and b reduced by p; reads no exp/log table."""
     r = 0
     while b:
         if b & 1:
@@ -108,7 +109,7 @@ def _gf2_primitive(p: int) -> bool:
     seen = 1
     acc = val
     while acc != 1:
-        acc = _gf2_mulmod(acc, val, p)
+        acc = gf2_mulmod(acc, val, p)
         seen += 1
         if seen > group:
             return False
@@ -172,7 +173,7 @@ class FieldSpec:
         for i in range(n):
             exp[i] = acc
             log[acc] = i
-            acc = _gf2_mulmod(acc, val, self.poly)
+            acc = gf2_mulmod(acc, val, self.poly)
         return exp, log
 
     def alpha_power(self, i: int) -> int:

@@ -26,7 +26,7 @@ from . import galois
 from .circuit import Circuit, Control, Emitter, Meta, Register, RegisterTable, Wire, cmuladd, dft
 from .errors import UnsupportedConfigurationError
 from .galois import FieldSpec, mul_by_alpha_matrix
-from .revsim import pack_blocks, pair_slices, simulate_slices
+from .revsim import pair_slices, simulate_slices
 
 
 # ----------------------------------------------------------------------
@@ -177,17 +177,35 @@ def synth_cmuladd(f: FieldSpec, n: int) -> Circuit:
 
 
 def find_cmuladd_counterexample(c: Circuit, f: FieldSpec, n: int) -> tuple[int, int] | None:
-    """Lexicographically first basis pair (a, b) on which the circuit disagrees with b <- alpha^n * a + b."""
+    """Lexicographically first basis pair (a, b) on which the circuit disagrees with b <- alpha^n * a + b.
+
+    All 4^m pairs run through the circuit at once.  The expected b slices
+    follow from the specification by linearity: bit j of alpha^n * a is the
+    XOR of the bits a_p for which bit j of c_p = alpha^n * x^p is set.  Each
+    c_p is a carry-less product reduced by the field polynomial, with alpha^n
+    by square-and-multiply, so the check reads neither the circuit's gates
+    nor the exp/log tables that ``mul_by_alpha_matrix`` builds them from.
+    """
     table = c.table
     m = f.m
     size = 1 << m
     a_pos = [table.offset(table.registers[0].name) + j for j in range(m)]
     b_pos = [table.offset(table.registers[1].name) + j for j in range(m)]
     a_in, b_in = pair_slices(size, m)
-    factor = f.alpha_power(n)
-    shifts = [galois.mul_int(f, factor, a) for a in range(size)]
-    ones = (1 << size) - 1
-    want = [b_in[j] ^ pack_blocks([ones if s >> j & 1 else 0 for s in shifts], size) for j in range(m)]
+
+    mulmod, poly = galois.gf2_mulmod, f.poly
+    column, square, e = 1, mulmod(0b10, 1, poly), n % (size - 1)  # square starts at alpha = x mod poly
+    while e:  # column <- alpha^n
+        if e & 1:
+            column = mulmod(column, square, poly)
+        square = mulmod(square, square, poly)
+        e >>= 1
+    want = list(b_in)
+    for p in range(m):  # column is c_p
+        for j in range(m):
+            if column >> j & 1:
+                want[j] ^= a_in[p]
+        column = mulmod(column, 0b10, poly)
 
     out = simulate_slices(c, dict(zip(a_pos + b_pos, a_in + b_in)), size * size)
     bad = 0

@@ -5,17 +5,23 @@ they are simulated on many basis inputs at once by bit-slicing (Biham, FSE
 1997).  A slice is one integer per wire whose bit i is that wire's value in
 input case i; an MCX then XORs the AND of its control slices into its
 target slice, with zero-polarity controls complemented against the all-cases
-mask.  Each gate is compiled once into (positive-control offsets,
-zero-control offsets, target offset), and ``simulate_slices`` runs the whole
-circuit once over the whole case set.  ``verify_sum``, ``truth_table`` and
-``gf2m.find_cmuladd_counterexample`` all go through it.
+mask.  Each gate is compiled once into (positive-control offsets, zero-control
+offsets, target offset), through one wire -> offset map per compile, and
+``simulate_slices`` runs the whole circuit once over the whole case set.
+``verify_sum``, ``truth_table`` and ``gf2m.find_cmuladd_counterexample`` all
+go through it.
 
-Inputs are packed and outputs unpacked a block or a whole slice at a time,
-never one bit at a time on a huge integer: ``pair_slices`` lays out every
-(a, b) pair as case a*block + b, and ``pack_blocks`` concatenates per-block
-patterns.  ``verify_sum`` runs its d^2 cases in blocks of consecutive A
-values, so each wire's slice stays below a fixed number of cases however
-large d is.
+Inputs are packed and outputs unpacked a whole slice at a time, never one
+bit at a time on a huge integer: ``pair_slices`` lays out every (a, b) pair
+as case a*block + b.  The checkers build their expected outputs with the
+same slice arithmetic, from the input slices and the specification alone.
+``verify_sum`` adds the A and B slices with a bit-sliced ripple adder and
+subtracts d wherever the sum reaches d; the multiplier-add checker XORs the
+a slices selected by carry-less field products.  Neither reads the circuit
+under test, ``sumsynth.plan(d)`` or the field's exp/log tables, so the
+expected outputs are a second derivation, not a replay of the synthesis.
+``verify_sum`` runs its d^2 cases in blocks of consecutive A values, so each
+wire's slice stays below a fixed number of cases however large d is.
 """
 
 from __future__ import annotations
@@ -36,16 +42,26 @@ TRUTH_TABLE_WIDTH_LIMIT = 24
 def compile_permutation(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """(positive-control offsets, zero-control offsets, target offset) per gate.
 
-    Rejects non-permutation gates.
+    Rejects non-permutation gates.  Wires are looked up in one wire -> offset
+    map of the register table; a wire it lacks goes to ``RegisterTable.resolve``,
+    which raises the ``ResolutionError``.
     """
-    resolve = c.table.resolve
+    table = c.table
+    offsets = {}
+    for r in table.registers:
+        base = table.offset(r.name)
+        offsets.update((Wire(r.name, i), base + i) for i in range(r.width))
+    get, resolve = offsets.get, table.resolve
     compiled = []
     for i, g in enumerate(c.gates):
         if g.kind not in ("X", "MCX"):
             raise UnsupportedGateError(f"gate {i} ({g.kind}) is not a permutation gate")
-        positive = tuple(resolve(ct.wire) for ct in g.controls if ct.pol != ZERO)
-        zero = tuple(resolve(ct.wire) for ct in g.controls if ct.pol == ZERO)
-        compiled.append((positive, zero, resolve(g.targets[0])))
+        positive, zero = [], []
+        for ct in g.controls:
+            pos = get(ct.wire)
+            (zero if ct.pol == ZERO else positive).append(resolve(ct.wire) if pos is None else pos)
+        target = get(g.targets[0])
+        compiled.append((tuple(positive), tuple(zero), resolve(g.targets[0]) if target is None else target))
     return compiled
 
 
@@ -94,11 +110,6 @@ def _counter_slice(n_cases: int, j: int, run: int = 1) -> int:
     return _tile(((1 << half) - 1) << half, 2 * half, n_cases)
 
 
-def pack_blocks(blocks: list[int], width: int) -> int:
-    """One slice from width-bit blocks, blocks[0] in the lowest bits."""
-    return int("".join(format(b, f"0{width}b") for b in reversed(blocks)), 2)
-
-
 def pair_slices(block: int, width: int) -> tuple[list[int], list[int]]:
     """Slices of two width-bit registers (a, b) over the cases i = a*block + b, a, b < block.
 
@@ -109,6 +120,29 @@ def pair_slices(block: int, width: int) -> tuple[list[int], list[int]]:
     a = [_counter_slice(n_cases, j, block) for j in range(width)]
     b = [_tile(_counter_slice(block, j), block, n_cases) for j in range(width)]
     return a, b
+
+
+def _add_mod(a: list[int], b: list[int], d: int, full: int) -> list[int]:
+    """Slices of (a + b) mod d from the slices of a, b < d, low bit first.
+
+    A ripple add into one more slice than a has, then s - d with a borrow
+    chain: a borrow out of the top bit marks s < d, and there s is kept,
+    elsewhere the difference.  Every step is one operation on whole slices.
+    """
+    s, carry = [], 0
+    for x, y in zip(a, b):
+        s.append(x ^ y ^ carry)
+        carry = (x & y) | (carry & (x ^ y))
+    s.append(carry)
+    diff, borrow = [], 0
+    for j, bit in enumerate(s):
+        if d >> j & 1:
+            diff.append(full ^ bit ^ borrow)
+            borrow |= full ^ bit
+        else:
+            diff.append(bit ^ borrow)
+            borrow &= full ^ bit
+    return [low ^ (borrow & (bit ^ low)) for bit, low in zip(s, diff[:len(a)])]
 
 
 def _columns(slices: list[int], n_cases: int) -> list[str]:
@@ -185,7 +219,6 @@ def verify_sum(d: int, c: Circuit) -> VerificationReport:
                 if reg.role in ("carry", "check-if", "work") for j in range(reg.width)]
     compiled = compile_permutation(c)
     patterns = [_counter_slice(d, j) for j in range(k)]  # bit j of b, for b < d
-    ones = (1 << d) - 1
     rows = max(1, _CASES_PER_BLOCK // d)  # A values per block
 
     failures, dirty = [], 0
@@ -194,9 +227,7 @@ def verify_sum(d: int, c: Circuit) -> VerificationReport:
         n_cases = (a1 - a0) * d  # case i is (a0 + i // d, i % d)
         a_in = [_counter_slice(a1 * d, j, d) >> (a0 * d) for j in range(k)]
         b_in = [_tile(pattern, d, n_cases) for pattern in patterns]
-        # Block a of bit j of (a+b) mod d is bit j of b rotated down by a.
-        want = [pack_blocks([((pattern >> a) | (pattern << (d - a))) & ones for a in range(a0, a1)], d)
-                for pattern in patterns]
+        want = _add_mod(a_in, b_in, d, (1 << n_cases) - 1)
 
         out = _run(compiled, table.total_width, dict(zip(a_pos + b_pos, a_in + b_in)), n_cases)
         a_bad = b_bad = block_dirty = 0

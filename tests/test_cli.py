@@ -11,6 +11,7 @@ import pytest
 
 from qrsmux import analysis, circuit, cli, gf2m, lowering
 from qrsmux.cli import main
+from qrsmux.errors import ParseError
 
 
 def run(capsys, *argv):
@@ -399,6 +400,50 @@ def test_lower_rejects_non_utf8_input(capsys, tmp_path):
                      "--report", str(report))
     assert_input_error(rc, err, "--in", "latin1.json", "utf-8")
     assert not report.exists()
+
+
+def test_lower_names_the_input_of_an_empty_document(capsys, tmp_path):
+    doc = tmp_path / "empty.json"
+    doc.write_text("")
+    report = tmp_path / "lower.csv"
+    rc, out, err = run(capsys, "lower", "--in", str(doc), "--strategy", "general",
+                       "--report", str(report))
+    assert_input_error(rc, err, f"--in {doc}: ")
+    assert err == f"error: --in {doc}: line 1, column 1: Expecting value\n"
+    assert not report.exists() and out == ""
+
+
+def test_lower_names_the_input_of_a_document_with_a_bad_field(capsys, tmp_path):
+    doc = tmp_path / "sum5.json"
+    run(capsys, "synth-sum", "--d", "5", "--emit", str(doc))
+    parsed = json.loads(doc.read_text())
+    parsed["gates"][3]["targets"][0]["idx"] = -1
+    doc.write_text(json.dumps(parsed))
+    report = tmp_path / "lower.csv"
+    rc, out, err = run(capsys, "lower", "--in", str(doc), "--strategy", "general",
+                       "--report", str(report))
+    assert_input_error(rc, err, f"--in {doc}: ")
+    with pytest.raises(ParseError) as parse_error:
+        circuit.parse(doc.read_text())
+    assert err == f"error: --in {doc}: {parse_error.value}\n"
+    assert "gates[3].targets[0].idx" in err
+    assert not report.exists() and out == ""
+
+
+def test_gf2m_refuses_emit_and_report_naming_one_file(capsys, tmp_path):
+    same = tmp_path / "same.txt"
+    rc, out, err = run(capsys, "gf2m", "--m", "2", "--emit", str(same), "--report", str(same))
+    assert_input_error(rc, err, f"--report {same}", f"--emit {same}")
+    assert err.index("--report") < err.index("--emit")  # the second flag is the one named first
+    assert not same.exists() and "wrote" not in out
+
+
+def test_sweep_refuses_out_and_svg_naming_one_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QRS_OUT_DIR", raising=False)
+    rc, out, err = run(capsys, "sweep", "--d-max", "7", "--out", "s.txt", "--svg", "./s.txt")
+    assert_input_error(rc, err, "--svg ./s.txt", "--out s.txt")
+    assert list(tmp_path.iterdir()) == [] and "wrote" not in out
 
 
 def test_lower_rejects_unwritable_report(capsys, tmp_path):

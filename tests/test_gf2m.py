@@ -129,6 +129,26 @@ def test_cmuladd_semantics_m_up_to_5():
             assert verify_cmuladd(synth_cmuladd(f, n), f, n), (m, n)
 
 
+def test_cmuladd_checker_reads_no_field_table(monkeypatch):
+    """The checker derives its expected outputs from carry-less products, not
+    from the exp/log tables the circuit's multiplication matrix comes from."""
+    cases = []
+    for m, poly in [(1, None), (2, None), (4, None), (4, 0b11001), (7, None)]:
+        f = FieldSpec.binary_extension(m, poly)
+        for n in range(f.order - 1):
+            c = synth_cmuladd(f, n)  # built before the tables are shut off
+            cases.append((f, n, c, c.without_gate(len(c) // 2)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checker read the field's exp/log tables")
+    monkeypatch.setattr(galois, "mul_int", refuse)
+    monkeypatch.setattr(FieldSpec, "alpha_power", refuse)
+    monkeypatch.setattr(FieldSpec, "_exp_log", property(refuse))
+    for f, n, c, broken in cases:
+        assert find_cmuladd_counterexample(c, f, n) is None, (f, n)
+        assert find_cmuladd_counterexample(broken, f, n) is not None, (f, n)
+
+
 # ---------------------------------------------------------------
 # Encoder
 # ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from qrsmux import circuit as ir, revsim
 from qrsmux.analysis import primes_in
 from qrsmux.circuit import Circuit, Control, Register, RegisterTable, Wire
-from qrsmux.errors import ResourceLimitError, UnsupportedGateError
+from qrsmux.errors import ResolutionError, ResourceLimitError, UnsupportedGateError
 from qrsmux.galois import FieldSpec
-from qrsmux.gf2m import find_cmuladd_counterexample, synth_cmuladd
+from qrsmux.gf2m import build_code, expand_cmuladds, find_cmuladd_counterexample, synth_cmuladd, synth_encoder_gf2m
 from qrsmux.revsim import truth_table, verify_sum
 from qrsmux.sumsynth import synth_rca, synth_sum
 
@@ -217,13 +218,17 @@ def reference_verify_sum(d, c):
     return failures, dirty
 
 
-@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
-def test_verify_sum_matches_reference_on_every_single_gate_mutant(d):
+@pytest.mark.parametrize("d, sampled", [pytest.param(d, None, id=str(d)) for d in (3, 5, 7, 11, 13, 17)]
+                         + [pytest.param(31, 30, id="31")])
+def test_verify_sum_matches_reference_on_every_single_gate_mutant(d, sampled):
+    """Every single-gate mutant, or a seeded sample of them where the per-case
+    reference would be slow."""
     c = synth_sum(d)
     # No gate of synth_sum targets A, so one extra gate corrupts A on some cases
     # and exercises the got = -1 convention.
     corrupt_a = Circuit(c.table, c.gates + [ir.cx(Wire("B", 0), Wire("A", 0))])
-    for circuit in [c, corrupt_a] + [c.without_gate(i) for i in range(len(c))]:
+    removed = range(len(c)) if sampled is None else random.Random(d).sample(range(len(c)), sampled)
+    for circuit in [c, corrupt_a] + [c.without_gate(i) for i in removed]:
         report = verify_sum(d, circuit)
         failures, dirty = reference_verify_sum(d, circuit)
         assert report.total_cases == d * d
@@ -257,6 +262,64 @@ def test_verify_sum_in_blocks_equals_one_block(cap, monkeypatch):
     assert len(blocks) > 2 * len(circuits) and max(blocks) <= max(cap, 61)
 
 
+def test_verify_sum_blocks_past_the_first_match_per_case_sums(monkeypatch):
+    """Blocks of a few A values each, so most start at a0 > 0 and the last is
+    short.  For every prime up to 61 the synthesized circuit passes, and a
+    mutant that also corrupts A reports what the per-case (a + b) mod d
+    reference finds."""
+    rng = random.Random(61)
+    blocks, failures = [], []
+    monkeypatch.setattr(revsim, "_run", lambda *a, run=revsim._run: blocks.append(a[3]) or run(*a))
+    for d in primes_in(3, 61):
+        c = synth_sum(d)
+        mutant = c.without_gate(rng.randrange(len(c)))
+        broken = Circuit(c.table, mutant.gates + [ir.cx(Wire("B", 0), Wire("A", 0))])
+        rows = max(1, d // 3)
+        monkeypatch.setattr(revsim, "_CASES_PER_BLOCK", rows * d)
+        reports = []
+        for circuit in (c, broken):
+            blocks.clear()
+            reports.append(verify_sum(d, circuit))
+            assert blocks == [min(rows, d - a0) * d for a0 in range(0, d, rows)]
+        clean, bad = reports
+        assert clean.verified and clean.total_cases == bad.total_cases == d * d
+        assert (bad.failures, bad.ancilla_dirty_cases) == reference_verify_sum(d, broken), d
+        failures += bad.failures
+    assert any(got == -1 for *_, got in failures) and any(got >= 0 for *_, got in failures)
+
+
+def reference_compile(c):
+    """compile_permutation, one RegisterTable.resolve call per wire."""
+    resolve = c.table.resolve
+    return [(tuple(resolve(ct.wire) for ct in g.controls if ct.pol != ir.ZERO),
+             tuple(resolve(ct.wire) for ct in g.controls if ct.pol == ir.ZERO),
+             resolve(g.targets[0])) for g in c.gates]
+
+
+def test_compile_permutation_matches_per_wire_resolve():
+    circuits = [synth_sum(d) for d in primes_in(3, 257)]
+    for m in range(2, 6):
+        circuits.append(expand_cmuladds(synth_encoder_gf2m(build_code(m, 1 << (m - 1))))[0])
+    circuits.append(Circuit(single_reg(3), [ir.x(Wire("q", 2)),
+                                             ir.mcx([Control(Wire("q", 0), ir.ZERO), Wire("q", 2)], Wire("q", 1))]))
+    for c in circuits:
+        assert revsim.compile_permutation(c) == reference_compile(c)
+
+
+@pytest.mark.parametrize("wire", [Wire("q", 3), Wire("r", 0)], ids=["index-out-of-range", "unknown-register"])
+@pytest.mark.parametrize("role", ["control", "target"])
+def test_compile_permutation_reports_an_unresolvable_wire_as_resolve_does(wire, role):
+    table = single_reg(3)
+    em = ir.Emitter()  # unchecked, so the gate may name a wire outside the table
+    control, target = (wire, Wire("q", 0)) if role == "control" else (Wire("q", 0), wire)
+    em.mcx(em.indices(("MCX", (control.reg,), target.reg)), (Control(control),), (target,))
+    c = em.circuit(table, ir.Meta())
+    with pytest.raises(ResolutionError) as direct:
+        table.resolve(wire)
+    with pytest.raises(ResolutionError, match=f"^{re.escape(str(direct.value))}$"):
+        revsim.compile_permutation(c)
+
+
 def shift_and_xor_product(a, b, poly):
     """a * b in GF(2)[x]/(poly), computed without the field's exp/log tables."""
     top = 1 << (poly.bit_length() - 1)
@@ -271,9 +334,10 @@ def shift_and_xor_product(a, b, poly):
     return product
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_cmuladd_witness_is_first_failing_pair(m):
-    f = FieldSpec.binary_extension(m)
+@pytest.mark.parametrize("m, poly", [pytest.param(m, None, id=str(m)) for m in (2, 3, 4)]
+                         + [pytest.param(4, 0b11001, id="4-0b11001")])
+def test_cmuladd_witness_is_first_failing_pair(m, poly):
+    f = FieldSpec.binary_extension(m, poly)
     size = 1 << m
     for n in range(f.order - 1):
         c = synth_cmuladd(f, n)
