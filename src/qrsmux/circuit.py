@@ -9,21 +9,23 @@ level gates (SUM, DFT, CMulAdd) address whole registers: their wires have
 Zero-polarity controls are first-class on MCX so gate-class counts do not
 depend on the control pattern.
 
-Trust boundary.  A circuit is built once and never changes.  ``Gate(...)``,
-the gate constructors (``cx``, ``mcx``, ...) and ``Circuit(table, gates)``
-check every gate they build or take.  ``Emitter`` alone skips those checks:
-the synthesizers (``sumsynth.synth_sum``/``synth_rca``/``synth_mod``,
-``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``) emit through it gates
-whose wires they built from a validated plan or register table, and it hands
-back a circuit whose signature histogram is already filled.  ``parse`` emits
-through it too.  It checks each distinct control and target entry of a
-document once, resolving its wire against the register table, and emits a
-gate unchecked only in the shape ``Gate(...)`` and ``Circuit(...)`` accept as
-is: an MCX without d, n or poly, with at least one control and one target,
-every wire an in-range qubit and none repeated.  Every other gate goes
-through ``Gate(...)`` and the table checks of ``Circuit(...)``, so each fault
-is reported as before.  Tests rebuild every emitted or parsed gate through
-the checked path and compare.
+Trust boundary.  A circuit is built once and never changes.  ``Gate`` is a
+checked tuple of its six fields: ``Gate(...)``, ``Gate._make`` and
+``_replace`` run its checks, and so do the gate constructors (``cx``,
+``mcx``, ...).  ``Circuit(table, gates)`` checks every gate it takes against
+the table.  ``Emitter`` alone skips those checks: it builds each MCX with
+``tuple.__new__(Gate, ...)``.  The synthesizers
+(``sumsynth.synth_sum``/``synth_rca``/``synth_mod``, ``gf2m.synth_cmuladd``
+and ``gf2m.expand_cmuladds``) emit through it gates whose wires they built
+from a validated plan or register table, and it hands back a circuit whose
+signature histogram is already filled.  ``parse`` emits through it too.  It
+checks each distinct control and target entry of a document once, resolving
+its wire against the register table, and emits a gate unchecked only in the
+shape ``Gate(...)`` and ``Circuit(...)`` accept as is: an MCX without d, n or
+poly, with at least one control and one target, every wire an in-range qubit
+and none repeated.  Every other gate goes through ``Gate(...)`` and the table
+checks of ``Circuit(...)``, so each fault is reported as before.  Tests
+rebuild every emitted or parsed gate through the checked path and compare.
 """
 
 from __future__ import annotations
@@ -111,10 +113,7 @@ class RegisterTable:
         return isinstance(other, RegisterTable) and self.registers == other.registers
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    """Typed gate record; structural invariants are enforced at construction."""
-
+class _GateFields(NamedTuple):
     kind: str
     controls: tuple[Control, ...] = ()
     targets: tuple[Wire, ...] = ()
@@ -122,14 +121,21 @@ class Gate:
     n: int | None = None       # multiplier exponent for CMulAdd
     poly: int | None = None    # primitive polynomial for CMulAdd (None = default)
 
-    def __post_init__(self):
-        kind = self.kind
+
+class Gate(_GateFields):
+    """Typed gate record, a tuple of its six fields; structural invariants are
+    enforced at construction, by ``Gate(...)``, ``_make`` and ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, controls: tuple[Control, ...] = (), targets: tuple[Wire, ...] = (),
+                d: int | None = None, n: int | None = None, poly: int | None = None):
         if kind not in GATE_KINDS:
             raise InvalidGateError(f"unknown gate kind {kind!r}")
         # One loop over the controls.  Faults are reported in a fixed order: a
         # reused wire, the first control with a bad polarity, then the shape.
-        wires, fault, qubit_controls = set(self.targets), None, 0
-        for c in self.controls:
+        wires, fault, qubit_controls = set(targets), None, 0
+        for c in controls:
             wires.add(c.wire)
             if c.pol != POSITIVE and fault is None:
                 if c.pol not in POLARITIES:
@@ -138,31 +144,38 @@ class Gate:
                     fault = f"zero-polarity control is only permitted on MCX, not {kind}"
             if c.wire.idx is not None:
                 qubit_controls += 1
-        if len(wires) != len(self.controls) + len(self.targets):
+        if len(wires) != len(controls) + len(targets):
             raise InvalidGateError(
-                f"{kind} gate reuses a wire: {[c.wire for c in self.controls] + list(self.targets)}")
+                f"{kind} gate reuses a wire: {[c.wire for c in controls] + list(targets)}")
         if fault is not None:
             raise InvalidGateError(fault)
         if kind == "MCX":
-            if not self.controls or len(self.targets) != 1:
+            if not controls or len(targets) != 1:
                 raise InvalidGateError("MCX takes >= 1 control and exactly one target")
-            if qubit_controls != len(self.controls) or self.targets[0].idx is None:
+            if qubit_controls != len(controls) or targets[0].idx is None:
                 raise InvalidGateError("MCX wires must be single qubits")
         elif kind in _SINGLE_QUBIT:
-            if self.controls or len(self.targets) != 1:
+            if controls or len(targets) != 1:
                 raise InvalidGateError(f"{kind} takes no controls and exactly one target")
-            if self.targets[0].idx is None:
+            if targets[0].idx is None:
                 raise InvalidGateError(f"{kind} target must be a single qubit wire")
         else:  # SUM, DFT, CMulAdd
             n_ctrl = 1 if kind in ("SUM", "CMulAdd") else 0
-            if len(self.controls) != n_ctrl or len(self.targets) != 1:
+            if len(controls) != n_ctrl or len(targets) != 1:
                 raise InvalidGateError(f"{kind} takes {n_ctrl} control register and one target register")
-            if qubit_controls or self.targets[0].idx is not None:
+            if qubit_controls or targets[0].idx is not None:
                 raise InvalidGateError(f"{kind} addresses whole registers (idx must be None)")
-            if kind in ("SUM", "DFT") and self.d is None:
+            if kind in ("SUM", "DFT") and d is None:
                 raise InvalidGateError(f"{kind} requires the qudit dimension d")
-            if kind == "CMulAdd" and self.n is None:
+            if kind == "CMulAdd" and n is None:
                 raise InvalidGateError("CMulAdd requires the multiplier exponent n")
+        return tuple.__new__(cls, (kind, controls, targets, d, n, poly))
+
+    @classmethod
+    def _make(cls, iterable) -> "Gate":
+        """Gate(*iterable); ``_replace`` builds its result through this, so
+        neither can skip the checks."""
+        return cls(*iterable)
 
     @property
     def arity(self) -> int:
@@ -315,7 +328,7 @@ class Meta:
 
 
 # Bare construction and attribute setting, past __post_init__ and the frozen
-# dataclass guard: for _trusted_circuit, Emitter.mcx and Circuit's own fields.
+# dataclass guard: for _trusted_circuit and Circuit's own fields.
 _new, _set = object.__new__, object.__setattr__
 
 
@@ -362,12 +375,6 @@ class Circuit:
         return len(self.gates)
 
 
-# Gate construction without __post_init__, for Emitter: the slot setters.
-_set_kind, _set_controls, _set_targets, _set_d, _set_n, _set_poly = (
-    Gate.kind.__set__, Gate.controls.__set__, Gate.targets.__set__,
-    Gate.d.__set__, Gate.n.__set__, Gate.poly.__set__)
-
-
 def _trusted_circuit(table: RegisterTable, gates: list[Gate], meta: Meta, histogram) -> Circuit:
     """Circuit(table, gates, meta) without its checks, for gates that come from
     a checked plan or circuit; a histogram of None is built on first read."""
@@ -377,15 +384,18 @@ def _trusted_circuit(table: RegisterTable, gates: list[Gate], meta: Meta, histog
     return c
 
 
+_tuple_new = tuple.__new__  # a Gate without its checks, for Emitter
+
+
 class Emitter:
     """Builds a circuit from gates whose validity the caller vouches for.
 
-    ``mcx`` skips ``Gate.__post_init__`` and the checks of ``Circuit(...)``:
-    it is for synthesizers whose wires lie inside their own register table
-    by construction, and for ``parse`` once it has resolved every wire of a
-    qubit MCX against the table.  Each gate's index is recorded under its
-    signature as it is emitted, so the circuit gets its signature histogram
-    without a walk.
+    ``mcx`` and ``fanout`` build each gate with ``tuple.__new__``, past the
+    checks of ``Gate(...)`` and ``Circuit(...)``: they are for synthesizers
+    whose wires lie inside their own register table by construction, and for
+    ``parse`` once it has resolved every wire of a qubit MCX against the
+    table.  Each gate's index is recorded under its signature as it is
+    emitted, so the circuit gets its signature histogram without a walk.
     """
 
     __slots__ = ("gates", "_groups")
@@ -401,15 +411,16 @@ class Emitter:
 
     def mcx(self, indices: list[int], controls: tuple[Control, ...], targets: tuple[Wire]) -> None:
         """Emit MCX(controls -> targets) unchecked; indices is its signature's list."""
-        g = _new(Gate)
-        _set_kind(g, "MCX")
-        _set_controls(g, controls)
-        _set_targets(g, targets)
-        _set_d(g, None)
-        _set_n(g, None)
-        _set_poly(g, None)
         indices.append(len(self.gates))
-        self.gates.append(g)
+        self.gates.append(_tuple_new(Gate, ("MCX", controls, targets, None, None, None)))
+
+    def fanout(self, indices: list[int], controls: tuple[Control, ...], targets: Iterable[tuple[Wire]]) -> None:
+        """Emit MCX(controls -> t) unchecked for each 1-tuple t of targets, in
+        order; indices is their signature's list.  No targets emit nothing."""
+        gates = self.gates
+        start = len(gates)
+        gates += [_tuple_new(Gate, ("MCX", controls, t, None, None, None)) for t in targets]
+        indices += range(start, len(gates))
 
     def add(self, g: Gate) -> None:
         """Emit a gate that was already checked, e.g. one taken from another circuit."""

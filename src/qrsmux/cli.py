@@ -131,9 +131,10 @@ def cmd_gf2m(args) -> int:
     with _user_input(poly_source):
         field = galois.FieldSpec.binary_extension(args.m, args.poly, overrides)
     k = args.k if args.k is not None else 1 << (args.m - 1)
-    with _user_input(f"--m {args.m}" if args.k is None else f"--k {args.k}"):
+    with _user_input(f"--m {args.m}" if args.k is None else f"--k {args.k}",
+                     (ValueError, UnsupportedConfigurationError)):  # a bad length, or a code without its dual
         spec = gf2m.build_code(args.m, k, poly=field.poly)
-    encoder = gf2m.synth_encoder_gf2m(spec)
+        encoder = gf2m.synth_encoder_gf2m(spec)
     outputs = []
     if args.emit:
         outputs.append((f"--emit {args.emit}", args.emit, serialize(encoder)))

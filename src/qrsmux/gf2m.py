@@ -209,7 +209,7 @@ def find_cmuladd_counterexample(c: Circuit, f: FieldSpec, n: int) -> tuple[int, 
 
     out = simulate_slices(c, dict(zip(a_pos + b_pos, a_in + b_in)), size * size)
     bad = 0
-    for pos, expect in zip(a_pos + b_pos, a_in + want):
+    for pos, expect in zip(a_pos + b_pos, (*a_in, *want)):
         bad |= out[pos] ^ expect
     if not bad:
         return None

@@ -26,6 +26,7 @@ wire's slice stays below a fixed number of cases however large d is.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -110,15 +111,17 @@ def _counter_slice(n_cases: int, j: int, run: int = 1) -> int:
     return _tile(((1 << half) - 1) << half, 2 * half, n_cases)
 
 
-def pair_slices(block: int, width: int) -> tuple[list[int], list[int]]:
+@functools.lru_cache(maxsize=8)
+def pair_slices(block: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Slices of two width-bit registers (a, b) over the cases i = a*block + b, a, b < block.
 
     Returns (a slices, b slices), low bit first.  Increasing case index is
-    increasing (a, b).
+    increasing (a, b).  Built once per (block, width) and shared, so the
+    slices are tuples that no caller can change.
     """
     n_cases = block * block
-    a = [_counter_slice(n_cases, j, block) for j in range(width)]
-    b = [_tile(_counter_slice(block, j), block, n_cases) for j in range(width)]
+    a = tuple([_counter_slice(n_cases, j, block) for j in range(width)])
+    b = tuple([_tile(_counter_slice(block, j), block, n_cases) for j in range(width)])
     return a, b
 
 

@@ -21,6 +21,14 @@ Layout choices that pin the exact gate tally:
   touch the carry, and no ancilla is uncomputed.  Cascading SUM gates
   therefore needs fresh (or reset) carry/check-if ancillas, exactly as the
   per-gate cost model assumes.
+
+The modulo conversion is emitted from half tables built once per synthesis.
+The low bits 0..h-1 of B (h = k // 2) and the high bits h..k-1 each get a
+table, indexed by their part of a k-bit value v, of the flag controls that
+read that part of v and of the correction targets that its set bits select.
+The controls of pattern v are then ``low[v & (2^h - 1)] + high[v >> h]``,
+one concatenation of two tables of at most 2^ceil(k/2) entries, and the
+targets of a correction mask come from its two half tables the same way.
 """
 
 from __future__ import annotations
@@ -97,14 +105,10 @@ def plan(d: int, k_max: int = DEFAULT_K_MAX) -> SumPlan:
     checkif_index = 0
     for i in range(d, 2 * (d - 1) + 1):
         substituted = i == top and 2 * (d - 1) == top
-        flags.append(FlagSpec(
-            value=i,
-            pattern=i % top,
-            needs_carry_control=i >= top,
-            correction_mask=(i % top) ^ (i % d),
-            uses_carry_substitute=substituted,
-            checkif_index=None if substituted else checkif_index,
-        ))
+        pattern = i % top
+        # value, pattern, needs_carry_control, correction_mask, uses_carry_substitute, checkif_index
+        flags.append(FlagSpec(i, pattern, i >= top, pattern ^ (i % d), substituted,
+                              None if substituted else checkif_index))
         if not substituted:
             checkif_index += 1
     n_checkif = checkif_index
@@ -148,36 +152,49 @@ def _emit_rca(em: Emitter, k: int) -> None:
         em.mcx(c_b, (c[i - 1],), b_out[i])
 
 
+def _pick_table(choices: list[tuple[tuple, tuple]]) -> list[tuple]:
+    """table[v] = choices[0][bit 0 of v] + choices[1][bit 1 of v] + ...,
+    for every v below 2^len(choices)."""
+    table = [()]
+    for if_zero, if_one in choices:
+        table = [t + if_zero for t in table] + [t + if_one for t in table]
+    return table
+
+
 def _emit_mod(em: Emitter, p: SumPlan) -> None:
     """Flag phase then correction phase for the modulo conversion."""
-    k = p.k
+    k, half = p.k, p.k // 2
+    low_mask = (1 << half) - 1
     b = [Wire("B", j) for j in range(k)]
-    b_out = [(w,) for w in b]
-    b_by_bit = [(Control(w, ZERO), Control(w, POSITIVE)) for w in b]  # [j][pattern bit j]
-    top_carry = Control(Wire("carry", k - 1))
+    reads = [((Control(w, ZERO),), (Control(w, POSITIVE),)) for w in b]  # bit j of a pattern -> its control
+    flips = [((), ((w,),)) for w in b]                                    # bit j of a mask -> its targets
+    controls_low, controls_high = _pick_table(reads[:half]), _pick_table(reads[half:])
+    targets_low, targets_high = _pick_table(flips[:half]), _pick_table(flips[half:])
+    top_carry = (Control(Wire("carry", k - 1)),)
     checkif_out = [(Wire("checkif", i),) for i in range(p.n_checkif)]
+    checkif_in = [(Control(w),) for (w,) in checkif_out]
     # flag phase
+    mcx = em.mcx
     flag = em.indices(("MCX", ("B",) * k, "checkif"))
     flag_with_carry = em.indices(("MCX", ("B",) * k + ("carry",), "checkif"))
-    for f in p.flags:
-        if f.uses_carry_substitute:
+    for _, pattern, needs_carry_control, _, substituted, i in p.flags:
+        if substituted:
             continue
-        controls = tuple([b_by_bit[j][f.pattern >> j & 1] for j in range(k)])
-        if f.needs_carry_control:
-            em.mcx(flag_with_carry, controls + (top_carry,), checkif_out[f.checkif_index])
+        controls = controls_low[pattern & low_mask] + controls_high[pattern >> half]
+        if needs_carry_control:
+            mcx(flag_with_carry, controls + top_carry, checkif_out[i])
         else:
-            em.mcx(flag, controls, checkif_out[f.checkif_index])
+            mcx(flag, controls, checkif_out[i])
     # correction phase
+    fanout = em.fanout
     from_checkif = em.indices(("MCX", ("checkif",), "B"))
     from_carry = em.indices(("MCX", ("carry",), "B"))
-    for f in p.flags:
-        if f.uses_carry_substitute:
-            indices, controls = from_carry, (top_carry,)
+    for _, _, _, mask, substituted, i in p.flags:
+        targets = targets_low[mask & low_mask] + targets_high[mask >> half]
+        if substituted:
+            fanout(from_carry, top_carry, targets)
         else:
-            indices, controls = from_checkif, (Control(checkif_out[f.checkif_index][0]),)
-        for j in range(k):
-            if f.correction_mask >> j & 1:
-                em.mcx(indices, controls, b_out[j])
+            fanout(from_checkif, checkif_in[i], targets)
 
 
 def synth_rca(k: int) -> Circuit:

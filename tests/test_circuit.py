@@ -57,6 +57,28 @@ def test_mcx_reports_its_first_fault(controls, targets, message):
     assert str(info.value) == message
 
 
+def test_replace_and_make_run_the_gate_checks():
+    g = ir.cx(_B0, _B1)
+    with pytest.raises(InvalidGateError, match="^unknown gate kind 'CSWAP'$"):
+        g._replace(kind="CSWAP")
+    with pytest.raises(InvalidGateError, match=r"^MCX gate reuses a wire: \[Wire\(reg='B', idx=0\), "
+                                               r"Wire\(reg='B', idx=0\)\]$"):
+        Gate._make(["MCX", (Control(_B0),), (_B0,), None, None, None])
+    assert g._replace(targets=(_B2,)) == ir.cx(_B0, _B2)
+    assert type(Gate._make(g)) is Gate and Gate._make(g) == g
+
+
+def test_gate_equals_and_hashes_by_its_fields():
+    """Equal fields give equal gates with the hash of the tuple of those fields."""
+    g = Gate("MCX", (Control(_B0), Control(_B1, ir.ZERO)), (_B2,))
+    fields = ("MCX", (Control(_B0), Control(_B1, ir.ZERO)), (_B2,), None, None, None)
+    assert g == Gate(*fields) and hash(g) == hash(Gate(*fields)) == hash(fields)
+    assert (g.kind, g.controls, g.targets, g.d, g.n, g.poly) == fields and g.arity == 2
+    assert g != Gate("MCX", (Control(_B0), Control(_B1)), (_B2,))
+    assert len({g, Gate(*fields), ir.mcx([_B0], _B2)}) == 2
+    assert repr(ir.dft("B", 5)) == "Gate(kind='DFT', controls=(), targets=(Wire(reg='B', idx=None),), d=5, n=None, poly=None)"
+
+
 def test_out_of_range_index_rejected():
     ok = ir.x(Wire("B", 2))
     with pytest.raises(ResolutionError, match=r"^index 3 out of range for register 'B' of width 3$"):

@@ -516,6 +516,14 @@ def test_gf2m_names_k_for_bad_message_length(capsys):
     assert_input_error(rc, err, "--k 5", "message length")
 
 
+def test_gf2m_names_k_for_a_code_without_its_dual(capsys, tmp_path):
+    doc = tmp_path / "enc.json"
+    rc, out, err = run(capsys, "gf2m", "--m", "2", "--k", "1", "--emit", str(doc))
+    assert_input_error(rc, err, "--k 1", "does not contain its dual")
+    assert err == "error: --k 1: [3,1] over GF(4) does not contain its dual; encoder needs K >= (n+1)/2\n"
+    assert out == "" and not doc.exists()
+
+
 @pytest.mark.parametrize("poly, fragment", [("0b1001", "reducible"), ("-9", "non-negative")])
 def test_gf2m_names_poly_for_bad_polynomial(capsys, poly, fragment):
     rc, _, err = run(capsys, "gf2m", "--m", "3", "--poly", poly)

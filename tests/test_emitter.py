@@ -15,7 +15,9 @@ from hypothesis import given, settings
 
 from qrsmux import sumsynth
 from qrsmux.analysis import primes_in
-from qrsmux.circuit import Circuit, Gate, parse, serialize, signature
+from qrsmux.circuit import (
+    Circuit, Control, Emitter, Gate, Meta, Register, RegisterTable, Wire, parse, serialize, signature,
+)
 from qrsmux.errors import ParseError
 from qrsmux.galois import FieldSpec
 from qrsmux.gf2m import build_code, expand_cmuladds, synth_cmuladd, synth_encoder_gf2m
@@ -105,6 +107,22 @@ def test_prebuilt_histogram_equals_computed(family):
             shifted = [(key, tuple(j - (j > i) for j in indices if j != i)) for key, indices in prebuilt]
             want = sorted([(key, indices) for key, indices in shifted if indices], key=lambda kv: kv[1][0])
             assert list(mutant.signature_histogram().items()) == want, (label, i)
+
+
+def test_fanout_emits_a_gate_per_target_and_none_without_targets():
+    table = RegisterTable([Register("q", 4, 0, "work"), Register("r", 2, 1, "work")])
+    q1, r0 = (Control(Wire("q", 1)),), (Control(Wire("r", 0)),)
+    em = Emitter()
+    em.fanout(em.indices(("MCX", ("r",), "q")), r0, [])
+    em.fanout(em.indices(("MCX", ("q",), "r")), q1, [(Wire("r", 0),), (Wire("r", 1),)])
+    em.fanout(em.indices(("MCX", ("q",), "q")), q1, ())
+    em.mcx(em.indices(("MCX", ("q",), "q")), q1, (Wire("q", 0),))
+    c = em.circuit(table, Meta())
+    assert c.gates == [Gate("MCX", q1, (Wire("r", 0),)), Gate("MCX", q1, (Wire("r", 1),)),
+                       Gate("MCX", q1, (Wire("q", 0),))]
+    assert list(c.signature_histogram().items()) == [
+        (("MCX", ("q",), "r"), (0, 1)), (("MCX", ("q",), "q"), (2,))]
+    assert list(c.signature_histogram().items()) == walked_histogram(c.gates)
 
 
 # ---------------------------------------------------------------

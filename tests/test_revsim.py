@@ -334,6 +334,15 @@ def shift_and_xor_product(a, b, poly):
     return product
 
 
+def test_pair_slices_are_built_once_and_shared_as_tuples():
+    a, b = revsim.pair_slices(8, 3)
+    assert revsim.pair_slices(8, 3) is revsim.pair_slices(8, 3)
+    assert type(a) is tuple and type(b) is tuple
+    for i in range(64):  # case i = a * 8 + b, low bit first
+        assert sum((s >> i & 1) << j for j, s in enumerate(a)) == i // 8
+        assert sum((s >> i & 1) << j for j, s in enumerate(b)) == i % 8
+
+
 @pytest.mark.parametrize("m, poly", [pytest.param(m, None, id=str(m)) for m in (2, 3, 4)]
                          + [pytest.param(4, 0b11001, id="4-0b11001")])
 def test_cmuladd_witness_is_first_failing_pair(m, poly):

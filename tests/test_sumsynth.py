@@ -2,12 +2,13 @@ import pytest
 
 from qrsmux import sumsynth
 from qrsmux.analysis import primes_in
-from qrsmux.circuit import Wire
+from qrsmux.circuit import POSITIVE, ZERO, Circuit, Control, Gate, Wire, cx, toffoli
 from qrsmux.errors import InvalidDimensionError
 from qrsmux.revsim import truth_table
 from qrsmux.sumsynth import (
-    correction_cx_total, plan, predicted_counts, synth_mod, synth_rca, synth_sum,
+    correction_cx_total, plan, predicted_counts, sum_registers, synth_mod, synth_rca, synth_sum,
 )
+from test_emitter import SAMPLED_MOD_PRIMES
 
 
 # ---------------------------------------------------------------
@@ -208,3 +209,66 @@ def test_d2_boundary_half_adder():
     # table key bit 0 = A, bit 1 = B; output B' = A xor B with A preserved
     tt = truth_table(c, [Wire("A", 0), Wire("B", 0)])
     assert tt == {0b00: 0b00, 0b01: 0b11, 0b10: 0b10, 0b11: 0b01}
+
+
+# ---------------------------------------------------------------
+# Table-driven emission against a per-bit reference
+# ---------------------------------------------------------------
+
+def reference_rca_gates(k):
+    """The ripple-carry adder, gate by gate through the checked constructors."""
+    a, b, c = ([Wire(reg, i) for i in range(k)] for reg in ("A", "B", "carry"))
+    gates = [toffoli(a[0], b[0], c[0]), cx(a[0], b[0])]
+    for i in range(1, k):
+        gates += [toffoli(a[i], b[i], c[i]), toffoli(a[i], c[i - 1], c[i]), toffoli(b[i], c[i - 1], c[i]),
+                  cx(a[i], b[i]), cx(c[i - 1], b[i])]
+    return gates
+
+
+def reference_mod_gates(p):
+    """The modulo conversion, built bit by bit through the checked Gate(...):
+    each flag reads every pattern bit in turn, and each correction walks all k
+    bits of its mask."""
+    k = p.k
+    b = [Wire("B", j) for j in range(k)]
+    b_out = [(w,) for w in b]
+    b_by_bit = [(Control(w, ZERO), Control(w, POSITIVE)) for w in b]  # [j][pattern bit j]
+    top_carry = Control(Wire("carry", k - 1))
+    checkif_out = [(Wire("checkif", i),) for i in range(p.n_checkif)]
+    gates = []
+    for f in p.flags:
+        if f.uses_carry_substitute:
+            continue
+        controls = tuple([b_by_bit[j][f.pattern >> j & 1] for j in range(k)])
+        if f.needs_carry_control:
+            controls += (top_carry,)
+        gates.append(Gate("MCX", controls, checkif_out[f.checkif_index]))
+    for f in p.flags:
+        if f.uses_carry_substitute:
+            controls = (top_carry,)
+        else:
+            controls = (Control(checkif_out[f.checkif_index][0]),)
+        for j in range(k):
+            if f.correction_mask >> j & 1:
+                gates.append(Gate("MCX", controls, b_out[j]))
+    return gates
+
+
+def assert_matches_reference(emitted, gates, label):
+    reference = Circuit(emitted.table, gates, emitted.meta)
+    assert emitted.gates == reference.gates, label
+    assert list(emitted.signature_histogram().items()) == list(reference.signature_histogram().items()), label
+
+
+def test_synth_sum_equals_the_per_bit_reference():
+    for d in primes_in(2, 1021):
+        p = plan(d)
+        assert_matches_reference(synth_sum(d), reference_rca_gates(p.k) + reference_mod_gates(p), d)
+
+
+def test_synth_mod_equals_the_per_bit_reference():
+    for d in SAMPLED_MOD_PRIMES:
+        p = plan(d)
+        emitted = synth_mod(p)
+        assert emitted.table == sum_registers(p)
+        assert_matches_reference(emitted, reference_mod_gates(p), d)
