@@ -13,26 +13,36 @@ Trust boundary.  A circuit is built once and never changes.  ``Gate`` is a
 checked tuple of its six fields: ``Gate(...)``, ``Gate._make`` and
 ``_replace`` run its checks, and so do the gate constructors (``cx``,
 ``mcx``, ...).  ``Circuit(table, gates)`` checks every gate it takes against
-the table.  ``Emitter`` alone skips those checks: it builds each MCX with
-``tuple.__new__(Gate, ...)``.  The synthesizers
-(``sumsynth.synth_sum``/``synth_rca``/``synth_mod``, ``gf2m.synth_cmuladd``
-and ``gf2m.expand_cmuladds``) emit through it gates whose wires they built
-from a validated plan or register table, and it hands back a circuit whose
+the table.  ``Emitter`` alone skips those checks, and it stores no ``Gate``
+for an MCX: it records each as ``(controls, target)``, plain ints, the
+control offsets in gate order with a zero-polarity control written as
+``~offset``.  Such records hold no object the cyclic garbage collector must
+walk.  The synthesizers (``sumsynth.synth_sum``/``synth_rca``/``synth_mod``,
+``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``) emit through it offsets
+they took from their own register table, and it hands back a circuit whose
 signature histogram is already filled.  ``parse`` emits through it too.  It
 checks each distinct control and target entry of a document once, resolving
-its wire against the register table, and emits a gate unchecked only in the
-shape ``Gate(...)`` and ``Circuit(...)`` accept as is: an MCX without d, n or
+its wire against the register table, and emits a record only in the shape
+``Gate(...)`` and ``Circuit(...)`` accept as is: an MCX without d, n or
 poly, with at least one control and one target, every wire an in-range qubit
 and none repeated.  Every other gate goes through ``Gate(...)`` and the table
-checks of ``Circuit(...)``, so each fault is reported as before.  Tests
-rebuild every emitted or parsed gate through the checked path and compare.
+checks of ``Circuit(...)``, so each fault is reported as before, and stays a
+``Gate`` in the record list.
+
+A circuit keeps whichever of the two forms it was built from.
+``Circuit.records`` of a circuit built from gates, and ``Circuit.gates`` of
+an emitted or parsed one, are built on first read and kept.  ``len``,
+``count`` and ``signature_histogram`` read whichever form the circuit holds,
+and ``without_gate``, ``serialize`` and ``revsim.compile_permutation`` read
+the records, so none of them builds a ``Gate``.  Tests rebuild every emitted
+or parsed gate through the checked path and compare.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidGateError, ParseError, ResolutionError
@@ -327,35 +337,71 @@ class Meta:
     note: str = ""
 
 
-# Bare construction and attribute setting, past __post_init__ and the frozen
-# dataclass guard: for _trusted_circuit and Circuit's own fields.
+# Bare construction and attribute setting, past __init__ and Circuit's
+# immutability guard: for _circuit and the forms Circuit builds on first read.
 _new, _set = object.__new__, object.__setattr__
+_tuple_new = tuple.__new__  # a Gate without its checks, for the gates of a record
 
 
-@dataclass(frozen=True)
 class Circuit:
     """Gates on a register table.  The constructor copies gates and checks
-    each against the table; the circuit never changes afterwards."""
+    each against the table; the circuit never changes afterwards.
 
-    table: RegisterTable
-    gates: list[Gate] = field(default_factory=list)
-    meta: Meta = field(default_factory=Meta)
-    _histogram: dict[tuple, tuple[int, ...]] | None = field(default=None, init=False, repr=False, compare=False)
+    It holds its gates in one of two forms and builds the other on first
+    read, then keeps it: ``gates``, a list of ``Gate``, and ``records``, in
+    which an MCX without d, n or poly is its ``(controls, target)`` record of
+    offsets (see the module docstring) and any other gate is its ``Gate``.
+    """
 
-    def __post_init__(self):
-        _set(self, "gates", list(self.gates))
-        widths = self.table.widths
-        for g in self.gates:
+    __slots__ = ("table", "meta", "_gates", "_records", "_histogram")
+
+    def __init__(self, table: RegisterTable, gates: Iterable[Gate] = (), meta: Meta = Meta()):
+        gates = list(gates)
+        widths = table.widths
+        for g in gates:
             _check_in_table(g, widths)
+        for name, value in (("table", table), ("meta", meta), ("_gates", gates), ("_records", None),
+                            ("_histogram", None)):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return (self.table, self.gates, self.meta) == (other.table, other.gates, other.meta)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Circuit(table={self.table!r}, gates={self.gates!r}, meta={self.meta!r})"
+
+    @property
+    def gates(self) -> list[Gate]:
+        """The gates in order; built from the records on first read and kept."""
+        if self._gates is None:
+            _set(self, "_gates", _gates_of(self.table, self._records))
+        return self._gates
+
+    @property
+    def records(self) -> list:
+        """One entry per gate, in order: an MCX without d, n or poly as its
+        (control offsets, target offset) record, any other gate as itself;
+        built from the gates on first read and kept."""
+        if self._records is None:
+            _set(self, "_records", _records_of(self.table, self._gates))
+        return self._records
 
     def signature_histogram(self) -> dict[tuple, tuple[int, ...]]:
         """signature(g) -> indices of its gates, in order of first use; built
-        on first read and kept."""
+        on first read, from whichever form the circuit holds, and kept."""
         if self._histogram is None:
-            groups: dict[tuple, list[int]] = defaultdict(list)
-            for i, g in enumerate(self.gates):
-                groups[signature(g)].append(i)
-            _set(self, "_histogram", {key: tuple(indices) for key, indices in groups.items()})
+            entries = self._records if self._records is not None else self._gates
+            _set(self, "_histogram", _walk_histogram(self.table, entries))
         return self._histogram
 
     def count(self) -> CostBreakdown:
@@ -367,71 +413,120 @@ class Circuit:
 
     def without_gate(self, index: int) -> "Circuit":
         """Copy of the circuit with one gate removed (mutation testing)."""
-        if not 0 <= index < len(self.gates):
-            raise IndexError(f"gate index {index} out of range (circuit has {len(self.gates)} gates)")
-        return _trusted_circuit(self.table, self.gates[:index] + self.gates[index + 1:], self.meta, None)
+        records = self.records
+        if not 0 <= index < len(records):
+            raise IndexError(f"gate index {index} out of range (circuit has {len(records)} gates)")
+        return _circuit(self.table, self.meta, records[:index] + records[index + 1:], None)
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self._records if self._records is not None else self._gates)
 
 
-def _trusted_circuit(table: RegisterTable, gates: list[Gate], meta: Meta, histogram) -> Circuit:
-    """Circuit(table, gates, meta) without its checks, for gates that come from
-    a checked plan or circuit; a histogram of None is built on first read."""
+def _circuit(table: RegisterTable, meta: Meta, records: list, histogram) -> Circuit:
+    """A circuit of records that come from a checked plan, table or circuit,
+    without the checks of Circuit(...); a histogram of None is built on first
+    read."""
     c = _new(Circuit)
-    for name, value in (("table", table), ("gates", gates), ("meta", meta), ("_histogram", histogram)):
+    for name, value in (("table", table), ("meta", meta), ("_gates", None), ("_records", records),
+                        ("_histogram", histogram)):
         _set(c, name, value)
     return c
 
 
-_tuple_new = tuple.__new__  # a Gate without its checks, for Emitter
+def _gates_of(table: RegisterTable, records: list) -> list[Gate]:
+    wires = [Wire(r.name, i) for r in table.registers for i in range(r.width)]  # by offset
+    # A control's signed offset o indexes this list directly: ~o counts from its end.
+    controls = [Control(w) for w in wires] + [Control(w, ZERO) for w in reversed(wires)]
+    targets = [(w,) for w in wires]
+    built: dict[tuple[int, ...], tuple[Control, ...]] = {}  # a record's controls -> its gate's, shared
+    gates = []
+    for r in records:
+        if type(r) is tuple:
+            ctl = built.get(r[0])
+            if ctl is None:
+                ctl = built[r[0]] = tuple([controls[o] for o in r[0]])
+            r = _tuple_new(Gate, ("MCX", ctl, targets[r[1]], None, None, None))
+        gates.append(r)
+    return gates
+
+
+def _records_of(table: RegisterTable, gates: list[Gate]) -> list:
+    base = {r.name: table.offset(r.name) for r in table.registers}
+
+    def record(g: Gate):
+        if g.kind != "MCX" or g.d is not None or g.n is not None or g.poly is not None:
+            return g
+        offsets = [base[ct.wire.reg] + ct.wire.idx for ct in g.controls]
+        target = g.targets[0]
+        return (tuple([o if ct.pol == POSITIVE else ~o for o, ct in zip(offsets, g.controls)]),
+                base[target.reg] + target.idx)
+
+    return [record(g) for g in gates]
+
+
+def _walk_histogram(table: RegisterTable, entries: list) -> dict[tuple, tuple[int, ...]]:
+    """The signature histogram of a list of records or of gates."""
+    names = [r.name for r in table.registers for _ in range(r.width)]
+    names += names[::-1]  # indexed by a signed offset, as in _gates_of
+    registers: dict[tuple[int, ...], tuple[str, ...]] = {}  # a record's controls -> their registers
+    groups: dict[tuple, list[int]] = defaultdict(list)
+    for i, r in enumerate(entries):
+        if type(r) is tuple:
+            regs = registers.get(r[0])
+            if regs is None:
+                regs = registers[r[0]] = tuple([names[o] for o in r[0]])
+            groups["MCX", regs, names[r[1]]].append(i)
+        else:
+            groups[signature(r)].append(i)
+    return {key: tuple(indices) for key, indices in groups.items()}
 
 
 class Emitter:
-    """Builds a circuit from gates whose validity the caller vouches for.
+    """Builds a circuit from MCX records whose validity the caller vouches for.
 
-    ``mcx`` and ``fanout`` build each gate with ``tuple.__new__``, past the
-    checks of ``Gate(...)`` and ``Circuit(...)``: they are for synthesizers
-    whose wires lie inside their own register table by construction, and for
-    ``parse`` once it has resolved every wire of a qubit MCX against the
-    table.  Each gate's index is recorded under its signature as it is
-    emitted, so the circuit gets its signature histogram without a walk.
+    ``mcx`` and ``extend`` append ``(controls, target)`` records of offsets,
+    past the checks of ``Gate(...)`` and ``Circuit(...)``: they are for
+    synthesizers whose offsets lie inside their own register table by
+    construction, and for ``parse`` once it has resolved every wire of a qubit
+    MCX against the table.  Each record's index is recorded under its
+    signature as it is emitted, so the circuit gets its signature histogram
+    without a walk.
     """
 
-    __slots__ = ("gates", "_groups")
+    __slots__ = ("records", "_groups")
 
     def __init__(self):
-        self.gates: list[Gate] = []
+        self.records: list = []
         self._groups: dict[tuple, list[int]] = {}  # signature -> indices of its gates
 
     def indices(self, sig: tuple) -> list[int]:
         """The index list of signature sig, (kind, control registers, target
-        register); mcx records into it."""
+        register); mcx and extend record into it."""
         return self._groups.setdefault(sig, [])
 
-    def mcx(self, indices: list[int], controls: tuple[Control, ...], targets: tuple[Wire]) -> None:
-        """Emit MCX(controls -> targets) unchecked; indices is its signature's list."""
-        indices.append(len(self.gates))
-        self.gates.append(_tuple_new(Gate, ("MCX", controls, targets, None, None, None)))
+    def mcx(self, indices: list[int], controls: tuple[int, ...], target: int) -> None:
+        """Emit MCX(controls -> target) unchecked; indices is its signature's list."""
+        indices.append(len(self.records))
+        self.records.append((controls, target))
 
-    def fanout(self, indices: list[int], controls: tuple[Control, ...], targets: Iterable[tuple[Wire]]) -> None:
-        """Emit MCX(controls -> t) unchecked for each 1-tuple t of targets, in
-        order; indices is their signature's list.  No targets emit nothing."""
-        gates = self.gates
-        start = len(gates)
-        gates += [_tuple_new(Gate, ("MCX", controls, t, None, None, None)) for t in targets]
-        indices += range(start, len(gates))
+    def extend(self, indices: list[int], records: list[tuple[tuple[int, ...], int]]) -> None:
+        """Emit each (controls, target) record unchecked, in order, all of the
+        signature whose list is indices.  No records emit nothing."""
+        start = len(self.records)
+        self.records += records
+        indices += range(start, len(self.records))
 
     def add(self, g: Gate) -> None:
-        """Emit a gate that was already checked, e.g. one taken from another circuit."""
-        self.indices(signature(g)).append(len(self.gates))
-        self.gates.append(g)
+        """Emit a gate that was already checked, e.g. one taken from another
+        circuit; it stays a Gate among the records."""
+        self.indices(signature(g)).append(len(self.records))
+        self.records.append(g)
 
     def circuit(self, table: RegisterTable, meta: Meta) -> Circuit:
-        """The emitted gates as a circuit, unchecked, with their histogram keyed
-        in order of first use as signature_histogram() would build it."""
+        """The emitted records as a circuit, unchecked, with their histogram
+        keyed in order of first use as signature_histogram() would build it."""
         used = sorted((kv for kv in self._groups.items() if kv[1]), key=lambda kv: kv[1][0])
-        return _trusted_circuit(table, self.gates, meta, {sig: tuple(indices) for sig, indices in used})
+        return _circuit(table, meta, self.records, {sig: tuple(indices) for sig, indices in used})
 
 
 def photon_partition(c: Circuit, g: Gate) -> dict[int, list[Control]]:
@@ -448,15 +543,15 @@ def photon_partition(c: Circuit, g: Gate) -> dict[int, list[Control]]:
 # Interchange document (JSON-shaped structured text)
 # ----------------------------------------------------------------------
 
-def _gate_head(g: Gate) -> str:
-    """The text of g's JSON object up to its controls: '{"kind": ..., "controls": ['."""
-    entry: dict = {"kind": g.kind}
-    if g.d is not None:
-        entry["d"] = g.d
-    if g.n is not None:
-        entry["n"] = g.n
-    if g.poly is not None:
-        entry["poly"] = g.poly
+def _gate_head(kind: str, d: int | None = None, n: int | None = None, poly: int | None = None) -> str:
+    """The text of a gate's JSON object up to its controls: '{"kind": ..., "controls": ['."""
+    entry: dict = {"kind": kind}
+    if d is not None:
+        entry["d"] = d
+    if n is not None:
+        entry["n"] = n
+    if poly is not None:
+        entry["poly"] = poly
     return json.dumps(entry)[:-1] + ', "controls": ['
 
 
@@ -464,24 +559,39 @@ def serialize(c: Circuit) -> str:
     """Interchange document for a circuit; parse() inverts it losslessly.
 
     A JSON object with "registers", "gates" and "meta", one gate per line.
-    Each distinct control, target and gate head is encoded once per document
-    and its text reused.
+    Each qubit wire's control and target texts are encoded once per document,
+    and so is each distinct control, target and gate head of a gate that is
+    not a record.
     """
     dumps = json.dumps
     registers = dumps([{"name": r.name, "width": r.width, "photon": r.photon, "role": r.role}
                        for r in c.table.registers])
     meta = dumps({"d": c.meta.d, "strategy": c.meta.strategy, "note": c.meta.note})
+    wire_texts = []  # '{"reg": ..., "idx": ...' of each qubit wire, by offset
+    for r in c.table.registers:
+        name = dumps(r.name)
+        wire_texts += [f'{{"reg": {name}, "idx": {i}' for i in range(r.width)]
+    # indexed by a record's signed control offset, as in _gates_of
+    offset_controls = ([f'{text}, "pol": "{POSITIVE}"}}' for text in wire_texts]
+                       + [f'{text}, "pol": "{ZERO}"}}' for text in reversed(wire_texts)])
+    offset_targets = [text + "}" for text in wire_texts]
+    mcx_head = _gate_head("MCX")
     heads: dict[str, str] = {}              # kind -> head of a gate without d, n and poly
     control_texts: dict[Control, str] = {}  # Control -> its JSON text
     target_texts: dict[Wire, str] = {}      # Wire -> its JSON text
     lines = []
-    for g in c.gates:
+    for g in c.records:
+        if type(g) is tuple:
+            controls, target = g
+            lines.append(f'{mcx_head}{", ".join([offset_controls[o] for o in controls])}], '
+                         f'"targets": [{offset_targets[target]}]}}')
+            continue
         if g.d is None and g.n is None and g.poly is None:
             head = heads.get(g.kind)
             if head is None:
-                head = heads[g.kind] = _gate_head(g)
+                head = heads[g.kind] = _gate_head(g.kind)
         else:
-            head = _gate_head(g)
+            head = _gate_head(g.kind, g.d, g.n, g.poly)
         controls = []
         for ct in g.controls:
             text = control_texts.get(ct)
@@ -600,9 +710,11 @@ def parse(document: str) -> Circuit:
     # resolved against the table once per document.  Its cache value, which
     # the gate's controls and targets lists collect, is (control or target
     # wire, global offset, register name), the offset None unless the wire is
-    # a qubit of the table.  A key holds the index's type as well as its
-    # value: JSON true and 1.0 equal 1 but are rejected, so they must miss.
-    controls_seen: dict[tuple, tuple[Control, int | None, str]] = {}
+    # a qubit of the table; a control's also holds its signed record offset
+    # (~offset for zero polarity) after the offset.  A key holds the index's
+    # type as well as its value: JSON true and 1.0 equal 1 but are rejected,
+    # so they must miss.
+    controls_seen: dict[tuple, tuple[Control, int | None, int | None, str]] = {}
     targets_seen: dict[tuple, tuple[Wire, int | None, str]] = {}
     emitter = Emitter()
     emit_mcx, indices = emitter.mcx, emitter.indices
@@ -625,7 +737,9 @@ def parse(document: str) -> Circuit:
                 key = seen = None                 # _control raises on it
             if seen is None:
                 control = _control(cd, i, j)
-                seen = controls_seen[key] = (control, _qubit_offset(table, control.wire), control.wire.reg)
+                offset = _qubit_offset(table, control.wire)
+                signed = offset if offset is None or control.pol == POSITIVE else ~offset
+                seen = controls_seen[key] = (control, offset, signed, control.wire.reg)
             controls.append(seen)
         entries = gd.get("targets", [])
         if type(entries) is not list:
@@ -646,10 +760,10 @@ def parse(document: str) -> Circuit:
         if d is None and n is None and poly is None:
             # The qubit MCX shape, which Gate(...) and Circuit(...) accept as is.
             if kind == "MCX" and controls and len(targets) == 1:
-                ctrl, offsets, regs = zip(*controls)
-                target, offset, reg = targets[0]
+                _, offsets, signed, regs = zip(*controls)
+                _, offset, reg = targets[0]
                 if offset is not None and None not in offsets and len({offset, *offsets}) == len(offsets) + 1:
-                    emit_mcx(indices(("MCX", regs, reg)), ctrl, (target,))
+                    emit_mcx(indices(("MCX", regs, reg)), signed, offset)
                     continue
         else:  # qudit-level gates
             path = f"gates[{i}]"

@@ -170,6 +170,8 @@ def cmd_sweep(args) -> int:
         convention = analysis.get_convention(
             args.convention or cfg.get("convention.id", analysis.DEFAULT_CONVENTION_ID))
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
+    if not strategies:
+        raise UnsupportedConfigurationError(f"--strategies {args.strategies}: names no strategy")
     unknown = sorted(set(strategies) - set(lowering.STRATEGY_NAMES))
     if unknown:
         raise UnsupportedConfigurationError(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import galois
-from .circuit import Circuit, Control, Emitter, Meta, Register, RegisterTable, Wire, cmuladd, dft
+from .circuit import Circuit, Emitter, Meta, Register, RegisterTable, cmuladd, dft
 from .errors import UnsupportedConfigurationError
 from .galois import FieldSpec, mul_by_alpha_matrix
 from .revsim import pair_slices, simulate_slices
@@ -93,9 +93,22 @@ class RSCodeSpec:
         return tuple(row[self.K:] for row in self.G)
 
     def dual_contained(self) -> bool:
-        """True when the dual code lies inside the code (H . H^T = 0)."""
-        hht = _matmul_transposed(self.field, [list(r) for r in self.H], [list(r) for r in self.H])
-        return all(v == 0 for row in hht for v in row)
+        """True when the dual code lies inside the code (H . H^T = 0).
+
+        The rows of H are shifts of g_dual that never wrap, so H . H^T is
+        the symmetric Toeplitz matrix whose entry (j, j') is the
+        autocorrelation of g_dual at lag |j - j'|: n - K lags of at most K + 1
+        products each, in place of the full product.
+        """
+        f, g = self.field, self.gen_poly_dual
+        for lag in range(self.n - self.K):
+            acc = 0
+            for x, y in zip(g, g[lag:]):
+                if x and y:
+                    acc ^= galois.mul_int(f, x, y)
+            if acc:
+                return False
+        return True
 
 
 def build_code(m: int, K: int, poly: int | None = None) -> RSCodeSpec:
@@ -167,12 +180,10 @@ def synth_cmuladd(f: FieldSpec, n: int) -> Circuit:
         Register("a", m, 0, "gf-message"),
         Register("b", m, 1, "gf-code"),
     ])
-    a = [(Control(Wire("a", p)),) for p in range(m)]
-    b = [(Wire("b", j),) for j in range(m)]
+    a = [(table.offset("a") + p,) for p in range(m)]
+    b = [table.offset("b") + j for j in range(m)]
     em = Emitter()
-    indices = em.indices(("MCX", ("a",), "b"))
-    for p, j in _cmuladd_cx_pairs(f, n):
-        em.mcx(indices, a[p], b[j])
+    em.extend(em.indices(("MCX", ("a",), "b")), [(a[p], b[j]) for p, j in _cmuladd_cx_pairs(f, n)])
     return em.circuit(table, Meta(d=f.order, note=f"b <- alpha^{n} * a + b over GF({f.order})"))
 
 
@@ -241,7 +252,12 @@ def synth_encoder_gf2m(spec: RSCodeSpec) -> Circuit:
     logical count 2K - n positive.
     """
     n, K, f = spec.n, spec.K, spec.field
-    if 2 * K - n < 1 or not spec.dual_contained():
+    # A cyclic code with defining set Z contains its dual iff Z and -Z mod n
+    # are disjoint (Aly, Klappenecker and Sarvepalli 2007); here Z = {1, ..., n-K}.
+    contains_dual = 2 * K > n
+    if contains_dual != spec.dual_contained():
+        raise AssertionError("construction bug: H . H^T = 0 disagrees with 2K > n")
+    if not contains_dual:
         raise UnsupportedConfigurationError(
             f"[{n},{K}] over GF({f.order}) does not contain its dual; encoder needs K >= (n+1)/2")
     n_logical = 2 * K - n
@@ -267,9 +283,10 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
     em = Emitter()
     n_dft = 0
     pairs_cache: dict[tuple[int | None, int, int], list[tuple[int, int]]] = {}
-    # register -> the 1-tuple control, and the 1-tuple target, of each of its qubits
-    controls = {r.name: [(Control(Wire(r.name, i)),) for i in range(r.width)] for r in c.table.registers}
-    targets = {r.name: [(Wire(r.name, i),) for i in range(r.width)] for r in c.table.registers}
+    # register -> the 1-tuple control offset, and the target offset, of each of its qubits
+    table = c.table
+    targets = {r.name: list(range(table.offset(r.name), table.offset(r.name) + r.width)) for r in table.registers}
+    controls = {name: [(o,) for o in offsets] for name, offsets in targets.items()}
     for g in c.gates:
         if g.kind == "DFT":
             n_dft += 1
@@ -281,9 +298,7 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
             if pairs is None:
                 pairs = pairs_cache[key] = _cmuladd_cx_pairs(FieldSpec.binary_extension(m, g.poly), g.n)
             src_controls, dst_targets = controls[src], targets[dst]
-            indices = em.indices(("MCX", (src,), dst))
-            for p, j in pairs:
-                em.mcx(indices, src_controls[p], dst_targets[j])
+            em.extend(em.indices(("MCX", (src,), dst)), [(src_controls[p], dst_targets[j]) for p, j in pairs])
         else:
             em.add(g)
     return em.circuit(c.table, c.meta), n_dft

@@ -2,9 +2,10 @@
 
 Every gate-cost rule lives here; sweeps and reports only read LoweringReports.
 lower_circuit lowers each signature of a circuit's signature histogram
-(signature -> indices of its gates) once, on its first gate, into one Lowered
-record, and totals gate count times tally.  The per-gate rows, gadgets, notes
-and report CSV put each record's values at its indices when read.
+(signature -> indices of its gates) into one Lowered record, from the
+signature and the register table alone, and totals gate count times tally.
+The per-gate rows, gadgets, notes and report CSV put each record's values at
+its indices when read.
 
 * general: arity j >= 3 becomes 4(j-2) Toffolis, each Toffoli costing
   {6 CX, 2 H, 3 Tdag, 5 T}; arity 2 is one Toffoli; arity 1 is a CX.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import circuit as ir
-from .circuit import CostBreakdown, Circuit, Control, Gate, photon_partition
+from .circuit import CostBreakdown, Circuit, Control, Gate, RegisterTable, photon_partition
 from .errors import LoweringError
 
 GENERAL = "general"
@@ -97,27 +98,53 @@ def _require_mcx(g: Gate):
         raise LoweringError(f"per-gate lowering applies to MCX gates, not {g.kind}")
 
 
-def lower_general(g: Gate) -> CostBreakdown:
-    """Expanded CX/H/T/Tdag tally of one MCX gate; arity is the raw control count."""
-    _require_mcx(g)
-    j = g.arity
+def _general_tally(j: int) -> CostBreakdown:
     if j == 1:
         return CostBreakdown({"C1X": 1})
     n_toffoli = 1 if j == 2 else 4 * (j - 2)
     return CostBreakdown({key: n_toffoli * v for key, v in TOFFOLI_TALLY.items()})
 
 
-def lower_ralph(g: Gate) -> tuple[CostBreakdown, int | None]:
-    """Two-qubit-gate tally (as CX equivalents) and the qudit-ancilla dimension."""
+def lower_general(g: Gate) -> CostBreakdown:
+    """Expanded CX/H/T/Tdag tally of one MCX gate; arity is the raw control count."""
     _require_mcx(g)
-    j = g.arity
+    return _general_tally(g.arity)
+
+
+def _ralph_tally(j: int) -> tuple[CostBreakdown, int | None]:
     if j == 1:
         return CostBreakdown({"C1X": 1}), None
     return CostBreakdown({"C1X": 2 * j - 1}), j
 
 
+def lower_ralph(g: Gate) -> tuple[CostBreakdown, int | None]:
+    """Two-qubit-gate tally (as CX equivalents) and the qudit-ancilla dimension."""
+    _require_mcx(g)
+    return _ralph_tally(g.arity)
+
+
 # Tally of the gate a gadget applies to the satisfying time-bin component.
 _INNER_TALLY = {"CX": {"C1X": 1}, "C2X": TOFFOLI_TALLY}
+
+
+def _collapse(j: int, sizes: dict[int, int], strategy: Strategy) -> tuple[int, int, str, CostBreakdown] | None:
+    """(routed photon, controls routed, inner gate, tally) of the switch gadget
+    for an MCX of arity j whose controls number sizes[p] on photon p, or None
+    when the pattern falls back to the general tally."""
+    groups = sorted(sizes.items(), key=lambda kv: (-kv[1], kv[0]))
+    if len(groups) == 1:
+        routed, inner = j, "CX"
+    elif len(groups) == 2 and groups[0][1] == j - 1 and j >= 3:
+        if strategy.collapse_inner_c2x:
+            routed, inner = j, "CX"  # the residual control is routed too
+        else:
+            routed, inner = j - 1, "C2X"
+    else:
+        return None
+    # The switch-gadget rule: routing s controls takes s OS stages in, s
+    # stages out and os_cost_per_control * s switches.
+    tally = CostBreakdown({**_INNER_TALLY[inner], "OS": strategy.os_cost_per_control * routed})
+    return groups[0][0], routed, inner, tally
 
 
 def lower_multiplexed(
@@ -133,32 +160,20 @@ def lower_multiplexed(
     _require_mcx(g)
     if strategy is None:
         strategy = multiplexed()
-    j = g.arity
-    groups = sorted(photons.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-
-    if len(groups) == 1:
-        photon, collapsed = groups[0]
-        residual, routed, inner = (), j, "CX"
-    elif len(groups) == 2 and len(groups[0][1]) == j - 1 and j >= 3:
-        (photon, collapsed), (_, residual) = groups
-        if strategy.collapse_inner_c2x:
-            routed, inner = j, "CX"  # the residual control is routed too
-        else:
-            routed, inner = j - 1, "C2X"
-    else:
+    rule = _collapse(g.arity, {p: len(ctrls) for p, ctrls in photons.items()}, strategy)
+    if rule is None:
         return None, lower_general(g), True
-    # The switch-gadget rule: routing s controls takes s OS stages in, s
-    # stages out and os_cost_per_control * s switches.
+    photon, routed, inner, tally = rule
     gadget = GadgetDescriptor(
-        arity=j, routed_photon=photon, stages_in=routed, stages_out=routed,
-        inner=inner, os_count=strategy.os_cost_per_control * routed,
-        collapsed=tuple(collapsed), residual=tuple(residual),
+        arity=g.arity, routed_photon=photon, stages_in=routed, stages_out=routed,
+        inner=inner, os_count=tally["OS"], collapsed=tuple(photons[photon]),
+        residual=tuple(ct for p, ctrls in photons.items() if p != photon for ct in ctrls),
     )
-    return gadget, CostBreakdown({**_INNER_TALLY[inner], "OS": gadget.os_count}), False
+    return gadget, tally, False
 
 
 class Lowered(NamedTuple):
-    """One signature lowered by its strategy's rule, on its first gate."""
+    """One signature lowered by its strategy's rule."""
 
     indices: tuple[int, ...]      # its gates, in gate order
     tally: CostBreakdown          # of one gate
@@ -230,27 +245,33 @@ class LoweringReport:
 _PASSTHROUGH = ("X", "H", "T", "Tdag")
 
 
-def _lower_signature(c: Circuit, indices: tuple[int, ...], strategy: Strategy) -> Lowered:
-    """Lower the first gate of a signature by the strategy's own rule."""
-    g = c.gates[indices[0]]
+def _lower_signature(table: RegisterTable, key: tuple, indices: tuple[int, ...], strategy: Strategy) -> Lowered:
+    """Lower a signature (kind, control registers, target register) by the
+    strategy's own rule; the control registers fix its arity and photon
+    partition."""
+    kind, registers, _ = key
     qudit_dim, gadget, note, fallback = None, False, None, False
-    if g.kind in _PASSTHROUGH:
-        tally, photons = CostBreakdown({g.kind: 1}), "-"
-    elif g.kind == "MCX":
-        partition = photon_partition(c, g)
-        photons = "+".join(f"{p}:{len(ctrls)}" for p, ctrls in sorted(partition.items()))
+    if kind in _PASSTHROUGH:
+        tally, photons = CostBreakdown({kind: 1}), "-"
+    elif kind == "MCX":
+        j = len(registers)
+        sizes = Counter(table[name].photon for name in registers)  # photon -> its controls
+        photons = "+".join(f"{p}:{n}" for p, n in sorted(sizes.items()))
         if strategy.name == GENERAL:
-            tally = lower_general(g)
+            tally = _general_tally(j)
         elif strategy.name == RALPH:
-            tally, qudit_dim = lower_ralph(g)
+            tally, qudit_dim = _ralph_tally(j)
         else:
-            descriptor, tally, fallback = lower_multiplexed(g, partition, strategy)
-            gadget = descriptor is not None and g.arity >= 2
-            if len(partition) >= 3:
-                note = f"controls span {len(partition)} photons; fell back to the general tally"
+            rule = _collapse(j, sizes, strategy)
+            if rule is None:
+                tally, fallback = _general_tally(j), True
+            else:
+                tally, gadget = rule[3], j >= 2
+            if len(sizes) >= 3:
+                note = f"controls span {len(sizes)} photons; fell back to the general tally"
     else:
-        raise LoweringError(f"gate {indices[0]} ({g.kind}) must be expanded before lowering")
-    columns = (g.kind, g.arity, photons, strategy.name,
+        raise LoweringError(f"gate {indices[0]} ({kind}) must be expanded before lowering")
+    columns = (kind, len(registers), photons, strategy.name,
                tally["C1X"], tally["H"], tally["T"], tally["Tdag"], tally["OS"])
     return Lowered(indices, tally, columns, fallback, qudit_dim, gadget, note)
 
@@ -258,12 +279,20 @@ def _lower_signature(c: Circuit, indices: tuple[int, ...], strategy: Strategy) -
 def lower_circuit(c: Circuit, strategy: Strategy) -> LoweringReport:
     """Lower every gate of a circuit; raises LoweringError on a gate that must be expanded first."""
     # A gate's kind and control registers fix its arity and photon partition,
-    # hence its cost, so each signature is lowered once, on its first gate.
-    signatures = {key: _lower_signature(c, indices, strategy)
-                  for key, indices in c.signature_histogram().items()}
+    # hence its cost, so each such pair is lowered once, and no Gate is built.
+    rules: dict[tuple, Lowered] = {}  # (kind, control registers) -> the record of its first signature
+    n_gates: Counter[tuple] = Counter()  # (kind, control registers) -> its number of gates
+    signatures = {}
+    for key, indices in c.signature_histogram().items():
+        rule = rules.get(key[:2])
+        if rule is None:
+            signatures[key] = rules[key[:2]] = _lower_signature(c.table, key, indices, strategy)
+        else:
+            signatures[key] = Lowered(indices, *rule[1:])
+        n_gates[key[:2]] += len(indices)
     total: Counter[str] = Counter()
-    for lowered in signatures.values():
-        total.update({cls: len(lowered.indices) * v for cls, v in lowered.tally.as_dict().items()})
+    for pair, rule in rules.items():
+        total.update({cls: n_gates[pair] * v for cls, v in rule.tally.as_dict().items()})
     return LoweringReport(strategy, CostBreakdown(total), signatures, c)
 
 

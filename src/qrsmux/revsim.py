@@ -6,8 +6,11 @@ they are simulated on many basis inputs at once by bit-slicing (Biham, FSE
 input case i; an MCX then XORs the AND of its control slices into its
 target slice, with zero-polarity controls complemented against the all-cases
 mask.  Each gate is compiled once into (positive-control offsets, zero-control
-offsets, target offset), through one wire -> offset map per compile, and
-``simulate_slices`` runs the whole circuit once over the whole case set.
+offsets, target offset).  An MCX the circuit holds as a record of signed
+offsets (``circuit.Circuit.records``) is split by sign, with no wire lookup;
+only a gate that is not a record, such as an X, resolves its wires against
+the register table.  ``simulate_slices`` runs the whole circuit once over the
+whole case set.
 ``verify_sum``, ``truth_table`` and ``gf2m.find_cmuladd_counterexample`` all
 go through it.
 
@@ -43,26 +46,27 @@ TRUTH_TABLE_WIDTH_LIMIT = 24
 def compile_permutation(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """(positive-control offsets, zero-control offsets, target offset) per gate.
 
-    Rejects non-permutation gates.  Wires are looked up in one wire -> offset
-    map of the register table; a wire it lacks goes to ``RegisterTable.resolve``,
-    which raises the ``ResolutionError``.
+    Rejects non-permutation gates.  An MCX record splits its signed offsets
+    by sign, with no wire lookup.  A gate that is not a record is resolved
+    wire by wire through ``RegisterTable.resolve``, which raises the
+    ``ResolutionError`` for a wire outside the table.
     """
-    table = c.table
-    offsets = {}
-    for r in table.registers:
-        base = table.offset(r.name)
-        offsets.update((Wire(r.name, i), base + i) for i in range(r.width))
-    get, resolve = offsets.get, table.resolve
+    resolve = c.table.resolve
     compiled = []
-    for i, g in enumerate(c.gates):
-        if g.kind not in ("X", "MCX"):
+    for i, g in enumerate(c.records):
+        if type(g) is tuple:
+            controls, target = g
+            if min(controls) >= 0:  # every control positive: the record's own tuple serves
+                compiled.append((controls, (), target))
+            else:
+                compiled.append((tuple([o for o in controls if o >= 0]), tuple([~o for o in controls if o < 0]),
+                                 target))
+        elif g.kind in ("X", "MCX"):
+            compiled.append((tuple([resolve(ct.wire) for ct in g.controls if ct.pol != ZERO]),
+                             tuple([resolve(ct.wire) for ct in g.controls if ct.pol == ZERO]),
+                             resolve(g.targets[0])))
+        else:
             raise UnsupportedGateError(f"gate {i} ({g.kind}) is not a permutation gate")
-        positive, zero = [], []
-        for ct in g.controls:
-            pos = get(ct.wire)
-            (zero if ct.pol == ZERO else positive).append(resolve(ct.wire) if pos is None else pos)
-        target = get(g.targets[0])
-        compiled.append((tuple(positive), tuple(zero), resolve(g.targets[0]) if target is None else target))
     return compiled
 
 

@@ -22,24 +22,33 @@ Layout choices that pin the exact gate tally:
   therefore needs fresh (or reset) carry/check-if ancillas, exactly as the
   per-gate cost model assumes.
 
-The modulo conversion is emitted from half tables built once per synthesis.
-The low bits 0..h-1 of B (h = k // 2) and the high bits h..k-1 each get a
-table, indexed by their part of a k-bit value v, of the flag controls that
-read that part of v and of the correction targets that its set bits select.
-The controls of pattern v are then ``low[v & (2^h - 1)] + high[v >> h]``,
-one concatenation of two tables of at most 2^ceil(k/2) entries, and the
-targets of a correction mask come from its two half tables the same way.
+Gates are emitted as ``circuit.Emitter`` records of register offsets, which
+each synthesis takes once from its register table.  The modulo conversion is
+emitted from half tables built once per synthesis.  The low bits 0..h-1 of B
+(h = k // 2) and the high bits h..k-1 each get a table, indexed by their
+part of a k-bit value v, of the flag control offsets that read that part of
+v and of the correction target offsets that its set bits select.  The
+controls of pattern v are then ``low[v & (2^h - 1)] + high[v >> h]``, one
+concatenation of two tables of at most 2^ceil(k/2) entries, and the targets
+of a correction mask come from its two half tables the same way.
+
+``_emit_mod`` walks the outcomes i in [d, 2(d-1)] itself, deciding each
+outcome's class from i alone, and emits each of its four signatures in one
+pass, in gate order: the flags of arity k, the carry-controlled flags, the
+corrections from the check-if qubits and the corrections from the
+substituted top carry.  It reads no closed-form count, so ``count()`` and
+``predicted_counts`` stay two derivations.  ``SumPlan.flags`` describes the
+same outcomes, one ``FlagSpec`` each, for tests and readers; it is built
+only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .circuit import (
-    CostBreakdown, Circuit, Control, Emitter, Meta, Register, RegisterTable, Wire,
-    POSITIVE, ZERO,
-)
+from .circuit import CostBreakdown, Circuit, Emitter, Meta, Register, RegisterTable
 from .errors import InvalidDimensionError
 from .galois import is_prime
 
@@ -71,11 +80,27 @@ class SumPlan:
     case: str
     n_checkif: int
     n_aux: int
-    flags: tuple[FlagSpec, ...]
 
     @property
     def carry_substituted(self) -> bool:
-        return any(f.uses_carry_substitute for f in self.flags)
+        return 2 * (self.d - 1) == 1 << self.k
+
+    @cached_property
+    def flags(self) -> tuple[FlagSpec, ...]:
+        """One FlagSpec per adder outcome in [d, 2(d-1)]; built on first read.
+        Synthesis walks the outcomes itself and never reads it."""
+        d, top = self.d, 1 << self.k
+        flags = []
+        checkif_index = 0
+        for i in range(d, 2 * (d - 1) + 1):
+            substituted = i == top and 2 * (d - 1) == top
+            pattern = i % top
+            # value, pattern, needs_carry_control, correction_mask, uses_carry_substitute, checkif_index
+            flags.append(FlagSpec(i, pattern, i >= top, pattern ^ (i % d), substituted,
+                                  None if substituted else checkif_index))
+            if not substituted:
+                checkif_index += 1
+        return tuple(flags)
 
 
 def compute_k(d: int) -> int:
@@ -101,18 +126,9 @@ def plan(d: int, k_max: int = DEFAULT_K_MAX) -> SumPlan:
     k = _checked_k(d, k_max)
     top = 1 << k
     case = CASE_A if 2 * (d - 1) <= top else CASE_B
-    flags = []
-    checkif_index = 0
-    for i in range(d, 2 * (d - 1) + 1):
-        substituted = i == top and 2 * (d - 1) == top
-        pattern = i % top
-        # value, pattern, needs_carry_control, correction_mask, uses_carry_substitute, checkif_index
-        flags.append(FlagSpec(i, pattern, i >= top, pattern ^ (i % d), substituted,
-                              None if substituted else checkif_index))
-        if not substituted:
-            checkif_index += 1
-    n_checkif = checkif_index
-    return SumPlan(d=d, k=k, case=case, n_checkif=n_checkif, n_aux=k + n_checkif, flags=tuple(flags))
+    # one check-if qubit per outcome in [d, 2(d-1)], except a carry-substituted 2^k
+    n_checkif = d - 2 if 2 * (d - 1) == top else d - 1
+    return SumPlan(d=d, k=k, case=case, n_checkif=n_checkif, n_aux=k + n_checkif)
 
 
 def _adder_registers(k: int) -> list[Register]:
@@ -130,26 +146,24 @@ def sum_registers(p: SumPlan) -> RegisterTable:
     return RegisterTable(regs)
 
 
-def _emit_rca(em: Emitter, k: int) -> None:
+def _emit_rca(em: Emitter, table: RegisterTable, k: int) -> None:
     """Ripple-carry adder gates: B <- (A+B) mod 2^k, overflow in carry[k-1]."""
-    a = [Control(Wire("A", i)) for i in range(k)]
-    b = [Control(Wire("B", i)) for i in range(k)]
-    c = [Control(Wire("carry", i)) for i in range(k)]
-    b_out = [(ct.wire,) for ct in b]
-    c_out = [(ct.wire,) for ct in c]
+    a = range(table.offset("A"), table.offset("A") + k)
+    b = range(table.offset("B"), table.offset("B") + k)
+    c = range(table.offset("carry"), table.offset("carry") + k)
     ab_c = em.indices(("MCX", ("A", "B"), "carry"))
     ac_c = em.indices(("MCX", ("A", "carry"), "carry"))
     bc_c = em.indices(("MCX", ("B", "carry"), "carry"))
     a_b = em.indices(("MCX", ("A",), "B"))
     c_b = em.indices(("MCX", ("carry",), "B"))
-    em.mcx(ab_c, (a[0], b[0]), c_out[0])
-    em.mcx(a_b, (a[0],), b_out[0])
+    em.mcx(ab_c, (a[0], b[0]), c[0])
+    em.mcx(a_b, (a[0],), b[0])
     for i in range(1, k):
-        em.mcx(ab_c, (a[i], b[i]), c_out[i])
-        em.mcx(ac_c, (a[i], c[i - 1]), c_out[i])
-        em.mcx(bc_c, (b[i], c[i - 1]), c_out[i])
-        em.mcx(a_b, (a[i],), b_out[i])
-        em.mcx(c_b, (c[i - 1],), b_out[i])
+        em.mcx(ab_c, (a[i], b[i]), c[i])
+        em.mcx(ac_c, (a[i], c[i - 1]), c[i])
+        em.mcx(bc_c, (b[i], c[i - 1]), c[i])
+        em.mcx(a_b, (a[i],), b[i])
+        em.mcx(c_b, (c[i - 1],), b[i])
 
 
 def _pick_table(choices: list[tuple[tuple, tuple]]) -> list[tuple]:
@@ -161,67 +175,70 @@ def _pick_table(choices: list[tuple[tuple, tuple]]) -> list[tuple]:
     return table
 
 
-def _emit_mod(em: Emitter, p: SumPlan) -> None:
-    """Flag phase then correction phase for the modulo conversion."""
-    k, half = p.k, p.k // 2
+def _emit_mod(em: Emitter, table: RegisterTable, p: SumPlan) -> None:
+    """Flag phase then correction phase for the modulo conversion, each
+    signature's gates emitted in one pass over the outcomes."""
+    d, k, half = p.d, p.k, p.k // 2
+    top, last = 1 << k, 2 * (d - 1)
     low_mask = (1 << half) - 1
-    b = [Wire("B", j) for j in range(k)]
-    reads = [((Control(w, ZERO),), (Control(w, POSITIVE),)) for w in b]  # bit j of a pattern -> its control
-    flips = [((), ((w,),)) for w in b]                                    # bit j of a mask -> its targets
+    b = [table.offset("B") + j for j in range(k)]
+    reads = [((~o,), (o,)) for o in b]  # bit j of a pattern -> its control
+    flips = [((), (o,)) for o in b]     # bit j of a mask -> its targets
     controls_low, controls_high = _pick_table(reads[:half]), _pick_table(reads[half:])
     targets_low, targets_high = _pick_table(flips[:half]), _pick_table(flips[half:])
-    top_carry = (Control(Wire("carry", k - 1)),)
-    checkif_out = [(Wire("checkif", i),) for i in range(p.n_checkif)]
-    checkif_in = [(Control(w),) for (w,) in checkif_out]
-    # flag phase
-    mcx = em.mcx
-    flag = em.indices(("MCX", ("B",) * k, "checkif"))
-    flag_with_carry = em.indices(("MCX", ("B",) * k + ("carry",), "checkif"))
-    for _, pattern, needs_carry_control, _, substituted, i in p.flags:
-        if substituted:
-            continue
-        controls = controls_low[pattern & low_mask] + controls_high[pattern >> half]
-        if needs_carry_control:
-            mcx(flag_with_carry, controls + top_carry, checkif_out[i])
-        else:
-            mcx(flag, controls, checkif_out[i])
-    # correction phase
-    fanout = em.fanout
-    from_checkif = em.indices(("MCX", ("checkif",), "B"))
-    from_carry = em.indices(("MCX", ("carry",), "B"))
-    for _, _, _, mask, substituted, i in p.flags:
-        targets = targets_low[mask & low_mask] + targets_high[mask >> half]
-        if substituted:
-            fanout(from_carry, top_carry, targets)
-        else:
-            fanout(from_checkif, checkif_in[i], targets)
+    top_carry = (table.offset("carry") + k - 1,)
+    first_checkif = table.offset("checkif") if p.n_checkif else 0
+    checkif = list(range(first_checkif, first_checkif + p.n_checkif))
+    checkif_in = [(o,) for o in checkif]
+    # Outcome i reads the pattern i mod 2^k (i itself when i < 2^k, else
+    # i - 2^k), and the top carry too when i >= 2^k.  The outcome 2^k = 2(d-1)
+    # alone has no flag gate: the top carry is its flag.  Every other outcome
+    # is flagged on the next check-if qubit.
+    outcomes = range(d, last + 1)
+    flagged = [i for i in outcomes if not i == top == last]
+    masks = [(i % top) ^ (i % d) for i in outcomes]  # by i - d
+    em.extend(em.indices(("MCX", ("B",) * k, "checkif")),
+              [(controls_low[i & low_mask] + controls_high[i >> half], checkif[j])
+               for j, i in enumerate(flagged) if i < top])
+    em.extend(em.indices(("MCX", ("B",) * k + ("carry",), "checkif")),
+              [(controls_low[(i - top) & low_mask] + controls_high[(i - top) >> half] + top_carry, checkif[j])
+               for j, i in enumerate(flagged) if i >= top])
+    em.extend(em.indices(("MCX", ("checkif",), "B")),
+              [(checkif_in[j], t) for j, i in enumerate(flagged)
+               for t in targets_low[masks[i - d] & low_mask] + targets_high[masks[i - d] >> half]])
+    em.extend(em.indices(("MCX", ("carry",), "B")),
+              [(top_carry, t) for i in outcomes if i == top == last
+               for t in targets_low[masks[i - d] & low_mask] + targets_high[masks[i - d] >> half]])
 
 
 def synth_rca(k: int) -> Circuit:
     """Standalone ripple-carry adder circuit over A(k), B(k), carry(k)."""
     if k < 1:
         raise InvalidDimensionError(f"k={k} must be >= 1")
+    table = RegisterTable(_adder_registers(k))
     em = Emitter()
-    _emit_rca(em, k)
-    return em.circuit(RegisterTable(_adder_registers(k)), Meta(note=f"{k}-bit ripple-carry adder"))
+    _emit_rca(em, table, k)
+    return em.circuit(table, Meta(note=f"{k}-bit ripple-carry adder"))
 
 
 def synth_mod(p: SumPlan) -> Circuit:
     """Standalone modulo-conversion circuit (expects the adder to have run)."""
+    table = sum_registers(p)
     em = Emitter()
-    _emit_mod(em, p)
+    _emit_mod(em, table, p)
     note = f"modulo conversion for d={p.d} (case {p.case}); {DIRTY_ANCILLA_NOTE}"
-    return em.circuit(sum_registers(p), Meta(d=p.d, note=note))
+    return em.circuit(table, Meta(d=p.d, note=note))
 
 
 def synth_sum(d: int, k_max: int = DEFAULT_K_MAX) -> Circuit:
     """Full SUM gate: RCA then modulo conversion on a shared register table."""
     p = plan(d, k_max)
+    table = sum_registers(p)
     em = Emitter()
-    _emit_rca(em, p.k)
-    _emit_mod(em, p)
+    _emit_rca(em, table, p.k)
+    _emit_mod(em, table, p)
     note = f"SUM gate, case {p.case}, k={p.k}; {DIRTY_ANCILLA_NOTE}"
-    return em.circuit(sum_registers(p), Meta(d=d, note=note))
+    return em.circuit(table, Meta(d=d, note=note))
 
 
 def correction_cx_total(d: int, k: int | None = None) -> int:

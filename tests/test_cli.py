@@ -302,6 +302,15 @@ def test_sweep_rejects_unknown_strategy(capsys, tmp_path):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("strategies", ["", ",", " , "])
+def test_sweep_rejects_strategies_that_name_none(capsys, tmp_path, strategies):
+    out_csv = tmp_path / "r.csv"
+    rc, out, err = run(capsys, "sweep", "--d-min", "3", "--d-max", "5", "--out", str(out_csv),
+                       "--strategies", strategies)
+    assert_input_error(rc, err, f"--strategies {strategies}: names no strategy")
+    assert not out_csv.exists() and "wrote" not in out
+
+
 def test_sweep_rejects_empty_range(capsys, tmp_path):
     out_csv = tmp_path / "r.csv"
     rc, _, err = run(capsys, "sweep", "--d-min", "9", "--d-max", "3", "--out", str(out_csv))

@@ -6,6 +6,7 @@ pre-built signature histogram must equal the one computed from its gates.
 """
 
 import functools
+import gc
 import json
 import random
 import re
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from qrsmux import sumsynth
 from qrsmux.analysis import primes_in
 from qrsmux.circuit import (
-    Circuit, Control, Emitter, Gate, Meta, Register, RegisterTable, Wire, parse, serialize, signature,
+    ZERO, Circuit, Control, Emitter, Gate, Meta, Register, RegisterTable, Wire, parse, serialize, signature,
 )
 from qrsmux.errors import ParseError
 from qrsmux.galois import FieldSpec
@@ -109,20 +110,48 @@ def test_prebuilt_histogram_equals_computed(family):
             assert list(mutant.signature_histogram().items()) == want, (label, i)
 
 
-def test_fanout_emits_a_gate_per_target_and_none_without_targets():
+def test_extend_emits_a_gate_per_record_and_none_without_records():
     table = RegisterTable([Register("q", 4, 0, "work"), Register("r", 2, 1, "work")])
-    q1, r0 = (Control(Wire("q", 1)),), (Control(Wire("r", 0)),)
-    em = Emitter()
-    em.fanout(em.indices(("MCX", ("r",), "q")), r0, [])
-    em.fanout(em.indices(("MCX", ("q",), "r")), q1, [(Wire("r", 0),), (Wire("r", 1),)])
-    em.fanout(em.indices(("MCX", ("q",), "q")), q1, ())
-    em.mcx(em.indices(("MCX", ("q",), "q")), q1, (Wire("q", 0),))
+    q1 = (Control(Wire("q", 1)),)
+    em = Emitter()  # q holds offsets 0..3 and r offsets 4 and 5
+    em.extend(em.indices(("MCX", ("r",), "q")), [])
+    em.extend(em.indices(("MCX", ("q",), "r")), [((1,), 4), ((1,), 5)])
+    em.extend(em.indices(("MCX", ("q",), "q")), [])
+    em.mcx(em.indices(("MCX", ("q",), "q")), (1,), 0)
     c = em.circuit(table, Meta())
     assert c.gates == [Gate("MCX", q1, (Wire("r", 0),)), Gate("MCX", q1, (Wire("r", 1),)),
                        Gate("MCX", q1, (Wire("q", 0),))]
     assert list(c.signature_histogram().items()) == [
         (("MCX", ("q",), "r"), (0, 1)), (("MCX", ("q",), "q"), (2,))]
     assert list(c.signature_histogram().items()) == walked_histogram(c.gates)
+
+
+def test_held_records_are_not_tracked_by_the_garbage_collector():
+    c = sumsynth.synth_sum(1021)
+    gc.collect()
+    assert len(c.records) == len(c) and not any(gc.is_tracked(r) for r in c.records)
+
+
+def test_without_gate_on_an_emitted_circuit_equals_it_on_the_checked_copy():
+    emitted = sumsynth.synth_sum(13)
+    checked = Circuit(emitted.table, emitted.gates, emitted.meta)
+    for i in range(len(emitted)):
+        mutant, want = emitted.without_gate(i), checked.without_gate(i)
+        assert mutant.gates == want.gates, i
+        assert list(mutant.signature_histogram().items()) == list(want.signature_histogram().items()), i
+        assert (mutant.count(), len(mutant)) == (want.count(), len(want)), i
+
+
+def test_mixed_polarity_controls_out_of_order_survive_parse_and_serialize():
+    table = RegisterTable([Register("q", 4, 0, "work"), Register("r", 2, 1, "work")])
+    controls = (Control(Wire("r", 1)), Control(Wire("q", 3), ZERO), Control(Wire("q", 0)),
+                Control(Wire("r", 0), ZERO))
+    gates = [Gate("MCX", controls, (Wire("q", 1),)), Gate("MCX", controls[::-1], (Wire("q", 2),))]
+    document = serialize(Circuit(table, gates))
+    parsed = parse(document)
+    assert serialize(parsed) == document
+    assert parsed.gates == gates
+    assert parsed.records == [((5, ~3, 0, ~4), 1), ((~4, 0, ~3, 5), 2)]  # q at offsets 0..3, r at 4 and 5
 
 
 # ---------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qrsmux import galois, gf2m, lowering
@@ -85,6 +87,39 @@ def test_build_code_poly_override():
     spec = build_code(3, 4, poly=0b1101)
     assert spec.field.poly == 0b1101
     assert spec.dual_contained()
+
+
+def full_product_is_zero(spec) -> bool:
+    """H . H^T = 0 by the full product over the field, entry by entry."""
+    f = spec.field
+    for row in spec.H:
+        for col in spec.H:
+            acc = 0
+            for a, b in zip(row, col):
+                if a and b:
+                    acc ^= galois.mul_int(f, a, b)
+            if acc:
+                return False
+    return True
+
+
+def test_dual_containment_agrees_with_the_full_product_and_the_closed_form():
+    rng = random.Random(23)
+    cases = [(m, K) for m in range(2, 7) for K in range(1, (1 << m) - 1)]
+    for m, n_samples in ((7, 3), (8, 1)):
+        n = (1 << m) - 1
+        cases += [(m, n // 2), (m, n // 2 + 1)] + [(m, K) for K in rng.sample(range(1, n), n_samples)]
+    for m, K in cases:
+        spec = build_code(m, K)
+        assert spec.dual_contained() == full_product_is_zero(spec) == (2 * K > spec.n), (m, K)
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_encoder_raises_a_construction_bug_when_the_two_checks_disagree(monkeypatch, K):
+    spec = build_code(3, K)
+    monkeypatch.setattr(gf2m.RSCodeSpec, "dual_contained", lambda self: 2 * self.K <= self.n)
+    with pytest.raises(AssertionError, match="^construction bug"):
+        synth_encoder_gf2m(spec)
 
 
 # ---------------------------------------------------------------

@@ -310,9 +310,9 @@ def test_compile_permutation_matches_per_wire_resolve():
 @pytest.mark.parametrize("role", ["control", "target"])
 def test_compile_permutation_reports_an_unresolvable_wire_as_resolve_does(wire, role):
     table = single_reg(3)
-    em = ir.Emitter()  # unchecked, so the gate may name a wire outside the table
+    em = ir.Emitter()  # unchecked against the table, so the gate may name a wire outside it
     control, target = (wire, Wire("q", 0)) if role == "control" else (Wire("q", 0), wire)
-    em.mcx(em.indices(("MCX", (control.reg,), target.reg)), (Control(control),), (target,))
+    em.add(ir.cx(control, target))
     c = em.circuit(table, ir.Meta())
     with pytest.raises(ResolutionError) as direct:
         table.resolve(wire)

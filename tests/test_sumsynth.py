@@ -15,6 +15,26 @@ from test_emitter import SAMPLED_MOD_PRIMES
 # Planning
 # ---------------------------------------------------------------
 
+def eager_flags(d):
+    """The FlagSpec tuple plan(d) used to build eagerly, one per outcome in [d, 2(d-1)]."""
+    top = 1 << sumsynth.compute_k(d)
+    flags, checkif_index = [], 0
+    for i in range(d, 2 * (d - 1) + 1):
+        substituted = i == top and 2 * (d - 1) == top
+        flags.append(sumsynth.FlagSpec(i, i % top, i >= top, (i % top) ^ (i % d), substituted,
+                                       None if substituted else checkif_index))
+        checkif_index += not substituted
+    return tuple(flags)
+
+
+def test_plan_flags_are_built_on_first_read_and_equal_the_eager_tuple():
+    for d in primes_in(2, 257):
+        p = plan(d)
+        assert "flags" not in vars(p), d
+        assert p.flags == eager_flags(d) and p.flags is p.flags, d
+        assert p.n_checkif == sum(f.checkif_index is not None for f in p.flags), d
+
+
 def test_plan_d5():
     p = plan(5)
     assert (p.k, p.case, p.n_checkif, p.n_aux) == (3, "A", 3, 6)
