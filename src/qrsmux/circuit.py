@@ -29,13 +29,11 @@ and none repeated.  Every other gate goes through ``Gate(...)`` and the table
 checks of ``Circuit(...)``, so each fault is reported as before, and stays a
 ``Gate`` in the record list.
 
-A circuit keeps whichever of the two forms it was built from.
-``Circuit.records`` of a circuit built from gates, and ``Circuit.gates`` of
-an emitted or parsed one, are built on first read and kept.  ``len``,
-``count`` and ``signature_histogram`` read whichever form the circuit holds,
-and ``without_gate``, ``serialize`` and ``revsim.compile_permutation`` read
-the records, so none of them builds a ``Gate``.  Tests rebuild every emitted
-or parsed gate through the checked path and compare.
+A circuit stores one form, its records.  ``Circuit(table, gates)`` builds
+them once from the gates it checked, and ``Circuit.gates`` is a view built
+from them on first read; everything else, the simulator included, reads the
+records and builds no ``Gate``.  Tests rebuild every emitted or parsed gate
+through the checked path and compare.
 """
 
 from __future__ import annotations
@@ -338,7 +336,7 @@ class Meta:
 
 
 # Bare construction and attribute setting, past __init__ and Circuit's
-# immutability guard: for _circuit and the forms Circuit builds on first read.
+# immutability guard: for _circuit and the gates view Circuit builds on first read.
 _new, _set = object.__new__, object.__setattr__
 _tuple_new = tuple.__new__  # a Gate without its checks, for the gates of a record
 
@@ -347,21 +345,20 @@ class Circuit:
     """Gates on a register table.  The constructor copies gates and checks
     each against the table; the circuit never changes afterwards.
 
-    It holds its gates in one of two forms and builds the other on first
-    read, then keeps it: ``gates``, a list of ``Gate``, and ``records``, in
-    which an MCX without d, n or poly is its ``(controls, target)`` record of
-    offsets (see the module docstring) and any other gate is its ``Gate``.
+    ``records`` holds one entry per gate: an MCX without d, n or poly as its
+    ``(controls, target)`` record (see the module docstring), any other gate
+    as its ``Gate``.  ``gates`` is built from it on first read and kept.
     """
 
-    __slots__ = ("table", "meta", "_gates", "_records", "_histogram")
+    __slots__ = ("table", "meta", "records", "_gates", "_histogram")
 
     def __init__(self, table: RegisterTable, gates: Iterable[Gate] = (), meta: Meta = Meta()):
         gates = list(gates)
         widths = table.widths
         for g in gates:
             _check_in_table(g, widths)
-        for name, value in (("table", table), ("meta", meta), ("_gates", gates), ("_records", None),
-                            ("_histogram", None)):
+        for name, value in (("table", table), ("meta", meta), ("records", _records_of(table, gates)),
+                            ("_gates", gates), ("_histogram", None)):
             _set(self, name, value)
 
     def __setattr__(self, name, value):
@@ -384,24 +381,14 @@ class Circuit:
     def gates(self) -> list[Gate]:
         """The gates in order; built from the records on first read and kept."""
         if self._gates is None:
-            _set(self, "_gates", _gates_of(self.table, self._records))
+            _set(self, "_gates", _gates_of(self.table, self.records))
         return self._gates
-
-    @property
-    def records(self) -> list:
-        """One entry per gate, in order: an MCX without d, n or poly as its
-        (control offsets, target offset) record, any other gate as itself;
-        built from the gates on first read and kept."""
-        if self._records is None:
-            _set(self, "_records", _records_of(self.table, self._gates))
-        return self._records
 
     def signature_histogram(self) -> dict[tuple, tuple[int, ...]]:
         """signature(g) -> indices of its gates, in order of first use; built
-        on first read, from whichever form the circuit holds, and kept."""
+        from the records on first read and kept."""
         if self._histogram is None:
-            entries = self._records if self._records is not None else self._gates
-            _set(self, "_histogram", _walk_histogram(self.table, entries))
+            _set(self, "_histogram", _walk_histogram(self.table, self.records))
         return self._histogram
 
     def count(self) -> CostBreakdown:
@@ -419,7 +406,7 @@ class Circuit:
         return _circuit(self.table, self.meta, records[:index] + records[index + 1:], None)
 
     def __len__(self) -> int:
-        return len(self._records if self._records is not None else self._gates)
+        return len(self.records)
 
 
 def _circuit(table: RegisterTable, meta: Meta, records: list, histogram) -> Circuit:
@@ -427,7 +414,7 @@ def _circuit(table: RegisterTable, meta: Meta, records: list, histogram) -> Circ
     without the checks of Circuit(...); a histogram of None is built on first
     read."""
     c = _new(Circuit)
-    for name, value in (("table", table), ("meta", meta), ("_gates", None), ("_records", records),
+    for name, value in (("table", table), ("meta", meta), ("records", records), ("_gates", None),
                         ("_histogram", histogram)):
         _set(c, name, value)
     return c
@@ -451,26 +438,21 @@ def _gates_of(table: RegisterTable, records: list) -> list[Gate]:
 
 
 def _records_of(table: RegisterTable, gates: list[Gate]) -> list:
+    """The records of gates that Circuit(...) has checked against the table."""
     base = {r.name: table.offset(r.name) for r in table.registers}
-
-    def record(g: Gate):
-        if g.kind != "MCX" or g.d is not None or g.n is not None or g.poly is not None:
-            return g
-        offsets = [base[ct.wire.reg] + ct.wire.idx for ct in g.controls]
-        target = g.targets[0]
-        return (tuple([o if ct.pol == POSITIVE else ~o for o, ct in zip(offsets, g.controls)]),
-                base[target.reg] + target.idx)
-
-    return [record(g) for g in gates]
+    return [g if g.kind != "MCX" or g.d is not None or g.n is not None or g.poly is not None else
+            (tuple([base[w.reg] + w.idx if pol == POSITIVE else ~(base[w.reg] + w.idx) for w, pol in g.controls]),
+             base[g.targets[0].reg] + g.targets[0].idx)
+            for g in gates]
 
 
-def _walk_histogram(table: RegisterTable, entries: list) -> dict[tuple, tuple[int, ...]]:
-    """The signature histogram of a list of records or of gates."""
+def _walk_histogram(table: RegisterTable, records: list) -> dict[tuple, tuple[int, ...]]:
+    """The signature histogram of a circuit's records."""
     names = [r.name for r in table.registers for _ in range(r.width)]
     names += names[::-1]  # indexed by a signed offset, as in _gates_of
     registers: dict[tuple[int, ...], tuple[str, ...]] = {}  # a record's controls -> their registers
     groups: dict[tuple, list[int]] = defaultdict(list)
-    for i, r in enumerate(entries):
+    for i, r in enumerate(records):
         if type(r) is tuple:
             regs = registers.get(r[0])
             if regs is None:

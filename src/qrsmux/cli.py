@@ -74,7 +74,8 @@ def _write_outputs(outputs: list[tuple[str, str, str]], out_dir: str | None) -> 
 
 
 def cmd_synth_sum(args) -> int:
-    circuit = sumsynth.synth_sum(args.d)
+    with _user_input(f"--d {args.d}", (InvalidDimensionError,)):
+        circuit = sumsynth.synth_sum(args.d)
     counted = circuit.count()
     if args.emit:
         _write_outputs([(f"--emit {args.emit}", args.emit, serialize(circuit))], None)
@@ -154,7 +155,8 @@ def cmd_gf2m(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    circuit = sumsynth.synth_sum(args.d)
+    with _user_input(f"--d {args.d}", (InvalidDimensionError,)):
+        circuit = sumsynth.synth_sum(args.d)
     if args.mutate is not None:
         with _user_input(f"--mutate {args.mutate}", IndexError):
             circuit = circuit.without_gate(args.mutate)

@@ -5,11 +5,11 @@ they are simulated on many basis inputs at once by bit-slicing (Biham, FSE
 1997).  A slice is one integer per wire whose bit i is that wire's value in
 input case i; an MCX then XORs the AND of its control slices into its
 target slice, with zero-polarity controls complemented against the all-cases
-mask.  Each gate is compiled once into (positive-control offsets, zero-control
-offsets, target offset).  An MCX the circuit holds as a record of signed
-offsets (``circuit.Circuit.records``) is split by sign, with no wire lookup;
-only a gate that is not a record, such as an X, resolves its wires against
-the register table.  ``simulate_slices`` runs the whole circuit once over the
+mask.  The kernel runs a circuit's records (``circuit.Circuit.records``) as
+they are stored: each is (signed control offsets, target offset), a
+zero-polarity control written as ``~offset``.  Only a gate that is not a
+record, such as an X, resolves its wires against the register table, once
+per simulation.  ``simulate_slices`` runs the whole circuit once over the
 whole case set.
 ``verify_sum``, ``truth_table`` and ``gf2m.find_cmuladd_counterexample`` all
 go through it.
@@ -33,7 +33,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Wire, ZERO
+from .circuit import POSITIVE, Circuit, Wire
 from .errors import ResourceLimitError, UnsupportedGateError
 
 TRUTH_TABLE_WIDTH_LIMIT = 24
@@ -43,30 +43,23 @@ TRUTH_TABLE_WIDTH_LIMIT = 24
 # The kernel
 # ----------------------------------------------------------------------
 
-def compile_permutation(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """(positive-control offsets, zero-control offsets, target offset) per gate.
+def compile_permutation(c: Circuit) -> list[tuple[tuple[int, ...], int]]:
+    """The circuit's records as the kernel runs them: (signed control
+    offsets, target offset) per gate.
 
-    Rejects non-permutation gates.  An MCX record splits its signed offsets
-    by sign, with no wire lookup.  A gate that is not a record is resolved
-    wire by wire through ``RegisterTable.resolve``, which raises the
-    ``ResolutionError`` for a wire outside the table.
+    Rejects non-permutation gates.  An X or MCX that is not a record is
+    resolved wire by wire through ``RegisterTable.resolve``, which raises the
+    ``ResolutionError`` for a wire outside the table; an X has no controls.
     """
     resolve = c.table.resolve
     compiled = []
     for i, g in enumerate(c.records):
-        if type(g) is tuple:
-            controls, target = g
-            if min(controls) >= 0:  # every control positive: the record's own tuple serves
-                compiled.append((controls, (), target))
-            else:
-                compiled.append((tuple([o for o in controls if o >= 0]), tuple([~o for o in controls if o < 0]),
-                                 target))
-        elif g.kind in ("X", "MCX"):
-            compiled.append((tuple([resolve(ct.wire) for ct in g.controls if ct.pol != ZERO]),
-                             tuple([resolve(ct.wire) for ct in g.controls if ct.pol == ZERO]),
-                             resolve(g.targets[0])))
-        else:
-            raise UnsupportedGateError(f"gate {i} ({g.kind}) is not a permutation gate")
+        if type(g) is not tuple:
+            if g.kind not in ("X", "MCX"):
+                raise UnsupportedGateError(f"gate {i} ({g.kind}) is not a permutation gate")
+            g = (tuple([resolve(ct.wire) if ct.pol == POSITIVE else ~resolve(ct.wire) for ct in g.controls]),
+                 resolve(g.targets[0]))
+        compiled.append(g)
     return compiled
 
 
@@ -80,18 +73,17 @@ def simulate_slices(c: Circuit, inputs: dict[int, int], n_cases: int) -> list[in
     return _run(compile_permutation(c), c.table.total_width, inputs, n_cases)
 
 
-def _run(compiled: list, width: int, inputs: dict[int, int], n_cases: int) -> list[int]:
-    """simulate_slices on a compiled circuit over width wires."""
+def _run(records: list, width: int, inputs: dict[int, int], n_cases: int) -> list[int]:
+    """simulate_slices on compiled records over width wires."""
     full = (1 << n_cases) - 1
     state = [0] * width
     for pos, value in inputs.items():
         state[pos] = value
-    for positive, zero, target in compiled:
+    for controls, target in records:
         fire = full
-        for pos in positive:
-            fire &= state[pos]
-        for pos in zero:
-            fire &= full ^ state[pos]  # complement against the mask: negative ints are slow
+        for o in controls:
+            # a zero-polarity control ~o complements its slice against the mask: negative ints are slow
+            fire &= state[o] if o >= 0 else full ^ state[~o]
         state[target] ^= fire
     return state
 
@@ -164,11 +156,15 @@ def _columns(slices: list[int], n_cases: int) -> list[str]:
 def truth_table(c: Circuit, wires: list[Wire]) -> dict[int, int]:
     """Complete input->output map over a wire subset, all other wires starting at 0.
 
-    Input bit i of the table key corresponds to wires[i].
+    Input bit i of the table key corresponds to wires[i]; a wire may appear
+    only once.
     """
     if len(wires) > TRUTH_TABLE_WIDTH_LIMIT:
         raise ResourceLimitError(
             f"truth table over {len(wires)} wires exceeds the {TRUTH_TABLE_WIDTH_LIMIT}-wire limit")
+    repeated = [w for i, w in enumerate(wires) if w in wires[:i]]
+    if repeated:
+        raise ValueError(f"truth table repeats wire {repeated[0]}")
     n_cases = 1 << len(wires)
     positions = [c.table.resolve(w) for w in wires]
     out = simulate_slices(c, {pos: _counter_slice(n_cases, i) for i, pos in enumerate(positions)},

@@ -97,8 +97,16 @@ def test_verify_ok_and_mutated(capsys):
 
 
 def test_verify_rejects_non_prime(capsys):
-    rc, _, err = run(capsys, "verify", "--d", "9")
-    assert rc == 2 and "not prime" in err
+    assert run(capsys, "verify", "--d", "9") == (2, "", "error: --d 9: d=9 is not prime\n")
+
+
+@pytest.mark.parametrize("command, d, fault", [
+    ("verify", "1031", "d=1031 needs k=11 qubits, above the limit k_max=10"),
+    ("synth-sum", "9", "d=9 is not prime"),
+    ("synth-sum", "1031", "d=1031 needs k=11 qubits, above the limit k_max=10"),
+])
+def test_refused_dimension_names_the_flag(capsys, command, d, fault):
+    assert run(capsys, command, "--d", d) == (2, "", f"error: --d {d}: {fault}\n")
 
 
 def test_gf2m_reports(capsys, tmp_path):

@@ -126,6 +126,13 @@ def test_extend_emits_a_gate_per_record_and_none_without_records():
     assert list(c.signature_histogram().items()) == walked_histogram(c.gates)
 
 
+def test_checked_circuit_stores_the_records_of_the_emitted_one():
+    circuits = [sumsynth.synth_sum(d) for d in primes_in(3, 257)]
+    circuits += [expand_cmuladds(encoder(m))[0] for m in range(2, 6)]
+    for c in circuits:
+        assert Circuit(c.table, c.gates, c.meta).records == c.records, c.meta
+
+
 def test_held_records_are_not_tracked_by_the_garbage_collector():
     c = sumsynth.synth_sum(1021)
     gc.collect()

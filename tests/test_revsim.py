@@ -85,6 +85,13 @@ def test_truth_table_width_limit():
         truth_table(c, [Wire("q", i) for i in range(25)])
 
 
+def test_truth_table_refuses_a_repeated_wire(monkeypatch):
+    c = Circuit(single_reg(2), [ir.cx(Wire("q", 0), Wire("q", 1))])
+    monkeypatch.setattr(revsim, "simulate_slices", None)  # refused before any simulation
+    with pytest.raises(ValueError, match=re.escape(f"truth table repeats wire {Wire('q', 0)}")):
+        truth_table(c, [Wire("q", 0), Wire("q", 1), Wire("q", 0)])
+
+
 # ---------------------------------------------------------------
 # verify_sum
 # ---------------------------------------------------------------
@@ -289,10 +296,10 @@ def test_verify_sum_blocks_past_the_first_match_per_case_sums(monkeypatch):
 
 
 def reference_compile(c):
-    """compile_permutation, one RegisterTable.resolve call per wire."""
+    """compile_permutation, one RegisterTable.resolve call per wire: a
+    zero-polarity control is written ~offset."""
     resolve = c.table.resolve
-    return [(tuple(resolve(ct.wire) for ct in g.controls if ct.pol != ir.ZERO),
-             tuple(resolve(ct.wire) for ct in g.controls if ct.pol == ir.ZERO),
+    return [(tuple(resolve(ct.wire) if ct.pol == ir.POSITIVE else ~resolve(ct.wire) for ct in g.controls),
              resolve(g.targets[0])) for g in c.gates]
 
 
@@ -300,10 +307,20 @@ def test_compile_permutation_matches_per_wire_resolve():
     circuits = [synth_sum(d) for d in primes_in(3, 257)]
     for m in range(2, 6):
         circuits.append(expand_cmuladds(synth_encoder_gf2m(build_code(m, 1 << (m - 1))))[0])
-    circuits.append(Circuit(single_reg(3), [ir.x(Wire("q", 2)),
-                                             ir.mcx([Control(Wire("q", 0), ir.ZERO), Wire("q", 2)], Wire("q", 1))]))
+    built = Circuit(single_reg(3), [ir.x(Wire("q", 2)),
+                                    ir.mcx([Control(Wire("q", 0), ir.ZERO), Wire("q", 2)], Wire("q", 1))])
+    em = ir.Emitter()  # the same MCX as an emitted record
+    em.mcx(em.indices(("MCX", ("q", "q"), "q")), (~0, 2), 1)
+    emitted = em.circuit(single_reg(3), ir.Meta())
+    circuits += [built, emitted]
     for c in circuits:
         assert revsim.compile_permutation(c) == reference_compile(c)
+    # an X has no controls; a zero-polarity control at offset 0 is ~0 == -1
+    assert revsim.compile_permutation(built) == [((), 2), ((-1, 2), 1)]
+    assert revsim.compile_permutation(emitted) == [((-1, 2), 1)]
+    q = [Wire("q", i) for i in range(3)]
+    assert truth_table(emitted, q) == truth_table(Circuit(single_reg(3), built.gates[1:]), q) == {
+        bits: bits ^ (0b010 if bits & 0b101 == 0b100 else 0) for bits in range(8)}
 
 
 @pytest.mark.parametrize("wire", [Wire("q", 3), Wire("r", 0)], ids=["index-out-of-range", "unknown-register"])
