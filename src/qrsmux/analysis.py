@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import lowering, sumsynth
 from .errors import InvalidDimensionError, SweepConsistencyError
-from .galois import is_prime
+from .galois import WITNESS_BOUND, is_prime
 from .lowering import MULTIPLEXED, STRATEGY_NAMES, Strategy
 
 
@@ -168,6 +168,10 @@ def sweep(d_min: int, d_max: int, strategies=STRATEGY_NAMES,
     if unknown:
         raise ValueError(f"unknown strategies: {sorted(unknown)}")
     lo = max(d_min, 3)
+    if d_max >= WITNESS_BOUND:
+        # No prime that large is proven prime quickly, so d_max itself is
+        # refused for its size, which is past k_max.
+        sumsynth.plan(d_max)
     top = next((p for p in range(d_max, lo - 1, -1) if is_prime(p)), None)
     if top is not None and sumsynth.compute_k(top) > sumsynth.DEFAULT_K_MAX:
         # The largest prime needs the most qubits: raise on it before sieving

@@ -16,24 +16,25 @@ checked tuple of its six fields: ``Gate(...)``, ``Gate._make`` and
 the table.  ``Emitter`` alone skips those checks, and it stores no ``Gate``
 for an MCX: it records each as ``(controls, target)``, plain ints, the
 control offsets in gate order with a zero-polarity control written as
-``~offset``.  Such records hold no object the cyclic garbage collector must
-walk.  The synthesizers (``sumsynth.synth_sum``/``synth_rca``/``synth_mod``,
-``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``) emit through it offsets
-they took from their own register table, and it hands back a circuit whose
-signature histogram is already filled.  ``parse`` emits through it too.  It
-checks each distinct control and target entry of a document once, resolving
-its wire against the register table, and emits a record only in the shape
-``Gate(...)`` and ``Circuit(...)`` accept as is: an MCX without d, n or
-poly, with at least one control and one target, every wire an in-range qubit
-and none repeated.  Every other gate goes through ``Gate(...)`` and the table
-checks of ``Circuit(...)``, so each fault is reported as before, and stays a
-``Gate`` in the record list.
+``~offset``, which the garbage collector need not walk.  The synthesizers
+(``sumsynth.synth_sum``/``synth_rca``/``synth_mod``, ``gf2m.synth_cmuladd``
+and ``gf2m.expand_cmuladds``) emit through it offsets they took from their
+own register table, and it hands back a circuit whose signature histogram is
+already filled.  ``parse`` emits through it too.  It resolves each distinct
+control and target entry of a document once, and emits a record only in the
+shape ``Gate(...)`` and ``Circuit(...)`` accept as is: an MCX without d, n
+or poly, with at least one control and one target, every wire an in-range
+qubit and none repeated.  Every other gate goes through ``Gate(...)`` and the
+table checks of ``Circuit(...)``, so each fault is reported as before, and
+stays a ``Gate`` among the records.
 
-A circuit stores one form, its records.  ``Circuit(table, gates)`` builds
-them once from the gates it checked, and ``Circuit.gates`` is a view built
-from them on first read; everything else, the simulator included, reads the
-records and builds no ``Gate``.  Tests rebuild every emitted or parsed gate
-through the checked path and compare.
+A circuit stores one form, its records, as a tuple no caller can change.
+``Circuit(table, gates)`` builds it once from the gates it checks, and
+``Circuit.gates`` is a tuple view built from it on first read; all else, the
+simulator included, reads the records and builds no ``Gate``.  A wire is
+checked in one place, ``RegisterTable.resolve``, and an X or MCX ``Gate``
+becomes a record in one place, ``record_of``.  Tests rebuild every emitted or
+parsed gate through the checked path and compare.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class RegisterTable:
         self._by_name: dict[str, Register] = {}
         offset = 0
         self._offsets: dict[str, int] = {}
-        self.widths: dict[str, int] = {}  # name -> width, read by Circuit(...) per wire
+        self.widths: dict[str, int] = {}  # name -> width
         for r in self.registers:
             if r.name in self._by_name:
                 raise ValueError(f"duplicate register name {r.name!r}")
@@ -110,12 +111,14 @@ class RegisterTable:
 
     def resolve(self, wire: Wire) -> int:
         """Global bit offset of a qubit-level wire."""
-        reg = self[wire.reg]
-        if wire.idx is None:
+        reg, idx = self[wire.reg], wire.idx
+        if idx is None:
             raise ResolutionError(f"wire {wire} addresses a whole register, not a qubit")
-        if not 0 <= wire.idx < reg.width:
-            raise ResolutionError(f"index {wire.idx} out of range for register {wire.reg!r} of width {reg.width}")
-        return self._offsets[wire.reg] + wire.idx
+        if type(idx) is not int:  # True and 1.0 equal 1, but serialize apart
+            raise ResolutionError(f"index {idx!r} for register {wire.reg!r} is not an int")
+        if not 0 <= idx < reg.width:
+            raise ResolutionError(f"index {idx} out of range for register {wire.reg!r} of width {reg.width}")
+        return self._offsets[wire.reg] + idx
 
     def __eq__(self, other):
         return isinstance(other, RegisterTable) and self.registers == other.registers
@@ -307,22 +310,18 @@ def _class_sort_key(item):
 # Circuits
 # ----------------------------------------------------------------------
 
-def _check_in_table(g: Gate, widths: dict[str, int]) -> None:
-    """Raise unless every wire of g lies in the table with these register widths,
-    every qubit index is an int, and a SUM or CMulAdd joins registers of equal
+def _check_in_table(g: Gate, table: RegisterTable) -> None:
+    """Raise unless every wire of g lies in the table, a qubit wire as
+    ``table.resolve`` checks it, and a SUM or CMulAdd joins registers of equal
     width."""
     for w in [c.wire for c in g.controls] + list(g.targets):
-        width = widths.get(w.reg)
-        if width is None:
-            raise ResolutionError(f"unknown register {w.reg!r}")
-        idx = w.idx
-        if idx is not None and not (type(idx) is int and 0 <= idx < width):
-            if type(idx) is not int:  # True and 1.0 equal 1, but serialize apart
-                raise ResolutionError(f"index {idx!r} for register {w.reg!r} is not an int")
-            raise ResolutionError(f"index {idx} out of range for register {w.reg!r} of width {width}")
+        if w.idx is None:
+            table[w.reg]  # raises on an unknown register
+        else:
+            table.resolve(w)
     if g.kind in ("SUM", "CMulAdd"):
-        cw = widths[g.controls[0].wire.reg]
-        tw = widths[g.targets[0].reg]
+        cw = table[g.controls[0].wire.reg].width
+        tw = table[g.targets[0].reg].width
         if cw != tw:
             raise InvalidGateError(
                 f"{g.kind} needs equal-width registers, got {cw} and {tw}")
@@ -338,7 +337,6 @@ class Meta:
 # Bare construction and attribute setting, past __init__ and Circuit's
 # immutability guard: for _circuit and the gates view Circuit builds on first read.
 _new, _set = object.__new__, object.__setattr__
-_tuple_new = tuple.__new__  # a Gate without its checks, for the gates of a record
 
 
 class Circuit:
@@ -353,10 +351,7 @@ class Circuit:
     __slots__ = ("table", "meta", "records", "_gates", "_histogram")
 
     def __init__(self, table: RegisterTable, gates: Iterable[Gate] = (), meta: Meta = Meta()):
-        gates = list(gates)
-        widths = table.widths
-        for g in gates:
-            _check_in_table(g, widths)
+        gates = tuple(gates)
         for name, value in (("table", table), ("meta", meta), ("records", _records_of(table, gates)),
                             ("_gates", gates), ("_histogram", None)):
             _set(self, name, value)
@@ -378,7 +373,7 @@ class Circuit:
         return f"Circuit(table={self.table!r}, gates={self.gates!r}, meta={self.meta!r})"
 
     @property
-    def gates(self) -> list[Gate]:
+    def gates(self) -> tuple[Gate, ...]:
         """The gates in order; built from the records on first read and kept."""
         if self._gates is None:
             _set(self, "_gates", _gates_of(self.table, self.records))
@@ -409,7 +404,7 @@ class Circuit:
         return len(self.records)
 
 
-def _circuit(table: RegisterTable, meta: Meta, records: list, histogram) -> Circuit:
+def _circuit(table: RegisterTable, meta: Meta, records: tuple, histogram) -> Circuit:
     """A circuit of records that come from a checked plan, table or circuit,
     without the checks of Circuit(...); a histogram of None is built on first
     read."""
@@ -420,44 +415,47 @@ def _circuit(table: RegisterTable, meta: Meta, records: list, histogram) -> Circ
     return c
 
 
-def _gates_of(table: RegisterTable, records: list) -> list[Gate]:
+def _gates_of(table: RegisterTable, records: tuple) -> tuple[Gate, ...]:
     wires = [Wire(r.name, i) for r in table.registers for i in range(r.width)]  # by offset
     # A control's signed offset o indexes this list directly: ~o counts from its end.
     controls = [Control(w) for w in wires] + [Control(w, ZERO) for w in reversed(wires)]
     targets = [(w,) for w in wires]
-    built: dict[tuple[int, ...], tuple[Control, ...]] = {}  # a record's controls -> its gate's, shared
-    gates = []
-    for r in records:
-        if type(r) is tuple:
-            ctl = built.get(r[0])
-            if ctl is None:
-                ctl = built[r[0]] = tuple([controls[o] for o in r[0]])
-            r = _tuple_new(Gate, ("MCX", ctl, targets[r[1]], None, None, None))
-        gates.append(r)
-    return gates
+    # a record was checked when it was built, so its Gate skips the checks of Gate(...)
+    return tuple([r if type(r) is not tuple else
+                  tuple.__new__(Gate, ("MCX", tuple([controls[o] for o in r[0]]), targets[r[1]], None, None, None))
+                  for r in records])
 
 
-def _records_of(table: RegisterTable, gates: list[Gate]) -> list:
-    """The records of gates that Circuit(...) has checked against the table."""
-    base = {r.name: table.offset(r.name) for r in table.registers}
-    return [g if g.kind != "MCX" or g.d is not None or g.n is not None or g.poly is not None else
-            (tuple([base[w.reg] + w.idx if pol == POSITIVE else ~(base[w.reg] + w.idx) for w, pol in g.controls]),
-             base[g.targets[0].reg] + g.targets[0].idx)
-            for g in gates]
+def record_of(table: RegisterTable, g: Gate) -> tuple[tuple[int, ...], int]:
+    """The (signed controls, target) record of an X or MCX gate, each wire
+    resolved through ``table.resolve``; an X has no controls."""
+    resolve = table.resolve
+    return (tuple([resolve(w) if pol == POSITIVE else ~resolve(w) for w, pol in g.controls]),
+            resolve(g.targets[0]))
 
 
-def _walk_histogram(table: RegisterTable, records: list) -> dict[tuple, tuple[int, ...]]:
+def _records_of(table: RegisterTable, gates: tuple[Gate, ...]) -> tuple:
+    """The records of gates, each checked against the table in order: an MCX
+    without d, n or poly as its record, whose wires record_of resolves, any
+    other gate as itself once _check_in_table passes it."""
+    records = []
+    for g in gates:
+        if g.kind == "MCX" and g.d is None and g.n is None and g.poly is None:
+            records.append(record_of(table, g))
+        else:
+            _check_in_table(g, table)
+            records.append(g)
+    return tuple(records)
+
+
+def _walk_histogram(table: RegisterTable, records: tuple) -> dict[tuple, tuple[int, ...]]:
     """The signature histogram of a circuit's records."""
     names = [r.name for r in table.registers for _ in range(r.width)]
     names += names[::-1]  # indexed by a signed offset, as in _gates_of
-    registers: dict[tuple[int, ...], tuple[str, ...]] = {}  # a record's controls -> their registers
     groups: dict[tuple, list[int]] = defaultdict(list)
     for i, r in enumerate(records):
         if type(r) is tuple:
-            regs = registers.get(r[0])
-            if regs is None:
-                regs = registers[r[0]] = tuple([names[o] for o in r[0]])
-            groups["MCX", regs, names[r[1]]].append(i)
+            groups["MCX", tuple([names[o] for o in r[0]]), names[r[1]]].append(i)
         else:
             groups[signature(r)].append(i)
     return {key: tuple(indices) for key, indices in groups.items()}
@@ -505,10 +503,11 @@ class Emitter:
         self.records.append(g)
 
     def circuit(self, table: RegisterTable, meta: Meta) -> Circuit:
-        """The emitted records as a circuit, unchecked, with their histogram
-        keyed in order of first use as signature_histogram() would build it."""
+        """A copy of the emitted records as a circuit, unchecked, with their
+        histogram keyed in order of first use as signature_histogram() would
+        build it; records emitted later do not reach it."""
         used = sorted((kv for kv in self._groups.items() if kv[1]), key=lambda kv: kv[1][0])
-        return _circuit(table, meta, self.records, {sig: tuple(indices) for sig, indices in used})
+        return _circuit(table, meta, tuple(self.records), {sig: tuple(indices) for sig, indices in used})
 
 
 def photon_partition(c: Circuit, g: Gate) -> dict[int, list[Control]]:
@@ -525,25 +524,15 @@ def photon_partition(c: Circuit, g: Gate) -> dict[int, list[Control]]:
 # Interchange document (JSON-shaped structured text)
 # ----------------------------------------------------------------------
 
-def _gate_head(kind: str, d: int | None = None, n: int | None = None, poly: int | None = None) -> str:
-    """The text of a gate's JSON object up to its controls: '{"kind": ..., "controls": ['."""
-    entry: dict = {"kind": kind}
-    if d is not None:
-        entry["d"] = d
-    if n is not None:
-        entry["n"] = n
-    if poly is not None:
-        entry["poly"] = poly
-    return json.dumps(entry)[:-1] + ', "controls": ['
+_MCX_HEAD = '{"kind": "MCX", "controls": ['  # a record's text up to its controls
 
 
 def serialize(c: Circuit) -> str:
     """Interchange document for a circuit; parse() inverts it losslessly.
 
     A JSON object with "registers", "gates" and "meta", one gate per line.
-    Each qubit wire's control and target texts are encoded once per document,
-    and so is each distinct control, target and gate head of a gate that is
-    not a record.
+    Each qubit wire's control and target texts are encoded once per document
+    and joined into the text of each record; any other gate is dumped whole.
     """
     dumps = json.dumps
     registers = dumps([{"name": r.name, "width": r.width, "photon": r.photon, "role": r.role}
@@ -557,36 +546,18 @@ def serialize(c: Circuit) -> str:
     offset_controls = ([f'{text}, "pol": "{POSITIVE}"}}' for text in wire_texts]
                        + [f'{text}, "pol": "{ZERO}"}}' for text in reversed(wire_texts)])
     offset_targets = [text + "}" for text in wire_texts]
-    mcx_head = _gate_head("MCX")
-    heads: dict[str, str] = {}              # kind -> head of a gate without d, n and poly
-    control_texts: dict[Control, str] = {}  # Control -> its JSON text
-    target_texts: dict[Wire, str] = {}      # Wire -> its JSON text
     lines = []
     for g in c.records:
         if type(g) is tuple:
             controls, target = g
-            lines.append(f'{mcx_head}{", ".join([offset_controls[o] for o in controls])}], '
+            lines.append(f'{_MCX_HEAD}{", ".join([offset_controls[o] for o in controls])}], '
                          f'"targets": [{offset_targets[target]}]}}')
             continue
-        if g.d is None and g.n is None and g.poly is None:
-            head = heads.get(g.kind)
-            if head is None:
-                head = heads[g.kind] = _gate_head(g.kind)
-        else:
-            head = _gate_head(g.kind, g.d, g.n, g.poly)
-        controls = []
-        for ct in g.controls:
-            text = control_texts.get(ct)
-            if text is None:
-                text = control_texts[ct] = dumps({"reg": ct.wire.reg, "idx": ct.wire.idx, "pol": ct.pol})
-            controls.append(text)
-        targets = []
-        for w in g.targets:
-            text = target_texts.get(w)
-            if text is None:
-                text = target_texts[w] = dumps({"reg": w.reg, "idx": w.idx})
-            targets.append(text)
-        lines.append(f'{head}{", ".join(controls)}], "targets": [{", ".join(targets)}]}}')
+        entry = {"kind": g.kind, **{key: value for key, value in (("d", g.d), ("n", g.n), ("poly", g.poly))
+                                    if value is not None},
+                 "controls": [{"reg": w.reg, "idx": w.idx, "pol": pol} for w, pol in g.controls],
+                 "targets": [{"reg": w.reg, "idx": w.idx} for w in g.targets]}
+        lines.append(dumps(entry))
     gates = ",\n".join(lines)
     return f'{{"registers": {registers},\n"gates": [\n{gates}\n],\n"meta": {meta}}}\n'
 
@@ -754,7 +725,7 @@ def parse(document: str) -> Circuit:
             poly = _integer(gd, "poly", path, 0, optional=True)
         try:
             g = Gate(kind, tuple([c[0] for c in controls]), tuple([t[0] for t in targets]), d=d, n=n, poly=poly)
-            _check_in_table(g, table.widths)
+            _check_in_table(g, table)
         except (InvalidGateError, ResolutionError) as e:
             raise ParseError(f"gates[{i}]: {e}") from None
         emitter.add(g)

@@ -37,9 +37,9 @@ DEFAULT_PRIMITIVE_POLYS: dict[int, int] = {
 }
 
 # The first 13 primes.  As Miller-Rabin witnesses they decide every n below
-# _WITNESS_BOUND (Sorenson and Webster, 2015).
+# WITNESS_BOUND (Sorenson and Webster, 2015); is_prime is fast below it.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
@@ -53,7 +53,7 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 43 * 43:
         return True
-    if n >= _WITNESS_BOUND:
+    if n >= WITNESS_BOUND:
         return all(n % f for f in range(43, isqrt(n) + 1, 2))
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s

@@ -8,8 +8,8 @@ target slice, with zero-polarity controls complemented against the all-cases
 mask.  The kernel runs a circuit's records (``circuit.Circuit.records``) as
 they are stored: each is (signed control offsets, target offset), a
 zero-polarity control written as ``~offset``.  Only a gate that is not a
-record, such as an X, resolves its wires against the register table, once
-per simulation.  ``simulate_slices`` runs the whole circuit once over the
+record, such as an X, is encoded, by ``circuit.record_of``, once per
+simulation.  ``simulate_slices`` runs the whole circuit once over the
 whole case set.
 ``verify_sum``, ``truth_table`` and ``gf2m.find_cmuladd_counterexample`` all
 go through it.
@@ -33,7 +33,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 
-from .circuit import POSITIVE, Circuit, Wire
+from .circuit import Circuit, Wire, record_of
 from .errors import ResourceLimitError, UnsupportedGateError
 
 TRUTH_TABLE_WIDTH_LIMIT = 24
@@ -48,17 +48,15 @@ def compile_permutation(c: Circuit) -> list[tuple[tuple[int, ...], int]]:
     offsets, target offset) per gate.
 
     Rejects non-permutation gates.  An X or MCX that is not a record is
-    resolved wire by wire through ``RegisterTable.resolve``, which raises the
-    ``ResolutionError`` for a wire outside the table; an X has no controls.
+    encoded by ``circuit.record_of``, which raises the ``ResolutionError`` of
+    ``RegisterTable.resolve`` for a wire outside the table.
     """
-    resolve = c.table.resolve
     compiled = []
     for i, g in enumerate(c.records):
         if type(g) is not tuple:
             if g.kind not in ("X", "MCX"):
                 raise UnsupportedGateError(f"gate {i} ({g.kind}) is not a permutation gate")
-            g = (tuple([resolve(ct.wire) if ct.pol == POSITIVE else ~resolve(ct.wire) for ct in g.controls]),
-                 resolve(g.targets[0]))
+            g = record_of(c.table, g)
         compiled.append(g)
     return compiled
 

@@ -112,12 +112,13 @@ def compute_k(d: int) -> int:
 
 
 def _checked_k(d: int, k_max: int) -> int:
-    """compute_k(d), after checking that d is prime and that k fits k_max."""
-    if not is_prime(d):
-        raise InvalidDimensionError(f"d={d} is not prime")
+    """compute_k(d), after checking that k fits k_max and then that d is
+    prime, so a d too large to test quickly is refused for its size."""
     k = compute_k(d)
     if k > k_max:
         raise InvalidDimensionError(f"d={d} needs k={k} qubits, above the limit k_max={k_max}")
+    if not is_prime(d):
+        raise InvalidDimensionError(f"d={d} is not prime")
     return k
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrsmux import circuit as ir
+from qrsmux import analysis, circuit as ir, cli, revsim, sumsynth
 from qrsmux.circuit import (
     Circuit, Control, CostBreakdown, Gate, Meta, Register, RegisterTable, Wire,
     parse, photon_partition, serialize,
@@ -105,10 +105,19 @@ def test_circuit_keeps_its_own_copy_of_the_gates():
     histogram = dict(c.signature_histogram())
     gates.append(ir.x(Wire("B", 2)))
     gates[0] = ir.h(Wire("B", 0))
-    assert c.gates == [ir.cx(Wire("B", 0), Wire("carry", 0)), ir.x(Wire("B", 1))]
+    assert c.gates == (ir.cx(Wire("B", 0), Wire("carry", 0)), ir.x(Wire("B", 1)))
     assert c.signature_histogram() == histogram == {
         ("MCX", ("B",), "carry"): (0,), ("X", (), "B"): (1,)}
     assert c.count().as_dict() == {"C1X": 1, "X": 1}
+
+
+def test_stored_gates_and_records_cannot_be_changed():
+    c = Circuit(RegisterTable([Register("q", 2, 0, "work")]), [ir.x(Wire("q", 0))])
+    with pytest.raises(AttributeError):
+        c.gates.append(ir.h(Wire("q", 5)))  # outside the table, and never checked
+    with pytest.raises(AttributeError):
+        c.records.append(((0,), 1))
+    assert (c.gates, c.records, len(c)) == ((ir.x(Wire("q", 0)),), (ir.x(Wire("q", 0)),), 1)
 
 
 def test_register_offsets():
@@ -225,6 +234,15 @@ def test_photon_partition_rejects_non_mcx():
 # Serialization
 # ---------------------------------------------------------------
 
+def gate_text(g: Gate) -> str:
+    """The JSON text of one gate: its fields in order, d, n and poly only where set."""
+    entry = {"kind": g.kind}
+    entry.update((key, value) for key, value in (("d", g.d), ("n", g.n), ("poly", g.poly)) if value is not None)
+    entry["controls"] = [{"reg": ct.wire.reg, "idx": ct.wire.idx, "pol": ct.pol} for ct in g.controls]
+    entry["targets"] = [{"reg": w.reg, "idx": w.idx} for w in g.targets]
+    return json.dumps(entry)
+
+
 def test_round_trip_sum_circuit():
     c = synth_sum(5)
     back = parse(serialize(c))
@@ -232,6 +250,18 @@ def test_round_trip_sum_circuit():
     assert back.gates == c.gates
     assert back.table == c.table
     assert back.meta == c.meta
+    # every gate kind, each written as the JSON text of its fields
+    table = RegisterTable([Register("A", 2, 0, "gf-message"), Register("B", 2, 1, "gf-code")])
+    a0, b1 = Wire("A", 0), Wire("B", 1)
+    kinds = Circuit(table, [ir.x(a0), ir.h(b1), ir.t(a0), ir.tdag(b1), ir.sum_gate("A", "B", 4), ir.dft("B", 4),
+                            ir.cmuladd("A", "B", 3), ir.cmuladd("B", "A", 0, poly=0b111),
+                            Gate("MCX", (Control(a0), Control(b1, ir.ZERO)), (Wire("A", 1),), d=3),
+                            ir.mcx([Control(b1, ir.ZERO), a0], Wire("B", 0))], Meta(d=4, note="kinds"))
+    for c in (synth_sum(5), kinds):
+        document = serialize(c)
+        assert document.splitlines()[2:2 + len(c)] == [gate_text(g) + "," for g in c.gates[:-1]] + [
+            gate_text(c.gates[-1])]
+        assert parse(document) == c
 
 
 @pytest.mark.parametrize("role", ["control", "target"])
@@ -243,6 +273,8 @@ def test_circuit_rejects_a_non_int_qubit_index(role, idx):
     reg = "A" if role == "control" else "B"
     with pytest.raises(ResolutionError, match=rf"^index {idx!r} for register '{reg}' is not an int$"):
         Circuit(table, [gate])
+    with pytest.raises(ResolutionError, match=rf"^index {idx!r} for register '{reg}' is not an int$"):
+        table.resolve(Wire(reg, idx))
 
 
 def test_parse_unknown_gate_kind():
@@ -445,3 +477,29 @@ def test_count_additive_over_concatenation(c1, c2):
     if c1.table == c2.table:
         combined = Circuit(c1.table, list(c1.gates) + list(c2.gates))
         assert combined.count() == c1.count() + c2.count()
+
+
+# ---------------------------------------------------------------
+# The checked Gate side stays off the hot paths
+# ---------------------------------------------------------------
+
+def test_hot_paths_build_and_check_no_gate(monkeypatch, tmp_path):
+    """A sweep, the synth-sum --emit -> lower document path and verify_sum run
+    on records alone: none builds a Gate, reads the gates view or checks a gate
+    against a table.  Gate.__new__, _gates_of and _check_in_table are plain
+    code, untuned, because of this; a failure here means they are hot again."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a hot path built, viewed or checked a Gate")
+
+    monkeypatch.setattr(Gate, "__new__", fail)
+    monkeypatch.setattr(ir, "_gates_of", fail)
+    monkeypatch.setattr(ir, "_check_in_table", fail)
+    assert len(analysis.sweep(3, 257).rows) == len(analysis.primes_in(3, 257))
+    document = tmp_path / "sum137.json"
+    assert cli.main(["synth-sum", "--d", "137", "--emit", str(document)]) == 0
+    for strategy in ("general", "ralph", "multiplexed"):
+        assert cli.main(["lower", "--in", str(document), "--strategy", strategy,
+                         "--report", str(tmp_path / f"{strategy}.csv")]) == 0
+    c = sumsynth.synth_sum(61)
+    assert revsim.verify_sum(61, c).verified
+    assert not revsim.verify_sum(61, c.without_gate(0)).verified

@@ -374,6 +374,25 @@ def test_sweep_finds_a_large_prime_past_k_max_quickly(capsys, tmp_path):
     assert not out_csv.exists() and "wrote" not in out
 
 
+HUGE = "10000000000000000000000013"  # past the bound below which is_prime is fast
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (["synth-sum", "--d", HUGE], f"--d {HUGE}: d={HUGE} needs k=84 qubits, above the limit k_max=10"),
+    (["verify", "--d", HUGE], f"--d {HUGE}: d={HUGE} needs k=84 qubits, above the limit k_max=10"),
+    (["sweep", "--d-max", HUGE, "--out", "r.csv"],
+     f"--d-max {HUGE}: d={HUGE} needs k=84 qubits, above the limit k_max=10"),
+    (["synth-sum", "--d", "2048"], "--d 2048: d=2048 needs k=11 qubits, above the limit k_max=10"),
+], ids=["synth-sum", "verify", "sweep", "composite-past-k-max"])
+def test_dimension_past_k_max_is_refused_for_its_size_quickly(capsys, tmp_path, monkeypatch, argv, fault):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2  # proving a prime this large by trial division never ends
+    assert (rc, out, err) == (2, "", f"error: {fault}\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_sweep_range_ending_above_its_largest_prime(capsys, tmp_path):
     out_csv = tmp_path / "r.csv"
     rc, out, _ = run(capsys, "sweep", "--d-min", "1019", "--d-max", "1024", "--out", str(out_csv))

@@ -119,11 +119,21 @@ def test_extend_emits_a_gate_per_record_and_none_without_records():
     em.extend(em.indices(("MCX", ("q",), "q")), [])
     em.mcx(em.indices(("MCX", ("q",), "q")), (1,), 0)
     c = em.circuit(table, Meta())
-    assert c.gates == [Gate("MCX", q1, (Wire("r", 0),)), Gate("MCX", q1, (Wire("r", 1),)),
-                       Gate("MCX", q1, (Wire("q", 0),))]
+    assert c.gates == (Gate("MCX", q1, (Wire("r", 0),)), Gate("MCX", q1, (Wire("r", 1),)),
+                       Gate("MCX", q1, (Wire("q", 0),)))
     assert list(c.signature_histogram().items()) == [
         (("MCX", ("q",), "r"), (0, 1)), (("MCX", ("q",), "q"), (2,))]
     assert list(c.signature_histogram().items()) == walked_histogram(c.gates)
+
+
+def test_emitting_after_circuit_leaves_the_circuit_unchanged():
+    table = RegisterTable([Register("q", 3, 0, "work")])
+    em = Emitter()
+    em.mcx(em.indices(("MCX", ("q",), "q")), (0,), 1)
+    c = em.circuit(table, Meta())
+    em.mcx(em.indices(("MCX", ("q",), "q")), (1,), 2)
+    assert (len(c), c.records, c.count().as_dict()) == (1, (((0,), 1),), {"C1X": 1})
+    assert len(em.circuit(table, Meta())) == 2
 
 
 def test_checked_circuit_stores_the_records_of_the_emitted_one():
@@ -153,12 +163,12 @@ def test_mixed_polarity_controls_out_of_order_survive_parse_and_serialize():
     table = RegisterTable([Register("q", 4, 0, "work"), Register("r", 2, 1, "work")])
     controls = (Control(Wire("r", 1)), Control(Wire("q", 3), ZERO), Control(Wire("q", 0)),
                 Control(Wire("r", 0), ZERO))
-    gates = [Gate("MCX", controls, (Wire("q", 1),)), Gate("MCX", controls[::-1], (Wire("q", 2),))]
+    gates = (Gate("MCX", controls, (Wire("q", 1),)), Gate("MCX", controls[::-1], (Wire("q", 2),)))
     document = serialize(Circuit(table, gates))
     parsed = parse(document)
     assert serialize(parsed) == document
     assert parsed.gates == gates
-    assert parsed.records == [((5, ~3, 0, ~4), 1), ((~4, 0, ~3, 5), 2)]  # q at offsets 0..3, r at 4 and 5
+    assert parsed.records == (((5, ~3, 0, ~4), 1), ((~4, 0, ~3, 5), 2))  # q at offsets 0..3, r at 4 and 5
 
 
 # ---------------------------------------------------------------

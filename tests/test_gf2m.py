@@ -218,15 +218,15 @@ def test_encoder_classical_cost_matches_recount():
 def relabeled(c, src, dst):
     """The gates of a synth_cmuladd circuit moved from registers a, b onto src, dst."""
     names = {"a": src, "b": dst}
-    return [cx(Wire(names[g.controls[0].wire.reg], g.controls[0].wire.idx),
-               Wire(names[g.targets[0].reg], g.targets[0].idx)) for g in c.gates]
+    return tuple(cx(Wire(names[g.controls[0].wire.reg], g.controls[0].wire.idx),
+                    Wire(names[g.targets[0].reg], g.targets[0].idx)) for g in c.gates)
 
 
 def test_expansion_is_each_cmuladd_circuit_on_its_registers():
     for m, K in [(2, 2), (3, 4), (4, 8), (5, 16)]:
         spec = build_code(m, K)
         enc = synth_encoder_gf2m(spec)
-        want = []
+        want = ()
         for g in enc.gates:
             if g.kind == "CMulAdd":
                 want += relabeled(synth_cmuladd(spec.field, g.n), g.controls[0].wire.reg, g.targets[0].reg)
@@ -240,7 +240,7 @@ def test_expansion_passes_other_gates_through():
     c = Circuit(table, [x(Wire("u", 2)), dft("u", 8), cmuladd("u", "v", 4), h(Wire("v", 0))])
     expanded, n_dft = expand_cmuladds(c)
     assert n_dft == 1
-    assert expanded.gates == [x(Wire("u", 2))] + relabeled(synth_cmuladd(f, 4), "u", "v") + [h(Wire("v", 0))]
+    assert expanded.gates == (x(Wire("u", 2)),) + relabeled(synth_cmuladd(f, 4), "u", "v") + (h(Wire("v", 0)),)
     walked = Circuit(table, expanded.gates)  # histogram built from the gates
     assert list(expanded.signature_histogram().items()) == list(walked.signature_histogram().items())
 

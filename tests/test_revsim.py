@@ -92,6 +92,15 @@ def test_truth_table_refuses_a_repeated_wire(monkeypatch):
         truth_table(c, [Wire("q", 0), Wire("q", 1), Wire("q", 0)])
 
 
+@pytest.mark.parametrize("idx", [True, 1.0], ids=["true", "1.0"])
+def test_truth_table_refuses_a_non_int_wire_index(idx):
+    # True and 1.0 equal 1: resolved as such, the first read as offset 1 and
+    # the second indexed the kernel's state with a float.
+    c = Circuit(single_reg(2), [ir.cx(Wire("q", 0), Wire("q", 1))])
+    with pytest.raises(ResolutionError, match=rf"^index {idx!r} for register 'q' is not an int$"):
+        truth_table(c, [Wire("q", 0), Wire("q", idx)])
+
+
 # ---------------------------------------------------------------
 # verify_sum
 # ---------------------------------------------------------------
@@ -233,7 +242,7 @@ def test_verify_sum_matches_reference_on_every_single_gate_mutant(d, sampled):
     c = synth_sum(d)
     # No gate of synth_sum targets A, so one extra gate corrupts A on some cases
     # and exercises the got = -1 convention.
-    corrupt_a = Circuit(c.table, c.gates + [ir.cx(Wire("B", 0), Wire("A", 0))])
+    corrupt_a = Circuit(c.table, c.gates + (ir.cx(Wire("B", 0), Wire("A", 0)),))
     removed = range(len(c)) if sampled is None else random.Random(d).sample(range(len(c)), sampled)
     for circuit in [c, corrupt_a] + [c.without_gate(i) for i in removed]:
         report = verify_sum(d, circuit)
@@ -253,7 +262,7 @@ def test_verify_sum_in_blocks_equals_one_block(cap, monkeypatch):
     circuits = []
     for d in primes_in(3, 61):
         c = synth_sum(d)
-        corrupt_a = Circuit(c.table, c.gates + [ir.cx(Wire("B", 0), Wire("A", 0))])
+        corrupt_a = Circuit(c.table, c.gates + (ir.cx(Wire("B", 0), Wire("A", 0)),))
         circuits += [(d, c), (d, corrupt_a)] + [(d, c.without_gate(i)) for i in rng.sample(range(len(c)), 3)]
     whole = [verify_sum(d, circuit) for d, circuit in circuits]
     failures = [f for r in whole for f in r.failures]
@@ -280,7 +289,7 @@ def test_verify_sum_blocks_past_the_first_match_per_case_sums(monkeypatch):
     for d in primes_in(3, 61):
         c = synth_sum(d)
         mutant = c.without_gate(rng.randrange(len(c)))
-        broken = Circuit(c.table, mutant.gates + [ir.cx(Wire("B", 0), Wire("A", 0))])
+        broken = Circuit(c.table, mutant.gates + (ir.cx(Wire("B", 0), Wire("A", 0)),))
         rows = max(1, d // 3)
         monkeypatch.setattr(revsim, "_CASES_PER_BLOCK", rows * d)
         reports = []
@@ -315,6 +324,7 @@ def test_compile_permutation_matches_per_wire_resolve():
     circuits += [built, emitted]
     for c in circuits:
         assert revsim.compile_permutation(c) == reference_compile(c)
+        assert [ir.record_of(c.table, g) for g in c.gates] == reference_compile(c)
     # an X has no controls; a zero-polarity control at offset 0 is ~0 == -1
     assert revsim.compile_permutation(built) == [((), 2), ((-1, 2), 1)]
     assert revsim.compile_permutation(emitted) == [((-1, 2), 1)]
@@ -368,7 +378,7 @@ def test_cmuladd_witness_is_first_failing_pair(m, poly):
     for n in range(f.order - 1):
         c = synth_cmuladd(f, n)
         a_pos, b_pos = register_positions(c.table, "a"), register_positions(c.table, "b")
-        corrupt_a = Circuit(c.table, c.gates + [ir.cx(Wire("b", 0), Wire("a", 0))])
+        corrupt_a = Circuit(c.table, c.gates + (ir.cx(Wire("b", 0), Wire("a", 0)),))
         for circuit in [c, corrupt_a] + [c.without_gate(i) for i in range(len(c))]:
             run = reference_runner(circuit)
             first = None
