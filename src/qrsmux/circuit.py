@@ -20,13 +20,19 @@ control offsets in gate order with a zero-polarity control written as
 (``sumsynth.synth_sum``/``synth_rca``/``synth_mod``, ``gf2m.synth_cmuladd``
 and ``gf2m.expand_cmuladds``) emit through it offsets they took from their
 own register table, and it hands back a circuit whose signature histogram is
-already filled.  ``parse`` emits through it too.  It resolves each distinct
-control and target entry of a document once, and emits a record only in the
-shape ``Gate(...)`` and ``Circuit(...)`` accept as is: an MCX without d, n
-or poly, with at least one control and one target, every wire an in-range
-qubit and none repeated.  Every other gate goes through ``Gate(...)`` and the
-table checks of ``Circuit(...)``, so each fault is reported as before, and
-stays a ``Gate`` among the records.
+already filled.  ``parse`` emits through it too, by one of two readers.  A
+document in ``serialize``'s exact layout for a circuit of MCX records is read
+by its text: its registers and meta are decoded and checked, and each gate
+line must be the text ``serialize`` writes for one record on that register
+table, no wire repeated, so the reader returns a circuit ``c`` only when
+``serialize(c) == document``.  Every other document goes to the checked
+reader, which decodes the JSON whole, resolves each distinct control and
+target entry once, and emits a record only in the shape ``Gate(...)`` and
+``Circuit(...)`` accept as is: an MCX without d, n or poly, with at least one
+control and one target, every wire an in-range qubit and none repeated.
+Every other gate goes through ``Gate(...)`` and the table checks of
+``Circuit(...)``, so each fault is reported as before, and stays a ``Gate``
+among the records.
 
 A circuit stores one form, its records, as a tuple no caller can change.
 ``Circuit(table, gates)`` builds it once from the gates it checks, and
@@ -525,6 +531,30 @@ def photon_partition(c: Circuit, g: Gate) -> dict[int, list[Control]]:
 # ----------------------------------------------------------------------
 
 _MCX_HEAD = '{"kind": "MCX", "controls": ['  # a record's text up to its controls
+_WIRE_OPEN = '{"reg": '                        # the text that opens each wire of a gate line
+_REGISTERS_OPEN = '{"registers": '
+_GATES_OPEN = ',\n"gates": [\n'  # between the registers and the first gate line
+_META_OPEN = '\n],\n"meta": '    # between the last gate line and the meta
+
+
+def _frame(table: RegisterTable, meta: Meta) -> tuple[str, str]:
+    """The text serialize writes before a circuit's first gate line and after its last."""
+    registers = json.dumps([{"name": r.name, "width": r.width, "photon": r.photon, "role": r.role}
+                            for r in table.registers])
+    meta_text = json.dumps({"d": meta.d, "strategy": meta.strategy, "note": meta.note})
+    return f"{_REGISTERS_OPEN}{registers}{_GATES_OPEN}", f"{_META_OPEN}{meta_text}}}\n"
+
+
+def _record_texts(table: RegisterTable) -> tuple[list[str], list[str]]:
+    """The text of a record's control, indexed by its signed offset as in
+    _gates_of, and of its target, indexed by its offset."""
+    wire_texts = []  # '{"reg": ..., "idx": ...' of each qubit wire, by offset
+    for r in table.registers:
+        name = json.dumps(r.name)
+        wire_texts += [f'{_WIRE_OPEN}{name}, "idx": {i}' for i in range(r.width)]
+    return ([f'{text}, "pol": "{POSITIVE}"}}' for text in wire_texts]
+            + [f'{text}, "pol": "{ZERO}"}}' for text in reversed(wire_texts)],
+            [text + "}" for text in wire_texts])
 
 
 def serialize(c: Circuit) -> str:
@@ -534,18 +564,7 @@ def serialize(c: Circuit) -> str:
     Each qubit wire's control and target texts are encoded once per document
     and joined into the text of each record; any other gate is dumped whole.
     """
-    dumps = json.dumps
-    registers = dumps([{"name": r.name, "width": r.width, "photon": r.photon, "role": r.role}
-                       for r in c.table.registers])
-    meta = dumps({"d": c.meta.d, "strategy": c.meta.strategy, "note": c.meta.note})
-    wire_texts = []  # '{"reg": ..., "idx": ...' of each qubit wire, by offset
-    for r in c.table.registers:
-        name = dumps(r.name)
-        wire_texts += [f'{{"reg": {name}, "idx": {i}' for i in range(r.width)]
-    # indexed by a record's signed control offset, as in _gates_of
-    offset_controls = ([f'{text}, "pol": "{POSITIVE}"}}' for text in wire_texts]
-                       + [f'{text}, "pol": "{ZERO}"}}' for text in reversed(wire_texts)])
-    offset_targets = [text + "}" for text in wire_texts]
+    offset_controls, offset_targets = _record_texts(c.table)
     lines = []
     for g in c.records:
         if type(g) is tuple:
@@ -557,9 +576,9 @@ def serialize(c: Circuit) -> str:
                                     if value is not None},
                  "controls": [{"reg": w.reg, "idx": w.idx, "pol": pol} for w, pol in g.controls],
                  "targets": [{"reg": w.reg, "idx": w.idx} for w in g.targets]}
-        lines.append(dumps(entry))
-    gates = ",\n".join(lines)
-    return f'{{"registers": {registers},\n"gates": [\n{gates}\n],\n"meta": {meta}}}\n'
+        lines.append(json.dumps(entry))
+    start, end = _frame(c.table, c.meta)
+    return start + ",\n".join(lines) + end
 
 
 _MISSING = object()
@@ -620,20 +639,8 @@ def _qubit_offset(table: RegisterTable, w: Wire) -> int | None:
         return None
 
 
-def parse(document: str) -> Circuit:
-    """Rebuild a circuit, with its signature histogram, from its interchange
-    document.
-
-    Every malformed document raises ParseError naming the offending field.
-    """
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    except (ValueError, RecursionError) as e:  # integer too long, nesting too deep
-        raise ParseError(f"document: {e}") from None
-    doc = _typed(doc, dict, "document")
-
+def _table_and_meta(doc: dict) -> tuple[RegisterTable, Meta]:
+    """The register table and meta of a decoded document, every field checked."""
     registers = []
     for i, rd in enumerate(_field(doc, "registers", "document", list)):
         path = f"registers[{i}]"
@@ -658,6 +665,89 @@ def parse(document: str) -> Circuit:
         strategy=_field(md, "strategy", "meta", str, ""),
         note=_field(md, "note", "meta", str, ""),
     )
+    return table, meta
+
+
+def parse(document: str) -> Circuit:
+    """Rebuild a circuit, with its signature histogram, from its interchange
+    document.
+
+    A document in serialize's exact layout for a circuit of MCX records is
+    read by its text; any other JSON layout goes through the checked reader.
+    Every malformed document raises ParseError naming the offending field.
+    """
+    c = _read_records(document) if isinstance(document, str) else None  # bytes go to json.loads
+    return _parse_checked(document) if c is None else c
+
+
+def _read_records(document: str) -> Circuit | None:
+    """The circuit c of MCX records with serialize(c) == document, read by its
+    text; None for any other document, which _parse_checked reads.
+
+    The registers and meta texts are decoded and checked as _parse_checked
+    checks them, and must be the text serialize writes for them.  Each gate
+    line, cut at every '{"reg": ', must be _MCX_HEAD followed by wire texts
+    that serialize writes for the table, looked up in three inverted tables.
+    """
+    registers_end, meta_start = document.find(_GATES_OPEN), document.rfind(_META_OPEN)
+    # Other documents, gf2m --emit's whose first gate is a DFT among them,
+    # leave here before any lookup is built.
+    if not (0 <= registers_end < meta_start and document.startswith(_MCX_HEAD, registers_end + len(_GATES_OPEN))):
+        return None
+    try:
+        table, meta = _table_and_meta({
+            "registers": json.loads(document[len(_REGISTERS_OPEN):registers_end]),
+            "meta": json.loads(document[meta_start + len(_META_OPEN):-len("}\n")])})
+    except (ValueError, RecursionError, ParseError):  # _parse_checked reports the fault in order
+        return None
+    head, tail = _frame(table, meta)
+    # The lookups hold about 1 KB per wire, so a document with fewer than 16
+    # bytes per wire (every synthesized one has over 160) goes to
+    # _parse_checked, whose cost follows the document's length.
+    if not (document.startswith(head) and document.endswith(tail) and len(head) < len(document) - len(tail)
+            and 16 * table.total_width <= len(document)):
+        return None
+    controls, targets = _record_texts(table)
+    names = [r.name for r in table.registers for _ in range(r.width)]
+    cut = len(_WIRE_OPEN)
+    # A control's text followed by ", " or by the opening of the targets, and
+    # the target's text followed by the line's end: each maps to its record
+    # offset, its wire's offset and its register name.
+    inner, last, target = {}, {}, {}
+    for o in range(-table.total_width, table.total_width):  # signed offsets, ~wire for zero polarity
+        wire = o if o >= 0 else ~o
+        text, value = controls[o][cut:], (o, wire, names[wire])
+        inner[text + ", "] = value
+        last[text + '], "targets": ['] = value
+    for o, text in enumerate(targets):
+        target[text[cut:] + "]}"] = (o, names[o])
+    emitter = Emitter()
+    emit, indices = emitter.mcx, emitter.indices
+    try:
+        for line in document[len(head):len(document) - len(tail)].split(",\n"):
+            first, *middle, final, aim = line.split(_WIRE_OPEN)
+            if first != _MCX_HEAD:
+                return None
+            signed, wires, regs = zip(*[inner[piece] for piece in middle], last[final])
+            offset, reg = target[aim]
+            if len({offset, *wires}) <= len(wires):  # a repeated wire, which Gate(...) refuses
+                return None
+            emit(indices(("MCX", regs, reg)), signed, offset)
+    except (ValueError, KeyError):  # fewer than three pieces, or a piece serialize does not write
+        return None
+    return emitter.circuit(table, meta)
+
+
+def _parse_checked(document: str) -> Circuit:
+    """parse for any JSON layout: decode the document whole, then check and
+    build each gate entry."""
+    try:
+        doc = json.loads(document)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # integer too long, nesting too deep
+        raise ParseError(f"document: {e}") from None
+    table, meta = _table_and_meta(_typed(doc, dict, "document"))
 
     # Each distinct well-formed control or target entry is checked, built and
     # resolved against the table once per document.  Its cache value, which

@@ -49,8 +49,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .circuit import CostBreakdown, Circuit, Emitter, Meta, Register, RegisterTable
-from .errors import InvalidDimensionError
-from .galois import is_prime
+from .errors import InvalidDimensionError, UnsupportedConfigurationError
+from .galois import WITNESS_BOUND, is_prime
 
 DEFAULT_K_MAX = 10
 
@@ -113,7 +113,12 @@ def compute_k(d: int) -> int:
 
 def _checked_k(d: int, k_max: int) -> int:
     """compute_k(d), after checking that k fits k_max and then that d is
-    prime, so a d too large to test quickly is refused for its size."""
+    prime, so a d too large to test quickly is refused for its size.  A k_max
+    that admits a d at or past WITNESS_BOUND is refused first."""
+    if k_max >= WITNESS_BOUND.bit_length():  # 2^81 < WITNESS_BOUND < 2^82
+        raise UnsupportedConfigurationError(
+            f"k_max={k_max} is above {WITNESS_BOUND.bit_length() - 1}: "
+            f"a dimension above 2^{WITNESS_BOUND.bit_length() - 1} cannot be proven prime quickly")
     k = compute_k(d)
     if k > k_max:
         raise InvalidDimensionError(f"d={d} needs k={k} qubits, above the limit k_max={k_max}")

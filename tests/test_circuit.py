@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrsmux import analysis, circuit as ir, cli, revsim, sumsynth
+from qrsmux import analysis, circuit as ir, cli, gf2m, revsim, sumsynth
 from qrsmux.circuit import (
     Circuit, Control, CostBreakdown, Gate, Meta, Register, RegisterTable, Wire,
     parse, photon_partition, serialize,
@@ -391,10 +391,39 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def laid_out(doc) -> str:
+    """doc as JSON text in serialize's layout, one field and one gate entry
+    per line, where doc is an object with a list of gates."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("gates"), list)):
+        return json.dumps(doc)
+    fields = [f"{json.dumps(key)}: "
+              + ("[\n" + ",\n".join(map(json.dumps, value)) + "\n]" if key == "gates" else json.dumps(value))
+              for key, value in doc.items()]
+    return "{" + ",\n".join(fields) + "}\n"
+
+
+def assert_parses_as_checked(document: str) -> Circuit | None:
+    """parse(document) is the checked reader's circuit, histogram key order
+    included, or raises its ParseError text; the circuit, if any."""
+    try:
+        expected = ir._parse_checked(document)
+    except ParseError as e:
+        with pytest.raises(ParseError) as raised:
+            parse(document)
+        assert str(raised.value) == str(e)
+        return None
+    c = parse(document)
+    assert (c.table, c.records, c.meta) == (expected.table, expected.records, expected.meta)
+    assert list(c.signature_histogram().items()) == list(expected.signature_histogram().items())
+    return c
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.data())
 def test_parse_mutated_document_round_trips_or_raises(data):
-    doc = json.loads(serialize(data.draw(circuits())))
+    document = serialize(data.draw(st.one_of(circuits(), record_circuits)))
+    doc = json.loads(document)
+    assert laid_out(doc) == document
     for _ in range(data.draw(st.integers(1, 3))):
         path = data.draw(st.sampled_from(list(_paths(doc))))
         value = data.draw(json_values)
@@ -408,9 +437,9 @@ def test_parse_mutated_document_round_trips_or_raises(data):
             del parent[path[-1]]
         else:
             parent[path[-1]] = value
-    try:
-        c = parse(json.dumps(doc))
-    except ParseError:
+    # serialize's layout sends a document near it to the reader, any other to the checked reader
+    c = assert_parses_as_checked(data.draw(st.sampled_from([laid_out, json.dumps]))(doc))
+    if c is None:
         return
     back = parse(serialize(c))
     assert (back.table, back.gates, back.meta) == (c.table, c.gates, c.meta)
@@ -428,7 +457,7 @@ names = st.text(st.sampled_from('"\\/\n\t\x00\u2028\u2029é☃𝄞') | st.charac
 
 
 @st.composite
-def circuits(draw):
+def circuits(draw, kinds=("X", "H", "T", "Tdag", "OS", "MCX", "MCX", "SUM", "DFT", "CMulAdd")):
     n_regs = draw(st.integers(2, 4))
     width = draw(st.integers(1, 3))
     regs = [Register(name, width, draw(st.integers(0, 2)), draw(st.sampled_from(ROLE_SAMPLES)))
@@ -441,7 +470,7 @@ def circuits(draw):
     gates = []
     n_gates = draw(st.integers(0, 12))
     for _ in range(n_gates):
-        kind = draw(st.sampled_from(["X", "H", "T", "Tdag", "OS", "MCX", "MCX", "SUM", "DFT", "CMulAdd"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "MCX":
             k = draw(st.integers(1, min(4, len(wires) - 1)))
             chosen = draw(st.lists(st.sampled_from(wires), min_size=k + 1, max_size=k + 1, unique=True))
@@ -460,10 +489,15 @@ def circuits(draw):
     return Circuit(table, gates, meta)
 
 
+# Circuits of MCX gates alone, whose documents the reader takes.
+record_circuits = circuits(kinds=("MCX",))
+
+
 @settings(deadline=None)
-@given(circuits())
+@given(st.one_of(circuits(), record_circuits))
 def test_round_trip_preserves_everything(c):
     back = parse(serialize(c))
+    assert serialize(back) == serialize(c)
     assert back.gates == c.gates
     assert back.count() == c.count()
     assert back.table == c.table
@@ -486,14 +520,17 @@ def test_count_additive_over_concatenation(c1, c2):
 def test_hot_paths_build_and_check_no_gate(monkeypatch, tmp_path):
     """A sweep, the synth-sum --emit -> lower document path and verify_sum run
     on records alone: none builds a Gate, reads the gates view or checks a gate
-    against a table.  Gate.__new__, _gates_of and _check_in_table are plain
-    code, untuned, because of this; a failure here means they are hot again."""
+    against a table, and lower reads each synth-sum document by its text, not
+    through the checked reader.  Gate.__new__, _gates_of, _check_in_table and
+    _parse_checked are plain code, untuned, because of this; a failure here
+    means they are hot again."""
     def fail(*args, **kwargs):
-        raise AssertionError("a hot path built, viewed or checked a Gate")
+        raise AssertionError("a hot path built, viewed or checked a Gate, or decoded a document whole")
 
     monkeypatch.setattr(Gate, "__new__", fail)
     monkeypatch.setattr(ir, "_gates_of", fail)
     monkeypatch.setattr(ir, "_check_in_table", fail)
+    monkeypatch.setattr(ir, "_parse_checked", fail)
     assert len(analysis.sweep(3, 257).rows) == len(analysis.primes_in(3, 257))
     document = tmp_path / "sum137.json"
     assert cli.main(["synth-sum", "--d", "137", "--emit", str(document)]) == 0
@@ -503,3 +540,15 @@ def test_hot_paths_build_and_check_no_gate(monkeypatch, tmp_path):
     c = sumsynth.synth_sum(61)
     assert revsim.verify_sum(61, c).verified
     assert not revsim.verify_sum(61, c.without_gate(0)).verified
+
+
+def test_gf2m_document_is_read_by_the_checked_reader(monkeypatch, capsys, tmp_path):
+    """gf2m --emit writes DFT and CMulAdd gates, which only the checked reader reads."""
+    documents = []
+    checked = ir._parse_checked
+    monkeypatch.setattr(ir, "_parse_checked", lambda document: documents.append(document) or checked(document))
+    path = tmp_path / "gf2m3.json"
+    assert cli.main(["gf2m", "--m", "3", "--emit", str(path)]) == 0
+    document = path.read_text(encoding="utf-8")
+    assert parse(document) == gf2m.synth_encoder_gf2m(gf2m.build_code(3, 4))
+    assert documents == [document]

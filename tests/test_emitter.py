@@ -14,15 +14,15 @@ import re
 import pytest
 from hypothesis import given, settings
 
-from qrsmux import sumsynth
+from qrsmux import circuit as ir, sumsynth
 from qrsmux.analysis import primes_in
 from qrsmux.circuit import (
-    ZERO, Circuit, Control, Emitter, Gate, Meta, Register, RegisterTable, Wire, parse, serialize, signature,
+    ZERO, Circuit, Control, Emitter, Gate, Meta, Register, RegisterTable, Wire, mcx, parse, serialize, signature,
 )
 from qrsmux.errors import ParseError
 from qrsmux.galois import FieldSpec
 from qrsmux.gf2m import build_code, expand_cmuladds, synth_cmuladd, synth_encoder_gf2m
-from test_circuit import circuits
+from test_circuit import assert_parses_as_checked, circuits
 
 SAMPLED_MOD_PRIMES = [2, 3, 5, 7, 17, 31, 61, 127, 131, 137, 257, 509, 1021]
 
@@ -260,3 +260,89 @@ def test_parse_keeps_a_qubit_mcx_that_carries_d():
         (("MCX", ("q",), "q"), (0,)), (("MCX", ("q", "q"), "r"), (1, 2))]
     back = parse(serialize(parsed))
     assert (back.gates, back.signature_histogram()) == (parsed.gates, parsed.signature_histogram())
+
+
+# ---------------------------------------------------------------
+# parse: documents in serialize's exact layout are read by their text
+# ---------------------------------------------------------------
+
+def assert_read_as_checked(document: str, label) -> None:
+    """The reader takes document and gives the checked reader's circuit, and
+    serialize writes the document back."""
+    read = ir._read_records(document)
+    assert read is not None, label
+    checked = ir._parse_checked(document)
+    assert (read.table, read.records, read.meta) == (checked.table, checked.records, checked.meta), label
+    assert list(read.signature_histogram().items()) == list(checked.signature_histogram().items()), label
+    assert serialize(read) == document, label
+
+
+def test_every_sum_document_is_read_by_its_text():
+    for d in primes_in(2, 1021):
+        assert_read_as_checked(serialize(sumsynth.synth_sum(d)), d)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_expanded_encoder_documents_are_read_by_their_text(m):
+    expanded, _ = expand_cmuladds(encoder(m))
+    assert_read_as_checked(serialize(expanded), m)
+
+
+def edge_document(names=("q", "r"), gates=True):
+    """serialize's document of three MCX gates on registers q (4 qubits) and r (2)."""
+    q, r = names
+    table = RegisterTable([Register(q, 4, 0, "work"), Register(r, 2, 1, "work")])
+    records = [mcx([Wire(q, 1)], Wire(q, 0)), mcx([Control(Wire(q, 2), ZERO), Wire(r, 1)], Wire(q, 3)),
+               mcx([Wire(r, 0)], Wire(r, 1))]
+    return serialize(Circuit(table, records if gates else [], Meta(d=5, note="edge")))
+
+
+def edited(old, new):
+    """edge_document() with its first old text replaced by new."""
+    document = edge_document()
+    assert old in document
+    return document.replace(old, new, 1)
+
+
+# Documents at the edge of serialize's layout, and whether the reader takes
+# each; every other one goes to the checked reader, which reads or refuses it.
+NEAR_CANONICAL = {
+    "canonical": (edge_document(), True),
+    "photon-negative": (edited('"photon": 0', '"photon": -1'), False),
+    "width-true": (edited('"width": 4', '"width": true'), False),
+    "duplicate-register": (edited('"name": "r"', '"name": "q"'), False),
+    "meta-d-1": (edited('"meta": {"d": 5', '"meta": {"d": 1'), False),
+    "target-repeats-a-control": (edited('"targets": [{"reg": "q", "idx": 0}]', '"targets": [{"reg": "q", "idx": 1}]'),
+                                 False),
+    "control-repeats-a-control": (edited('{"reg": "r", "idx": 1, "pol": "positive"}',
+                                         '{"reg": "q", "idx": 2, "pol": "positive"}'), False),
+    "idx-out-of-range": (edited('"targets": [{"reg": "q", "idx": 3}]', '"targets": [{"reg": "q", "idx": 4}]'), False),
+    "idx-1.0": (edited('{"reg": "q", "idx": 1, "pol"', '{"reg": "q", "idx": 1.0, "pol"'), False),
+    "name-with-wire-opener": (edge_document(('{"reg": ', "r")), True),
+    "name-with-entry-separator": (edge_document(("}, {", "r")), True),
+    "non-ascii-name-raw": (edge_document(("\u00e9", "r")).replace("\\u00e9", "\u00e9", 1), False),
+    "register-key-order": (edited('"width": 4, "photon": 0', '"photon": 0, "width": 4'), False),
+    "meta-key-order": (edited('{"d": 5, "strategy": ""', '{"strategy": "", "d": 5'), False),
+    "crlf": (edge_document().replace("\n", "\r\n"), False),
+    "trailing-spaces": (edge_document().replace("\n", " \n"), False),
+    "zero-gates": (edge_document(gates=False), False),
+    "utf-8-bytes": (edge_document().encode(), False),
+}
+
+
+@pytest.mark.parametrize("document, read", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL)
+def test_near_canonical_documents_parse_as_the_checked_reader_parses_them(document, read):
+    assert (isinstance(document, str) and ir._read_records(document) is not None) == read
+    assert_parses_as_checked(document)
+
+
+def test_a_document_of_wide_registers_builds_no_lookup(monkeypatch):
+    """The reader's lookups grow with the register widths, a document's text
+    need not: a document with fewer than 16 bytes per wire goes to the
+    checked reader before any lookup is built."""
+    def fail(table):
+        raise AssertionError("the reader built its lookups")
+
+    document = edited('"width": 4', f'"width": {10 ** 9}')
+    monkeypatch.setattr(ir, "_record_texts", fail)
+    assert len(parse(document)) == 3

@@ -1,9 +1,11 @@
+import time
+
 import pytest
 
 from qrsmux import sumsynth
 from qrsmux.analysis import primes_in
 from qrsmux.circuit import POSITIVE, ZERO, Circuit, Control, Gate, Wire, cx, toffoli
-from qrsmux.errors import InvalidDimensionError
+from qrsmux.errors import InvalidDimensionError, UnsupportedConfigurationError
 from qrsmux.revsim import truth_table
 from qrsmux.sumsynth import (
     correction_cx_total, plan, predicted_counts, sum_registers, synth_mod, synth_rca, synth_sum,
@@ -66,6 +68,25 @@ def test_plan_validation():
     with pytest.raises(InvalidDimensionError):
         plan(2053)  # k = 12 > default k_max
     plan(2053, k_max=12)
+
+
+@pytest.mark.parametrize("call", [plan, synth_sum, predicted_counts])
+def test_k_max_past_fast_primality_is_refused_before_any_work(call, monkeypatch):
+    """2^81 < WITNESS_BOUND < 2^82: a k_max above 81 admits a d that is_prime
+    can only trial-divide, such as 10**25 + 13 (k = 84)."""
+    def fail(*args):
+        raise AssertionError("k_max was checked after the dimension")
+
+    monkeypatch.setattr(sumsynth, "compute_k", fail)
+    monkeypatch.setattr(sumsynth, "is_prime", fail)
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedConfigurationError, match=r"^k_max=90 is above 81: "):
+        call(10**25 + 13, k_max=90)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(UnsupportedConfigurationError, match=r"^k_max=82 is above 81: "):
+        call(13, k_max=82)
+    monkeypatch.undo()
+    assert call(13, k_max=81) == call(13)
 
 
 def test_plan_invariants_all_primes():
