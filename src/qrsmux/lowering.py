@@ -2,10 +2,13 @@
 
 Every gate-cost rule lives here; sweeps and reports only read LoweringReports.
 lower_circuit lowers each signature of a circuit's signature histogram
-(signature -> indices of its gates) into one Lowered record, from the
-signature and the register table alone, and totals gate count times tally.
-The per-gate rows, gadgets, notes and report CSV put each record's values at
-its indices when read.
+(signature -> indices of its gates) into one Lowered record, and totals gate
+count times tally.  A record's values come from its gate class: the kind, the
+photons of the controls in control order, and the strategy.  The rule of a
+class is a pure function of those three and is cached, so it runs once per
+class per process; it is keyed on photons, never on register names, which
+mean different photons in different tables.  The per-gate rows, gadgets,
+notes and report CSV put each record's values at its indices when read.
 
 * general: arity j >= 3 becomes 4(j-2) Toffolis, each Toffoli costing
   {6 CX, 2 H, 3 Tdag, 5 T}; arity 2 is one Toffoli; arity 1 is a CX.
@@ -29,10 +32,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 from . import circuit as ir
-from .circuit import CostBreakdown, Circuit, Control, Gate, RegisterTable, photon_partition
+from .circuit import CostBreakdown, Circuit, Control, Gate, photon_partition
 from .errors import LoweringError
 
 GENERAL = "general"
@@ -236,7 +240,9 @@ class LoweringReport:
     def notes(self) -> list[str]:
         """One note per gate that fell back with a note, in gate order, then
         RALPH_NOTE if any gate takes a qudit ancilla."""
-        notes = [f"gate {i}: {lowered.note}" for i, lowered in enumerate(self._gate_values()) if lowered.note]
+        noted = sorted((i, lowered.note) for lowered in self.signatures.values() if lowered.note
+                       for i in lowered.indices)  # walks only the gates whose record has a note
+        notes = [f"gate {i}: {note}" for i, note in noted]
         if any(lowered.qudit_dim is not None for lowered in self.signatures.values()):
             notes.append(RALPH_NOTE)
         return notes
@@ -245,18 +251,18 @@ class LoweringReport:
 _PASSTHROUGH = ("X", "H", "T", "Tdag")
 
 
-def _lower_signature(table: RegisterTable, key: tuple, indices: tuple[int, ...], strategy: Strategy) -> Lowered:
-    """Lower a signature (kind, control registers, target register) by the
-    strategy's own rule; the control registers fix its arity and photon
-    partition."""
-    kind, registers, _ = key
-    qudit_dim, gadget, note, fallback = None, False, None, False
+@cache
+def _class_rule(kind: str, photons: tuple[int, ...], strategy: Strategy) -> tuple[tuple, tuple]:
+    """(tally, columns, fallback, qudit_dim, gadget, note) of every gate of
+    this kind whose controls sit on these photons, in control order, under the
+    strategy, and the tally's items; the photons fix the arity and the photon
+    partition, so the rule reads nothing else."""
+    qudit_dim, gadget, note, fallback, j = None, False, None, False, len(photons)
     if kind in _PASSTHROUGH:
-        tally, photons = CostBreakdown({kind: 1}), "-"
-    elif kind == "MCX":
-        j = len(registers)
-        sizes = Counter(table[name].photon for name in registers)  # photon -> its controls
-        photons = "+".join(f"{p}:{n}" for p, n in sorted(sizes.items()))
+        tally, text = CostBreakdown({kind: 1}), "-"
+    else:
+        sizes = Counter(photons)  # photon -> its controls
+        text = "+".join(f"{p}:{n}" for p, n in sorted(sizes.items()))
         if strategy.name == GENERAL:
             tally = _general_tally(j)
         elif strategy.name == RALPH:
@@ -269,30 +275,24 @@ def _lower_signature(table: RegisterTable, key: tuple, indices: tuple[int, ...],
                 tally, gadget = rule[3], j >= 2
             if len(sizes) >= 3:
                 note = f"controls span {len(sizes)} photons; fell back to the general tally"
-    else:
-        raise LoweringError(f"gate {indices[0]} ({kind}) must be expanded before lowering")
-    columns = (kind, len(registers), photons, strategy.name,
-               tally["C1X"], tally["H"], tally["T"], tally["Tdag"], tally["OS"])
-    return Lowered(indices, tally, columns, fallback, qudit_dim, gadget, note)
+    columns = (kind, j, text, strategy.name, tally["C1X"], tally["H"], tally["T"], tally["Tdag"], tally["OS"])
+    return (tally, columns, fallback, qudit_dim, gadget, note), tuple(tally.as_dict().items())
 
 
 def lower_circuit(c: Circuit, strategy: Strategy) -> LoweringReport:
     """Lower every gate of a circuit; raises LoweringError on a gate that must be expanded first."""
-    # A gate's kind and control registers fix its arity and photon partition,
-    # hence its cost, so each such pair is lowered once, and no Gate is built.
-    rules: dict[tuple, Lowered] = {}  # (kind, control registers) -> the record of its first signature
-    n_gates: Counter[tuple] = Counter()  # (kind, control registers) -> its number of gates
-    signatures = {}
+    # A gate's kind and the photons of its controls fix its cost, so each
+    # signature takes its record from _class_rule, and no Gate is built.
+    photon = {r.name: r.photon for r in c.table.registers}
+    signatures, total = {}, {}
     for key, indices in c.signature_histogram().items():
-        rule = rules.get(key[:2])
-        if rule is None:
-            signatures[key] = rules[key[:2]] = _lower_signature(c.table, key, indices, strategy)
-        else:
-            signatures[key] = Lowered(indices, *rule[1:])
-        n_gates[key[:2]] += len(indices)
-    total: Counter[str] = Counter()
-    for pair, rule in rules.items():
-        total.update({cls: n_gates[pair] * v for cls, v in rule.tally.as_dict().items()})
+        kind, registers, _ = key
+        if kind != "MCX" and kind not in _PASSTHROUGH:
+            raise LoweringError(f"gate {indices[0]} ({kind}) must be expanded before lowering")
+        rule, items = _class_rule(kind, tuple([photon[name] for name in registers]), strategy)
+        signatures[key] = Lowered(indices, *rule)
+        for cls, v in items:
+            total[cls] = total.get(cls, 0) + len(indices) * v
     return LoweringReport(strategy, CostBreakdown(total), signatures, c)
 
 

@@ -32,11 +32,14 @@ controls of pattern v are then ``low[v & (2^h - 1)] + high[v >> h]``, one
 concatenation of two tables of at most 2^ceil(k/2) entries, and the targets
 of a correction mask come from its two half tables the same way.
 
-``_emit_mod`` walks the outcomes i in [d, 2(d-1)] itself, deciding each
-outcome's class from i alone, and emits each of its four signatures in one
-pass, in gate order: the flags of arity k, the carry-controlled flags, the
+``_emit_mod`` emits each of its four signatures from its own range of the
+outcomes i in [d, 2(d-1)], in gate order: the flags of arity k over
+d..min(2^k, 2d-1)-1, the carry-controlled flags over 2^k..2(d-1), the
 corrections from the check-if qubits and the corrections from the
-substituted top carry.  It reads no closed-form count, so ``count()`` and
+substituted top carry.  Outcome i is flagged on check-if qubit i - d, and
+its correction targets are computed once, from (i mod 2^k) XOR (i - d); the
+carry-substituted outcome is the last one, so its corrections reuse the last
+entry.  It reads no closed-form count, so ``count()`` and
 ``predicted_counts`` stay two derivations.  ``SumPlan.flags`` describes the
 same outcomes, one ``FlagSpec`` each, for tests and readers; it is built
 only when read.
@@ -183,7 +186,7 @@ def _pick_table(choices: list[tuple[tuple, tuple]]) -> list[tuple]:
 
 def _emit_mod(em: Emitter, table: RegisterTable, p: SumPlan) -> None:
     """Flag phase then correction phase for the modulo conversion, each
-    signature's gates emitted in one pass over the outcomes."""
+    signature's gates emitted by one comprehension over its own outcome range."""
     d, k, half = p.d, p.k, p.k // 2
     top, last = 1 << k, 2 * (d - 1)
     low_mask = (1 << half) - 1
@@ -194,27 +197,24 @@ def _emit_mod(em: Emitter, table: RegisterTable, p: SumPlan) -> None:
     targets_low, targets_high = _pick_table(flips[:half]), _pick_table(flips[half:])
     top_carry = (table.offset("carry") + k - 1,)
     first_checkif = table.offset("checkif") if p.n_checkif else 0
-    checkif = list(range(first_checkif, first_checkif + p.n_checkif))
-    checkif_in = [(o,) for o in checkif]
-    # Outcome i reads the pattern i mod 2^k (i itself when i < 2^k, else
-    # i - 2^k), and the top carry too when i >= 2^k.  The outcome 2^k = 2(d-1)
-    # alone has no flag gate: the top carry is its flag.  Every other outcome
-    # is flagged on the next check-if qubit.
-    outcomes = range(d, last + 1)
-    flagged = [i for i in outcomes if not i == top == last]
-    masks = [(i % top) ^ (i % d) for i in outcomes]  # by i - d
+    checkif = range(first_checkif, first_checkif + p.n_checkif)
+    # Outcome i is flagged on check-if qubit i - d.  Outcomes d..2^k-1 read
+    # the pattern i, and outcomes 2^k..2(d-1) read v = i - 2^k and the top
+    # carry.  The outcome 2^k = 2(d-1) alone has no flag gate: the top carry
+    # is its flag.  It is the last outcome and has no check-if qubit, so
+    # zipping each range with its check-if qubits leaves it out, and its
+    # correction reads the top carry instead.
+    targets = [targets_low[m & low_mask] + targets_high[m >> half]
+               for m in [(i % top) ^ (i - d) for i in range(d, last + 1)]]  # by i - d
     em.extend(em.indices(("MCX", ("B",) * k, "checkif")),
-              [(controls_low[i & low_mask] + controls_high[i >> half], checkif[j])
-               for j, i in enumerate(flagged) if i < top])
+              [(controls_low[i & low_mask] + controls_high[i >> half], q)
+               for i, q in zip(range(d, min(top, last + 1)), checkif)])
     em.extend(em.indices(("MCX", ("B",) * k + ("carry",), "checkif")),
-              [(controls_low[(i - top) & low_mask] + controls_high[(i - top) >> half] + top_carry, checkif[j])
-               for j, i in enumerate(flagged) if i >= top])
+              [(controls_low[v & low_mask] + controls_high[v >> half] + top_carry, q)
+               for v, q in zip(range(last + 1 - top), checkif[top - d:])])
     em.extend(em.indices(("MCX", ("checkif",), "B")),
-              [(checkif_in[j], t) for j, i in enumerate(flagged)
-               for t in targets_low[masks[i - d] & low_mask] + targets_high[masks[i - d] >> half]])
-    em.extend(em.indices(("MCX", ("carry",), "B")),
-              [(top_carry, t) for i in outcomes if i == top == last
-               for t in targets_low[masks[i - d] & low_mask] + targets_high[masks[i - d] >> half]])
+              [(q, t) for q, ts in zip([(o,) for o in checkif], targets) for t in ts])
+    em.extend(em.indices(("MCX", ("carry",), "B")), [(top_carry, t) for t in targets[-1]] if last == top else [])
 
 
 def synth_rca(k: int) -> Circuit:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -214,6 +215,21 @@ def test_csv_round_trips_values(small_report, tmp_path):
     assert math.isclose(float(first["ratio_general"]),
                         small_report.rows[0].ratio_general, rel_tol=1e-5)
     assert first["convention"] == "default-v1"
+
+
+# SHA-256 of the sweep 3..1021 CSV under each convention: the bytes the
+# curves and the acceptance criteria are read from.
+SWEEP_CSV_SHA256 = {
+    "default-v1": "f9a5903868800719ae22d231864e06521bf70bab2d126f29ca2761461ed46045",
+    "inner-collapse-v1": "5c115b22d28ada1ccbd7a8338afefcfa92b7e902f038c3b159a542e8eb2c85fd",
+}
+
+
+@pytest.mark.parametrize("convention", SWEEP_CSV_SHA256)
+def test_sweep_3_to_1021_csv_bytes_are_pinned(convention, tmp_path):
+    path = tmp_path / "sweep.csv"
+    emit_csv(sweep(3, 1021, convention=convention), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_CSV_SHA256[convention]
 
 
 def test_empty_report_writes_nothing(tmp_path):

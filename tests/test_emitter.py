@@ -143,6 +143,46 @@ def test_checked_circuit_stores_the_records_of_the_emitted_one():
         assert Circuit(c.table, c.gates, c.meta).records == c.records, c.meta
 
 
+def gate_built_circuits():
+    """Circuits built gate by gate: X gates, zero-polarity controls, and an
+    MCX that carries d, so it is stored as its Gate."""
+    table = RegisterTable([Register("q", 4, 0, "work"), Register("r", 2, 1, "work")])
+    q0, q1, q2, q3, r0, r1 = Wire("q", 0), Wire("q", 1), Wire("q", 2), Wire("q", 3), Wire("r", 0), Wire("r", 1)
+    yield Circuit(table, [ir.x(q0), mcx([Control(q2, ZERO), r1], q3), mcx([r0], r1), ir.x(r1)], Meta(d=5))
+    yield Circuit(table, [mcx([Control(q1, ZERO), Control(q2, ZERO), q0], q3), ir.h(q1),
+                          Gate("MCX", (Control(q1), Control(r0, ZERO)), (r1,), d=3), ir.x(q3)])
+
+
+def same_table_variants(c: Circuit) -> list[Circuit]:
+    """c, its checked copy, its parsed copy and circuits on its table whose
+    gates differ from c's: a gate removed, the order reversed, the first
+    MCX's first control flipped in polarity."""
+    gates = list(c.gates)
+    at = next(i for i, g in enumerate(gates) if g.kind == "MCX")
+    (wire, pol), *rest = gates[at].controls
+    flip = Control(wire, ZERO if pol == ir.POSITIVE else ir.POSITIVE)
+    flipped = gates[:at] + [gates[at]._replace(controls=(flip, *rest))] + gates[at + 1:]
+    return [c, Circuit(c.table, gates, c.meta), parse(serialize(c)), c.without_gate(0),
+            c.without_gate(len(c) - 1), Circuit(c.table, gates[::-1], c.meta), Circuit(c.table, flipped, c.meta)]
+
+
+def test_records_encode_gates_one_to_one_on_the_round_trip_corpus():
+    """On one table, two circuits have equal records exactly when they have
+    equal gates, so comparing records compares gates."""
+    corpus = [sumsynth.synth_sum(d) for d in primes_in(3, 257)]
+    corpus += [expand_cmuladds(encoder(m))[0] for m in range(2, 6)]
+    corpus += gate_built_circuits()
+    for c in corpus:
+        variants = same_table_variants(c)
+        assert ir._gates_of(c.table, c.records) == c.gates, c.meta
+        assert [u.gates == c.gates for u in variants] == [True] * 3 + [False] * 4, c.meta
+        for i, u in enumerate(variants):
+            for v in variants[i:]:
+                assert u.table == v.table
+                assert (u.records == v.records) == (u.gates == v.gates), (c.meta, i)
+                assert (u == v) == ((u.gates, u.meta) == (v.gates, v.meta)), (c.meta, i)
+
+
 def test_held_records_are_not_tracked_by_the_garbage_collector():
     c = sumsynth.synth_sum(1021)
     gc.collect()

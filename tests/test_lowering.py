@@ -257,6 +257,18 @@ def per_gate_reference(c, strategy):
     return rows, total, gadgets, ancillas, notes
 
 
+def assert_equals_per_gate_reference(c, strategy):
+    """lower_circuit(c, strategy) gives the per-gate reference's rows, total,
+    gadgets, qudit ancillas and notes; returns the rows."""
+    report = lower_circuit(c, strategy)
+    rows, total, gadgets, want_ancillas, notes = per_gate_reference(c, strategy)
+    assert lowering.report_rows(report) == rows
+    assert report.total.as_dict() == total.as_dict()
+    assert report.gadgets == gadgets
+    assert (qudit_ancillas(report), report.notes) == (want_ancillas, notes)
+    return rows
+
+
 @st.composite
 def spread_circuits(draw):
     """Circuits of MCX/X/H/T/Tdag gates on registers spread over 3-4 photons."""
@@ -283,14 +295,7 @@ def spread_circuits(draw):
 @settings(deadline=None, max_examples=60)
 @given(c=spread_circuits())
 def test_lower_circuit_equals_per_gate_rules(name, os_cost, c):
-    strategy = lowering.Strategy(name, os_cost)
-    report = lower_circuit(c, strategy)
-    rows, total, gadgets, want_ancillas, notes = per_gate_reference(c, strategy)
-    assert lowering.report_rows(report) == rows
-    assert report.total.as_dict() == total.as_dict()
-    assert report.gadgets == gadgets
-    assert qudit_ancillas(report) == want_ancillas
-    assert report.notes == notes
+    assert_equals_per_gate_reference(c, lowering.Strategy(name, os_cost))
 
 
 def test_lower_circuit_signature_table_sums_to_total():
@@ -307,6 +312,31 @@ def test_lower_circuit_signature_table_sums_to_total():
         total = sum((ir.CostBreakdown({k: len(lowered.indices) * v for k, v in lowered.tally.as_dict().items()})
                      for lowered in report.signatures.values()), ir.CostBreakdown())
         assert total == report.total
+
+
+def test_rules_follow_photons_not_register_names():
+    """Two tables that name the same registers but place B on different
+    photons, lowered in turn in one process: each report is its own table's."""
+    c = synth_sum(137)
+    moved = RegisterTable([Register(r.name, r.width, 0 if r.name == "B" else r.photon, r.role)
+                           for r in c.table.registers])
+    on_photon_0 = Circuit(moved, c.gates, c.meta)
+    assert on_photon_0.records == c.records
+    for name in lowering.STRATEGY_NAMES:
+        for circ in (c, on_photon_0, c):
+            assert_equals_per_gate_reference(circ, lowering.Strategy(name))
+    # the adder's A-B Toffolis collapse only when B shares A's photon
+    assert lower_circuit(c, lowering.multiplexed()).total != lower_circuit(on_photon_0, lowering.multiplexed()).total
+
+
+def test_each_strategy_is_served_its_own_rules():
+    c = synth_sum(137)
+    strategies = [lowering.Strategy(lowering.MULTIPLEXED, 2), lowering.Strategy(lowering.MULTIPLEXED, 3),
+                  lowering.multiplexed(collapse_inner_c2x=True)]
+    first = [assert_equals_per_gate_reference(c, s) for s in strategies]
+    assert len({tuple(map(tuple, rows)) for rows in first}) == 3  # three strategies, three reports
+    for s, rows in zip(strategies * 2, first * 2):
+        assert assert_equals_per_gate_reference(c, s) == rows
 
 
 @pytest.mark.parametrize("name", lowering.STRATEGY_NAMES)
