@@ -1,8 +1,9 @@
+import itertools
 import time
 
 import pytest
 
-from qrsmux import sumsynth
+from qrsmux import analysis, sumsynth
 from qrsmux.analysis import primes_in
 from qrsmux.circuit import POSITIVE, ZERO, Circuit, Control, Gate, Wire, cx, toffoli
 from qrsmux.errors import InvalidDimensionError, UnsupportedConfigurationError
@@ -313,3 +314,29 @@ def test_synth_mod_equals_the_per_bit_reference():
         emitted = synth_mod(p)
         assert emitted.table == sum_registers(p)
         assert_matches_reference(emitted, reference_mod_gates(p), d)
+
+
+def correction_records(c):
+    """c's corrections from its check-if qubits, keyed by (check-if index q, B bit j)."""
+    first_b, first_q = c.table.offset("B"), c.table.offset("checkif")
+    corrections = [c.records[i] for i in c.signature_histogram()[("MCX", ("checkif",), "B")]]
+    return {(r[0][0] - first_q, r[1] - first_b): r for r in corrections}
+
+
+def test_circuits_of_one_width_share_their_correction_records():
+    widths = [correction_records(c) for c in (synth_sum(521), synth_sum(1021), synth_mod(plan(1019)))]
+    for x, y in itertools.combinations(widths, 2):
+        shared = x.keys() & y.keys()
+        assert shared and all(x[key] is y[key] for key in shared)
+    rows = sumsynth._correction_rows
+    rows.cache_clear()
+    analysis.sweep(3, 1021)
+    registers = [sum_registers(plan(d)) for d in primes_in(3, 1021)]
+    layouts = {(t.offset("B"), t.offset("checkif"), t["B"].width) for t in registers}
+    assert sorted(k for _, _, k in layouts) == list(range(2, 11))
+    before = rows.cache_info()
+    tables = [rows(*layout) for layout in layouts]
+    assert rows.cache_info().misses == before.misses and before.currsize == len(layouts)
+    assert all(len(table) == 1 << k and {len(row) for row in table} == {k}
+               for table, (_, _, k) in zip(tables, layouts))
+    assert sum(len(row) for table in tables for row in table) == 18432
