@@ -20,19 +20,15 @@ control offsets in gate order with a zero-polarity control written as
 (``sumsynth.synth_sum``/``synth_rca``/``synth_mod``, ``gf2m.synth_cmuladd``
 and ``gf2m.expand_cmuladds``) emit through it offsets they took from their
 own register table, and it hands back a circuit whose signature histogram is
-already filled.  ``parse`` emits through it too, by one of two readers.  A
-document in ``serialize``'s exact layout for a circuit of MCX records is read
-by its text: its registers and meta are decoded and checked, and each gate
+already filled.  ``parse`` has two readers.  A document in ``serialize``'s
+exact layout for a circuit of MCX records is read by its text, through
+``Emitter``: its registers and meta are decoded and checked, and each gate
 line must be the text ``serialize`` writes for one record on that register
 table, no wire repeated, so the reader returns a circuit ``c`` only when
 ``serialize(c) == document``.  Every other document goes to the checked
-reader, which decodes the JSON whole, resolves each distinct control and
-target entry once, and emits a record only in the shape ``Gate(...)`` and
-``Circuit(...)`` accept as is: an MCX without d, n or poly, with at least one
-control and one target, every wire an in-range qubit and none repeated.
-Every other gate goes through ``Gate(...)`` and the table checks of
-``Circuit(...)``, so each fault is reported as before, and stays a ``Gate``
-among the records.
+reader, which decodes the JSON whole and takes each gate entry, in order,
+through ``Gate(...)`` and the table check and record encoding of
+``Circuit(...)``; it emits nothing unchecked.
 
 A circuit stores one form, its records, as a tuple no caller can change.
 ``Circuit(table, gates)`` builds it once from the gates it checks, and
@@ -474,10 +470,10 @@ class Emitter:
     ``mcx`` and ``extend`` append ``(controls, target)`` records of offsets,
     past the checks of ``Gate(...)`` and ``Circuit(...)``: they are for
     synthesizers whose offsets lie inside their own register table by
-    construction, and for ``parse`` once it has resolved every wire of a qubit
-    MCX against the table.  Each record's index is recorded under its
-    signature as it is emitted, so the circuit gets its signature histogram
-    without a walk.
+    construction, and for ``parse``'s text reader, which takes a gate line only
+    as the text ``serialize`` writes for a record on the document's table.
+    Each record's index is recorded under its signature as it is emitted, so
+    the circuit gets its signature histogram without a walk.
     """
 
     __slots__ = ("records", "_groups")
@@ -504,8 +500,9 @@ class Emitter:
         indices += range(start, len(self.records))
 
     def add(self, g: Gate) -> None:
-        """Emit a gate that was already checked, e.g. one taken from another
-        circuit; it stays a Gate among the records."""
+        """Emit a gate that was already checked and is not a record, e.g. a
+        DFT taken from another circuit; it stays a Gate among the records.
+        An MCX record goes through mcx."""
         self.indices(signature(g)).append(len(self.records))
         self.records.append(g)
 
@@ -632,14 +629,6 @@ def _control(cd, i: int, j: int) -> Control:
     return Control(wire, pol)
 
 
-def _qubit_offset(table: RegisterTable, w: Wire) -> int | None:
-    """w's global bit offset if it is a qubit of the table, else None."""
-    try:
-        return table.resolve(w)
-    except ResolutionError:
-        return None
-
-
 def _table_and_meta(doc: dict) -> tuple[RegisterTable, Meta]:
     """The register table and meta of a decoded document, every field checked."""
     registers = []
@@ -740,8 +729,10 @@ def _read_records(document: str) -> Circuit | None:
 
 
 def _parse_checked(document: str) -> Circuit:
-    """parse for any JSON layout: decode the document whole, then check and
-    build each gate entry."""
+    """parse for any JSON layout: decode the document whole, then take each
+    gate entry in order through its field checks, ``Gate(...)`` and the table
+    check and record encoding of ``Circuit(...)``; the first fault raises,
+    naming its entry.  The histogram is walked on first read."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
@@ -749,75 +740,18 @@ def _parse_checked(document: str) -> Circuit:
     except (ValueError, RecursionError) as e:  # integer too long, nesting too deep
         raise ParseError(f"document: {e}") from None
     table, meta = _table_and_meta(_typed(doc, dict, "document"))
-
-    # Each distinct well-formed control or target entry is checked, built and
-    # resolved against the table once per document.  Its cache value, which
-    # the gate's controls and targets lists collect, is (control or target
-    # wire, global offset, register name), the offset None unless the wire is
-    # a qubit of the table; a control's also holds its signed record offset
-    # (~offset for zero polarity) after the offset.  A key holds the index's
-    # type as well as its value: JSON true and 1.0 equal 1 but are rejected,
-    # so they must miss.
-    controls_seen: dict[tuple, tuple[Control, int | None, int | None, str]] = {}
-    targets_seen: dict[tuple, tuple[Wire, int | None, str]] = {}
-    emitter = Emitter()
-    emit_mcx, indices = emitter.mcx, emitter.indices
+    records = []
     for i, gd in enumerate(_field(doc, "gates", "document", list)):
-        if not isinstance(gd, dict):
-            _typed(gd, dict, f"gates[{i}]")  # raises
-        kind = gd.get("kind", _MISSING)
-        if kind is _MISSING:
-            _field(gd, "kind", f"gates[{i}]")  # raises
-        entries = gd.get("controls", [])
-        if type(entries) is not list:
-            _field(gd, "controls", f"gates[{i}]", list)  # raises
-        controls = []
-        for j, cd in enumerate(entries):
-            try:
-                idx = cd.get("idx")
-                key = (cd.get("reg"), idx, type(idx), cd.get("pol", POSITIVE))
-                seen = controls_seen.get(key)
-            except (AttributeError, TypeError):  # not an object, or an unhashable field:
-                key = seen = None                 # _control raises on it
-            if seen is None:
-                control = _control(cd, i, j)
-                offset = _qubit_offset(table, control.wire)
-                signed = offset if offset is None or control.pol == POSITIVE else ~offset
-                seen = controls_seen[key] = (control, offset, signed, control.wire.reg)
-            controls.append(seen)
-        entries = gd.get("targets", [])
-        if type(entries) is not list:
-            _field(gd, "targets", f"gates[{i}]", list)  # raises
-        targets = []
-        for j, td in enumerate(entries):
-            try:
-                idx = td.get("idx")
-                key = (td.get("reg"), idx, type(idx))
-                seen = targets_seen.get(key)
-            except (AttributeError, TypeError):
-                key = seen = None
-            if seen is None:
-                wire = _wire(td, i, "targets", j)
-                seen = targets_seen[key] = (wire, _qubit_offset(table, wire), wire.reg)
-            targets.append(seen)
-        d, n, poly = gd.get("d"), gd.get("n"), gd.get("poly")
-        if d is None and n is None and poly is None:
-            # The qubit MCX shape, which Gate(...) and Circuit(...) accept as is.
-            if kind == "MCX" and controls and len(targets) == 1:
-                _, offsets, signed, regs = zip(*controls)
-                _, offset, reg = targets[0]
-                if offset is not None and None not in offsets and len({offset, *offsets}) == len(offsets) + 1:
-                    emit_mcx(indices(("MCX", regs, reg)), signed, offset)
-                    continue
-        else:  # qudit-level gates
-            path = f"gates[{i}]"
-            d = _integer(gd, "d", path, 2, optional=True)
-            n = _integer(gd, "n", path, 0, optional=True)
-            poly = _integer(gd, "poly", path, 0, optional=True)
+        path = f"gates[{i}]"
+        gd = _typed(gd, dict, path)
+        kind = _field(gd, "kind", path)
+        controls = tuple([_control(cd, i, j) for j, cd in enumerate(_field(gd, "controls", path, list, []))])
+        targets = tuple([_wire(td, i, "targets", j) for j, td in enumerate(_field(gd, "targets", path, list, []))])
+        d = _integer(gd, "d", path, 2, optional=True)
+        n = _integer(gd, "n", path, 0, optional=True)
+        poly = _integer(gd, "poly", path, 0, optional=True)
         try:
-            g = Gate(kind, tuple([c[0] for c in controls]), tuple([t[0] for t in targets]), d=d, n=n, poly=poly)
-            _check_in_table(g, table)
+            records += _records_of(table, (Gate(kind, controls, targets, d=d, n=n, poly=poly),))
         except (InvalidGateError, ResolutionError) as e:
-            raise ParseError(f"gates[{i}]: {e}") from None
-        emitter.add(g)
-    return emitter.circuit(table, meta)
+            raise ParseError(f"{path}: {e}") from None
+    return _circuit(table, meta, tuple(records), None)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import galois
-from .circuit import Circuit, Emitter, Meta, Register, RegisterTable, cmuladd, dft
+from .circuit import Circuit, Emitter, Meta, Register, RegisterTable, cmuladd, dft, signature
 from .errors import UnsupportedConfigurationError
 from .galois import FieldSpec, mul_by_alpha_matrix
 from .revsim import pair_slices, simulate_slices
@@ -287,7 +287,7 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
     table = c.table
     targets = {r.name: list(range(table.offset(r.name), table.offset(r.name) + r.width)) for r in table.registers}
     controls = {name: [(o,) for o in offsets] for name, offsets in targets.items()}
-    for g in c.gates:
+    for g, r in zip(c.gates, c.records):
         if g.kind == "DFT":
             n_dft += 1
         elif g.kind == "CMulAdd":
@@ -299,6 +299,8 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
                 pairs = pairs_cache[key] = _cmuladd_cx_pairs(FieldSpec.binary_extension(m, g.poly), g.n)
             src_controls, dst_targets = controls[src], targets[dst]
             em.extend(em.indices(("MCX", (src,), dst)), [(src_controls[p], dst_targets[j]) for p, j in pairs])
+        elif type(r) is tuple:  # an MCX record passes through as a record
+            em.mcx(em.indices(signature(g)), *r)
         else:
             em.add(g)
     return em.circuit(c.table, c.meta), n_dft

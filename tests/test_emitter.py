@@ -217,7 +217,7 @@ def test_mixed_polarity_controls_out_of_order_survive_parse_and_serialize():
 
 
 # ---------------------------------------------------------------
-# parse: qubit MCX gates unchecked, every other gate checked
+# parse: every parsed gate equals the checked Gate of its values
 # ---------------------------------------------------------------
 
 # The smallest and largest prime of each register width k = 2..10; 1021 is
@@ -293,6 +293,47 @@ def q(idx, pol="positive"):
 ], ids=["repeat-and-out-of-range", "target-is-control", "repeat-across-polarities", "register-control", "no-controls",
         "two-targets", "out-of-range", "unknown-register", "x-with-control"])
 def test_parse_faults_at_the_fast_path_edge(gate, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(_doc(gate))
+
+
+T0, RS = {"reg": "q", "idx": 0}, {"reg": "r", "idx": None}
+
+
+@pytest.mark.parametrize("gate, message", [
+    (["MCX"], "gates[1]: expected an object, got ['MCX']"),
+    ({"controls": [q(1)], "targets": [T0]}, "gates[1]: missing field 'kind'"),
+    ({"kind": "MCX", "controls": {"reg": "q"}, "targets": [T0]},
+     "gates[1].controls: expected a list, got {'reg': 'q'}"),
+    ({"kind": "MCX", "controls": [q(1)], "targets": "q"}, "gates[1].targets: expected a list, got 'q'"),
+    ({"kind": "MCX", "controls": ["q"], "targets": [T0]}, "gates[1].controls[0]: expected an object, got 'q'"),
+    ({"kind": "MCX", "controls": [{"reg": 3, "idx": 1}], "targets": [T0]},
+     "gates[1].controls[0].reg: expected a string, got 3"),
+    ({"kind": "MCX", "controls": [q(1)], "targets": [{"reg": "q", "idx": True}]},
+     "gates[1].targets[0].idx: expected an integer >= 0, got True"),
+    ({"kind": "MCX", "controls": [q(-1)], "targets": [T0]},
+     "gates[1].controls[0].idx: expected an integer >= 0, got -1"),
+    ({"kind": "MCX", "controls": [q(1, "negative")], "targets": [T0]},
+     "gates[1].controls[0]: unknown polarity 'negative'"),
+    ({"kind": "SUM", "d": 1, "controls": [q(None)], "targets": [RS]}, "gates[1].d: expected an integer >= 2, got 1"),
+    ({"kind": "CMulAdd", "n": -1, "controls": [q(None)], "targets": [RS]},
+     "gates[1].n: expected an integer >= 0, got -1"),
+    ({"kind": "CMulAdd", "n": 1, "poly": True, "controls": [q(None)], "targets": [RS]},
+     "gates[1].poly: expected an integer >= 0, got True"),
+    ({"kind": "CSWAP", "controls": [q(1)], "targets": [T0]}, "gates[1]: unknown gate kind 'CSWAP'"),
+    ({"kind": "SUM", "d": 3, "controls": [q(None, "zero")], "targets": [RS]},
+     "gates[1]: zero-polarity control is only permitted on MCX, not SUM"),
+    ({"kind": "SUM", "d": 3, "controls": [q(None)], "targets": [RS]},
+     "gates[1]: SUM needs equal-width registers, got 4 and 2"),
+    ({"kind": "MCX", "d": 3, "controls": [q(1)], "targets": [{"reg": "r", "idx": 2}]},
+     "gates[1]: index 2 out of range for register 'r' of width 2"),
+], ids=["not-object", "no-kind", "controls-not-list", "targets-not-list", "control-not-object", "reg-not-string",
+        "idx-true", "idx-negative", "unknown-polarity", "d-1", "n-negative", "poly-true", "unknown-kind",
+        "zero-control-on-sum", "sum-unequal-widths", "mcx-with-d-out-of-range"])
+def test_checked_reader_names_each_entry_fault(gate, message):
+    """The checked reader's own text for each entry-level fault, pinned
+    exactly; the MCX shape faults are pinned above.  The differential tests
+    compare parse with the checked reader, so they cannot see its texts drift."""
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse(_doc(gate))
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qrsmux import galois, gf2m, lowering
-from qrsmux.circuit import Circuit, Register, RegisterTable, Wire, cmuladd, cx, dft, h, x
+from qrsmux.circuit import Circuit, Meta, Register, RegisterTable, Wire, cmuladd, cx, dft, h, x
 from qrsmux.errors import UnsupportedConfigurationError
 from qrsmux.galois import FieldSpec
 from qrsmux.gf2m import (
@@ -243,6 +243,20 @@ def test_expansion_passes_other_gates_through():
     assert expanded.gates == (x(Wire("u", 2)),) + relabeled(synth_cmuladd(f, 4), "u", "v") + (h(Wire("v", 0)),)
     walked = Circuit(table, expanded.gates)  # histogram built from the gates
     assert list(expanded.signature_histogram().items()) == list(walked.signature_histogram().items())
+
+
+def test_expansion_keeps_mcx_records_as_records():
+    """An MCX passes through the expansion as its record, so the expanded
+    circuit equals the checked circuit of its gates."""
+    for m, K in [(2, 2), (3, 4), (4, 8), (5, 16)]:
+        expanded, _ = expand_cmuladds(synth_encoder_gf2m(build_code(m, K)))
+        again, n_dft = expand_cmuladds(expanded)
+        assert (again, n_dft) == (expanded, 0)
+        assert all(type(r) is tuple for r in again.records)
+    table = RegisterTable([Register("u", 3, 0, "gf-message"), Register("v", 3, 1, "gf-code")])
+    c = Circuit(table, [x(Wire("u", 2)), cx(Wire("v", 1), Wire("u", 0)), cmuladd("u", "v", 4)], Meta(d=8))
+    expanded, _ = expand_cmuladds(c)
+    assert expanded == Circuit(table, expanded.gates, Meta(d=8))
 
 
 def test_encoder_multiplexing_gives_no_advantage():
