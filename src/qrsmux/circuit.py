@@ -13,22 +13,23 @@ Trust boundary.  A circuit is built once and never changes.  ``Gate`` is a
 checked tuple of its six fields: ``Gate(...)``, ``Gate._make`` and
 ``_replace`` run its checks, and so do the gate constructors (``cx``,
 ``mcx``, ...).  ``Circuit(table, gates)`` checks every gate it takes against
-the table.  ``Emitter`` alone skips those checks, and it stores no ``Gate``
-for an MCX: it records each as ``(controls, target)``, plain ints, the
-control offsets in gate order with a zero-polarity control written as
-``~offset``, which the garbage collector need not walk.  The synthesizers
-(``sumsynth.synth_sum``/``synth_rca``/``synth_mod``, ``gf2m.synth_cmuladd``
-and ``gf2m.expand_cmuladds``) emit through it offsets they took from their
-own register table, and it hands back a circuit whose signature histogram is
-already filled.  ``parse`` has two readers.  A document in ``serialize``'s
-exact layout for a circuit of MCX records is read by its text, through
-``Emitter``: its registers and meta are decoded and checked, and each gate
-line must be the text ``serialize`` writes for one record on that register
-table, no wire repeated, so the reader returns a circuit ``c`` only when
-``serialize(c) == document``.  Every other document goes to the checked
-reader, which decodes the JSON whole and takes each gate entry, in order,
-through ``Gate(...)`` and the table check and record encoding of
-``Circuit(...)``; it emits nothing unchecked.
+the table.  Only ``Emitter`` and ``parse``'s text reader skip those checks,
+and neither stores a ``Gate`` for an MCX but its record ``(controls,
+target)``, plain ints, the control offsets in gate order with a
+zero-polarity control written as ``~offset``, which the garbage collector
+need not walk.  The synthesizers (``sumsynth.synth_sum``/``synth_rca``/
+``synth_mod``, ``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``) emit
+through ``Emitter`` offsets from their own register table, and get back a
+circuit whose signature histogram is already filled.  ``parse`` has two
+readers.  A document in ``serialize``'s exact layout for a circuit of MCX
+records is read by its text and built through ``_circuit``: its registers
+and meta are decoded and checked, and each gate line must be the text
+``serialize`` writes for one record on that table, its wire texts looked up
+in dicts built from ``serialize``'s own, no wire repeated, so the reader
+returns ``c`` only when ``serialize(c) == document``.  Every other document
+goes to the checked reader, which decodes the JSON whole and takes each gate
+entry, in order, through ``Gate(...)`` and the table check and record
+encoding of ``Circuit(...)``; it emits nothing unchecked.
 
 A circuit stores one form, its records, as a tuple no caller can change.
 ``Circuit(table, gates)`` builds it once from the gates it checks, and
@@ -409,8 +410,8 @@ class Circuit:
 
 def _circuit(table: RegisterTable, meta: Meta, records: tuple, histogram) -> Circuit:
     """A circuit of records that come from a checked plan, table or circuit,
-    without the checks of Circuit(...); a histogram of None is built on first
-    read."""
+    or that parse's text reader took as serialize's text for them, without
+    the checks of Circuit(...); a histogram of None is built on first read."""
     c = _new(Circuit)
     for name, value in (("table", table), ("meta", meta), ("records", records), ("_gates", None),
                         ("_histogram", histogram)):
@@ -470,10 +471,8 @@ class Emitter:
     ``mcx`` and ``extend`` append ``(controls, target)`` records of offsets,
     past the checks of ``Gate(...)`` and ``Circuit(...)``: they are for
     synthesizers whose offsets lie inside their own register table by
-    construction, and for ``parse``'s text reader, which takes a gate line only
-    as the text ``serialize`` writes for a record on the document's table.
-    Each record's index is recorded under its signature as it is emitted, so
-    the circuit gets its signature histogram without a walk.
+    construction.  Each record's index is recorded under its signature as it
+    is emitted, so the circuit gets its signature histogram without a walk.
     """
 
     __slots__ = ("records", "_groups")
@@ -676,8 +675,9 @@ def _read_records(document: str) -> Circuit | None:
 
     The registers and meta texts are decoded and checked as _parse_checked
     checks them, and must be the text serialize writes for them.  Each gate
-    line, cut at every '{"reg": ', must be _MCX_HEAD followed by wire texts
-    that serialize writes for the table, looked up in three inverted tables.
+    line, split once at every '{"reg": ', must be _MCX_HEAD and the wire texts
+    of _record_texts for the table, no wire repeated; its index joins its
+    signature's list, and the lists are keyed in order of first use.
     """
     registers_end, meta_start = document.find(_GATES_OPEN), document.rfind(_META_OPEN)
     # Other documents, gf2m --emit's whose first gate is a DFT among them,
@@ -691,41 +691,46 @@ def _read_records(document: str) -> Circuit | None:
     except (ValueError, RecursionError, ParseError):  # _parse_checked reports the fault in order
         return None
     head, tail = _frame(table, meta)
-    # The lookups hold about 1 KB per wire, so a document with fewer than 16
+    # The lookups hold about 1.2 KB per wire, so a document with fewer than 16
     # bytes per wire (every synthesized one has over 160) goes to
     # _parse_checked, whose cost follows the document's length.
     if not (document.startswith(head) and document.endswith(tail) and len(head) < len(document) - len(tail)
             and 16 * table.total_width <= len(document)):
         return None
+    n, cut = table.total_width, len(_WIRE_OPEN)
     controls, targets = _record_texts(table)
+    texts = [text[cut:] for text in controls]
+    signed = [*range(n), *range(-n, 0)]  # the signed offset of each control text
+    # A control's text followed by ", " or by the opening of the targets maps
+    # to its signed offset, a target's text followed by the line's end to its
+    # offset; a signed offset indexes its wire and register name, as in _gates_of.
+    inner = {text + ", ": o for text, o in zip(texts, signed)}
+    last = {text + '], "targets": [': o for text, o in zip(texts, signed)}
+    target = {text[cut:] + "]}": o for o, text in enumerate(targets)}
+    wires = [*range(n), *reversed(range(n))]
     names = [r.name for r in table.registers for _ in range(r.width)]
-    cut = len(_WIRE_OPEN)
-    # A control's text followed by ", " or by the opening of the targets, and
-    # the target's text followed by the line's end: each maps to its record
-    # offset, its wire's offset and its register name.
-    inner, last, target = {}, {}, {}
-    for o in range(-table.total_width, table.total_width):  # signed offsets, ~wire for zero polarity
-        wire = o if o >= 0 else ~o
-        text, value = controls[o][cut:], (o, wire, names[wire])
-        inner[text + ", "] = value
-        last[text + '], "targets": ['] = value
-    for o, text in enumerate(targets):
-        target[text[cut:] + "]}"] = (o, names[o])
-    emitter = Emitter()
-    emit, indices = emitter.mcx, emitter.indices
+    names += names[::-1]
+    records, groups = [], {}
     try:
-        for line in document[len(head):len(document) - len(tail)].split(",\n"):
-            first, *middle, final, aim = line.split(_WIRE_OPEN)
-            if first != _MCX_HEAD:
+        for i, line in enumerate(document[len(head):len(document) - len(tail)].split(",\n")):
+            pieces = line.split(_WIRE_OPEN)
+            if pieces[0] != _MCX_HEAD:
                 return None
-            signed, wires, regs = zip(*[inner[piece] for piece in middle], last[final])
-            offset, reg = target[aim]
-            if len({offset, *wires}) <= len(wires):  # a repeated wire, which Gate(...) refuses
-                return None
-            emit(indices(("MCX", regs, reg)), signed, offset)
-    except (ValueError, KeyError):  # fewer than three pieces, or a piece serialize does not write
+            offset, final = target[pieces[-1]], last[pieces[-2]]
+            if len(pieces) == 3:  # one control
+                if wires[final] == offset:  # a repeated wire, which Gate(...) refuses
+                    return None
+                signs, regs = (final,), (names[final],)
+            else:
+                signs = (*map(inner.__getitem__, pieces[1:-2]), final)
+                if len({offset, *map(wires.__getitem__, signs)}) <= len(signs):
+                    return None
+                regs = tuple(map(names.__getitem__, signs))
+            records.append((signs, offset))
+            groups.setdefault(("MCX", regs, names[offset]), []).append(i)
+    except KeyError:  # a piece serialize does not write there, or a line of fewer than three pieces
         return None
-    return emitter.circuit(table, meta)
+    return _circuit(table, meta, tuple(records), {sig: tuple(indices) for sig, indices in groups.items()})
 
 
 def _parse_checked(document: str) -> Circuit:

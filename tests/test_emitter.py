@@ -402,6 +402,18 @@ NEAR_CANONICAL = {
                                  False),
     "control-repeats-a-control": (edited('{"reg": "r", "idx": 1, "pol": "positive"}',
                                          '{"reg": "q", "idx": 2, "pol": "positive"}'), False),
+    "target-repeats-a-zero-control-of-two": (edited('"targets": [{"reg": "q", "idx": 3}]',
+                                                    '"targets": [{"reg": "q", "idx": 2}]'), False),
+    "zero-control-on-the-target-wire": (edited('{"reg": "r", "idx": 0, "pol": "positive"}',
+                                               '{"reg": "r", "idx": 1, "pol": "zero"}'), False),
+    "two-targets": (edited('"targets": [{"reg": "q", "idx": 0}]',
+                           '"targets": [{"reg": "q", "idx": 0}, {"reg": "r", "idx": 0}]'), False),
+    "mcx-without-controls": (edited('"controls": [{"reg": "r", "idx": 0, "pol": "positive"}]', '"controls": []'),
+                             False),
+    "lines-joined-by-comma-space": (edited(']},\n{"kind"', ']}, {"kind"'), False),
+    "trailing-line-separator": (edited(']}\n],\n"meta"', ']},\n\n],\n"meta"'), False),
+    "x-line-between-mcx-lines": (edited(']},\n', ']},\n{"kind": "X", "controls": [], '
+                                                  '"targets": [{"reg": "q", "idx": 2}]},\n'), False),
     "idx-out-of-range": (edited('"targets": [{"reg": "q", "idx": 3}]', '"targets": [{"reg": "q", "idx": 4}]'), False),
     "idx-1.0": (edited('{"reg": "q", "idx": 1, "pol"', '{"reg": "q", "idx": 1.0, "pol"'), False),
     "name-with-wire-opener": (edge_document(('{"reg": ', "r")), True),
