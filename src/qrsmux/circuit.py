@@ -13,23 +13,19 @@ Trust boundary.  A circuit is built once and never changes.  ``Gate`` is a
 checked tuple of its six fields: ``Gate(...)``, ``Gate._make`` and
 ``_replace`` run its checks, and so do the gate constructors (``cx``,
 ``mcx``, ...).  ``Circuit(table, gates)`` checks every gate it takes against
-the table.  Only ``Emitter`` and ``parse``'s text reader skip those checks,
-and neither stores a ``Gate`` for an MCX but its record ``(controls,
-target)``, plain ints, the control offsets in gate order with a
-zero-polarity control written as ``~offset``, which the garbage collector
-need not walk.  The synthesizers (``sumsynth.synth_sum``/``synth_rca``/
-``synth_mod``, ``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``) emit
-through ``Emitter`` offsets from their own register table, and get back a
-circuit whose signature histogram is already filled.  ``parse`` has two
-readers.  A document in ``serialize``'s exact layout for a circuit of MCX
-records is read by its text and built through ``_circuit``: its registers
-and meta are decoded and checked, and each gate line must be the text
-``serialize`` writes for one record on that table, its wire texts looked up
-in dicts built from ``serialize``'s own, no wire repeated, so the reader
-returns ``c`` only when ``serialize(c) == document``.  Every other document
-goes to the checked reader, which decodes the JSON whole and takes each gate
-entry, in order, through ``Gate(...)`` and the table check and record
-encoding of ``Circuit(...)``; it emits nothing unchecked.
+the table.  Only ``Emitter`` and ``parse`` skip those checks, and neither
+stores a ``Gate`` for an MCX but its record ``(controls, target)``, plain
+ints, the control offsets in gate order with a zero-polarity control written
+as ``~offset``, which the garbage collector need not walk.  The synthesizers
+(``sumsynth.synth_sum``/``synth_rca``/``synth_mod``,
+``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``) emit through
+``Emitter`` offsets from their own register table, and get back a circuit
+whose signature histogram is already filled.  ``parse`` reads the document
+``serialize`` writes, ``"format": 2``, whose MCX records are lists
+``[controls, target]``, and takes each as a record once its offsets are ints
+in the table and no wire repeats.  Every other entry, and every entry of an
+older document without ``"format"``, goes through ``Gate(...)`` and the
+checks of ``Circuit(...)``.
 
 A circuit stores one form, its records, as a tuple no caller can change.
 ``Circuit(table, gates)`` builds it once from the gates it checks, and
@@ -42,8 +38,10 @@ parsed gate through the checked path and compare.
 
 from __future__ import annotations
 
+import gc
 import json
-from collections import Counter, defaultdict
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, NamedTuple
 
@@ -409,9 +407,8 @@ class Circuit:
 
 
 def _circuit(table: RegisterTable, meta: Meta, records: tuple, histogram) -> Circuit:
-    """A circuit of records that come from a checked plan, table or circuit,
-    or that parse's text reader took as serialize's text for them, without
-    the checks of Circuit(...); a histogram of None is built on first read."""
+    """A circuit of records from a checked plan, table or circuit, or checked by
+    parse, without the checks of Circuit(...); a None histogram is built on first read."""
     c = _new(Circuit)
     for name, value in (("table", table), ("meta", meta), ("records", records), ("_gates", None),
                         ("_histogram", histogram)):
@@ -419,14 +416,30 @@ def _circuit(table: RegisterTable, meta: Meta, records: tuple, histogram) -> Cir
     return c
 
 
+class _Names(dict):
+    """The register name of each signed offset, ~o for wire o, built on first
+    lookup so it holds only the offsets a circuit uses; KeyError off the table."""
+
+    def __init__(self, table: RegisterTable):
+        self.table = table
+        self.starts = [table.offset(r.name) for r in table.registers]
+
+    def __missing__(self, o: int) -> str:
+        wire = o if o >= 0 else ~o
+        if not 0 <= wire < self.table.total_width:
+            raise KeyError(o)
+        name = self[o] = self.table.registers[bisect_right(self.starts, wire) - 1].name
+        return name
+
+
 def _gates_of(table: RegisterTable, records: tuple) -> tuple[Gate, ...]:
-    wires = [Wire(r.name, i) for r in table.registers for i in range(r.width)]  # by offset
-    # A control's signed offset o indexes this list directly: ~o counts from its end.
-    controls = [Control(w) for w in wires] + [Control(w, ZERO) for w in reversed(wires)]
-    targets = [(w,) for w in wires]
+    names = _Names(table)
+    controls = {o: Control(Wire(names[o], (o if o >= 0 else ~o) - table.offset(names[o])), POSITIVE if o >= 0 else ZERO)
+                for o in {o for r in records if type(r) is tuple for o in (*r[0], r[1])}}
     # a record was checked when it was built, so its Gate skips the checks of Gate(...)
     return tuple([r if type(r) is not tuple else
-                  tuple.__new__(Gate, ("MCX", tuple([controls[o] for o in r[0]]), targets[r[1]], None, None, None))
+                  tuple.__new__(Gate, ("MCX", tuple(map(controls.__getitem__, r[0])), (controls[r[1]].wire,),
+                                       None, None, None))
                   for r in records])
 
 
@@ -454,14 +467,11 @@ def _records_of(table: RegisterTable, gates: tuple[Gate, ...]) -> tuple:
 
 def _walk_histogram(table: RegisterTable, records: tuple) -> dict[tuple, tuple[int, ...]]:
     """The signature histogram of a circuit's records."""
-    names = [r.name for r in table.registers for _ in range(r.width)]
-    names += names[::-1]  # indexed by a signed offset, as in _gates_of
-    groups: dict[tuple, list[int]] = defaultdict(list)
+    names = _Names(table)
+    groups: dict[tuple, list[int]] = {}
     for i, r in enumerate(records):
-        if type(r) is tuple:
-            groups["MCX", tuple([names[o] for o in r[0]]), names[r[1]]].append(i)
-        else:
-            groups[signature(r)].append(i)
+        key = ("MCX", tuple(map(names.__getitem__, r[0])), names[r[1]]) if type(r) is tuple else signature(r)
+        groups.setdefault(key, []).append(i)
     return {key: tuple(indices) for key, indices in groups.items()}
 
 
@@ -471,8 +481,9 @@ class Emitter:
     ``mcx`` and ``extend`` append ``(controls, target)`` records of offsets,
     past the checks of ``Gate(...)`` and ``Circuit(...)``: they are for
     synthesizers whose offsets lie inside their own register table by
-    construction.  Each record's index is recorded under its signature as it
-    is emitted, so the circuit gets its signature histogram without a walk.
+    construction; parse checks the records it reads and does not use it.
+    Each record's index is recorded under its signature as it is emitted, so
+    the circuit gets its signature histogram without a walk.
     """
 
     __slots__ = ("records", "_groups")
@@ -527,55 +538,28 @@ def photon_partition(c: Circuit, g: Gate) -> dict[int, list[Control]]:
 # Interchange document (JSON-shaped structured text)
 # ----------------------------------------------------------------------
 
-_MCX_HEAD = '{"kind": "MCX", "controls": ['  # a record's text up to its controls
-_WIRE_OPEN = '{"reg": '                        # the text that opens each wire of a gate line
-_REGISTERS_OPEN = '{"registers": '
-_GATES_OPEN = ',\n"gates": [\n'  # between the registers and the first gate line
-_META_OPEN = '\n],\n"meta": '    # between the last gate line and the meta
-
-
-def _frame(table: RegisterTable, meta: Meta) -> tuple[str, str]:
-    """The text serialize writes before a circuit's first gate line and after its last."""
-    registers = json.dumps([{"name": r.name, "width": r.width, "photon": r.photon, "role": r.role}
-                            for r in table.registers])
-    meta_text = json.dumps({"d": meta.d, "strategy": meta.strategy, "note": meta.note})
-    return f"{_REGISTERS_OPEN}{registers}{_GATES_OPEN}", f"{_META_OPEN}{meta_text}}}\n"
-
-
-def _record_texts(table: RegisterTable) -> tuple[list[str], list[str]]:
-    """The text of a record's control, indexed by its signed offset as in
-    _gates_of, and of its target, indexed by its offset."""
-    wire_texts = []  # '{"reg": ..., "idx": ...' of each qubit wire, by offset
-    for r in table.registers:
-        name = json.dumps(r.name)
-        wire_texts += [f'{_WIRE_OPEN}{name}, "idx": {i}' for i in range(r.width)]
-    return ([f'{text}, "pol": "{POSITIVE}"}}' for text in wire_texts]
-            + [f'{text}, "pol": "{ZERO}"}}' for text in reversed(wire_texts)],
-            [text + "}" for text in wire_texts])
+_FORMAT = 2  # the "format" serialize writes; a document without one is read in the named layout
 
 
 def serialize(c: Circuit) -> str:
-    """Interchange document for a circuit; parse() inverts it losslessly.
-
-    A JSON object with "registers", "gates" and "meta", one gate per line.
-    Each qubit wire's control and target texts are encoded once per document
-    and joined into the text of each record; any other gate is dumped whole.
-    """
-    offset_controls, offset_targets = _record_texts(c.table)
+    """Interchange document for a circuit, one gate per line; parse() inverts
+    it losslessly.  An MCX record is written as ``[controls, target]``, its
+    signed offsets (see the module docstring), any other gate as an object."""
     lines = []
     for g in c.records:
         if type(g) is tuple:
-            controls, target = g
-            lines.append(f'{_MCX_HEAD}{", ".join([offset_controls[o] for o in controls])}], '
-                         f'"targets": [{offset_targets[target]}]}}')
+            lines.append(f"[{list(g[0])}, {g[1]}]")  # a list of ints prints as its JSON text
             continue
         entry = {"kind": g.kind, **{key: value for key, value in (("d", g.d), ("n", g.n), ("poly", g.poly))
                                     if value is not None},
                  "controls": [{"reg": w.reg, "idx": w.idx, "pol": pol} for w, pol in g.controls],
                  "targets": [{"reg": w.reg, "idx": w.idx} for w in g.targets]}
         lines.append(json.dumps(entry))
-    start, end = _frame(c.table, c.meta)
-    return start + ",\n".join(lines) + end
+    registers = json.dumps([{"name": r.name, "width": r.width, "photon": r.photon, "role": r.role}
+                            for r in c.table.registers])
+    meta = json.dumps({"d": c.meta.d, "strategy": c.meta.strategy, "note": c.meta.note})
+    gates = ",\n".join(lines)
+    return f'{{"format": {_FORMAT},\n"registers": {registers},\n"gates": [\n{gates}\n],\n"meta": {meta}}}\n'
 
 
 _MISSING = object()
@@ -610,13 +594,9 @@ def _integer(obj: dict, key: str, path: str, minimum: int, optional: bool = Fals
 
 
 def _wire(wd, i: int, role: str, j: int) -> Wire:
-    """The wire of entry gates[i].<role>[j]; its path is built only to name a fault."""
-    if isinstance(wd, dict):  # the common, well-formed case without helper calls
-        reg, idx = wd.get("reg"), wd.get("idx")
-        if type(reg) is str and (idx is None or type(idx) is int and idx >= 0):
-            return Wire(reg, idx)
+    """The wire of entry gates[i].<role>[j]."""
     path = f"gates[{i}].{role}[{j}]"
-    wd = _typed(wd, dict, path)  # raises, naming the faulty field
+    wd = _typed(wd, dict, path)
     return Wire(_field(wd, "reg", path, str), _integer(wd, "idx", path, 0, optional=True))
 
 
@@ -628,8 +608,35 @@ def _control(cd, i: int, j: int) -> Control:
     return Control(wire, pol)
 
 
-def _table_and_meta(doc: dict) -> tuple[RegisterTable, Meta]:
-    """The register table and meta of a decoded document, every field checked."""
+def parse(document: str) -> Circuit:
+    """Rebuild a circuit, with its signature histogram, from its interchange
+    document: decode it whole, then check its registers, meta and each gate
+    entry in order, keying each entry's signature as it is read.  The first
+    fault raises ParseError naming its field, such as ``gates[12][0][1]``.
+    Only a document of "format" 2 may hold ``[controls, target]`` entries."""
+    # The decoded document holds two lists per MCX record, none of them
+    # garbage until parse returns.  Left on, the cyclic collector walks them
+    # again and again as they pile up: json.loads of the m = 8 expansion's
+    # document then takes about three times as long.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read(document)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read(document) -> Circuit:
+    try:
+        doc = json.loads(document)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # integer too long, nesting too deep
+        raise ParseError(f"document: {e}") from None
+    records_form = "format" in _typed(doc, dict, "document")
+    if records_form and (type(doc["format"]) is not int or doc["format"] != _FORMAT):
+        raise ParseError(f"document.format: expected {_FORMAT}, got {doc['format']!r:.40}")
     registers = []
     for i, rd in enumerate(_field(doc, "registers", "document", list)):
         path = f"registers[{i}]"
@@ -654,109 +661,64 @@ def _table_and_meta(doc: dict) -> tuple[RegisterTable, Meta]:
         strategy=_field(md, "strategy", "meta", str, ""),
         note=_field(md, "note", "meta", str, ""),
     )
-    return table, meta
-
-
-def parse(document: str) -> Circuit:
-    """Rebuild a circuit, with its signature histogram, from its interchange
-    document.
-
-    A document in serialize's exact layout for a circuit of MCX records is
-    read by its text; any other JSON layout goes through the checked reader.
-    Every malformed document raises ParseError naming the offending field.
-    """
-    c = _read_records(document) if isinstance(document, str) else None  # bytes go to json.loads
-    return _parse_checked(document) if c is None else c
-
-
-def _read_records(document: str) -> Circuit | None:
-    """The circuit c of MCX records with serialize(c) == document, read by its
-    text; None for any other document, which _parse_checked reads.
-
-    The registers and meta texts are decoded and checked as _parse_checked
-    checks them, and must be the text serialize writes for them.  Each gate
-    line, split once at every '{"reg": ', must be _MCX_HEAD and the wire texts
-    of _record_texts for the table, no wire repeated; its index joins its
-    signature's list, and the lists are keyed in order of first use.
-    """
-    registers_end, meta_start = document.find(_GATES_OPEN), document.rfind(_META_OPEN)
-    # Other documents, gf2m --emit's whose first gate is a DFT among them,
-    # leave here before any lookup is built.
-    if not (0 <= registers_end < meta_start and document.startswith(_MCX_HEAD, registers_end + len(_GATES_OPEN))):
-        return None
-    try:
-        table, meta = _table_and_meta({
-            "registers": json.loads(document[len(_REGISTERS_OPEN):registers_end]),
-            "meta": json.loads(document[meta_start + len(_META_OPEN):-len("}\n")])})
-    except (ValueError, RecursionError, ParseError):  # _parse_checked reports the fault in order
-        return None
-    head, tail = _frame(table, meta)
-    # The lookups hold about 1.2 KB per wire, so a document with fewer than 16
-    # bytes per wire (every synthesized one has over 160) goes to
-    # _parse_checked, whose cost follows the document's length.
-    if not (document.startswith(head) and document.endswith(tail) and len(head) < len(document) - len(tail)
-            and 16 * table.total_width <= len(document)):
-        return None
-    n, cut = table.total_width, len(_WIRE_OPEN)
-    controls, targets = _record_texts(table)
-    texts = [text[cut:] for text in controls]
-    signed = [*range(n), *range(-n, 0)]  # the signed offset of each control text
-    # A control's text followed by ", " or by the opening of the targets maps
-    # to its signed offset, a target's text followed by the line's end to its
-    # offset; a signed offset indexes its wire and register name, as in _gates_of.
-    inner = {text + ", ": o for text, o in zip(texts, signed)}
-    last = {text + '], "targets": [': o for text, o in zip(texts, signed)}
-    target = {text[cut:] + "]}": o for o, text in enumerate(targets)}
-    wires = [*range(n), *reversed(range(n))]
-    names = [r.name for r in table.registers for _ in range(r.width)]
-    names += names[::-1]
+    names = _Names(table)
     records, groups = [], {}
-    try:
-        for i, line in enumerate(document[len(head):len(document) - len(tail)].split(",\n")):
-            pieces = line.split(_WIRE_OPEN)
-            if pieces[0] != _MCX_HEAD:
-                return None
-            offset, final = target[pieces[-1]], last[pieces[-2]]
-            if len(pieces) == 3:  # one control
-                if wires[final] == offset:  # a repeated wire, which Gate(...) refuses
-                    return None
-                signs, regs = (final,), (names[final],)
-            else:
-                signs = (*map(inner.__getitem__, pieces[1:-2]), final)
-                if len({offset, *map(wires.__getitem__, signs)}) <= len(signs):
-                    return None
-                regs = tuple(map(names.__getitem__, signs))
-            records.append((signs, offset))
-            groups.setdefault(("MCX", regs, names[offset]), []).append(i)
-    except KeyError:  # a piece serialize does not write there, or a line of fewer than three pieces
-        return None
-    return _circuit(table, meta, tuple(records), {sig: tuple(indices) for sig, indices in groups.items()})
+    for i, entry in enumerate(_field(doc, "gates", "document", list)):
+        if type(entry) is list and records_form:
+            key = None
+            try:  # ValueError: not two items; KeyError: an offset outside the registers
+                controls, target = entry
+                if type(controls) is list and type(target) is int and target >= 0:
+                    if len(controls) == 1:
+                        c = controls[0]
+                        if type(c) is int and c != target != ~c:
+                            record = (c,), target
+                            key = "MCX", (names[c],), names[target]
+                    else:
+                        # a control that is not an int, or shares a wire, leaves wires short
+                        wires = {c if c >= 0 else ~c for c in controls if type(c) is int}
+                        if len(wires) == len(controls) and controls and target not in wires:
+                            record = tuple(controls), target
+                            key = "MCX", tuple(map(names.__getitem__, record[0])), names[target]
+            except (ValueError, KeyError):
+                pass
+            if key is None:
+                raise _record_fault(entry, i, table.total_width)
+        else:
+            record, key = _named_entry(entry, i, table)
+        records.append(record)
+        groups.setdefault(key, []).append(i)
+    return _circuit(table, meta, tuple(records), {key: tuple(indices) for key, indices in groups.items()})
 
 
-def _parse_checked(document: str) -> Circuit:
-    """parse for any JSON layout: decode the document whole, then take each
-    gate entry in order through its field checks, ``Gate(...)`` and the table
-    check and record encoding of ``Circuit(...)``; the first fault raises,
-    naming its entry.  The histogram is walked on first read."""
+def _record_fault(entry: list, i: int, n: int) -> ParseError:
+    """The first fault of [controls, target] entry gates[i] on n wires."""
+    if len(entry) != 2:
+        return ParseError(f"gates[{i}]: expected [controls, target], got {entry!r:.40}")
+    if not isinstance(entry[0], list) or not entry[0]:
+        return ParseError(f"gates[{i}][0]: expected a list of controls, got {entry[0]!r:.40}")
+    wires = set()
+    for where, o, low in [*((f"[0][{j}]", c, -n) for j, c in enumerate(entry[0])), ("[1]", entry[1], 0)]:
+        if type(o) is not int or not low <= o < n:
+            return ParseError(f"gates[{i}]{where}: expected an integer from {low} to {n - 1}, got {o!r:.40}")
+        if (o if o >= 0 else ~o) in wires:
+            return ParseError(f"gates[{i}]{where}: reuses wire {o if o >= 0 else ~o}")
+        wires.add(o if o >= 0 else ~o)
+
+
+def _named_entry(gd, i: int, table: RegisterTable) -> tuple:
+    """The record, or Gate, of object entry gates[i] and its signature, through
+    its field checks, ``Gate(...)`` and the checks of ``Circuit(...)``."""
+    path = f"gates[{i}]"
+    gd = _typed(gd, dict, path)
+    kind = _field(gd, "kind", path)
+    controls = tuple([_control(cd, i, j) for j, cd in enumerate(_field(gd, "controls", path, list, []))])
+    targets = tuple([_wire(td, i, "targets", j) for j, td in enumerate(_field(gd, "targets", path, list, []))])
+    d = _integer(gd, "d", path, 2, optional=True)
+    n = _integer(gd, "n", path, 0, optional=True)
+    poly = _integer(gd, "poly", path, 0, optional=True)
     try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    except (ValueError, RecursionError) as e:  # integer too long, nesting too deep
-        raise ParseError(f"document: {e}") from None
-    table, meta = _table_and_meta(_typed(doc, dict, "document"))
-    records = []
-    for i, gd in enumerate(_field(doc, "gates", "document", list)):
-        path = f"gates[{i}]"
-        gd = _typed(gd, dict, path)
-        kind = _field(gd, "kind", path)
-        controls = tuple([_control(cd, i, j) for j, cd in enumerate(_field(gd, "controls", path, list, []))])
-        targets = tuple([_wire(td, i, "targets", j) for j, td in enumerate(_field(gd, "targets", path, list, []))])
-        d = _integer(gd, "d", path, 2, optional=True)
-        n = _integer(gd, "n", path, 0, optional=True)
-        poly = _integer(gd, "poly", path, 0, optional=True)
-        try:
-            records += _records_of(table, (Gate(kind, controls, targets, d=d, n=n, poly=poly),))
-        except (InvalidGateError, ResolutionError) as e:
-            raise ParseError(f"{path}: {e}") from None
-    return _circuit(table, meta, tuple(records), None)
+        record, = _records_of(table, (Gate(kind, controls, targets, d=d, n=n, poly=poly),))
+    except (InvalidGateError, ResolutionError) as e:
+        raise ParseError(f"{path}: {e}") from None
+    return record, (kind, tuple([c.wire.reg for c in controls]), targets[0].reg)

@@ -259,8 +259,11 @@ def test_round_trip_sum_circuit():
                             ir.mcx([Control(b1, ir.ZERO), a0], Wire("B", 0))], Meta(d=4, note="kinds"))
     for c in (synth_sum(5), kinds):
         document = serialize(c)
-        assert document.splitlines()[2:2 + len(c)] == [gate_text(g) + "," for g in c.gates[:-1]] + [
-            gate_text(c.gates[-1])]
+        # an MCX record as [controls, target], any other gate as its object
+        texts = [json.dumps(r) if type(r) is tuple else gate_text(r) for r in c.records]
+        lines = document.splitlines()
+        assert (lines[0], lines[2]) == ('{"format": 2,', '"gates": [')
+        assert lines[3:3 + len(c)] == [text + "," for text in texts[:-1]] + texts[-1:]
         assert parse(document) == c
 
 
@@ -277,8 +280,52 @@ def test_circuit_rejects_a_non_int_qubit_index(role, idx):
         table.resolve(Wire(reg, idx))
 
 
+def named(doc):
+    """doc, a decoded document, in the named layout that documents without
+    "format" use: "format" dropped and each [controls, target] entry written
+    as the MCX object serialize wrote for it before, a signed offset o < 0 as
+    a zero-polarity control on wire ~o.  Raises ValueError for an entry whose
+    offsets are not ints inside the registers."""
+    if not isinstance(doc, dict):
+        return doc
+    doc = {key: value for key, value in doc.items() if key != "format"}
+    if not isinstance(doc.get("gates"), list) or not any(type(e) is list for e in doc["gates"]):
+        return doc
+    starts, n = [], 0
+    for r in doc["registers"]:
+        if type(r["width"]) is not int or r["width"] < 1:
+            raise ValueError(f"width {r['width']!r}")
+        starts.append((n, r["name"]))
+        n += r["width"]
+
+    def wire(o):
+        if type(o) is not int or not 0 <= o < n:
+            raise ValueError(f"offset {o!r}")
+        start, name = max(s for s in starts if s[0] <= o)
+        return {"reg": name, "idx": o - start}
+
+    def control(c):
+        if type(c) is not int:
+            raise ValueError(f"control {c!r}")
+        return {**wire(c if c >= 0 else ~c), "pol": ir.POSITIVE if c >= 0 else ir.ZERO}
+
+    def entry(e):
+        if type(e) is not list:
+            return e
+        if len(e) != 2 or type(e[0]) is not list:
+            raise ValueError(f"entry {e!r}")
+        return {"kind": "MCX", "controls": [control(c) for c in e[0]], "targets": [wire(e[1])]}
+
+    return {**doc, "gates": [entry(e) for e in doc["gates"]]}
+
+
+def named_doc(c: Circuit) -> dict:
+    """c's decoded document in the named layout."""
+    return named(json.loads(serialize(c)))
+
+
 def test_parse_unknown_gate_kind():
-    doc = json.loads(serialize(synth_sum(3)))
+    doc = named_doc(synth_sum(3))
     doc["gates"][0]["kind"] = "CSWAP"
     with pytest.raises(ParseError, match=r"gates\[0\].*CSWAP"):
         parse(json.dumps(doc))
@@ -302,14 +349,14 @@ def test_parse_malformed_json_reports_line():
 
 
 def test_parse_unknown_register_reference():
-    doc = json.loads(serialize(synth_sum(3)))
+    doc = named_doc(synth_sum(3))
     doc["gates"][0]["targets"][0]["reg"] = "ghost"
     with pytest.raises(ParseError, match="ghost"):
         parse(json.dumps(doc))
 
 
 def test_parse_bad_polarity_value():
-    doc = json.loads(serialize(synth_sum(3)))
+    doc = named_doc(synth_sum(3))
     doc["gates"][0]["controls"][0]["pol"] = "negative"
     with pytest.raises(ParseError, match="negative"):
         parse(json.dumps(doc))
@@ -322,7 +369,7 @@ def qudit_doc():
     return json.loads(serialize(c))
 
 
-def _set(path, value, doc_fn=lambda: json.loads(serialize(synth_sum(3)))):
+def _set(path, value, doc_fn=lambda: named_doc(synth_sum(3))):
     """A malformed document: doc_fn()'s field at path replaced by value."""
     def build():
         doc = doc_fn()
@@ -402,19 +449,17 @@ def laid_out(doc) -> str:
     return "{" + ",\n".join(fields) + "}\n"
 
 
-def assert_parses_as_checked(document: str) -> Circuit | None:
-    """parse(document) is the checked reader's circuit, histogram key order
-    included, or raises its ParseError text; the circuit, if any."""
+def assert_parses_as_checked(document) -> Circuit | None:
+    """parse(document) raises ParseError, or reads the circuit that the
+    checked path, Circuit(...) on the gates read, builds, histogram key order
+    included; the circuit, if any."""
     try:
-        expected = ir._parse_checked(document)
-    except ParseError as e:
-        with pytest.raises(ParseError) as raised:
-            parse(document)
-        assert str(raised.value) == str(e)
+        c = parse(document)
+    except ParseError:
         return None
-    c = parse(document)
-    assert (c.table, c.records, c.meta) == (expected.table, expected.records, expected.meta)
-    assert list(c.signature_histogram().items()) == list(expected.signature_histogram().items())
+    checked = Circuit(c.table, c.gates, c.meta)
+    assert (c.table, c.records, c.meta) == (checked.table, checked.records, checked.meta)
+    assert list(c.signature_histogram().items()) == list(checked.signature_histogram().items())
     return c
 
 
@@ -437,8 +482,19 @@ def test_parse_mutated_document_round_trips_or_raises(data):
             del parent[path[-1]]
         else:
             parent[path[-1]] = value
-    # serialize's layout sends a document near it to the reader, any other to the checked reader
     c = assert_parses_as_checked(data.draw(st.sampled_from([laid_out, json.dumps]))(doc))
+    try:
+        translated = named(doc)
+    except (ValueError, TypeError, KeyError):
+        assert c is None  # an entry the test cannot translate is refused
+        return
+    # each [controls, target] entry reads as its named object does through the checked path
+    expected = assert_parses_as_checked(laid_out(translated))
+    if c is not None:
+        assert (c.table, c.records, c.meta) == (expected.table, expected.records, expected.meta)
+        assert list(c.signature_histogram().items()) == list(expected.signature_histogram().items())
+    elif isinstance(doc, dict) and type(doc.get("format")) is int and doc["format"] == 2:
+        assert expected is None
     if c is None:
         return
     back = parse(serialize(c))
@@ -489,7 +545,7 @@ def circuits(draw, kinds=("X", "H", "T", "Tdag", "OS", "MCX", "MCX", "SUM", "DFT
     return Circuit(table, gates, meta)
 
 
-# Circuits of MCX gates alone, whose documents the reader takes.
+# Circuits of MCX gates alone, whose documents hold records alone.
 record_circuits = circuits(kinds=("MCX",))
 
 
@@ -520,17 +576,17 @@ def test_count_additive_over_concatenation(c1, c2):
 def test_hot_paths_build_and_check_no_gate(monkeypatch, tmp_path):
     """A sweep, the synth-sum --emit -> lower document path and verify_sum run
     on records alone: none builds a Gate, reads the gates view or checks a gate
-    against a table, and lower reads each synth-sum document by its text, not
-    through the checked reader.  Gate.__new__, _gates_of, _check_in_table and
-    _parse_checked are plain code, untuned, because of this; a failure here
+    against a table, and lower reads each synth-sum document's records, not
+    through the named-entry path.  Gate.__new__, _gates_of, _check_in_table and
+    _named_entry are plain code, untuned, because of this; a failure here
     means they are hot again."""
     def fail(*args, **kwargs):
-        raise AssertionError("a hot path built, viewed or checked a Gate, or decoded a document whole")
+        raise AssertionError("a hot path built, viewed or checked a Gate, or read a named entry")
 
     monkeypatch.setattr(Gate, "__new__", fail)
     monkeypatch.setattr(ir, "_gates_of", fail)
     monkeypatch.setattr(ir, "_check_in_table", fail)
-    monkeypatch.setattr(ir, "_parse_checked", fail)
+    monkeypatch.setattr(ir, "_named_entry", fail)
     assert len(analysis.sweep(3, 257).rows) == len(analysis.primes_in(3, 257))
     document = tmp_path / "sum137.json"
     assert cli.main(["synth-sum", "--d", "137", "--emit", str(document)]) == 0
@@ -543,12 +599,14 @@ def test_hot_paths_build_and_check_no_gate(monkeypatch, tmp_path):
 
 
 def test_gf2m_document_is_read_by_the_checked_reader(monkeypatch, capsys, tmp_path):
-    """gf2m --emit writes DFT and CMulAdd gates, which only the checked reader reads."""
-    documents = []
-    checked = ir._parse_checked
-    monkeypatch.setattr(ir, "_parse_checked", lambda document: documents.append(document) or checked(document))
+    """gf2m --emit writes DFT and CMulAdd gates, which only the checked reader,
+    the named-entry path, reads: each gate entry goes through it once."""
+    entries = []
+    checked = ir._named_entry
+    monkeypatch.setattr(ir, "_named_entry", lambda gd, i, table: entries.append(i) or checked(gd, i, table))
     path = tmp_path / "gf2m3.json"
     assert cli.main(["gf2m", "--m", "3", "--emit", str(path)]) == 0
     document = path.read_text(encoding="utf-8")
-    assert parse(document) == gf2m.synth_encoder_gf2m(gf2m.build_code(3, 4))
-    assert documents == [document]
+    encoder = gf2m.synth_encoder_gf2m(gf2m.build_code(3, 4))
+    assert parse(document) == encoder
+    assert entries == list(range(len(encoder)))

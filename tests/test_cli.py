@@ -12,6 +12,7 @@ import pytest
 from qrsmux import analysis, circuit, cli, gf2m, lowering
 from qrsmux.cli import main
 from qrsmux.errors import ParseError
+from qrsmux.sumsynth import synth_sum
 
 
 def run(capsys, *argv):
@@ -453,7 +454,7 @@ def test_lower_names_the_input_of_a_document_with_a_bad_field(capsys, tmp_path):
     doc = tmp_path / "sum5.json"
     run(capsys, "synth-sum", "--d", "5", "--emit", str(doc))
     parsed = json.loads(doc.read_text())
-    parsed["gates"][3]["targets"][0]["idx"] = -1
+    parsed["gates"][3][1] = -1
     doc.write_text(json.dumps(parsed))
     report = tmp_path / "lower.csv"
     rc, out, err = run(capsys, "lower", "--in", str(doc), "--strategy", "general",
@@ -462,8 +463,30 @@ def test_lower_names_the_input_of_a_document_with_a_bad_field(capsys, tmp_path):
     with pytest.raises(ParseError) as parse_error:
         circuit.parse(doc.read_text())
     assert err == f"error: --in {doc}: {parse_error.value}\n"
-    assert "gates[3].targets[0].idx" in err
+    assert "gates[3][1]: expected an integer from 0 to 11, got -1" in err
     assert not report.exists() and out == ""
+
+
+SUM5_V1 = Path(__file__).resolve().parent / "data" / "sum5_v1.json"
+
+
+def test_a_document_without_format_parses_and_lowers_as_its_records_form(capsys, tmp_path):
+    """tests/data/sum5_v1.json is synth-sum --d 5 --emit as written before
+    "format" 2, in the named layout: it still parses to synth_sum(5), and
+    lower writes the same report and notes from it as from today's document."""
+    older = SUM5_V1.read_text(encoding="utf-8")
+    assert "format" not in json.loads(older)
+    assert circuit.parse(older) == synth_sum(5)
+    doc = tmp_path / "sum5.json"
+    assert run(capsys, "synth-sum", "--d", "5", "--emit", str(doc))[0] == 0
+    for strategy in ("general", "ralph", "multiplexed"):
+        outputs = []
+        for source in (SUM5_V1, doc):
+            report = tmp_path / f"{strategy}-{source.name}.csv"
+            rc, out, err = run(capsys, "lower", "--in", str(source), "--strategy", strategy, "--report", str(report))
+            assert rc == 0 and err == ""
+            outputs.append((report.read_bytes(), out.replace(str(report), "REPORT").replace(str(source), "IN")))
+        assert outputs[0] == outputs[1], strategy
 
 
 def test_gf2m_refuses_emit_and_report_naming_one_file(capsys, tmp_path):

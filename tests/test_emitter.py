@@ -5,16 +5,20 @@ path (Gate(...) plus Circuit(...)) builds from the same values, and its
 pre-built signature histogram must equal the one computed from its gates.
 """
 
+import contextlib
 import functools
 import gc
+import io
 import json
 import random
 import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from qrsmux import circuit as ir, sumsynth
+from qrsmux import circuit as ir, cli, sumsynth
 from qrsmux.analysis import primes_in
 from qrsmux.circuit import (
     ZERO, Circuit, Control, Emitter, Gate, Meta, Register, RegisterTable, Wire, mcx, parse, serialize, signature,
@@ -22,7 +26,7 @@ from qrsmux.circuit import (
 from qrsmux.errors import ParseError
 from qrsmux.galois import FieldSpec
 from qrsmux.gf2m import build_code, expand_cmuladds, synth_cmuladd, synth_encoder_gf2m
-from test_circuit import assert_parses_as_checked, circuits
+from test_circuit import assert_parses_as_checked, circuits, laid_out, named
 
 SAMPLED_MOD_PRIMES = [2, 3, 5, 7, 17, 31, 61, 127, 131, 137, 257, 509, 1021]
 
@@ -349,38 +353,97 @@ def test_parse_keeps_a_qubit_mcx_that_carries_d():
 
 
 # ---------------------------------------------------------------
-# parse: documents in serialize's exact layout are read by their text
+# parse: the records form, and the named layout of older documents
 # ---------------------------------------------------------------
 
-def assert_read_as_checked(document: str, label) -> None:
-    """The reader takes document and gives the checked reader's circuit, and
-    serialize writes the document back."""
-    read = ir._read_records(document)
-    assert read is not None, label
-    checked = ir._parse_checked(document)
-    assert (read.table, read.records, read.meta) == (checked.table, checked.records, checked.meta), label
-    assert list(read.signature_histogram().items()) == list(checked.signature_histogram().items()), label
-    assert serialize(read) == document, label
+def assert_read_as_source(c, label) -> None:
+    """parse reads c's document back equal to c, histogram key order included."""
+    parsed = parse(serialize(c))
+    assert parsed == c, label
+    assert list(parsed.signature_histogram().items()) == list(c.signature_histogram().items()), label
 
 
 def test_every_sum_document_is_read_by_its_text():
+    """Every SUM circuit the sweep takes parses back from its document."""
     for d in primes_in(2, 1021):
-        assert_read_as_checked(serialize(sumsynth.synth_sum(d)), d)
+        assert_read_as_source(sumsynth.synth_sum(d), d)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_expanded_encoder_documents_are_read_by_their_text(m):
     expanded, _ = expand_cmuladds(encoder(m))
-    assert_read_as_checked(serialize(expanded), m)
+    assert_read_as_source(expanded, m)
+
+
+def _records_doc(*entries, form=2):
+    """A records-form document over register q (4 qubits, offsets 0..3) and r
+    (2 qubits, offsets 4 and 5) whose first entry is a valid CX."""
+    return json.dumps({"format": form,
+                       "registers": [{"name": "q", "width": 4, "photon": 0, "role": "work"},
+                                     {"name": "r", "width": 2, "photon": 1, "role": "work"}],
+                       "gates": [[[1], 0], *entries], "meta": {}})
+
+
+@pytest.mark.parametrize("document, message", [
+    (_records_doc([[True], 0]), "gates[1][0][0]: expected an integer from -6 to 5, got True"),
+    (_records_doc([[2, 1.0], 0]), "gates[1][0][1]: expected an integer from -6 to 5, got 1.0"),
+    (_records_doc([[[1]], 0]), "gates[1][0][0]: expected an integer from -6 to 5, got [1]"),
+    (_records_doc([[-7], 0]), "gates[1][0][0]: expected an integer from -6 to 5, got -7"),
+    (_records_doc([[6], 0]), "gates[1][0][0]: expected an integer from -6 to 5, got 6"),
+    (_records_doc([[1], 6]), "gates[1][1]: expected an integer from 0 to 5, got 6"),
+    (_records_doc([[1], -1]), "gates[1][1]: expected an integer from 0 to 5, got -1"),
+    (_records_doc([[1], True]), "gates[1][1]: expected an integer from 0 to 5, got True"),
+    (_records_doc([[4, 1, ~1], 0]), "gates[1][0][2]: reuses wire 1"),
+    (_records_doc([[~3], 3]), "gates[1][1]: reuses wire 3"),
+    (_records_doc([[4, ~3], 3]), "gates[1][1]: reuses wire 3"),
+    (_records_doc([[2], 2]), "gates[1][1]: reuses wire 2"),
+    (_records_doc([[], 0]), "gates[1][0]: expected a list of controls, got []"),
+    (_records_doc([1, 0]), "gates[1][0]: expected a list of controls, got 1"),
+    (_records_doc([[1], 0, 2]), "gates[1]: expected [controls, target], got [[1], 0, 2]"),
+    (_records_doc([]), "gates[1]: expected [controls, target], got []"),
+    (_records_doc(form=3), "document.format: expected 2, got 3"),
+    (_records_doc(form="2"), "document.format: expected 2, got '2'"),
+    (_records_doc(form=2.0), "document.format: expected 2, got 2.0"),
+    (_records_doc(form=True), "document.format: expected 2, got True"),
+], ids=["control-true", "control-1.0", "control-nested-list", "control-below-range", "control-n", "target-n",
+        "target-negative", "target-true", "repeat-as-zero-control", "zero-control-on-the-target-wire",
+        "zero-control-of-two-on-the-target-wire", "control-is-target", "empty-controls", "controls-not-list",
+        "three-items", "empty-entry", "format-3", "format-string", "format-float", "format-true"])
+def test_records_form_names_each_entry_fault(document, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(document)
+
+
+def test_records_form_reads_object_entries_and_a_document_without_format_refuses_records():
+    gates = [[[1, ~4], 5], {"kind": "MCX", "controls": [q(2, "zero")], "targets": [{"reg": "r", "idx": 0}]},
+             {"kind": "X", "controls": [], "targets": [{"reg": "q", "idx": 3}]}]
+    c = assert_parses_as_checked(_records_doc(*gates))
+    assert c.records == (((1,), 0), ((1, ~4), 5), ((~2,), 4), Gate("X", (), (Wire("q", 3),)))
+    assert list(c.signature_histogram().items()) == [
+        (("MCX", ("q",), "q"), (0,)), (("MCX", ("q", "r"), "r"), (1,)), (("MCX", ("q",), "r"), (2,)),
+        (("X", (), "q"), (3,))]
+    older = json.loads(_records_doc(*gates))
+    del older["format"]
+    with pytest.raises(ParseError, match=r"^gates\[0\]: expected an object, got \[\[1\], 0\]$"):
+        parse(json.dumps(older))
+
+
+def test_named_translation_is_the_document_serialize_wrote_before_format_2():
+    """laid_out(named(...)), which the named-layout tests build their documents
+    with, gives tests/data/sum5_v1.json, written by synth-sum --d 5 --emit
+    before "format" 2, byte for byte."""
+    older = (Path(__file__).resolve().parent / "data" / "sum5_v1.json").read_text(encoding="utf-8")
+    assert laid_out(named(json.loads(serialize(sumsynth.synth_sum(5))))) == older
 
 
 def edge_document(names=("q", "r"), gates=True):
-    """serialize's document of three MCX gates on registers q (4 qubits) and r (2)."""
+    """The named-layout document, as serialize wrote it before "format" 2, of
+    three MCX gates on registers q (4 qubits) and r (2)."""
     q, r = names
     table = RegisterTable([Register(q, 4, 0, "work"), Register(r, 2, 1, "work")])
     records = [mcx([Wire(q, 1)], Wire(q, 0)), mcx([Control(Wire(q, 2), ZERO), Wire(r, 1)], Wire(q, 3)),
                mcx([Wire(r, 0)], Wire(r, 1))]
-    return serialize(Circuit(table, records if gates else [], Meta(d=5, note="edge")))
+    return laid_out(named(json.loads(serialize(Circuit(table, records if gates else [], Meta(d=5, note="edge"))))))
 
 
 def edited(old, new):
@@ -390,8 +453,8 @@ def edited(old, new):
     return document.replace(old, new, 1)
 
 
-# Documents at the edge of serialize's layout, and whether the reader takes
-# each; every other one goes to the checked reader, which reads or refuses it.
+# Named-layout documents at the edge of the layout serialize wrote for them
+# before "format" 2, and whether parse reads each or refuses it.
 NEAR_CANONICAL = {
     "canonical": (edge_document(), True),
     "photon-negative": (edited('"photon": 0', '"photon": -1'), False),
@@ -410,37 +473,50 @@ NEAR_CANONICAL = {
                            '"targets": [{"reg": "q", "idx": 0}, {"reg": "r", "idx": 0}]'), False),
     "mcx-without-controls": (edited('"controls": [{"reg": "r", "idx": 0, "pol": "positive"}]', '"controls": []'),
                              False),
-    "lines-joined-by-comma-space": (edited(']},\n{"kind"', ']}, {"kind"'), False),
+    "lines-joined-by-comma-space": (edited(']},\n{"kind"', ']}, {"kind"'), True),
     "trailing-line-separator": (edited(']}\n],\n"meta"', ']},\n\n],\n"meta"'), False),
     "x-line-between-mcx-lines": (edited(']},\n', ']},\n{"kind": "X", "controls": [], '
-                                                  '"targets": [{"reg": "q", "idx": 2}]},\n'), False),
+                                                  '"targets": [{"reg": "q", "idx": 2}]},\n'), True),
     "idx-out-of-range": (edited('"targets": [{"reg": "q", "idx": 3}]', '"targets": [{"reg": "q", "idx": 4}]'), False),
     "idx-1.0": (edited('{"reg": "q", "idx": 1, "pol"', '{"reg": "q", "idx": 1.0, "pol"'), False),
     "name-with-wire-opener": (edge_document(('{"reg": ', "r")), True),
     "name-with-entry-separator": (edge_document(("}, {", "r")), True),
-    "non-ascii-name-raw": (edge_document(("\u00e9", "r")).replace("\\u00e9", "\u00e9", 1), False),
-    "register-key-order": (edited('"width": 4, "photon": 0', '"photon": 0, "width": 4'), False),
-    "meta-key-order": (edited('{"d": 5, "strategy": ""', '{"strategy": "", "d": 5'), False),
-    "crlf": (edge_document().replace("\n", "\r\n"), False),
-    "trailing-spaces": (edge_document().replace("\n", " \n"), False),
-    "zero-gates": (edge_document(gates=False), False),
-    "utf-8-bytes": (edge_document().encode(), False),
+    "non-ascii-name-raw": (edge_document(("\u00e9", "r")).replace("\\u00e9", "\u00e9", 1), True),
+    "register-key-order": (edited('"width": 4, "photon": 0', '"photon": 0, "width": 4'), True),
+    "meta-key-order": (edited('{"d": 5, "strategy": ""', '{"strategy": "", "d": 5'), True),
+    "crlf": (edge_document().replace("\n", "\r\n"), True),
+    "trailing-spaces": (edge_document().replace("\n", " \n"), True),
+    "zero-gates": (edge_document(gates=False), True),
+    "utf-8-bytes": (edge_document().encode(), True),
 }
 
 
-@pytest.mark.parametrize("document, read", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL)
-def test_near_canonical_documents_parse_as_the_checked_reader_parses_them(document, read):
-    assert (isinstance(document, str) and ir._read_records(document) is not None) == read
-    assert_parses_as_checked(document)
+@pytest.mark.parametrize("document, reads", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL)
+def test_near_canonical_documents_parse_as_the_checked_reader_parses_them(document, reads):
+    assert (assert_parses_as_checked(document) is not None) == reads
 
 
-def test_a_document_of_wide_registers_builds_no_lookup(monkeypatch):
-    """The reader's lookups grow with the register widths, a document's text
-    need not: a document with fewer than 16 bytes per wire goes to the
-    checked reader before any lookup is built."""
-    def fail(table):
-        raise AssertionError("the reader built its lookups")
-
-    document = edited('"width": 4', f'"width": {10 ** 9}')
-    monkeypatch.setattr(ir, "_record_texts", fail)
-    assert len(parse(document)) == 3
+@pytest.mark.parametrize("layout", ["records", "named"])
+def test_a_document_of_wide_registers_lowers_in_little_memory(tmp_path, layout):
+    """Per-wire lookups are sized by the offsets a document's records use, not
+    by its registers' declared widths: one CX on a register of 10**9 qubits
+    lowers to a one-row report, and its gates view and walked histogram are
+    built, in a few MiB."""
+    table = RegisterTable([Register("q", 10 ** 9, 0, "work")])
+    c = Circuit(table, [ir.cx(Wire("q", 0), Wire("q", 10 ** 9 - 1))], Meta(d=5))
+    document = serialize(c) if layout == "records" else laid_out(named(json.loads(serialize(c))))
+    assert len(document) < 300
+    path, report = tmp_path / "wide.json", tmp_path / "wide.csv"
+    path.write_text(document, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["lower", "--in", str(path), "--strategy", "general", "--report", str(report)])
+        parsed = parse(document)
+        walked = Circuit(parsed.table, parsed.gates, parsed.meta).signature_histogram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and parsed == c and walked == parsed.signature_histogram()
+    assert len(report.read_text(encoding="utf-8").splitlines()) == 2  # header and one row
+    assert peak < 50 * 2 ** 20
