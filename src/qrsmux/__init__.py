@@ -3,13 +3,11 @@ quantum Reed-Solomon encoder building blocks."""
 
 from .circuit import (
     Circuit, Control, CostBreakdown, Gate, Meta, Register, RegisterTable, Wire,
-    parse, photon_partition, serialize,
+    parse, serialize,
 )
 from .galois import FieldSpec, is_prime
 from .sumsynth import SumPlan, plan, predicted_counts, synth_mod, synth_rca, synth_sum
-from .lowering import (
-    GadgetDescriptor, Strategy, lower_circuit, lower_general, lower_multiplexed, lower_ralph,
-)
+from .lowering import GadgetDescriptor, Strategy, lower_circuit
 from .gf2m import RSCodeSpec, build_code, synth_cmuladd, synth_encoder_gf2m, verify_cmuladd
 from .revsim import VerificationReport, truth_table, verify_sum
 from .analysis import Convention, SweepReport, SweepRow, ratio_curve, sum_gate_count, sweep

@@ -524,16 +524,6 @@ class Emitter:
         return _circuit(table, meta, tuple(self.records), {sig: tuple(indices) for sig, indices in used})
 
 
-def photon_partition(c: Circuit, g: Gate) -> dict[int, list[Control]]:
-    """Group an MCX gate's controls by the photon id of their register."""
-    if g.kind != "MCX":
-        raise InvalidGateError(f"photon partition is defined for MCX gates, not {g.kind}")
-    groups: dict[int, list[Control]] = {}
-    for ctrl in g.controls:
-        groups.setdefault(c.table[ctrl.wire.reg].photon, []).append(ctrl)
-    return groups
-
-
 # ----------------------------------------------------------------------
 # Interchange document (JSON-shaped structured text)
 # ----------------------------------------------------------------------

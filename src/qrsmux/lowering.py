@@ -1,19 +1,21 @@
 """Rewrite multi-controlled X gates into the target gate set under three strategies.
 
-Every gate-cost rule lives here; sweeps and reports only read LoweringReports.
-lower_circuit lowers each signature of a circuit's signature histogram
-(signature -> indices of its gates) into one Lowered record, and totals gate
-count times tally.  A record's values come from its gate class: the kind, the
-photons of the controls in control order, and the strategy.  The rule of a
-class is a pure function of those three and is cached, so it runs once per
-class per process; it is keyed on photons, never on register names, which
-mean different photons in different tables.  The per-gate rows, gadgets,
-notes and report CSV put each record's values at its indices when read.
+Every gate-cost rule lives here and is applied in _class_rule alone; sweeps
+and reports only read LoweringReports.  lower_circuit lowers each signature
+of a circuit's signature histogram (signature -> indices of its gates) into
+one Lowered record, and totals gate count times tally.  A record's values
+come from its gate class: the kind, the photons of the controls in control
+order, and the strategy.  The rule of a class is a pure function of those
+three and is cached, so it runs once per class per process; it is keyed on
+photons, never on register names, which mean different photons in different
+tables.  rows, gadgets, notes and the report CSV put each record's values at
+its indices when read.
 
 * general: arity j >= 3 becomes 4(j-2) Toffolis, each Toffoli costing
   {6 CX, 2 H, 3 Tdag, 5 T}; arity 2 is one Toffoli; arity 1 is a CX.
-  This is a pure cost model (no work-qubit bookkeeping): the explicit
-  construction used for semantic checks lives in explicit_general_circuit.
+  This pure cost model (no work-qubit bookkeeping) is what reports charge.
+  explicit_general_circuit, the construction the semantic checks simulate,
+  is cheaper: its Toffoli has 4 T, and its C3X is 3 Toffolis, not 4.
 * ralph: arity j costs 2j-1 two-qubit gates plus one j-dimensional qudit
   ancilla.  The two-qubit gates are tallied 1:1 as CX equivalents; the
   companion single-qudit helper gates are counted as free, so the totals
@@ -24,6 +26,7 @@ notes and report CSV put each record's values at its indices when read.
   plus one elsewhere -> one Toffoli tally routing j-1 (collapse_inner_c2x:
   one CX routing j).  A two-photon split with one control on each (the adder
   Toffolis) falls back to the general Toffoli tally, as do three or more photons.
+  A class's GadgetDescriptor names its controls by position in control order.
 
 OS counts never enter CX totals.
 """
@@ -36,7 +39,7 @@ from functools import cache
 from typing import NamedTuple
 
 from . import circuit as ir
-from .circuit import CostBreakdown, Circuit, Control, Gate, photon_partition
+from .circuit import CostBreakdown, Circuit
 from .errors import LoweringError
 
 GENERAL = "general"
@@ -84,7 +87,9 @@ class GadgetDescriptor:
 
     The switch stages isolate the unique time-bin component on which every
     collapsed control matches its polarity, apply the inner gate to that
-    component, and restore the single spatial mode.
+    component, and restore the single spatial mode.  collapsed holds the
+    positions, in control order, of the controls on the routed photon, and
+    residual those of the rest, so gate.controls[i] is the control at i.
     """
 
     arity: int
@@ -93,13 +98,8 @@ class GadgetDescriptor:
     stages_out: int
     inner: str  # "CX" | "C2X"
     os_count: int
-    collapsed: tuple[Control, ...] = ()
-    residual: tuple[Control, ...] = ()
-
-
-def _require_mcx(g: Gate):
-    if g.kind != "MCX":
-        raise LoweringError(f"per-gate lowering applies to MCX gates, not {g.kind}")
+    collapsed: tuple[int, ...] = ()
+    residual: tuple[int, ...] = ()
 
 
 def _general_tally(j: int) -> CostBreakdown:
@@ -109,22 +109,10 @@ def _general_tally(j: int) -> CostBreakdown:
     return CostBreakdown({key: n_toffoli * v for key, v in TOFFOLI_TALLY.items()})
 
 
-def lower_general(g: Gate) -> CostBreakdown:
-    """Expanded CX/H/T/Tdag tally of one MCX gate; arity is the raw control count."""
-    _require_mcx(g)
-    return _general_tally(g.arity)
-
-
 def _ralph_tally(j: int) -> tuple[CostBreakdown, int | None]:
     if j == 1:
         return CostBreakdown({"C1X": 1}), None
     return CostBreakdown({"C1X": 2 * j - 1}), j
-
-
-def lower_ralph(g: Gate) -> tuple[CostBreakdown, int | None]:
-    """Two-qubit-gate tally (as CX equivalents) and the qudit-ancilla dimension."""
-    _require_mcx(g)
-    return _ralph_tally(g.arity)
 
 
 # Tally of the gate a gadget applies to the satisfying time-bin component.
@@ -151,41 +139,16 @@ def _collapse(j: int, sizes: dict[int, int], strategy: Strategy) -> tuple[int, i
     return groups[0][0], routed, inner, tally
 
 
-def lower_multiplexed(
-    g: Gate,
-    photons: dict[int, list[Control]],
-    strategy: Strategy | None = None,
-) -> tuple[GadgetDescriptor | None, CostBreakdown, bool]:
-    """Collapse an MCX per its photon partition.
-
-    Returns (gadget, tally, fell_back).  Uncollapsible patterns fall back to
-    lower_general; that is never an error.
-    """
-    _require_mcx(g)
-    if strategy is None:
-        strategy = multiplexed()
-    rule = _collapse(g.arity, {p: len(ctrls) for p, ctrls in photons.items()}, strategy)
-    if rule is None:
-        return None, lower_general(g), True
-    photon, routed, inner, tally = rule
-    gadget = GadgetDescriptor(
-        arity=g.arity, routed_photon=photon, stages_in=routed, stages_out=routed,
-        inner=inner, os_count=tally["OS"], collapsed=tuple(photons[photon]),
-        residual=tuple(ct for p, ctrls in photons.items() if p != photon for ct in ctrls),
-    )
-    return gadget, tally, False
-
-
 class Lowered(NamedTuple):
     """One signature lowered by its strategy's rule."""
 
-    indices: tuple[int, ...]      # its gates, in gate order
-    tally: CostBreakdown          # of one gate
-    columns: tuple                # report columns between the gate index and the fallback flag
+    indices: tuple[int, ...]          # its gates, in gate order
+    tally: CostBreakdown              # of one gate
+    columns: tuple                    # report columns between the gate index and the fallback flag
     fallback: bool
-    qudit_dim: int | None         # ralph qudit-ancilla dimension
-    gadget: bool                  # a switch gadget of arity >= 2 applies
-    note: str | None              # why it fell back, when that needs saying
+    qudit_dim: int | None             # ralph qudit-ancilla dimension
+    gadget: GadgetDescriptor | None   # the switch gadget it collapses into, of any arity
+    note: str | None                  # why it fell back, when that needs saying
 
 
 @dataclass
@@ -201,7 +164,6 @@ class LoweringReport:
     strategy: Strategy
     total: CostBreakdown = field(default_factory=CostBreakdown)
     signatures: dict[tuple, Lowered] = field(default_factory=dict)
-    _circuit: Circuit | None = field(default=None, repr=False, compare=False)
 
     @property
     def cx_total(self) -> int:
@@ -228,13 +190,10 @@ class LoweringReport:
 
     @property
     def gadgets(self) -> list[tuple[int, GadgetDescriptor]]:
-        gadgets = []
-        for i, lowered in enumerate(self._gate_values()):
-            if lowered.gadget:  # a collapsed gate's gadget names its own control wires
-                g = self._circuit.gates[i]
-                gadget, _, _ = lower_multiplexed(g, photon_partition(self._circuit, g), self.strategy)
-                gadgets.append((i, gadget))
-        return gadgets
+        """(gate index, gadget) of each gate whose class collapses into a
+        switch gadget of arity >= 2, in gate order."""
+        return sorted((i, lowered.gadget) for lowered in self.signatures.values()
+                      if lowered.gadget and lowered.gadget.arity >= 2 for i in lowered.indices)
 
     @property
     def notes(self) -> list[str]:
@@ -257,7 +216,7 @@ def _class_rule(kind: str, photons: tuple[int, ...], strategy: Strategy) -> tupl
     this kind whose controls sit on these photons, in control order, under the
     strategy, and the tally's items; the photons fix the arity and the photon
     partition, so the rule reads nothing else."""
-    qudit_dim, gadget, note, fallback, j = None, False, None, False, len(photons)
+    qudit_dim, gadget, note, fallback, j = None, None, None, False, len(photons)
     if kind in _PASSTHROUGH:
         tally, text = CostBreakdown({kind: 1}), "-"
     else:
@@ -272,7 +231,11 @@ def _class_rule(kind: str, photons: tuple[int, ...], strategy: Strategy) -> tupl
             if rule is None:
                 tally, fallback = _general_tally(j), True
             else:
-                tally, gadget = rule[3], j >= 2
+                routed_photon, routed, inner, tally = rule
+                gadget = GadgetDescriptor(
+                    j, routed_photon, routed, routed, inner, tally["OS"],
+                    collapsed=tuple(i for i, p in enumerate(photons) if p == routed_photon),
+                    residual=tuple(i for i, p in enumerate(photons) if p != routed_photon))
             if len(sizes) >= 3:
                 note = f"controls span {len(sizes)} photons; fell back to the general tally"
     columns = (kind, j, text, strategy.name, tally["C1X"], tally["H"], tally["T"], tally["Tdag"], tally["OS"])
@@ -293,7 +256,7 @@ def lower_circuit(c: Circuit, strategy: Strategy) -> LoweringReport:
         signatures[key] = Lowered(indices, *rule)
         for cls, v in items:
             total[cls] = total.get(cls, 0) + len(indices) * v
-    return LoweringReport(strategy, CostBreakdown(total), signatures, c)
+    return LoweringReport(strategy, CostBreakdown(total), signatures)
 
 
 REPORT_COLUMNS = ("gate-index", "kind", "arity", "photons", "strategy", "cx", "h", "t", "tdag", "os", "fallback-flag")

@@ -21,7 +21,7 @@ import pytest
 from qrsmux import analysis, gf2m, lowering
 from qrsmux import circuit as ir
 from qrsmux.circuit import Circuit, Control, CostBreakdown, Register, RegisterTable, Wire
-from qrsmux.circuit import parse, photon_partition, serialize
+from qrsmux.circuit import parse, serialize
 from qrsmux.galois import FieldSpec
 from qrsmux.revsim import verify_sum
 from qrsmux.sumsynth import plan, predicted_counts, synth_mod, synth_sum
@@ -106,16 +106,19 @@ def test_criterion_5_decomposition_constants():
     with criterion(5, "general/Ralph decomposition constants, formula vs expansion"):
         assert lowering.TOFFOLI_TALLY == {"C1X": 6, "H": 2, "Tdag": 3, "T": 5}
         table = RegisterTable([Register("c", 14, 0, "work"), Register("t", 1, 1, "work")])
+        def tally(arity, strategy):  # of a one-gate circuit, from its Lowered record
+            c = Circuit(table, [ir.mcx([Wire("c", i) for i in range(arity)], Wire("t", 0))])
+            (lowered,) = lowering.lower_circuit(c, strategy).signatures.values()
+            return lowered.tally
+
         for k in range(2, 13):
-            g_k = ir.mcx([Wire("c", i) for i in range(k)], Wire("t", 0))
-            g_k1 = ir.mcx([Wire("c", i) for i in range(k + 1)], Wire("t", 0))
             n_tof_k = 1 if k == 2 else 4 * (k - 2)
-            exp_k = lowering.lower_general(g_k)
+            exp_k = tally(k, lowering.general())
             assert exp_k == CostBreakdown(
                 {key: n_tof_k * v for key, v in lowering.TOFFOLI_TALLY.items()})
-            exp_k1 = lowering.lower_general(g_k1)
+            exp_k1 = tally(k + 1, lowering.general())
             assert exp_k1["C1X"] == 6 * 4 * (k - 1)
-            assert lowering.lower_ralph(g_k)[0]["C1X"] == 2 * k - 1
+            assert tally(k, lowering.ralph())["C1X"] == 2 * k - 1
 
 
 def test_criterion_6_d139_anchors(full_sweep):
@@ -245,25 +248,27 @@ def test_criterion_9_gf2m():
 
 def test_criterion_10_gadget_soundness():
     with criterion(10, "switch-gadget truth tables match C_kX for k <= 6"):
+        def lowered_of(circ):  # the one-gate circuit's Lowered record, multiplexed
+            (lowered,) = lowering.lower_circuit(circ, lowering.multiplexed()).signatures.values()
+            return lowered
+
         for arity in range(1, 7):
             table = RegisterTable([Register("c", arity, 1, "data-B"),
                                    Register("t", 1, 2, "check-if")])
             pols = [ir.ZERO if i % 2 else ir.POSITIVE for i in range(arity)]
             g = ir.mcx([Control(Wire("c", i), p) for i, p in enumerate(pols)], Wire("t", 0))
-            circ = Circuit(table, [g])
-            gadget, _, fb = lowering.lower_multiplexed(g, photon_partition(circ, g))
-            assert not fb
-            assert _gadget_tt(g, gadget) == _mcx_tt(g)
+            lowered = lowered_of(Circuit(table, [g]))
+            assert not lowered.fallback
+            assert _gadget_tt(g, lowered.gadget) == _mcx_tt(g)
         # collapsed carry-controlled gate costs exactly one Toffoli tally
         table = RegisterTable([Register("B", 3, 1, "data-B"), Register("carry", 1, 2, "carry"),
                                Register("checkif", 1, 2, "check-if")])
         g = ir.mcx([Wire("B", 0), Wire("B", 1), Wire("B", 2), Wire("carry", 0)],
                    Wire("checkif", 0))
-        circ = Circuit(table, [g])
-        gadget, tally, fb = lowering.lower_multiplexed(g, photon_partition(circ, g))
-        assert not fb and gadget.inner == "C2X"
-        assert tally.restrict(["C1X", "H", "T", "Tdag"]) == CostBreakdown(lowering.TOFFOLI_TALLY)
-        assert _gadget_tt(g, gadget) == _mcx_tt(g)
+        lowered = lowered_of(Circuit(table, [g]))
+        assert not lowered.fallback and lowered.gadget.inner == "C2X"
+        assert lowered.tally.restrict(["C1X", "H", "T", "Tdag"]) == CostBreakdown(lowering.TOFFOLI_TALLY)
+        assert _gadget_tt(g, lowered.gadget) == _mcx_tt(g)
 
 
 def _mcx_tt(gate):
@@ -277,14 +282,15 @@ def _mcx_tt(gate):
 
 
 def _gadget_tt(gate, gadget):
+    """The gadget's truth table, its control positions read as gate.controls."""
     controls = list(gate.controls)
     arity = len(controls)
     out = {}
     for bits in range(1 << (arity + 1)):
         value = {ct.wire: (bits >> i) & 1 for i, ct in enumerate(controls)}
-        def ok(ct):
-            return value[ct.wire] == (1 if ct.pol == ir.POSITIVE else 0)
-        fire = all(ok(ct) for ct in gadget.collapsed) and all(ok(ct) for ct in gadget.residual)
+        def ok(k):
+            return value[controls[k].wire] == (1 if controls[k].pol == ir.POSITIVE else 0)
+        fire = all(ok(k) for k in gadget.collapsed) and all(ok(k) for k in gadget.residual)
         out[bits] = bits ^ (fire << arity)
     return out
 

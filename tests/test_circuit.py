@@ -3,10 +3,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrsmux import analysis, circuit as ir, cli, gf2m, revsim, sumsynth
+from qrsmux import analysis, circuit as ir, cli, gf2m, lowering, revsim, sumsynth
 from qrsmux.circuit import (
     Circuit, Control, CostBreakdown, Gate, Meta, Register, RegisterTable, Wire,
-    parse, photon_partition, serialize,
+    parse, serialize,
 )
 from qrsmux.errors import InvalidGateError, ParseError, ResolutionError
 from qrsmux.sumsynth import synth_sum
@@ -201,10 +201,17 @@ def test_count_total_equals_length():
 
 
 # ---------------------------------------------------------------
-# Photon partition
+# Photons of a gate's controls
 # ---------------------------------------------------------------
 
-def test_photon_partition_groups():
+def photons_column(c):
+    """The lowering report's photons column, one entry per gate."""
+    column = lowering.REPORT_COLUMNS.index("photons")
+    lines = lowering.report_csv(lowering.lower_circuit(c, lowering.general())).splitlines()[1:]
+    return [line.split(",")[column] for line in lines]
+
+
+def test_photons_column_groups_controls_by_photon():
     table = RegisterTable([
         Register("A", 3, 0, "data-A"),
         Register("B", 3, 1, "data-B"),
@@ -214,20 +221,16 @@ def test_photon_partition_groups():
     all_b = ir.mcx([Wire("B", i) for i in range(3)], Wire("checkif", 0))
     with_carry = ir.mcx([Wire("B", 0), Wire("B", 1), Wire("B", 2), Wire("carry", 2)],
                         Wire("checkif", 1))
+    carry_first = ir.mcx([Wire("carry", 2), Wire("B", 0), Wire("B", 1), Wire("B", 2)],
+                         Wire("checkif", 1))
     plain = ir.cx(Wire("A", 0), Wire("B", 0))
-    c = Circuit(table, [all_b, with_carry, plain])
-    assert {p: len(g) for p, g in photon_partition(c, all_b).items()} == {1: 3}
-    assert {p: len(g) for p, g in photon_partition(c, with_carry).items()} == {1: 3, 2: 1}
-    assert {p: len(g) for p, g in photon_partition(c, plain).items()} == {0: 1}
-
-    groups = photon_partition(c, with_carry)
-    assert sum(len(g) for g in groups.values()) == with_carry.arity
+    c = Circuit(table, [all_b, with_carry, carry_first, plain])
+    assert photons_column(c) == ["1:3", "1:3+2:1", "1:3+2:1", "0:1"]
 
 
-def test_photon_partition_rejects_non_mcx():
-    c = Circuit(two_reg_table())
-    with pytest.raises(InvalidGateError):
-        photon_partition(c, ir.x(Wire("B", 0)))
+def test_photons_column_of_a_non_mcx_gate_is_a_dash():
+    c = Circuit(two_reg_table(), [ir.x(Wire("B", 0)), ir.h(Wire("carry", 1))])
+    assert photons_column(c) == ["-", "-"]
 
 
 # ---------------------------------------------------------------

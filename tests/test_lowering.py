@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrsmux import circuit as ir, lowering
-from qrsmux.circuit import Circuit, Control, Register, RegisterTable, Wire, photon_partition
+from qrsmux.circuit import Circuit, Control, Register, RegisterTable, Wire
 from qrsmux.errors import LoweringError
 from qrsmux.lowering import (
-    TOFFOLI_TALLY, explicit_general_circuit,
-    lower_circuit, lower_general, lower_multiplexed, lower_ralph,
+    TOFFOLI_TALLY, explicit_general_circuit, lower_circuit,
+    _collapse, _general_tally, _ralph_tally,
 )
 from qrsmux.sumsynth import synth_sum
 
@@ -22,35 +22,53 @@ def mk_mcx(arity, polarities=None):
     return circ, gate
 
 
+def lowered_of(circ, strategy=None):
+    """The Lowered record of a one-gate circuit's gate (multiplexed by default)."""
+    (lowered,) = lower_circuit(circ, strategy or lowering.multiplexed()).signatures.values()
+    return lowered
+
+
+def carry_controlled(arity=4, carry_width=3):
+    """A one-gate circuit: an MCX on B[0..arity-2] and the top carry wire, the
+    carry and check-if registers sharing a photon."""
+    table = RegisterTable([
+        Register("B", arity - 1, 1, "data-B"),
+        Register("carry", carry_width, 2, "carry"),
+        Register("checkif", 1, 2, "check-if"),
+    ])
+    g = ir.mcx([Wire("B", i) for i in range(arity - 1)] + [Wire("carry", carry_width - 1)], Wire("checkif", 0))
+    return Circuit(table, [g]), g
+
+
 # ---------------------------------------------------------------
 # General decomposition
 # ---------------------------------------------------------------
 
 def test_general_cx_passthrough():
-    _, g = mk_mcx(1)
-    assert lower_general(g).as_dict() == {"C1X": 1}
+    circ, _ = mk_mcx(1)
+    assert lowered_of(circ, lowering.general()).tally.as_dict() == {"C1X": 1}
 
 
 def test_general_toffoli_tally():
-    _, g = mk_mcx(2)
-    assert lower_general(g).as_dict() == {"C1X": 6, "H": 2, "T": 5, "Tdag": 3}
+    circ, _ = mk_mcx(2)
+    assert lowered_of(circ, lowering.general()).tally.as_dict() == {"C1X": 6, "H": 2, "T": 5, "Tdag": 3}
     assert TOFFOLI_TALLY == {"C1X": 6, "H": 2, "Tdag": 3, "T": 5}
 
 
 def test_general_c3x_four_toffolis():
-    _, g = mk_mcx(3)
-    assert lower_general(g).as_dict() == {"C1X": 24, "H": 8, "T": 20, "Tdag": 12}
+    circ, _ = mk_mcx(3)
+    assert lowered_of(circ, lowering.general()).tally.as_dict() == {"C1X": 24, "H": 8, "T": 20, "Tdag": 12}
 
 
 def test_general_c8x():
-    _, g = mk_mcx(8)
-    assert lower_general(g)["C1X"] == 144  # 4*(8-2) Toffolis at 6 CX each
+    circ, _ = mk_mcx(8)
+    assert lowered_of(circ, lowering.general()).tally["C1X"] == 144  # 4*(8-2) Toffolis at 6 CX each
 
 
 @given(st.integers(3, 13))
 def test_general_formula_vs_expansion(j):
-    _, g = mk_mcx(j)
-    tally = lower_general(g)
+    circ, _ = mk_mcx(j)
+    tally = lowered_of(circ, lowering.general()).tally
     n_toffoli = 4 * (j - 2)
     assert tally["C1X"] == 6 * n_toffoli
     assert tally["H"] == 2 * n_toffoli
@@ -59,8 +77,21 @@ def test_general_formula_vs_expansion(j):
 
 
 def test_general_ignores_polarity_for_counting():
-    _, g = mk_mcx(4, [ir.ZERO, ir.POSITIVE, ir.ZERO, ir.POSITIVE])
-    assert lower_general(g)["C1X"] == 6 * 8
+    circ, _ = mk_mcx(4, [ir.ZERO, ir.POSITIVE, ir.ZERO, ir.POSITIVE])
+    assert lowered_of(circ, lowering.general()).tally["C1X"] == 6 * 8
+
+
+def test_toffoli_tally_charges_more_than_the_explicit_construction():
+    """The general tally is a cost model, not a count of explicit_general_circuit:
+    its Toffoli has one T fewer than TOFFOLI_TALLY, and its C3X takes 3
+    Toffolis with one clean work qubit where the tally charges 4(j-2) = 4."""
+    assert explicit_general_circuit(2).count().as_dict() == {"C1X": 6, "H": 2, "T": 4, "Tdag": 3}
+    assert TOFFOLI_TALLY["T"] == 5
+    c3x = explicit_general_circuit(3)
+    assert len(c3x) == 3 * len(explicit_general_circuit(2)) and c3x.count()["C1X"] == 18
+    assert c3x.table["work"].width == 1
+    assert lowered_of(mk_mcx(3)[0], lowering.general()).tally == \
+        ir.CostBreakdown({k: 4 * v for k, v in TOFFOLI_TALLY.items()})
 
 
 # ---------------------------------------------------------------
@@ -69,12 +100,12 @@ def test_general_ignores_polarity_for_counting():
 
 def test_ralph_formula():
     for j, want in [(2, 3), (3, 5), (8, 15)]:
-        _, g = mk_mcx(j)
-        tally, dim = lower_ralph(g)
-        assert tally.as_dict() == {"C1X": want}
-        assert dim == j
-    _, g1 = mk_mcx(1)
-    assert lower_ralph(g1) == (lower_general(g1), None)
+        lowered = lowered_of(mk_mcx(j)[0], lowering.ralph())
+        assert lowered.tally.as_dict() == {"C1X": want}
+        assert lowered.qudit_dim == j
+    circ1, _ = mk_mcx(1)
+    lowered = lowered_of(circ1, lowering.ralph())
+    assert (lowered.tally, lowered.qudit_dim) == (lowered_of(circ1, lowering.general()).tally, None)
 
 
 # ---------------------------------------------------------------
@@ -82,27 +113,23 @@ def test_ralph_formula():
 # ---------------------------------------------------------------
 
 def test_multiplexed_single_photon_collapses_to_one_cx():
-    circ, g = mk_mcx(3)
-    gadget, tally, fb = lower_multiplexed(g, photon_partition(circ, g))
-    assert not fb
-    assert tally.as_dict() == {"C1X": 1, "OS": 6}
+    circ, _ = mk_mcx(3)
+    lowered = lowered_of(circ)
+    gadget = lowered.gadget
+    assert not lowered.fallback
+    assert lowered.tally.as_dict() == {"C1X": 1, "OS": 6}
     assert gadget.inner == "CX" and gadget.routed_photon == 1
     assert gadget.stages_in == gadget.stages_out == 3
+    assert (gadget.collapsed, gadget.residual) == ((0, 1, 2), ())
 
 
 def test_multiplexed_carry_controlled_gate_costs_one_toffoli():
-    table = RegisterTable([
-        Register("B", 3, 1, "data-B"),
-        Register("carry", 3, 2, "carry"),
-        Register("checkif", 1, 2, "check-if"),
-    ])
-    g = ir.mcx([Wire("B", 0), Wire("B", 1), Wire("B", 2), Wire("carry", 2)], Wire("checkif", 0))
-    circ = Circuit(table, [g])
-    gadget, tally, fb = lower_multiplexed(g, photon_partition(circ, g))
-    assert not fb
-    assert gadget.inner == "C2X"
-    assert tally.as_dict() == {"C1X": 6, "H": 2, "T": 5, "Tdag": 3, "OS": 6}
-    assert len(gadget.collapsed) == 3 and len(gadget.residual) == 1
+    circ, _ = carry_controlled()
+    lowered = lowered_of(circ)
+    assert not lowered.fallback
+    assert lowered.gadget.inner == "C2X"
+    assert lowered.tally.as_dict() == {"C1X": 6, "H": 2, "T": 5, "Tdag": 3, "OS": 6}
+    assert (lowered.gadget.collapsed, lowered.gadget.residual) == ((0, 1, 2), (3,))
 
 
 def test_multiplexed_cross_photon_toffoli_falls_back():
@@ -111,20 +138,18 @@ def test_multiplexed_cross_photon_toffoli_falls_back():
         Register("B", 1, 1, "data-B"),
         Register("carry", 1, 2, "carry"),
     ])
-    g = ir.toffoli(Wire("A", 0), Wire("B", 0), Wire("carry", 0))
-    circ = Circuit(table, [g])
-    gadget, tally, fb = lower_multiplexed(g, photon_partition(circ, g))
-    assert fb and gadget is None
-    assert tally == lower_general(g)
+    circ = Circuit(table, [ir.toffoli(Wire("A", 0), Wire("B", 0), Wire("carry", 0))])
+    lowered = lowered_of(circ)
+    assert lowered.fallback and lowered.gadget is None
+    assert lowered.tally == lowered_of(circ, lowering.general()).tally
 
 
 def test_multiplexed_three_photons_falls_back():
     table = RegisterTable([Register(n, 1, p, "work") for n, p in
                            [("a", 0), ("b", 1), ("c", 2), ("t", 3)]])
-    g = ir.mcx([Wire("a", 0), Wire("b", 0), Wire("c", 0)], Wire("t", 0))
-    circ = Circuit(table, [g])
-    gadget, tally, fb = lower_multiplexed(g, photon_partition(circ, g))
-    assert fb and tally == lower_general(g)
+    circ = Circuit(table, [ir.mcx([Wire("a", 0), Wire("b", 0), Wire("c", 0)], Wire("t", 0))])
+    lowered = lowered_of(circ)
+    assert lowered.fallback and lowered.tally == lowered_of(circ, lowering.general()).tally
     report = lower_circuit(circ, lowering.multiplexed())
     assert any("3 photons" in n for n in report.notes)
 
@@ -132,29 +157,29 @@ def test_multiplexed_three_photons_falls_back():
 def test_multiplexed_balanced_two_photon_split_falls_back():
     table = RegisterTable([Register("a", 2, 0, "work"), Register("b", 2, 1, "work"),
                            Register("t", 1, 2, "work")])
-    g = ir.mcx([Wire("a", 0), Wire("a", 1), Wire("b", 0), Wire("b", 1)], Wire("t", 0))
-    circ = Circuit(table, [g])
-    _, tally, fb = lower_multiplexed(g, photon_partition(circ, g))
-    assert fb and tally == lower_general(g)
+    circ = Circuit(table, [ir.mcx([Wire("a", 0), Wire("a", 1), Wire("b", 0), Wire("b", 1)], Wire("t", 0))])
+    lowered = lowered_of(circ)
+    assert lowered.fallback and lowered.tally == lowered_of(circ, lowering.general()).tally
 
 
 def test_multiplexed_os_cost_configurable():
-    circ, g = mk_mcx(4)
-    _, tally, _ = lower_multiplexed(g, photon_partition(circ, g), lowering.multiplexed(3))
-    assert tally["OS"] == 12
+    circ, _ = mk_mcx(4)
+    assert lowered_of(circ, lowering.multiplexed(3)).tally["OS"] == 12
 
 
 def test_inner_collapse_variant():
-    table = RegisterTable([
-        Register("B", 3, 1, "data-B"),
-        Register("carry", 3, 2, "carry"),
-        Register("checkif", 1, 2, "check-if"),
-    ])
-    g = ir.mcx([Wire("B", 0), Wire("B", 1), Wire("B", 2), Wire("carry", 2)], Wire("checkif", 0))
-    circ = Circuit(table, [g])
-    gadget, tally, fb = lower_multiplexed(
-        g, photon_partition(circ, g), lowering.multiplexed(collapse_inner_c2x=True))
-    assert not fb and tally.as_dict() == {"C1X": 1, "OS": 8}
+    circ, _ = carry_controlled()
+    lowered = lowered_of(circ, lowering.multiplexed(collapse_inner_c2x=True))
+    assert not lowered.fallback and lowered.tally.as_dict() == {"C1X": 1, "OS": 8}
+    assert (lowered.gadget.collapsed, lowered.gadget.residual) == ((0, 1, 2), (3,))
+
+
+def test_arity_1_gadget_is_kept_on_the_record_but_not_listed():
+    circ, _ = mk_mcx(1)
+    report = lower_circuit(circ, lowering.multiplexed())
+    (lowered,) = report.signatures.values()
+    assert lowered.gadget == lowering.GadgetDescriptor(1, 1, 1, 1, "CX", 2, (0,), ())
+    assert report.gadgets == []
 
 
 # ---------------------------------------------------------------
@@ -234,22 +259,30 @@ def per_gate_reference(c, strategy):
         if g.kind != "MCX":
             tally = ir.CostBreakdown({g.kind: 1})
         else:
-            partition = photon_partition(c, g)
-            photons = "+".join(f"{p}:{len(cs)}" for p, cs in sorted(partition.items()))
+            on = [c.table[ct.wire.reg].photon for ct in g.controls]
+            sizes = Counter(on)
+            photons = "+".join(f"{p}:{n}" for p, n in sorted(sizes.items()))
             if strategy.name == lowering.GENERAL:
-                tally = lower_general(g)
+                tally = _general_tally(g.arity)
             elif strategy.name == lowering.RALPH:
-                tally, dim = lower_ralph(g)
+                tally, dim = _ralph_tally(g.arity)
                 if dim is not None:
                     ancillas.append((i, dim))
                     if lowering.RALPH_NOTE not in notes:
                         notes.append(lowering.RALPH_NOTE)
             else:
-                gadget, tally, fallback = lower_multiplexed(g, partition, strategy)
-                if gadget is not None and g.arity >= 2:
-                    gadgets.append((i, gadget))
-                if len(partition) >= 3:
-                    notes.append(f"gate {i}: controls span {len(partition)} photons; "
+                rule = _collapse(g.arity, sizes, strategy)
+                if rule is None:
+                    tally, fallback = _general_tally(g.arity), True
+                else:
+                    routed_photon, routed, inner, tally = rule
+                    if g.arity >= 2:
+                        gadgets.append((i, lowering.GadgetDescriptor(
+                            g.arity, routed_photon, routed, routed, inner, tally["OS"],
+                            tuple(k for k, p in enumerate(on) if p == routed_photon),
+                            tuple(k for k, p in enumerate(on) if p != routed_photon))))
+                if len(sizes) >= 3:
+                    notes.append(f"gate {i}: controls span {len(sizes)} photons; "
                                  "fell back to the general tally")
         rows.append([i, g.kind, g.arity, photons, strategy.name, tally["C1X"], tally["H"],
                      tally["T"], tally["Tdag"], tally["OS"], int(fallback)])
@@ -435,11 +468,11 @@ def _gadget_truth_table(gate, gadget):
     table = {}
     for bits in range(1 << (arity + 1)):
         assignment = {ct.wire: (bits >> i) & 1 for i, ct in enumerate(controls)}
-        target_in = (bits >> arity) & 1
-        def satisfied(ct):
+        def satisfied(position):
+            ct = controls[position]
             return assignment[ct.wire] == (1 if ct.pol == ir.POSITIVE else 0)
-        fire = all(satisfied(ct) for ct in gadget.collapsed) and \
-            all(satisfied(ct) for ct in gadget.residual)
+        fire = all(satisfied(k) for k in gadget.collapsed) and \
+            all(satisfied(k) for k in gadget.residual)
         table[bits] = bits ^ (fire << arity)
     return table
 
@@ -459,25 +492,18 @@ def _mcx_truth_table(gate):
 def test_gadget_soundness_single_photon(arity):
     pols = [ir.ZERO if i % 2 else ir.POSITIVE for i in range(arity)]
     circ, g = mk_mcx(arity, pols)
-    gadget, _, fb = lower_multiplexed(g, photon_partition(circ, g))
-    assert not fb
-    assert _gadget_truth_table(g, gadget) == _mcx_truth_table(g)
+    lowered = lowered_of(circ)
+    assert not lowered.fallback
+    assert _gadget_truth_table(g, lowered.gadget) == _mcx_truth_table(g)
 
 
 @pytest.mark.parametrize("arity", [3, 4, 5, 6])
 def test_gadget_soundness_carry_controlled(arity):
-    table = RegisterTable([
-        Register("B", arity - 1, 1, "data-B"),
-        Register("carry", 1, 2, "carry"),
-        Register("checkif", 1, 2, "check-if"),
-    ])
-    g = ir.mcx([Wire("B", i) for i in range(arity - 1)] + [Wire("carry", 0)],
-               Wire("checkif", 0))
-    circ = Circuit(table, [g])
-    gadget, tally, fb = lower_multiplexed(g, photon_partition(circ, g))
-    assert not fb and gadget.inner == "C2X"
-    assert tally.restrict(["C1X", "H", "T", "Tdag"]) == ir.CostBreakdown(TOFFOLI_TALLY)
-    assert _gadget_truth_table(g, gadget) == _mcx_truth_table(g)
+    circ, g = carry_controlled(arity, carry_width=1)
+    lowered = lowered_of(circ)
+    assert not lowered.fallback and lowered.gadget.inner == "C2X"
+    assert lowered.tally.restrict(["C1X", "H", "T", "Tdag"]) == ir.CostBreakdown(TOFFOLI_TALLY)
+    assert _gadget_truth_table(g, lowered.gadget) == _mcx_truth_table(g)
 
 
 # ---------------------------------------------------------------

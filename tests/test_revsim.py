@@ -336,15 +336,18 @@ def test_compile_permutation_matches_per_wire_resolve():
 @pytest.mark.parametrize("wire", [Wire("q", 3), Wire("r", 0)], ids=["index-out-of-range", "unknown-register"])
 @pytest.mark.parametrize("role", ["control", "target"])
 def test_compile_permutation_reports_an_unresolvable_wire_as_resolve_does(wire, role):
+    """No circuit that compile_permutation can be given holds a wire outside
+    its table: building one raises resolve's own error, for an MCX record and
+    for an X, which compile_permutation encodes through record_of."""
     table = single_reg(3)
-    em = ir.Emitter()  # unchecked against the table, so the gate may name a wire outside it
-    control, target = (wire, Wire("q", 0)) if role == "control" else (Wire("q", 0), wire)
-    em.add(ir.cx(control, target))
-    c = em.circuit(table, ir.Meta())
     with pytest.raises(ResolutionError) as direct:
         table.resolve(wire)
-    with pytest.raises(ResolutionError, match=f"^{re.escape(str(direct.value))}$"):
-        revsim.compile_permutation(c)
+    exact = f"^{re.escape(str(direct.value))}$"
+    control, target = (wire, Wire("q", 0)) if role == "control" else (Wire("q", 0), wire)
+    with pytest.raises(ResolutionError, match=exact):
+        Circuit(table, [ir.cx(control, target)])
+    with pytest.raises(ResolutionError, match=exact):
+        Circuit(table, [ir.x(wire)])
 
 
 def shift_and_xor_product(a, b, poly):

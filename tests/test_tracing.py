@@ -6,10 +6,10 @@ the tracer records.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from qrsmux import lowering
-from qrsmux.circuit import photon_partition
 from qrsmux.sumsynth import synth_sum
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -45,11 +45,12 @@ def test_tracer_lowering_counts_equal_gate_by_gate_counts():
         want["lowering.report_rows.rows"] += len(c)
         if name != lowering.MULTIPLEXED:
             continue
-        for g in c.gates:
+        for g in c.gates:  # the multiplexed rule applied gate by gate
             if g.kind == "MCX":
-                gadget, _, fell_back = lowering.lower_multiplexed(g, photon_partition(c, g))
-                want["lowering.lower_circuit.fallback_gates"] += fell_back
-                want["lowering.lower_circuit.gadgets"] += gadget is not None and g.arity >= 2
+                sizes = Counter(c.table[ct.wire.reg].photon for ct in g.controls)
+                rule = lowering._collapse(g.arity, sizes, lowering.multiplexed())
+                want["lowering.lower_circuit.fallback_gates"] += rule is None
+                want["lowering.lower_circuit.gadgets"] += rule is not None and g.arity >= 2
     assert all(want.values())
 
     tracing = load_tracing()
