@@ -173,7 +173,7 @@ def sweep(d_min: int, d_max: int, strategies=STRATEGY_NAMES,
         # refused for its size, which is past k_max.
         sumsynth.plan(d_max)
     top = next((p for p in range(d_max, lo - 1, -1) if is_prime(p)), None)
-    if top is not None and sumsynth.compute_k(top) > sumsynth.DEFAULT_K_MAX:
+    if top is not None and sumsynth.compute_k(top) > sumsynth.K_MAX:
         # The largest prime needs the most qubits: raise on it before sieving
         # or any work.  An accepted prime is planned by its own row alone.
         sumsynth.plan(top)

@@ -18,9 +18,9 @@ stores a ``Gate`` for an MCX but its record ``(controls, target)``, plain
 ints, the control offsets in gate order with a zero-polarity control written
 as ``~offset``, which the garbage collector need not walk.  The synthesizers
 (``sumsynth.synth_sum``/``synth_rca``/``synth_mod``,
-``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``) emit through
-``Emitter`` offsets from their own register table, and get back a circuit
-whose signature histogram is already filled.  ``parse`` reads the document
+``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``) emit offsets through
+``Emitter(table)``, which keys each record's signature from the table, so
+their circuits come with their histograms.  ``parse`` reads the document
 ``serialize`` writes, ``"format": 2``, whose MCX records are lists
 ``[controls, target]``, and takes each as a record once its offsets are ints
 in the table and no wire repeats.  Every other entry, and every entry of an
@@ -383,9 +383,15 @@ class Circuit:
 
     def signature_histogram(self) -> dict[tuple, tuple[int, ...]]:
         """signature(g) -> indices of its gates, in order of first use; built
-        from the records on first read and kept."""
+        on first read, by replaying the records through an Emitter, and kept."""
         if self._histogram is None:
-            _set(self, "_histogram", _walk_histogram(self.table, self.records))
+            em = Emitter(self.table)
+            for r in self.records:
+                if type(r) is tuple:
+                    em.mcx(*r)
+                else:
+                    em.add(r)
+            _set(self, "_histogram", em.circuit(self.meta)._histogram)
         return self._histogram
 
     def count(self) -> CostBreakdown:
@@ -465,63 +471,61 @@ def _records_of(table: RegisterTable, gates: tuple[Gate, ...]) -> tuple:
     return tuple(records)
 
 
-def _walk_histogram(table: RegisterTable, records: tuple) -> dict[tuple, tuple[int, ...]]:
-    """The signature histogram of a circuit's records."""
-    names = _Names(table)
-    groups: dict[tuple, list[int]] = {}
-    for i, r in enumerate(records):
-        key = ("MCX", tuple(map(names.__getitem__, r[0])), names[r[1]]) if type(r) is tuple else signature(r)
-        groups.setdefault(key, []).append(i)
-    return {key: tuple(indices) for key, indices in groups.items()}
-
-
 class Emitter:
-    """Builds a circuit from MCX records whose validity the caller vouches for.
+    """Builds a circuit on a table from records the caller vouches for.
 
     ``mcx`` and ``extend`` append ``(controls, target)`` records of offsets,
     past the checks of ``Gate(...)`` and ``Circuit(...)``: they are for
-    synthesizers whose offsets lie inside their own register table by
-    construction; parse checks the records it reads and does not use it.
-    Each record's index is recorded under its signature as it is emitted, so
-    the circuit gets its signature histogram without a walk.
+    synthesizers whose offsets lie inside the table by construction; parse
+    checks the records it reads and does not use it.  The table is the only
+    source of a record's signature: each record's index is kept under
+    ("MCX", the registers of its controls, the register of its target) as it
+    is emitted, so the circuit gets its signature histogram without a walk.
     """
 
-    __slots__ = ("records", "_groups")
+    __slots__ = ("table", "records", "_groups", "_names")
 
-    def __init__(self):
+    def __init__(self, table: RegisterTable):
+        self.table = table
         self.records: list = []
-        self._groups: dict[tuple, list[int]] = {}  # signature -> indices of its gates
+        self._groups: dict[tuple, list[int]] = {}  # signature -> indices of its gates, in order of first use
+        self._names = _Names(table)
 
-    def indices(self, sig: tuple) -> list[int]:
-        """The index list of signature sig, (kind, control registers, target
-        register); mcx and extend record into it."""
-        return self._groups.setdefault(sig, [])
+    def mcx(self, controls: tuple[int, ...], target: int) -> None:
+        """Emit MCX(controls -> target) unchecked."""
+        self.extend([(controls, target)])
 
-    def mcx(self, indices: list[int], controls: tuple[int, ...], target: int) -> None:
-        """Emit MCX(controls -> target) unchecked; indices is its signature's list."""
-        indices.append(len(self.records))
-        self.records.append((controls, target))
-
-    def extend(self, indices: list[int], records: list[tuple[tuple[int, ...], int]]) -> None:
-        """Emit each (controls, target) record unchecked, in order, all of the
-        signature whose list is indices.  No records emit nothing."""
-        start = len(self.records)
-        self.records += records
-        indices += range(start, len(self.records))
+    def extend(self, records: list[tuple[tuple[int, ...], int]]) -> None:
+        """Emit each (controls, target) record unchecked, in order, keyed under
+        the first's signature, which the caller vouches they share."""
+        if records:
+            names, (controls, target) = self._names, records[0]
+            key = "MCX", tuple([names[o] for o in controls]), names[target]
+            self._groups.setdefault(key, []).extend(range(len(self.records), len(self.records) + len(records)))
+            self.records += records
 
     def add(self, g: Gate) -> None:
         """Emit a gate that was already checked and is not a record, e.g. a
         DFT taken from another circuit; it stays a Gate among the records.
         An MCX record goes through mcx."""
-        self.indices(signature(g)).append(len(self.records))
+        self._groups.setdefault(signature(g), []).append(len(self.records))
         self.records.append(g)
 
-    def circuit(self, table: RegisterTable, meta: Meta) -> Circuit:
+    def include(self, c: Circuit) -> None:
+        """Emit c's records, keyed by c's histogram shifted past the records
+        before them; c's table must be a prefix of the emitter's."""
+        if c.table.registers != self.table.registers[:len(c.table.registers)]:
+            raise ValueError("the circuit's register table is not a prefix of the emitter's")
+        start = len(self.records)
+        self.records += c.records
+        for sig, indices in c.signature_histogram().items():
+            self._groups.setdefault(sig, []).extend(map(start.__add__, indices))
+
+    def circuit(self, meta: Meta) -> Circuit:
         """A copy of the emitted records as a circuit, unchecked, with their
-        histogram keyed in order of first use as signature_histogram() would
-        build it; records emitted later do not reach it."""
-        used = sorted((kv for kv in self._groups.items() if kv[1]), key=lambda kv: kv[1][0])
-        return _circuit(table, meta, tuple(self.records), {sig: tuple(indices) for sig, indices in used})
+        histogram in order of first use; later records do not reach it."""
+        return _circuit(self.table, meta, tuple(self.records),
+                        {sig: tuple(indices) for sig, indices in self._groups.items()})
 
 
 # ----------------------------------------------------------------------

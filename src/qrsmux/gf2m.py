@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import galois
-from .circuit import Circuit, Emitter, Meta, Register, RegisterTable, cmuladd, dft, signature
+from .circuit import Circuit, Emitter, Meta, Register, RegisterTable, cmuladd, dft
 from .errors import UnsupportedConfigurationError
 from .galois import FieldSpec, mul_by_alpha_matrix
 from .revsim import pair_slices, simulate_slices
@@ -182,9 +182,9 @@ def synth_cmuladd(f: FieldSpec, n: int) -> Circuit:
     ])
     a = [(table.offset("a") + p,) for p in range(m)]
     b = [table.offset("b") + j for j in range(m)]
-    em = Emitter()
-    em.extend(em.indices(("MCX", ("a",), "b")), [(a[p], b[j]) for p, j in _cmuladd_cx_pairs(f, n)])
-    return em.circuit(table, Meta(d=f.order, note=f"b <- alpha^{n} * a + b over GF({f.order})"))
+    em = Emitter(table)
+    em.extend([(a[p], b[j]) for p, j in _cmuladd_cx_pairs(f, n)])
+    return em.circuit(Meta(d=f.order, note=f"b <- alpha^{n} * a + b over GF({f.order})"))
 
 
 def find_cmuladd_counterexample(c: Circuit, f: FieldSpec, n: int) -> tuple[int, int] | None:
@@ -280,30 +280,30 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
     registers and drops DFT gates; returns the expanded circuit and the
     number of DFT gates dropped.
     """
-    em = Emitter()
+    em = Emitter(c.table)
     n_dft = 0
     pairs_cache: dict[tuple[int | None, int, int], list[tuple[int, int]]] = {}
     # register -> the 1-tuple control offset, and the target offset, of each of its qubits
     table = c.table
     targets = {r.name: list(range(table.offset(r.name), table.offset(r.name) + r.width)) for r in table.registers}
     controls = {name: [(o,) for o in offsets] for name, offsets in targets.items()}
-    for g, r in zip(c.gates, c.records):
-        if g.kind == "DFT":
+    for r in c.records:
+        if type(r) is tuple:  # an MCX record passes through as a record
+            em.mcx(*r)
+        elif r.kind == "DFT":
             n_dft += 1
-        elif g.kind == "CMulAdd":
-            src, dst = g.controls[0].wire.reg, g.targets[0].reg
+        elif r.kind == "CMulAdd":
+            src, dst = r.controls[0].wire.reg, r.targets[0].reg
             m = c.table[dst].width
-            key = (g.poly, m, g.n)
+            key = (r.poly, m, r.n)
             pairs = pairs_cache.get(key)
             if pairs is None:
-                pairs = pairs_cache[key] = _cmuladd_cx_pairs(FieldSpec.binary_extension(m, g.poly), g.n)
+                pairs = pairs_cache[key] = _cmuladd_cx_pairs(FieldSpec.binary_extension(m, r.poly), r.n)
             src_controls, dst_targets = controls[src], targets[dst]
-            em.extend(em.indices(("MCX", (src,), dst)), [(src_controls[p], dst_targets[j]) for p, j in pairs])
-        elif type(r) is tuple:  # an MCX record passes through as a record
-            em.mcx(em.indices(signature(g)), *r)
+            em.extend([(src_controls[p], dst_targets[j]) for p, j in pairs])
         else:
-            em.add(g)
-    return em.circuit(c.table, c.meta), n_dft
+            em.add(r)
+    return em.circuit(c.meta), n_dft
 
 
 def encoder_classical_cx_cost(spec: RSCodeSpec) -> int:

@@ -23,17 +23,21 @@ Layout choices that pin the exact gate tally:
   per-gate cost model assumes.
 
 Gates are emitted as ``circuit.Emitter`` records of register offsets, which
-each synthesis takes once from its register table.  The modulo conversion is
-emitted from half tables built once per synthesis.  The low bits 0..h-1 of B
-(h = k // 2) and the high bits h..k-1 each get a table, indexed by their
-part of a k-bit value v, of the flag control offsets that read that part of
-v and of the B bit indices that its set bits select.  The controls of
-pattern v are then ``low[v & (2^h - 1)] + high[v >> h]``, one concatenation
-of two tables of at most 2^ceil(k/2) entries, and the bits of a correction
-mask come from its two half tables the same way.  The correction records
-from the check-if qubits alone are shared: every circuit of width k takes them
-from ``_correction_rows``, cached on its layout.  Its 2^k * k records per width
-are 1.8 to 6.0 times one circuit's, 0.8 MB at k = 10 and 1.4 MB for k = 2..10.
+each synthesis takes once from its register table, and the emitter keys each
+record's signature from that table.  ``synth_rca`` is cached, so the adder is
+built once per width, and ``synth_sum`` starts from it by ``Emitter.include``.
+
+The modulo conversion is emitted from half tables built once per synthesis.
+The low bits 0..h-1 of B (h = k // 2) and the high bits h..k-1 each get a
+table, indexed by their part of a k-bit value v, of the flag control offsets
+that read that part of v and of the B bit indices that its set bits select.
+The controls of pattern v are then ``low[v & (2^h - 1)] + high[v >> h]``,
+one concatenation of two tables of at most 2^ceil(k/2) entries, and the bits
+of a correction mask come from its two half tables the same way.  The
+correction records from the check-if qubits alone are shared like the adder:
+every circuit of width k takes them from ``_correction_rows``, cached on its
+layout.  Its 2^k * k records per width are 1.8 to 6.0 times one circuit's,
+0.8 MB at k = 10 and 1.4 MB for k = 2..10.
 
 ``_emit_mod`` emits each of its four signatures from its own range of the
 outcomes i in [d, 2(d-1)], in gate order: the flags of arity k over
@@ -55,10 +59,10 @@ from functools import cache, cached_property
 from typing import NamedTuple
 
 from .circuit import CostBreakdown, Circuit, Emitter, Meta, Register, RegisterTable
-from .errors import InvalidDimensionError, UnsupportedConfigurationError
-from .galois import WITNESS_BOUND, is_prime
+from .errors import InvalidDimensionError
+from .galois import is_prime
 
-DEFAULT_K_MAX = 10
+K_MAX = 10  # the widest adder: d <= 2^K_MAX = 1024
 
 CASE_A = "A"   # 2(d-1) <= 2^k: every flagged outcome fits in k bits
 CASE_B = "B"   # 2(d-1) >  2^k: outcomes >= 2^k also control on the top carry
@@ -117,25 +121,20 @@ def compute_k(d: int) -> int:
     return k
 
 
-def _checked_k(d: int, k_max: int) -> int:
-    """compute_k(d), after checking that k fits k_max and then that d is
-    prime, so a d too large to test quickly is refused for its size.  A k_max
-    that admits a d at or past WITNESS_BOUND is refused first."""
-    if k_max >= WITNESS_BOUND.bit_length():  # 2^81 < WITNESS_BOUND < 2^82
-        raise UnsupportedConfigurationError(
-            f"k_max={k_max} is above {WITNESS_BOUND.bit_length() - 1}: "
-            f"a dimension above 2^{WITNESS_BOUND.bit_length() - 1} cannot be proven prime quickly")
+def _checked_k(d: int) -> int:
+    """compute_k(d), after checking that k fits K_MAX and then that d is
+    prime, so a d too large to test quickly is refused for its size."""
     k = compute_k(d)
-    if k > k_max:
-        raise InvalidDimensionError(f"d={d} needs k={k} qubits, above the limit k_max={k_max}")
+    if k > K_MAX:
+        raise InvalidDimensionError(f"d={d} needs k={k} qubits, above the limit k_max={K_MAX}")
     if not is_prime(d):
         raise InvalidDimensionError(f"d={d} is not prime")
     return k
 
 
-def plan(d: int, k_max: int = DEFAULT_K_MAX) -> SumPlan:
+def plan(d: int) -> SumPlan:
     """Register and flag plan for the dimension-d SUM gate."""
-    k = _checked_k(d, k_max)
+    k = _checked_k(d)
     top = 1 << k
     case = CASE_A if 2 * (d - 1) <= top else CASE_B
     # one check-if qubit per outcome in [d, 2(d-1)], except a carry-substituted 2^k
@@ -143,39 +142,12 @@ def plan(d: int, k_max: int = DEFAULT_K_MAX) -> SumPlan:
     return SumPlan(d=d, k=k, case=case, n_checkif=n_checkif, n_aux=k + n_checkif)
 
 
-def _adder_registers(k: int) -> list[Register]:
-    return [
-        Register("A", k, 0, "data-A"),
-        Register("B", k, 1, "data-B"),
-        Register("carry", k, 2, "carry"),
-    ]
-
-
 def sum_registers(p: SumPlan) -> RegisterTable:
-    regs = _adder_registers(p.k)
+    """The registers of synth_rca(p.k), the same objects, then the check-if qubits."""
+    regs = list(synth_rca(p.k).table.registers)
     if p.n_checkif:
         regs.append(Register("checkif", p.n_checkif, 2, "check-if"))
     return RegisterTable(regs)
-
-
-def _emit_rca(em: Emitter, table: RegisterTable, k: int) -> None:
-    """Ripple-carry adder gates: B <- (A+B) mod 2^k, overflow in carry[k-1]."""
-    a = range(table.offset("A"), table.offset("A") + k)
-    b = range(table.offset("B"), table.offset("B") + k)
-    c = range(table.offset("carry"), table.offset("carry") + k)
-    ab_c = em.indices(("MCX", ("A", "B"), "carry"))
-    ac_c = em.indices(("MCX", ("A", "carry"), "carry"))
-    bc_c = em.indices(("MCX", ("B", "carry"), "carry"))
-    a_b = em.indices(("MCX", ("A",), "B"))
-    c_b = em.indices(("MCX", ("carry",), "B"))
-    em.mcx(ab_c, (a[0], b[0]), c[0])
-    em.mcx(a_b, (a[0],), b[0])
-    for i in range(1, k):
-        em.mcx(ab_c, (a[i], b[i]), c[i])
-        em.mcx(ac_c, (a[i], c[i - 1]), c[i])
-        em.mcx(bc_c, (b[i], c[i - 1]), c[i])
-        em.mcx(a_b, (a[i],), b[i])
-        em.mcx(c_b, (c[i - 1],), b[i])
 
 
 def _pick_table(choices: list[tuple[tuple, tuple]]) -> list[tuple]:
@@ -194,10 +166,10 @@ def _correction_rows(first_b: int, first_checkif: int, k: int) -> tuple[tuple[tu
                  for controls in [(first_checkif + q,) for q in range(1 << k)])
 
 
-def _emit_mod(em: Emitter, table: RegisterTable, p: SumPlan) -> None:
+def _emit_mod(em: Emitter, p: SumPlan) -> None:
     """Flag phase then correction phase for the modulo conversion, each
     signature's gates emitted by one comprehension over its own outcome range."""
-    d, k, half = p.d, p.k, p.k // 2
+    table, d, k, half = em.table, p.d, p.k, p.k // 2
     top, last = 1 << k, 2 * (d - 1)
     low_mask = (1 << half) - 1
     b = [table.offset("B") + j for j in range(k)]
@@ -217,45 +189,50 @@ def _emit_mod(em: Emitter, table: RegisterTable, p: SumPlan) -> None:
     bits = [bits_low[m & low_mask] + bits_high[m >> half]
             for m in [(i % top) ^ (i - d) for i in range(d, last + 1)]]  # by i - d
     rows = _correction_rows(b[0], first_checkif, k)[:p.n_checkif]
-    em.extend(em.indices(("MCX", ("B",) * k, "checkif")),
-              [(controls_low[i & low_mask] + controls_high[i >> half], q)
+    em.extend([(controls_low[i & low_mask] + controls_high[i >> half], q)
                for i, q in zip(range(d, min(top, last + 1)), checkif)])
-    em.extend(em.indices(("MCX", ("B",) * k + ("carry",), "checkif")),
-              [(controls_low[v & low_mask] + controls_high[v >> half] + top_carry, q)
+    em.extend([(controls_low[v & low_mask] + controls_high[v >> half] + top_carry, q)
                for v, q in zip(range(last + 1 - top), checkif[top - d:])])
-    em.extend(em.indices(("MCX", ("checkif",), "B")),
-              [row[j] for row, js in zip(rows, bits) for j in js])
-    em.extend(em.indices(("MCX", ("carry",), "B")), [(top_carry, b[j]) for j in bits[-1]] if last == top else [])
+    em.extend([row[j] for row, js in zip(rows, bits) for j in js])
+    em.extend([(top_carry, b[j]) for j in bits[-1]] if last == top else [])
 
 
+@cache
 def synth_rca(k: int) -> Circuit:
-    """Standalone ripple-carry adder circuit over A(k), B(k), carry(k)."""
+    """Ripple-carry adder over A(k), B(k), carry(k): B <- (A+B) mod 2^k,
+    overflow in carry[k-1]; built once per width, as a circuit never changes."""
     if k < 1:
         raise InvalidDimensionError(f"k={k} must be >= 1")
-    table = RegisterTable(_adder_registers(k))
-    em = Emitter()
-    _emit_rca(em, table, k)
-    return em.circuit(table, Meta(note=f"{k}-bit ripple-carry adder"))
+    em = Emitter(RegisterTable([Register("A", k, 0, "data-A"), Register("B", k, 1, "data-B"),
+                                Register("carry", k, 2, "carry")]))
+    a, b, c = (range(em.table.offset(name), em.table.offset(name) + k) for name in ("A", "B", "carry"))
+    em.mcx((a[0], b[0]), c[0])
+    em.mcx((a[0],), b[0])
+    for i in range(1, k):
+        em.mcx((a[i], b[i]), c[i])
+        em.mcx((a[i], c[i - 1]), c[i])
+        em.mcx((b[i], c[i - 1]), c[i])
+        em.mcx((a[i],), b[i])
+        em.mcx((c[i - 1],), b[i])
+    return em.circuit(Meta(note=f"{k}-bit ripple-carry adder"))
 
 
 def synth_mod(p: SumPlan) -> Circuit:
     """Standalone modulo-conversion circuit (expects the adder to have run)."""
-    table = sum_registers(p)
-    em = Emitter()
-    _emit_mod(em, table, p)
+    em = Emitter(sum_registers(p))
+    _emit_mod(em, p)
     note = f"modulo conversion for d={p.d} (case {p.case}); {DIRTY_ANCILLA_NOTE}"
-    return em.circuit(table, Meta(d=p.d, note=note))
+    return em.circuit(Meta(d=p.d, note=note))
 
 
-def synth_sum(d: int, k_max: int = DEFAULT_K_MAX) -> Circuit:
-    """Full SUM gate: RCA then modulo conversion on a shared register table."""
-    p = plan(d, k_max)
-    table = sum_registers(p)
-    em = Emitter()
-    _emit_rca(em, table, p.k)
-    _emit_mod(em, table, p)
+def synth_sum(d: int) -> Circuit:
+    """Full SUM gate: the adder of its width, then the modulo conversion."""
+    p = plan(d)
+    em = Emitter(sum_registers(p))
+    em.include(synth_rca(p.k))
+    _emit_mod(em, p)
     note = f"SUM gate, case {p.case}, k={p.k}; {DIRTY_ANCILLA_NOTE}"
-    return em.circuit(table, Meta(d=d, note=note))
+    return em.circuit(Meta(d=d, note=note))
 
 
 def correction_cx_total(d: int, k: int | None = None) -> int:
@@ -270,7 +247,7 @@ def correction_cx_total(d: int, k: int | None = None) -> int:
     return sum(((i % top) ^ (i % d)).bit_count() for i in range(d, 2 * (d - 1) + 1))
 
 
-def predicted_counts(d: int, k_max: int = DEFAULT_K_MAX) -> CostBreakdown:
+def predicted_counts(d: int) -> CostBreakdown:
     """Closed-form gate tally of synth_sum(d), computed without synthesizing.
 
     RCA: 3k-2 Toffolis and 2k-1 CX.  Modulo flags: d-1 gates of arity k
@@ -278,7 +255,7 @@ def predicted_counts(d: int, k_max: int = DEFAULT_K_MAX) -> CostBreakdown:
     fits in k bits, else 2^k - d gates of arity k and 2d - 2^k - 1 gates of
     arity k+1.  Corrections: one CX per set correction-mask bit.
     """
-    k = _checked_k(d, k_max)
+    k = _checked_k(d)
     top = 1 << k
     counts = {"C2X": 3 * k - 2, "C1X": (2 * k - 1) + correction_cx_total(d, k)}
     if 2 * (d - 1) <= top:

@@ -25,6 +25,7 @@ from qrsmux.circuit import parse, serialize
 from qrsmux.galois import FieldSpec
 from qrsmux.revsim import verify_sum
 from qrsmux.sumsynth import plan, predicted_counts, synth_mod, synth_sum
+from test_lowering import _gadget_truth_table, _mcx_truth_table
 
 
 @contextlib.contextmanager
@@ -259,7 +260,7 @@ def test_criterion_10_gadget_soundness():
             g = ir.mcx([Control(Wire("c", i), p) for i, p in enumerate(pols)], Wire("t", 0))
             lowered = lowered_of(Circuit(table, [g]))
             assert not lowered.fallback
-            assert _gadget_tt(g, lowered.gadget) == _mcx_tt(g)
+            assert _gadget_truth_table(g, lowered.gadget) == _mcx_truth_table(g)
         # collapsed carry-controlled gate costs exactly one Toffoli tally
         table = RegisterTable([Register("B", 3, 1, "data-B"), Register("carry", 1, 2, "carry"),
                                Register("checkif", 1, 2, "check-if")])
@@ -268,31 +269,7 @@ def test_criterion_10_gadget_soundness():
         lowered = lowered_of(Circuit(table, [g]))
         assert not lowered.fallback and lowered.gadget.inner == "C2X"
         assert lowered.tally.restrict(["C1X", "H", "T", "Tdag"]) == CostBreakdown(lowering.TOFFOLI_TALLY)
-        assert _gadget_tt(g, lowered.gadget) == _mcx_tt(g)
-
-
-def _mcx_tt(gate):
-    arity = gate.arity
-    out = {}
-    for bits in range(1 << (arity + 1)):
-        fire = all(((bits >> i) & 1) == (1 if ct.pol == ir.POSITIVE else 0)
-                   for i, ct in enumerate(gate.controls))
-        out[bits] = bits ^ (fire << arity)
-    return out
-
-
-def _gadget_tt(gate, gadget):
-    """The gadget's truth table, its control positions read as gate.controls."""
-    controls = list(gate.controls)
-    arity = len(controls)
-    out = {}
-    for bits in range(1 << (arity + 1)):
-        value = {ct.wire: (bits >> i) & 1 for i, ct in enumerate(controls)}
-        def ok(k):
-            return value[controls[k].wire] == (1 if controls[k].pol == ir.POSITIVE else 0)
-        fire = all(ok(k) for k in gadget.collapsed) and all(ok(k) for k in gadget.residual)
-        out[bits] = bits ^ (fire << arity)
-    return out
+        assert _gadget_truth_table(g, lowered.gadget) == _mcx_truth_table(g)
 
 
 def test_criterion_11_round_trip_1000_circuits():

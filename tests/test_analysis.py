@@ -128,13 +128,13 @@ def test_consistency_gate_aborts_on_mismatch(monkeypatch):
     from qrsmux.errors import SweepConsistencyError
 
     monkeypatch.setattr(sumsynth, "predicted_counts",
-                        lambda d, k_max=10: CostBreakdown({"C1X": 1}))
+                        lambda d: CostBreakdown({"C1X": 1}))
     with pytest.raises(SweepConsistencyError, match="d=5"):
         sweep_row(5)
 
 
 def test_sweep_checks_k_max_before_synthesizing(monkeypatch):
-    def fail(d, k_max=sumsynth.DEFAULT_K_MAX):
+    def fail(d):
         raise AssertionError(f"synth_sum({d}) ran before the k_max check")
 
     monkeypatch.setattr(sumsynth, "synth_sum", fail)

@@ -117,12 +117,12 @@ def test_prebuilt_histogram_equals_computed(family):
 def test_extend_emits_a_gate_per_record_and_none_without_records():
     table = RegisterTable([Register("q", 4, 0, "work"), Register("r", 2, 1, "work")])
     q1 = (Control(Wire("q", 1)),)
-    em = Emitter()  # q holds offsets 0..3 and r offsets 4 and 5
-    em.extend(em.indices(("MCX", ("r",), "q")), [])
-    em.extend(em.indices(("MCX", ("q",), "r")), [((1,), 4), ((1,), 5)])
-    em.extend(em.indices(("MCX", ("q",), "q")), [])
-    em.mcx(em.indices(("MCX", ("q",), "q")), (1,), 0)
-    c = em.circuit(table, Meta())
+    em = Emitter(table)  # q holds offsets 0..3 and r offsets 4 and 5
+    em.extend([])
+    em.extend([((1,), 4), ((1,), 5)])
+    em.extend([])
+    em.mcx((1,), 0)
+    c = em.circuit(Meta())
     assert c.gates == (Gate("MCX", q1, (Wire("r", 0),)), Gate("MCX", q1, (Wire("r", 1),)),
                        Gate("MCX", q1, (Wire("q", 0),)))
     assert list(c.signature_histogram().items()) == [
@@ -132,12 +132,41 @@ def test_extend_emits_a_gate_per_record_and_none_without_records():
 
 def test_emitting_after_circuit_leaves_the_circuit_unchanged():
     table = RegisterTable([Register("q", 3, 0, "work")])
-    em = Emitter()
-    em.mcx(em.indices(("MCX", ("q",), "q")), (0,), 1)
-    c = em.circuit(table, Meta())
-    em.mcx(em.indices(("MCX", ("q",), "q")), (1,), 2)
+    em = Emitter(table)
+    em.mcx((0,), 1)
+    c = em.circuit(Meta())
+    em.mcx((1,), 2)
     assert (len(c), c.records, c.count().as_dict()) == (1, (((0,), 1),), {"C1X": 1})
-    assert len(em.circuit(table, Meta())) == 2
+    assert len(em.circuit(Meta())) == 2
+
+
+def test_include_appends_a_circuit_and_its_histogram_shifted():
+    table = RegisterTable([Register("q", 4, 0, "work"), Register("r", 2, 1, "work")])
+    part = Circuit(RegisterTable(table.registers[:1]), [ir.cx(Wire("q", 0), Wire("q", 1)), ir.x(Wire("q", 2))])
+    em = Emitter(table)
+    em.mcx((4,), 0)
+    em.include(part)
+    em.mcx((1,), 3)
+    c = em.circuit(Meta())
+    assert c.records == (((4,), 0), ((0,), 1), part.records[1], ((1,), 3))
+    assert list(c.signature_histogram().items()) == [
+        (("MCX", ("r",), "q"), (0,)), (("MCX", ("q",), "q"), (1, 3)), (("X", (), "q"), (2,))]
+    assert list(c.signature_histogram().items()) == walked_histogram(c.gates)
+
+
+@pytest.mark.parametrize("registers", [
+    [Register("r", 2, 1, "work")],
+    [Register("q", 4, 0, "work"), Register("s", 2, 1, "work")],
+    [Register("q", 4, 1, "work")],
+    [Register("q", 4, 0, "work"), Register("r", 2, 1, "work"), Register("s", 1, 2, "work")],
+], ids=["other-register", "other-second-register", "other-photon", "longer-table"])
+def test_include_refuses_a_circuit_whose_table_is_not_a_prefix(registers):
+    em = Emitter(RegisterTable([Register("q", 4, 0, "work"), Register("r", 2, 1, "work")]))
+    em.mcx((4,), 0)
+    first = registers[0].name
+    with pytest.raises(ValueError, match="not a prefix"):
+        em.include(Circuit(RegisterTable(registers), [ir.cx(Wire(first, 0), Wire(first, 1))]))
+    assert em.records == [((4,), 0)]
 
 
 def test_checked_circuit_stores_the_records_of_the_emitted_one():

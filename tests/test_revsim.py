@@ -318,9 +318,9 @@ def test_compile_permutation_matches_per_wire_resolve():
         circuits.append(expand_cmuladds(synth_encoder_gf2m(build_code(m, 1 << (m - 1))))[0])
     built = Circuit(single_reg(3), [ir.x(Wire("q", 2)),
                                     ir.mcx([Control(Wire("q", 0), ir.ZERO), Wire("q", 2)], Wire("q", 1))])
-    em = ir.Emitter()  # the same MCX as an emitted record
-    em.mcx(em.indices(("MCX", ("q", "q"), "q")), (~0, 2), 1)
-    emitted = em.circuit(single_reg(3), ir.Meta())
+    em = ir.Emitter(single_reg(3))  # the same MCX as an emitted record
+    em.mcx((~0, 2), 1)
+    emitted = em.circuit(ir.Meta())
     circuits += [built, emitted]
     for c in circuits:
         assert revsim.compile_permutation(c) == reference_compile(c)

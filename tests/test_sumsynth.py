@@ -1,12 +1,12 @@
 import itertools
-import time
+import operator
 
 import pytest
 
 from qrsmux import analysis, sumsynth
 from qrsmux.analysis import primes_in
 from qrsmux.circuit import POSITIVE, ZERO, Circuit, Control, Gate, Wire, cx, toffoli
-from qrsmux.errors import InvalidDimensionError, UnsupportedConfigurationError
+from qrsmux.errors import InvalidDimensionError
 from qrsmux.revsim import truth_table
 from qrsmux.sumsynth import (
     correction_cx_total, plan, predicted_counts, sum_registers, synth_mod, synth_rca, synth_sum,
@@ -67,27 +67,7 @@ def test_plan_validation():
     with pytest.raises(InvalidDimensionError):
         plan(9)
     with pytest.raises(InvalidDimensionError):
-        plan(2053)  # k = 12 > default k_max
-    plan(2053, k_max=12)
-
-
-@pytest.mark.parametrize("call", [plan, synth_sum, predicted_counts])
-def test_k_max_past_fast_primality_is_refused_before_any_work(call, monkeypatch):
-    """2^81 < WITNESS_BOUND < 2^82: a k_max above 81 admits a d that is_prime
-    can only trial-divide, such as 10**25 + 13 (k = 84)."""
-    def fail(*args):
-        raise AssertionError("k_max was checked after the dimension")
-
-    monkeypatch.setattr(sumsynth, "compute_k", fail)
-    monkeypatch.setattr(sumsynth, "is_prime", fail)
-    start = time.perf_counter()
-    with pytest.raises(UnsupportedConfigurationError, match=r"^k_max=90 is above 81: "):
-        call(10**25 + 13, k_max=90)
-    assert time.perf_counter() - start < 1
-    with pytest.raises(UnsupportedConfigurationError, match=r"^k_max=82 is above 81: "):
-        call(13, k_max=82)
-    monkeypatch.undo()
-    assert call(13, k_max=81) == call(13)
+        plan(2053)  # k = 12 > K_MAX
 
 
 def test_plan_invariants_all_primes():
@@ -112,6 +92,19 @@ def test_rca_tally_formula():
     assert synth_rca(1).count().as_dict() == {"C2X": 1, "C1X": 1}
     for k in range(1, 8):
         assert synth_rca(k).count() == predicted_counts_rca(k)
+
+
+def test_the_adder_is_built_once_per_width():
+    for k in range(1, 11):
+        assert synth_rca(k) is synth_rca(k), k
+
+
+def test_every_sum_circuit_starts_with_the_shared_adder_of_its_width():
+    """The adder's records are taken in, the same objects, not emitted again."""
+    for d in primes_in(2, 1021):
+        k = plan(d).k
+        head, adder = synth_sum(d).records[:5 * k - 3], synth_rca(k).records
+        assert head == adder and all(map(operator.is_, head, adder)), d
 
 
 def predicted_counts_rca(k):
