@@ -135,12 +135,11 @@ def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: Convention | None =
         raise SweepConsistencyError(
             f"d={d}: synthesized tally {counted.as_dict()} != predicted {predicted.as_dict()}")
 
-    widths = circuit.table.widths
     checkif = {reg.name for reg in circuit.table.registers if reg.role == "check-if"}
-    n_checkif = sum(widths[name] for name in checkif)
+    n_checkif = sum(circuit.table[name].width for name in checkif)
     row = SweepRow(
-        d=d, k=widths["A"], n_sum_gates=sum_gate_count(d),
-        n_checkif=n_checkif, n_aux=widths["carry"] + n_checkif, convention=conv.id,
+        d=d, k=circuit.table["A"].width, n_sum_gates=sum_gate_count(d),
+        n_checkif=n_checkif, n_aux=circuit.table["carry"].width + n_checkif, convention=conv.id,
     )
     for name in strategies:
         report = lowering.lower_circuit(circuit, conv.strategy(name))

@@ -19,17 +19,17 @@ ints, the control offsets in gate order with a zero-polarity control written
 as ``~offset``, which the garbage collector need not walk.  The synthesizers
 (``sumsynth.synth_sum``/``synth_rca``/``synth_mod``,
 ``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``) emit offsets through
-``Emitter(table)``, which keys each record's signature from the table, so
-their circuits come with their histograms.  ``parse`` reads the document
+``Emitter(table)``, which keys each record's signature from the table, as
+``Circuit(...)`` does with each gate it checks.  ``parse`` reads the document
 ``serialize`` writes, ``"format": 2``, whose MCX records are lists
 ``[controls, target]``, and takes each as a record once its offsets are ints
 in the table and no wire repeats.  Every other entry, and every entry of an
 older document without ``"format"``, goes through ``Gate(...)`` and the
 checks of ``Circuit(...)``.
 
-A circuit stores one form, its records, as a tuple no caller can change.
-``Circuit(table, gates)`` builds it once from the gates it checks, and
-``Circuit.gates`` is a tuple view built from it on first read; all else, the
+A circuit stores its records, a tuple no caller can change, and their
+signature histogram: every constructor hands over both.  ``Circuit.gates``
+is a tuple view built from the records on first read; all else, the
 simulator included, reads the records and builds no ``Gate``.  A wire is
 checked in one place, ``RegisterTable.resolve``, and an X or MCX ``Gate``
 becomes a record in one place, ``record_of``.  Tests rebuild every emitted or
@@ -89,13 +89,11 @@ class RegisterTable:
         self._by_name: dict[str, Register] = {}
         offset = 0
         self._offsets: dict[str, int] = {}
-        self.widths: dict[str, int] = {}  # name -> width
         for r in self.registers:
             if r.name in self._by_name:
                 raise ValueError(f"duplicate register name {r.name!r}")
             self._by_name[r.name] = r
             self._offsets[r.name] = offset
-            self.widths[r.name] = r.width
             offset += r.width
         self.total_width = offset
 
@@ -336,13 +334,13 @@ class Meta:
 
 
 # Bare construction and attribute setting, past __init__ and Circuit's
-# immutability guard: for _circuit and the gates view Circuit builds on first read.
+# immutability guard: for _circuit, Circuit(...) and the gates view built on first read.
 _new, _set = object.__new__, object.__setattr__
 
 
 class Circuit:
-    """Gates on a register table.  The constructor copies gates and checks
-    each against the table; the circuit never changes afterwards.
+    """Gates on a register table.  The constructor checks each gate against
+    the table and emits it through ``Emitter(table)``; the circuit never changes.
 
     ``records`` holds one entry per gate: an MCX without d, n or poly as its
     ``(controls, target)`` record (see the module docstring), any other gate
@@ -352,10 +350,16 @@ class Circuit:
     __slots__ = ("table", "meta", "records", "_gates", "_histogram")
 
     def __init__(self, table: RegisterTable, gates: Iterable[Gate] = (), meta: Meta = Meta()):
-        gates = tuple(gates)
-        for name, value in (("table", table), ("meta", meta), ("records", _records_of(table, gates)),
-                            ("_gates", gates), ("_histogram", None)):
-            _set(self, name, value)
+        em = Emitter(table)
+        for g in gates:
+            record = _checked_record(table, g)
+            if type(record) is tuple:
+                em.mcx(*record)
+            else:
+                em.add(record)
+        built = em.circuit(meta)
+        for name in self.__slots__:
+            _set(self, name, getattr(built, name))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -382,16 +386,8 @@ class Circuit:
         return self._gates
 
     def signature_histogram(self) -> dict[tuple, tuple[int, ...]]:
-        """signature(g) -> indices of its gates, in order of first use; built
-        on first read, by replaying the records through an Emitter, and kept."""
-        if self._histogram is None:
-            em = Emitter(self.table)
-            for r in self.records:
-                if type(r) is tuple:
-                    em.mcx(*r)
-                else:
-                    em.add(r)
-            _set(self, "_histogram", em.circuit(self.meta)._histogram)
+        """signature(g) -> indices of its gates, in order of first use; every
+        constructor hands it over with the records."""
         return self._histogram
 
     def count(self) -> CostBreakdown:
@@ -402,19 +398,24 @@ class Circuit:
         return CostBreakdown(tally)
 
     def without_gate(self, index: int) -> "Circuit":
-        """Copy of the circuit with one gate removed (mutation testing)."""
+        """Copy of the circuit with one gate removed (mutation testing); its
+        histogram is this one's less that index, later indices one lower."""
         records = self.records
         if not 0 <= index < len(records):
             raise IndexError(f"gate index {index} out of range (circuit has {len(records)} gates)")
-        return _circuit(self.table, self.meta, records[:index] + records[index + 1:], None)
+        shifted = [(sig, tuple([j - (j > index) for j in indices if j != index]))
+                   for sig, indices in self._histogram.items()]
+        # a signature whose first gate was the removed one may now come later in use order
+        histogram = dict(sorted([kv for kv in shifted if kv[1]], key=lambda kv: kv[1][0]))
+        return _circuit(self.table, self.meta, records[:index] + records[index + 1:], histogram)
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-def _circuit(table: RegisterTable, meta: Meta, records: tuple, histogram) -> Circuit:
+def _circuit(table: RegisterTable, meta: Meta, records: tuple, histogram: dict) -> Circuit:
     """A circuit of records from a checked plan, table or circuit, or checked by
-    parse, without the checks of Circuit(...); a None histogram is built on first read."""
+    parse, and their histogram, without the checks of Circuit(...)."""
     c = _new(Circuit)
     for name, value in (("table", table), ("meta", meta), ("records", records), ("_gates", None),
                         ("_histogram", histogram)):
@@ -457,18 +458,13 @@ def record_of(table: RegisterTable, g: Gate) -> tuple[tuple[int, ...], int]:
             resolve(g.targets[0]))
 
 
-def _records_of(table: RegisterTable, gates: tuple[Gate, ...]) -> tuple:
-    """The records of gates, each checked against the table in order: an MCX
-    without d, n or poly as its record, whose wires record_of resolves, any
-    other gate as itself once _check_in_table passes it."""
-    records = []
-    for g in gates:
-        if g.kind == "MCX" and g.d is None and g.n is None and g.poly is None:
-            records.append(record_of(table, g))
-        else:
-            _check_in_table(g, table)
-            records.append(g)
-    return tuple(records)
+def _checked_record(table: RegisterTable, g: Gate) -> tuple | Gate:
+    """g checked against the table: an MCX without d, n or poly as its record,
+    whose wires record_of resolves, any other gate as itself once _check_in_table passes it."""
+    if g.kind == "MCX" and g.d is None and g.n is None and g.poly is None:
+        return record_of(table, g)
+    _check_in_table(g, table)
+    return g
 
 
 class Emitter:
@@ -712,7 +708,7 @@ def _named_entry(gd, i: int, table: RegisterTable) -> tuple:
     n = _integer(gd, "n", path, 0, optional=True)
     poly = _integer(gd, "poly", path, 0, optional=True)
     try:
-        record, = _records_of(table, (Gate(kind, controls, targets, d=d, n=n, poly=poly),))
+        g = Gate(kind, controls, targets, d=d, n=n, poly=poly)
+        return _checked_record(table, g), signature(g)
     except (InvalidGateError, ResolutionError) as e:
         raise ParseError(f"{path}: {e}") from None
-    return record, (kind, tuple([c.wire.reg for c in controls]), targets[0].reg)

@@ -235,15 +235,13 @@ def synth_sum(d: int) -> Circuit:
     return em.circuit(Meta(d=d, note=note))
 
 
-def correction_cx_total(d: int, k: int | None = None) -> int:
+def correction_cx_total(d: int) -> int:
     """Sum over i in [d, 2(d-1)] of the Hamming distance between i mod 2^k and i mod d.
 
-    Both residues are below 2^k when d <= 2^k, so the top carry never
-    receives a correction.
+    With k = compute_k(d), both residues are below 2^k, so the top carry
+    never receives a correction.
     """
-    if k is None:
-        k = compute_k(d)
-    top = 1 << k
+    top = 1 << compute_k(d)
     return sum(((i % top) ^ (i % d)).bit_count() for i in range(d, 2 * (d - 1) + 1))
 
 
@@ -257,7 +255,7 @@ def predicted_counts(d: int) -> CostBreakdown:
     """
     k = _checked_k(d)
     top = 1 << k
-    counts = {"C2X": 3 * k - 2, "C1X": (2 * k - 1) + correction_cx_total(d, k)}
+    counts = {"C2X": 3 * k - 2, "C1X": (2 * k - 1) + correction_cx_total(d)}
     if 2 * (d - 1) <= top:
         n_flags = (d - 1) - (1 if 2 * (d - 1) == top else 0)
         counts[f"C{k}X"] = counts.get(f"C{k}X", 0) + n_flags

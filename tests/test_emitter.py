@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from qrsmux import circuit as ir, cli, sumsynth
+from qrsmux import circuit as ir, cli, lowering, sumsynth
 from qrsmux.analysis import primes_in
 from qrsmux.circuit import (
     ZERO, Circuit, Control, Emitter, Gate, Meta, Register, RegisterTable, Wire, mcx, parse, serialize, signature,
@@ -26,6 +26,7 @@ from qrsmux.circuit import (
 from qrsmux.errors import ParseError
 from qrsmux.galois import FieldSpec
 from qrsmux.gf2m import build_code, expand_cmuladds, synth_cmuladd, synth_encoder_gf2m
+from qrsmux.lowering import explicit_general_circuit
 from test_circuit import assert_parses_as_checked, circuits, laid_out, named
 
 SAMPLED_MOD_PRIMES = [2, 3, 5, 7, 17, 31, 61, 127, 131, 137, 257, 509, 1021]
@@ -64,27 +65,43 @@ def expanded_circuits():
         yield f"expand_cmuladds(m={m})", expanded
 
 
+def checked_built_circuits():
+    """Circuits built by Circuit(...), which checks each gate before it emits it."""
+    for i, c in enumerate(gate_built_circuits()):
+        yield f"gate_built_circuits()[{i}]", c
+    for arity in range(1, 5):
+        yield f"explicit_general_circuit({arity})", explicit_general_circuit(arity)
+    for m in range(2, 6):
+        yield f"synth_encoder_gf2m(m={m})", encoder(m)
+
+
 FAMILIES = {
     "synth_sum": sum_circuits,
     "synth_rca": rca_circuits,
     "synth_mod": mod_circuits,
     "synth_cmuladd": cmuladd_circuits,
     "expand_cmuladds": expanded_circuits,
+    "Circuit": checked_built_circuits,
 }
 
 
+def checked_gates(c: Circuit) -> list[Gate]:
+    """c's gates rebuilt one by one through Gate(...)."""
+    return [Gate(g.kind, g.controls, g.targets, d=g.d, n=g.n, poly=g.poly) for g in c.gates]
+
+
 def checked_copy(c: Circuit) -> Circuit:
-    """c rebuilt gate by gate through Gate(...) and Circuit(...), whose
-    signature histogram is built by walking the gates."""
-    return Circuit(c.table, [Gate(g.kind, g.controls, g.targets, d=g.d, n=g.n, poly=g.poly) for g in c.gates],
-                   c.meta)
+    """c rebuilt gate by gate through Gate(...) and Circuit(...)."""
+    return Circuit(c.table, checked_gates(c), c.meta)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_trusted_gates_equal_checked_gates(family):
     for label, emitted in FAMILIES[family]():
-        checked = checked_copy(emitted)
-        assert emitted.gates == checked.gates, label
+        gates = checked_gates(emitted)
+        checked = Circuit(emitted.table, gates, emitted.meta)
+        # checked.gates is rebuilt from its records, so compare with the Gates themselves too
+        assert emitted.gates == tuple(gates) == checked.gates, label
         assert list(map(hash, emitted.gates)) == list(map(hash, checked.gates)), label
 
 
@@ -112,6 +129,7 @@ def test_prebuilt_histogram_equals_computed(family):
             shifted = [(key, tuple(j - (j > i) for j in indices if j != i)) for key, indices in prebuilt]
             want = sorted([(key, indices) for key, indices in shifted if indices], key=lambda kv: kv[1][0])
             assert list(mutant.signature_histogram().items()) == want, (label, i)
+            assert list(mutant.signature_histogram().items()) == walked_histogram(mutant.gates), (label, i)
 
 
 def test_extend_emits_a_gate_per_record_and_none_without_records():
@@ -235,6 +253,25 @@ def test_without_gate_on_an_emitted_circuit_equals_it_on_the_checked_copy():
         assert mutant.gates == want.gates, i
         assert list(mutant.signature_histogram().items()) == list(want.signature_histogram().items()), i
         assert (mutant.count(), len(mutant)) == (want.count(), len(want)), i
+
+
+def test_built_and_mutant_circuits_are_read_without_emitting(monkeypatch):
+    """Circuit(...) and without_gate hand over a whole circuit: reading its
+    histogram, count or lowering emits nothing."""
+    emitted = sumsynth.synth_sum(13)
+    built = [Circuit(emitted.table, emitted.gates, emitted.meta), explicit_general_circuit(4),
+             *gate_built_circuits()]
+
+    def refuse(*args):
+        raise AssertionError("a built circuit was emitted again on read")
+
+    monkeypatch.setattr(Emitter, "extend", refuse)
+    monkeypatch.setattr(Emitter, "add", refuse)
+    for c in built + [emitted.without_gate(i) for i in range(len(emitted))]:
+        assert list(c.signature_histogram().items()) == walked_histogram(c.gates), c.meta
+        assert c.count().total() == len(c), c.meta
+        for strategy in (lowering.general(), lowering.ralph(), lowering.multiplexed()):
+            assert lowering.lower_circuit(c, strategy).cx_total >= 0, (c.meta, strategy)
 
 
 def test_mixed_polarity_controls_out_of_order_survive_parse_and_serialize():
