@@ -62,6 +62,8 @@ def get_convention(convention_id: str | None = None) -> Convention:
 
 def sum_gate_count(d: int) -> int:
     """Number of SUM gates in the whole dimension-d encoder: (d^2 + d - 4) / 2."""
+    if d >= WITNESS_BOUND:  # refused for its size: no primality test of it ends quickly
+        raise InvalidDimensionError(f"d={d} is at or above {WITNESS_BOUND}, too large to prove prime")
     if not is_prime(d) or d < 3:
         raise InvalidDimensionError(f"d={d} must be an odd prime")
     value = d * d + d - 4

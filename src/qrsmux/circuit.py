@@ -487,17 +487,21 @@ class Emitter:
         self._groups: dict[tuple, list[int]] = {}  # signature -> indices of its gates, in order of first use
         self._names = _Names(table)
 
+    def _indices(self, controls: tuple[int, ...], target: int) -> list[int]:
+        """The index list of the signature of MCX(controls -> target)."""
+        names = self._names
+        return self._groups.setdefault(("MCX", tuple([names[o] for o in controls]), names[target]), [])
+
     def mcx(self, controls: tuple[int, ...], target: int) -> None:
         """Emit MCX(controls -> target) unchecked."""
-        self.extend([(controls, target)])
+        self._indices(controls, target).append(len(self.records))
+        self.records.append((controls, target))
 
     def extend(self, records: list[tuple[tuple[int, ...], int]]) -> None:
         """Emit each (controls, target) record unchecked, in order, keyed under
         the first's signature, which the caller vouches they share."""
         if records:
-            names, (controls, target) = self._names, records[0]
-            key = "MCX", tuple([names[o] for o in controls]), names[target]
-            self._groups.setdefault(key, []).extend(range(len(self.records), len(self.records) + len(records)))
+            self._indices(*records[0]).extend(range(len(self.records), len(self.records) + len(records)))
             self.records += records
 
     def add(self, g: Gate) -> None:

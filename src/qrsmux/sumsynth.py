@@ -27,29 +27,17 @@ each synthesis takes once from its register table, and the emitter keys each
 record's signature from that table.  ``synth_rca`` is cached, so the adder is
 built once per width, and ``synth_sum`` starts from it by ``Emitter.include``.
 
-The modulo conversion is emitted from half tables built once per synthesis.
-The low bits 0..h-1 of B (h = k // 2) and the high bits h..k-1 each get a
-table, indexed by their part of a k-bit value v, of the flag control offsets
-that read that part of v and of the B bit indices that its set bits select.
-The controls of pattern v are then ``low[v & (2^h - 1)] + high[v >> h]``,
-one concatenation of two tables of at most 2^ceil(k/2) entries, and the bits
-of a correction mask come from its two half tables the same way.  The
-correction records from the check-if qubits alone are shared like the adder:
-every circuit of width k takes them from ``_correction_rows``, cached on its
-layout.  Its 2^k * k records per width are 1.8 to 6.0 times one circuit's,
-0.8 MB at k = 10 and 1.4 MB for k = 2..10.
-
-``_emit_mod`` emits each of its four signatures from its own range of the
-outcomes i in [d, 2(d-1)], in gate order: the flags of arity k over
-d..min(2^k, 2d-1)-1, the carry-controlled flags over 2^k..2(d-1), the
-corrections from the check-if qubits and the corrections from the
-substituted top carry.  Outcome i is flagged on check-if qubit i - d, and
-its correction bits are computed once, from (i mod 2^k) XOR (i - d); the
-carry-substituted outcome is the last one, so its corrections reuse the last
-entry.  It reads no closed-form count, so ``count()`` and
-``predicted_counts`` stay two derivations.  ``SumPlan.flags`` describes the
-same outcomes, one ``FlagSpec`` each, for tests and readers; it is built
-only when read.
+The modulo conversion is looked up in tables built once per width, like the
+adder, by ``_modulo_tables(k)``: the flag controls of every outcome, the B
+bits of every correction mask and the correction records from the top carry
+and the check-if qubits.  ``_emit_mod`` emits each of its four signatures
+from its own range of the outcomes i in [d, 2(d-1)], in gate order: the
+flags of arity k over d..min(2^k, 2d-1)-1, the carry-controlled flags over
+2^k..2(d-1), the corrections from the check-if qubits and the corrections
+from the substituted top carry.  It reads no closed-form count, so
+``count()`` and ``predicted_counts`` stay two derivations.
+``SumPlan.flags`` describes the same outcomes, one ``FlagSpec`` each, for
+tests and readers; it is built only when read.
 """
 
 from __future__ import annotations
@@ -150,51 +138,51 @@ def sum_registers(p: SumPlan) -> RegisterTable:
     return RegisterTable(regs)
 
 
-def _pick_table(choices: list[tuple[tuple, tuple]]) -> list[tuple]:
+def _pick_table(choices: list[tuple[tuple, tuple]]) -> tuple[tuple, ...]:
     """table[v] = choices[0][bit 0 of v] + choices[1][bit 1 of v] + ...,
     for every v below 2^len(choices)."""
     table = [()]
     for if_zero, if_one in choices:
         table = [t + if_zero for t in table] + [t + if_one for t in table]
-    return table
+    return tuple(table)
 
 
 @cache
-def _correction_rows(first_b: int, first_checkif: int, k: int) -> tuple[tuple[tuple, ...], ...]:
-    """rows[q][j] is the record of the CX from check-if qubit q < 2^k onto bit j of B."""
-    return tuple(tuple((controls, first_b + j) for j in range(k))
-                 for controls in [(first_checkif + q,) for q in range(1 << k)])
+def _modulo_tables(k: int) -> tuple[tuple[tuple, ...], tuple[tuple, ...], tuple[tuple[tuple, ...], ...]]:
+    """The modulo conversion's tables for width k, on synth_rca(k)'s offsets
+    with the check-if qubits right after the top carry: reads[i] holds the flag
+    controls of outcome i < 2^(k+1) (i mod 2^k on B, zero-polarity where a bit
+    is 0, then the top carry if i >= 2^k), bits[m] the B bits set in the k-bit
+    mask m, and rows[r][j] the CX onto B bit j from the r-th qubit from the
+    top carry on (r = 0 is the top carry, r >= 1 check-if qubit r - 1)."""
+    table = synth_rca(k).table
+    b, top_carry = table.offset("B"), table.offset("carry") + k - 1
+    reads = _pick_table([((~o,), (o,)) for o in range(b, b + k)] + [((), (top_carry,))])
+    bits = _pick_table([((), (j,)) for j in range(k)])
+    rows = tuple(tuple((controls, b + j) for j in range(k))
+                 for controls in [(c,) for c in range(top_carry, top_carry + (1 << k))])
+    return reads, bits, rows
 
 
 def _emit_mod(em: Emitter, p: SumPlan) -> None:
     """Flag phase then correction phase for the modulo conversion, each
-    signature's gates emitted by one comprehension over its own outcome range."""
-    table, d, k, half = em.table, p.d, p.k, p.k // 2
-    top, last = 1 << k, 2 * (d - 1)
-    low_mask = (1 << half) - 1
-    b = [table.offset("B") + j for j in range(k)]
-    reads = [((~o,), (o,)) for o in b]      # bit j of a pattern -> its control
-    flips = [((), (j,)) for j in range(k)]  # bit j of a mask -> its bit index
-    controls_low, controls_high = _pick_table(reads[:half]), _pick_table(reads[half:])
-    bits_low, bits_high = _pick_table(flips[:half]), _pick_table(flips[half:])
-    top_carry = (table.offset("carry") + k - 1,)
-    first_checkif = table.offset("checkif") if p.n_checkif else 0
-    checkif = range(first_checkif, first_checkif + p.n_checkif)
-    # Outcome i is flagged on check-if qubit i - d.  Outcomes d..2^k-1 read
-    # the pattern i, and outcomes 2^k..2(d-1) read v = i - 2^k and the top
-    # carry.  The outcome 2^k = 2(d-1) alone has no flag gate: the top carry
-    # is its flag.  It is the last outcome and has no check-if qubit, so
-    # zipping each range with its check-if qubits leaves it out, and its
-    # correction reads the top carry instead.
-    bits = [bits_low[m & low_mask] + bits_high[m >> half]
-            for m in [(i % top) ^ (i - d) for i in range(d, last + 1)]]  # by i - d
-    rows = _correction_rows(b[0], first_checkif, k)[:p.n_checkif]
-    em.extend([(controls_low[i & low_mask] + controls_high[i >> half], q)
-               for i, q in zip(range(d, min(top, last + 1)), checkif)])
-    em.extend([(controls_low[v & low_mask] + controls_high[v >> half] + top_carry, q)
-               for v, q in zip(range(last + 1 - top), checkif[top - d:])])
-    em.extend([row[j] for row, js in zip(rows, bits) for j in js])
-    em.extend([(top_carry, b[j]) for j in bits[-1]] if last == top else [])
+    signature's gates looked up in its width's tables by one comprehension
+    over its own outcome range."""
+    d, n = p.d, p.n_checkif
+    top, last = 1 << p.k, 2 * (d - 1)
+    reads, bits, rows = _modulo_tables(p.k)
+    first = em.table.offset("checkif") if n else 0
+    checkif = range(first, first + n)
+    # Outcome i is flagged on check-if qubit i - d, and its correction mask is
+    # (i mod 2^k) XOR (i - d).  The outcome 2^k = 2(d-1) alone has no flag
+    # gate: the top carry is its flag.  It is the last outcome and has no
+    # check-if qubit, so zipping each range with its check-if qubits leaves
+    # it out, and its correction reads the top carry, rows[0], instead.
+    em.extend([(reads[i], q) for i, q in zip(range(d, top), checkif)])
+    em.extend([(reads[i], q) for i, q in zip(range(top, last + 1), checkif[top - d:])])
+    em.extend([row[j] for i, row in zip(range(d, last + 1), rows[1:n + 1])
+               for j in bits[(i % top) ^ (i - d)]])
+    em.extend([rows[0][j] for j in bits[top - d]] if last == top else [])
 
 
 @cache

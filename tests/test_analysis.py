@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -30,9 +31,11 @@ def test_sum_gate_count_values():
 
 
 def test_sum_gate_count_rejects_bad_dimension():
-    for bad in (4, 9, 2, 1):
+    for bad in (4, 9, 2, 1, 10**25 + 13):
+        start = time.perf_counter()
         with pytest.raises(InvalidDimensionError):
             sum_gate_count(bad)
+        assert time.perf_counter() - start < 2  # proving a prime this large by trial division never ends
 
 
 def test_sum_gate_count_integral_for_all_primes():

@@ -316,20 +316,29 @@ def correction_records(c):
     return {(r[0][0] - first_q, r[1] - first_b): r for r in corrections}
 
 
-def test_circuits_of_one_width_share_their_correction_records():
+def flag_controls(c, d):
+    """c's flag controls, keyed by the outcome i = d + check-if index that each flags."""
+    first_q = c.table.offset("checkif")
+    return {d + c.records[i][1] - first_q: c.records[i][0]
+            for sig, indices in c.signature_histogram().items() if sig[2] == "checkif" for i in indices}
+
+
+def test_circuits_of_one_width_share_their_modulo_tables():
     widths = [correction_records(c) for c in (synth_sum(521), synth_sum(1021), synth_mod(plan(1019)))]
     for x, y in itertools.combinations(widths, 2):
         shared = x.keys() & y.keys()
         assert shared and all(x[key] is y[key] for key in shared)
-    rows = sumsynth._correction_rows
-    rows.cache_clear()
+    x, y = flag_controls(synth_sum(521), 521), flag_controls(synth_sum(1019), 1019)
+    shared = x.keys() & y.keys()
+    assert shared == set(range(1019, 1041))  # the arity-k flags 1019..1023 and the carry flags after them
+    assert all(x[i] == y[i] and x[i] is y[i] for i in shared)
+    tables = sumsynth._modulo_tables
+    tables.cache_clear()
     analysis.sweep(3, 1021)
-    registers = [sum_registers(plan(d)) for d in primes_in(3, 1021)]
-    layouts = {(t.offset("B"), t.offset("checkif"), t["B"].width) for t in registers}
-    assert sorted(k for _, _, k in layouts) == list(range(2, 11))
-    before = rows.cache_info()
-    tables = [rows(*layout) for layout in layouts]
-    assert rows.cache_info().misses == before.misses and before.currsize == len(layouts)
-    assert all(len(table) == 1 << k and {len(row) for row in table} == {k}
-               for table, (_, _, k) in zip(tables, layouts))
-    assert sum(len(row) for table in tables for row in table) == 18432
+    ks = sorted({plan(d).k for d in primes_in(3, 1021)})
+    assert ks == list(range(2, 11))
+    before = tables.cache_info()
+    rows = [tables(k)[2] for k in ks]
+    assert tables.cache_info().misses == before.misses and before.currsize == len(ks)
+    assert all(len(table) == 1 << k and {len(row) for row in table} == {k} for table, k in zip(rows, ks))
+    assert sum(len(row) for table in rows for row in table) == 18432
