@@ -12,20 +12,20 @@ depend on the control pattern.
 Trust boundary.  A circuit is built once and never changes.  ``Gate`` is a
 checked tuple of its six fields: ``Gate(...)``, ``Gate._make`` and
 ``_replace`` run its checks, and so do the gate constructors (``cx``,
-``mcx``, ...).  ``Circuit(table, gates)`` checks every gate it takes against
-the table.  Only ``Emitter`` and ``parse`` skip those checks, and neither
-stores a ``Gate`` for an MCX but its record ``(controls, target)``, plain
-ints, the control offsets in gate order with a zero-polarity control written
-as ``~offset``, which the garbage collector need not walk.  The synthesizers
-(``sumsynth.synth_sum``/``synth_rca``/``synth_mod``,
-``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``) emit offsets through
-``Emitter(table)``, which keys each record's signature from the table, as
-``Circuit(...)`` does with each gate it checks.  ``parse`` reads the document
-``serialize`` writes, ``"format": 2``, whose MCX records are lists
-``[controls, target]``, and takes each as a record once its offsets are ints
-in the table and no wire repeats.  Every other entry, and every entry of an
-older document without ``"format"``, goes through ``Gate(...)`` and the
-checks of ``Circuit(...)``.
+``mcx``, ...).  Every circuit is built by ``Emitter(table)``, which keys
+each record's signature from the table; ``Emitter.add`` is the one place a
+``Gate`` is checked against a table, for ``Circuit(table, gates)`` and
+``parse``.  An MCX without d, n or poly is stored not as a ``Gate`` but as
+its record ``(controls, target)``, plain ints, the control offsets in gate
+order with a zero-polarity control written as ``~offset``, which the garbage
+collector need not walk.  ``Emitter.mcx`` and ``extend`` take records past
+every check, from the synthesizers (``sumsynth.synth_sum``/``synth_rca``/
+``synth_mod``, ``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``), whose
+offsets lie in the table by construction.  ``parse`` appends each
+``[controls, target]`` entry of the document ``serialize`` writes,
+``"format": 2``, once its offsets are ints in the table and no wire repeats;
+every other entry, and every entry of an older document without
+``"format"``, goes through ``Gate(...)`` and ``Emitter.add``.
 
 A circuit stores its records, a tuple no caller can change, and their
 signature histogram: every constructor hands over both.  ``Circuit.gates``
@@ -246,15 +246,9 @@ def signature(g: Gate) -> tuple:
 # Cost breakdowns
 # ----------------------------------------------------------------------
 
-def _canonical_key(key: str) -> str:
-    return "C1X" if key == "CX" else key
-
-
 class CostBreakdown:
-    """Exact integer tally keyed by gate class ("C{j}X", "X", "H", "T", "Tdag", "OS", "SUM", "DFT", "CMulAdd").
-
-    "CX" is accepted as an alias for "C1X".  Addition is componentwise.
-    """
+    """Exact integer tally keyed by gate class ("C{j}X", "X", "H", "T", "Tdag",
+    "OS", "SUM", "DFT", "CMulAdd"); addition is componentwise."""
 
     def __init__(self, counts: dict[str, int] | None = None):
         self._counts: Counter[str] = Counter()
@@ -263,10 +257,10 @@ class CostBreakdown:
                 if value < 0:
                     raise ValueError(f"negative count for {key}: {value}")
                 if value:
-                    self._counts[_canonical_key(key)] += value
+                    self._counts[key] += value
 
     def __getitem__(self, key: str) -> int:
-        return self._counts.get(_canonical_key(key), 0)
+        return self._counts.get(key, 0)
 
     def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
         merged = Counter(self._counts)
@@ -287,7 +281,7 @@ class CostBreakdown:
         return sum(self._counts.values())
 
     def restrict(self, keys: Iterable[str]) -> "CostBreakdown":
-        wanted = {_canonical_key(k) for k in keys}
+        wanted = set(keys)
         return CostBreakdown({k: v for k, v in self._counts.items() if k in wanted})
 
     def as_dict(self) -> dict[str, int]:
@@ -352,11 +346,7 @@ class Circuit:
     def __init__(self, table: RegisterTable, gates: Iterable[Gate] = (), meta: Meta = Meta()):
         em = Emitter(table)
         for g in gates:
-            record = _checked_record(table, g)
-            if type(record) is tuple:
-                em.mcx(*record)
-            else:
-                em.add(record)
+            em.add(g)
         built = em.circuit(meta)
         for name in self.__slots__:
             _set(self, name, getattr(built, name))
@@ -382,7 +372,7 @@ class Circuit:
     def gates(self) -> tuple[Gate, ...]:
         """The gates in order; built from the records on first read and kept."""
         if self._gates is None:
-            _set(self, "_gates", _gates_of(self.table, self.records))
+            _set(self, "_gates", _collector_paused(_gates_of, self.table, self.records))
         return self._gates
 
     def signature_histogram(self) -> dict[tuple, tuple[int, ...]]:
@@ -414,8 +404,8 @@ class Circuit:
 
 
 def _circuit(table: RegisterTable, meta: Meta, records: tuple, histogram: dict) -> Circuit:
-    """A circuit of records from a checked plan, table or circuit, or checked by
-    parse, and their histogram, without the checks of Circuit(...)."""
+    """A circuit of records and their histogram as built, by an Emitter or
+    by without_gate from its parent's, without the checks of Circuit(...)."""
     c = _new(Circuit)
     for name, value in (("table", table), ("meta", meta), ("records", records), ("_gates", None),
                         ("_histogram", histogram)):
@@ -439,6 +429,20 @@ class _Names(dict):
         return name
 
 
+def _collector_paused(build, *args):
+    """build(*args) with the cyclic garbage collector paused, then left on or off as it was."""
+    # parse and the gates view make a container or more per gate, none of them
+    # garbage until they return; left on, the collector walks them again and
+    # again as they pile up.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _gates_of(table: RegisterTable, records: tuple) -> tuple[Gate, ...]:
     names = _Names(table)
     controls = {o: Control(Wire(names[o], (o if o >= 0 else ~o) - table.offset(names[o])), POSITIVE if o >= 0 else ZERO)
@@ -458,25 +462,15 @@ def record_of(table: RegisterTable, g: Gate) -> tuple[tuple[int, ...], int]:
             resolve(g.targets[0]))
 
 
-def _checked_record(table: RegisterTable, g: Gate) -> tuple | Gate:
-    """g checked against the table: an MCX without d, n or poly as its record,
-    whose wires record_of resolves, any other gate as itself once _check_in_table passes it."""
-    if g.kind == "MCX" and g.d is None and g.n is None and g.poly is None:
-        return record_of(table, g)
-    _check_in_table(g, table)
-    return g
-
-
 class Emitter:
-    """Builds a circuit on a table from records the caller vouches for.
-
-    ``mcx`` and ``extend`` append ``(controls, target)`` records of offsets,
-    past the checks of ``Gate(...)`` and ``Circuit(...)``: they are for
-    synthesizers whose offsets lie inside the table by construction; parse
-    checks the records it reads and does not use it.  The table is the only
-    source of a record's signature: each record's index is kept under
-    ("MCX", the registers of its controls, the register of its target) as it
-    is emitted, so the circuit gets its signature histogram without a walk.
+    """The one builder of a circuit on a table.  ``add`` checks a Gate against
+    the table and emits it.  ``mcx`` and ``extend`` append ``(controls,
+    target)`` records of offsets past every check, for synthesizers whose
+    offsets lie inside the table by construction; parse checks the records it
+    reads and appends them to ``records`` and ``_groups`` itself.  The table
+    is the only source of a record's signature: each record's index is kept
+    under ("MCX", the registers of its controls, the register of its target)
+    as it is emitted, so the circuit gets its signature histogram without a walk.
     """
 
     __slots__ = ("table", "records", "_groups", "_names")
@@ -505,9 +499,13 @@ class Emitter:
             self.records += records
 
     def add(self, g: Gate) -> None:
-        """Emit a gate that was already checked and is not a record, e.g. a
-        DFT taken from another circuit; it stays a Gate among the records.
-        An MCX record goes through mcx."""
+        """Check g against the table and emit it: an MCX without d, n or poly
+        as its record, whose wires record_of resolves, through mcx; any other
+        gate as itself, keyed by its signature, once _check_in_table passes it."""
+        if g.kind == "MCX" and g.d is None and g.n is None and g.poly is None:
+            self.mcx(*record_of(self.table, g))
+            return
+        _check_in_table(g, self.table)
         self._groups.setdefault(signature(g), []).append(len(self.records))
         self.records.append(g)
 
@@ -605,20 +603,12 @@ def _control(cd, i: int, j: int) -> Control:
 def parse(document: str) -> Circuit:
     """Rebuild a circuit, with its signature histogram, from its interchange
     document: decode it whole, then check its registers, meta and each gate
-    entry in order, keying each entry's signature as it is read.  The first
+    entry in order, emitting each into an ``Emitter`` as it is read.  The first
     fault raises ParseError naming its field, such as ``gates[12][0][1]``.
     Only a document of "format" 2 may hold ``[controls, target]`` entries."""
-    # The decoded document holds two lists per MCX record, none of them
-    # garbage until parse returns.  Left on, the cyclic collector walks them
-    # again and again as they pile up: json.loads of the m = 8 expansion's
-    # document then takes about three times as long.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _read(document)
-    finally:
-        if enabled:
-            gc.enable()
+    # The decoded document holds two lists per MCX record: with the collector
+    # on, json.loads of the m = 8 expansion's document takes about three times as long.
+    return _collector_paused(_read, document)
 
 
 def _read(document) -> Circuit:
@@ -655,8 +645,9 @@ def _read(document) -> Circuit:
         strategy=_field(md, "strategy", "meta", str, ""),
         note=_field(md, "note", "meta", str, ""),
     )
-    names = _Names(table)
-    records, groups = [], {}
+    em = Emitter(table)
+    # records entries skip Emitter.mcx: its call per entry would slow parse by a third
+    names, records, groups = em._names, em.records, em._groups
     for i, entry in enumerate(_field(doc, "gates", "document", list)):
         if type(entry) is list and records_form:
             key = None
@@ -678,11 +669,11 @@ def _read(document) -> Circuit:
                 pass
             if key is None:
                 raise _record_fault(entry, i, table.total_width)
+            records.append(record)
+            groups.setdefault(key, []).append(i)
         else:
-            record, key = _named_entry(entry, i, table)
-        records.append(record)
-        groups.setdefault(key, []).append(i)
-    return _circuit(table, meta, tuple(records), {key: tuple(indices) for key, indices in groups.items()})
+            _named_entry(em, entry, i)
+    return em.circuit(meta)
 
 
 def _record_fault(entry: list, i: int, n: int) -> ParseError:
@@ -700,9 +691,9 @@ def _record_fault(entry: list, i: int, n: int) -> ParseError:
         wires.add(o if o >= 0 else ~o)
 
 
-def _named_entry(gd, i: int, table: RegisterTable) -> tuple:
-    """The record, or Gate, of object entry gates[i] and its signature, through
-    its field checks, ``Gate(...)`` and the checks of ``Circuit(...)``."""
+def _named_entry(em: Emitter, gd, i: int) -> None:
+    """Emit object entry gates[i] through its field checks, ``Gate(...)`` and
+    ``em.add``, which checks it against the table as ``Circuit(...)`` does."""
     path = f"gates[{i}]"
     gd = _typed(gd, dict, path)
     kind = _field(gd, "kind", path)
@@ -712,7 +703,6 @@ def _named_entry(gd, i: int, table: RegisterTable) -> tuple:
     n = _integer(gd, "n", path, 0, optional=True)
     poly = _integer(gd, "poly", path, 0, optional=True)
     try:
-        g = Gate(kind, controls, targets, d=d, n=n, poly=poly)
-        return _checked_record(table, g), signature(g)
+        em.add(Gate(kind, controls, targets, d=d, n=n, poly=poly))
     except (InvalidGateError, ResolutionError) as e:
         raise ParseError(f"{path}: {e}") from None

@@ -36,6 +36,11 @@ DEFAULT_PRIMITIVE_POLYS: dict[int, int] = {
     8: 0b100011101,
 }
 
+# The largest extension degree: checking a polynomial takes about 2^m steps and
+# a code of length 2^m - 1 grows with it, so m = 11 already runs for minutes.
+# The same 2^10 ceiling as sumsynth.K_MAX.
+M_MAX = 10
+
 # The first 13 primes.  As Miller-Rabin witnesses they decide every n below
 # WITNESS_BOUND (Sorenson and Webster, 2015); is_prime is fast below it.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -140,6 +145,8 @@ class FieldSpec:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"extension degree m={self.m} must be >= 1")
+        if self.m > M_MAX:
+            raise ValueError(f"extension degree m={self.m} is above the limit m_max={M_MAX}")
         if self.poly < 0:  # _gf2_mod would never terminate
             raise ValueError(f"polynomial {self.poly} must be a non-negative bitmask")
         if _gf2_degree(self.poly) != self.m:

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -186,11 +187,13 @@ def test_count_synth_sum_5():
 
 
 def test_cost_breakdown_cx_alias_and_addition():
-    a = CostBreakdown({"CX": 2, "H": 1})
-    assert a["C1X"] == 2 and a["CX"] == 2
+    # "CX" is no alias: a tally is keyed by gate class, "C1X" for a CX
+    assert CostBreakdown({"CX": 2})["C1X"] == 0
+    a = CostBreakdown({"C1X": 2, "H": 1})
+    assert a["C1X"] == 2
     b = CostBreakdown({"C1X": 3, "T": 4})
     assert (a + b).as_dict() == {"C1X": 5, "H": 1, "T": 4}
-    assert a + b == CostBreakdown({"CX": 5, "H": 1, "T": 4})
+    assert a + b == CostBreakdown({"C1X": 5, "H": 1, "T": 4})
     with pytest.raises(ValueError):
         CostBreakdown({"C1X": -1})
 
@@ -452,18 +455,52 @@ def laid_out(doc) -> str:
     return "{" + ",\n".join(fields) + "}\n"
 
 
-def assert_parses_as_checked(document) -> Circuit | None:
+def checked_gates(c: Circuit) -> list[Gate]:
+    """c's gates rebuilt one by one through Gate(...)."""
+    return [Gate(g.kind, g.controls, g.targets, d=g.d, n=g.n, poly=g.poly) for g in c.gates]
+
+
+def assert_parses_as_checked(document, label=None) -> Circuit | None:
     """parse(document) raises ParseError, or reads the circuit that the
-    checked path, Circuit(...) on the gates read, builds, histogram key order
-    included; the circuit, if any."""
+    checked path, Gate(...) and Circuit(...) on the values of the gates read,
+    builds: equal gates and gate hashes, records, and histogram items in key
+    order; the circuit, if any."""
     try:
         c = parse(document)
     except ParseError:
         return None
-    checked = Circuit(c.table, c.gates, c.meta)
-    assert (c.table, c.records, c.meta) == (checked.table, checked.records, checked.meta)
-    assert list(c.signature_histogram().items()) == list(checked.signature_histogram().items())
+    gates = checked_gates(c)
+    checked = Circuit(c.table, gates, c.meta)
+    # checked.gates is rebuilt from its records, so compare with the Gates themselves too
+    assert c.gates == tuple(gates) == checked.gates, label
+    assert list(map(hash, c.gates)) == list(map(hash, gates)), label
+    assert (c.table, c.records, c.meta) == (checked.table, checked.records, checked.meta), label
+    assert list(c.signature_histogram().items()) == list(checked.signature_histogram().items()), label
     return c
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_parse_and_the_gates_view_leave_the_collector_as_they_found_it(monkeypatch, enabled):
+    """parse, on a valid document and on one it refuses, and the first read of
+    the gates view pause the garbage collector while they build, and leave it
+    on or off as it was."""
+    paused = []
+    gates_of = ir._gates_of
+    monkeypatch.setattr(ir, "_gates_of", lambda *args: paused.append(not gc.isenabled()) or gates_of(*args))
+    document = serialize(synth_sum(5))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        c = parse(document)
+        assert gc.isenabled() == enabled
+        with pytest.raises(ParseError):
+            parse(document.replace('"format": 2', '"format": 3', 1))
+        assert gc.isenabled() == enabled
+        assert c.gates is c.gates and gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == [True]
+    assert c.gates == synth_sum(5).gates
 
 
 @settings(deadline=None, max_examples=300)
@@ -606,7 +643,7 @@ def test_gf2m_document_is_read_by_the_checked_reader(monkeypatch, capsys, tmp_pa
     the named-entry path, reads: each gate entry goes through it once."""
     entries = []
     checked = ir._named_entry
-    monkeypatch.setattr(ir, "_named_entry", lambda gd, i, table: entries.append(i) or checked(gd, i, table))
+    monkeypatch.setattr(ir, "_named_entry", lambda em, gd, i: entries.append(i) or checked(em, gd, i))
     path = tmp_path / "gf2m3.json"
     assert cli.main(["gf2m", "--m", "3", "--emit", str(path)]) == 0
     document = path.read_text(encoding="utf-8")

@@ -394,6 +394,22 @@ def test_dimension_past_k_max_is_refused_for_its_size_quickly(capsys, tmp_path, 
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("m, poly, via_config", [(11, 0x805, False), (16, 0x1100B, False), (16, 0x1100B, True)],
+                         ids=["m11-poly", "m16-poly", "m16-config"])
+def test_extension_degree_past_m_max_is_refused_quickly(capsys, tmp_path, monkeypatch, m, poly, via_config):
+    monkeypatch.chdir(tmp_path)
+    if via_config:
+        (tmp_path / "qrs.cfg").write_text(f"gf2m.poly.{m} = {poly:#x}\n")
+        argv, source = ["--config", "qrs.cfg", "gf2m", "--m", str(m)], f"gf2m.poly.{m}"
+    else:
+        argv, source = ["gf2m", "--m", str(m), "--poly", f"{poly:#x}"], f"--poly {poly:#b}"
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv, "--emit", "enc.json")
+    assert time.perf_counter() - start < 2  # checking a polynomial of degree m takes about 2^m steps
+    assert (rc, out, err) == (2, "", f"error: {source}: extension degree m={m} is above the limit m_max=10\n")
+    assert not (tmp_path / "enc.json").exists()
+
+
 def test_sweep_range_ending_above_its_largest_prime(capsys, tmp_path):
     out_csv = tmp_path / "r.csv"
     rc, out, _ = run(capsys, "sweep", "--d-min", "1019", "--d-max", "1024", "--out", str(out_csv))

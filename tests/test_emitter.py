@@ -27,7 +27,7 @@ from qrsmux.errors import ParseError
 from qrsmux.galois import FieldSpec
 from qrsmux.gf2m import build_code, expand_cmuladds, synth_cmuladd, synth_encoder_gf2m
 from qrsmux.lowering import explicit_general_circuit
-from test_circuit import assert_parses_as_checked, circuits, laid_out, named
+from test_circuit import assert_parses_as_checked, checked_gates, circuits, laid_out, named
 
 SAMPLED_MOD_PRIMES = [2, 3, 5, 7, 17, 31, 61, 127, 131, 137, 257, 509, 1021]
 
@@ -83,16 +83,6 @@ FAMILIES = {
     "expand_cmuladds": expanded_circuits,
     "Circuit": checked_built_circuits,
 }
-
-
-def checked_gates(c: Circuit) -> list[Gate]:
-    """c's gates rebuilt one by one through Gate(...)."""
-    return [Gate(g.kind, g.controls, g.targets, d=g.d, n=g.n, poly=g.poly) for g in c.gates]
-
-
-def checked_copy(c: Circuit) -> Circuit:
-    """c rebuilt gate by gate through Gate(...) and Circuit(...)."""
-    return Circuit(c.table, checked_gates(c), c.meta)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -296,33 +286,24 @@ STRATIFIED_PRIMES = [p for width_k in (primes_in(1 << (k - 1), (1 << k) - 1) for
                      for p in (width_k[0], width_k[-1])]
 
 
-def assert_parsed_like_checked(document: str, label) -> Circuit:
-    parsed = parse(document)
-    checked = checked_copy(parsed)
-    assert parsed.gates == checked.gates, label
-    assert list(map(hash, parsed.gates)) == list(map(hash, checked.gates)), label
-    assert list(parsed.signature_histogram().items()) == list(checked.signature_histogram().items()), label
-    return parsed
-
-
 def test_parsed_sum_documents_equal_checked_gates():
     assert STRATIFIED_PRIMES[-1] == 1021 and len(STRATIFIED_PRIMES) == 18
     for d in STRATIFIED_PRIMES:
         c = sumsynth.synth_sum(d)
-        parsed = assert_parsed_like_checked(serialize(c), d)
+        parsed = assert_parses_as_checked(serialize(c), d)
         assert parsed.gates == c.gates, d
 
 
 @pytest.mark.parametrize("m", range(2, 6))
 def test_parsed_encoder_documents_equal_checked_gates(m):
-    parsed = assert_parsed_like_checked(serialize(encoder(m)), m)
+    parsed = assert_parses_as_checked(serialize(encoder(m)), m)
     assert parsed.gates == encoder(m).gates
 
 
 @settings(deadline=None)
 @given(circuits())
 def test_parsed_random_documents_equal_checked_gates(c):
-    parsed = assert_parsed_like_checked(serialize(c), c)
+    parsed = assert_parses_as_checked(serialize(c), c)
     assert parsed.gates == c.gates
 
 
@@ -410,7 +391,7 @@ def test_checked_reader_names_each_entry_fault(gate, message):
 
 def test_parse_keeps_a_qubit_mcx_that_carries_d():
     gate = {"kind": "MCX", "d": 3, "controls": [q(1), q(2, "zero")], "targets": [{"reg": "r", "idx": 1}]}
-    parsed = assert_parsed_like_checked(_doc(gate, gate), "d=3")
+    parsed = assert_parses_as_checked(_doc(gate, gate), "d=3")
     assert [g.d for g in parsed.gates] == [None, 3, 3]
     assert list(parsed.signature_histogram().items()) == [
         (("MCX", ("q",), "q"), (0,)), (("MCX", ("q", "q"), "r"), (1, 2))]
