@@ -327,14 +327,14 @@ class Meta:
     note: str = ""
 
 
-# Bare construction and attribute setting, past __init__ and Circuit's
-# immutability guard: for _circuit, Circuit(...) and the gates view built on first read.
+# Bare construction and attribute setting, past Circuit.__new__ and its
+# immutability guard: for _circuit and the gates view built on first read.
 _new, _set = object.__new__, object.__setattr__
 
 
 class Circuit:
-    """Gates on a register table.  The constructor checks each gate against
-    the table and emits it through ``Emitter(table)``; the circuit never changes.
+    """Gates on a register table.  The constructor checks each gate against the
+    table through ``Emitter(table)`` and returns its circuit, which never changes.
 
     ``records`` holds one entry per gate: an MCX without d, n or poly as its
     ``(controls, target)`` record (see the module docstring), any other gate
@@ -343,13 +343,11 @@ class Circuit:
 
     __slots__ = ("table", "meta", "records", "_gates", "_histogram")
 
-    def __init__(self, table: RegisterTable, gates: Iterable[Gate] = (), meta: Meta = Meta()):
+    def __new__(cls, table: RegisterTable, gates: Iterable[Gate] = (), meta: Meta = Meta()):
         em = Emitter(table)
         for g in gates:
             em.add(g)
-        built = em.circuit(meta)
-        for name in self.__slots__:
-            _set(self, name, getattr(built, name))
+        return em.circuit(meta)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -283,6 +283,7 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
     em = Emitter(c.table)
     n_dft = 0
     pairs_cache: dict[tuple[int | None, int, int], list[tuple[int, int]]] = {}
+    fields: dict[tuple[int | None, int], FieldSpec] = {}  # one field per (poly, m), not per exponent
     # register -> the 1-tuple control offset, and the target offset, of each of its qubits
     table = c.table
     targets = {r.name: list(range(table.offset(r.name), table.offset(r.name) + r.width)) for r in table.registers}
@@ -298,7 +299,9 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
             key = (r.poly, m, r.n)
             pairs = pairs_cache.get(key)
             if pairs is None:
-                pairs = pairs_cache[key] = _cmuladd_cx_pairs(FieldSpec.binary_extension(m, r.poly), r.n)
+                if (r.poly, m) not in fields:
+                    fields[r.poly, m] = FieldSpec.binary_extension(m, r.poly)
+                pairs = pairs_cache[key] = _cmuladd_cx_pairs(fields[r.poly, m], r.n)
             src_controls, dst_targets = controls[src], targets[dst]
             em.extend([(src_controls[p], dst_targets[j]) for p, j in pairs])
         else:

@@ -36,15 +36,12 @@ flags of arity k over d..min(2^k, 2d-1)-1, the carry-controlled flags over
 2^k..2(d-1), the corrections from the check-if qubits and the corrections
 from the substituted top carry.  It reads no closed-form count, so
 ``count()`` and ``predicted_counts`` stay two derivations.
-``SumPlan.flags`` describes the same outcomes, one ``FlagSpec`` each, for
-tests and readers; it is built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import NamedTuple
+from functools import cache
 
 from .circuit import CostBreakdown, Circuit, Emitter, Meta, Register, RegisterTable
 from .errors import InvalidDimensionError
@@ -60,17 +57,6 @@ DIRTY_ANCILLA_NOTE = (
 )
 
 
-class FlagSpec(NamedTuple):
-    """One adder outcome needing modulo conversion."""
-
-    value: int                 # outcome i in [d, 2(d-1)]
-    pattern: int               # i mod 2^k over k bits, read by the flag gate
-    needs_carry_control: bool  # i >= 2^k
-    correction_mask: int       # pattern XOR (i mod d)
-    uses_carry_substitute: bool  # top carry doubles as the flag qubit (no flag gate)
-    checkif_index: int | None  # index into the check-if register, None when substituted
-
-
 @dataclass(frozen=True)
 class SumPlan:
     d: int
@@ -78,27 +64,6 @@ class SumPlan:
     case: str
     n_checkif: int
     n_aux: int
-
-    @property
-    def carry_substituted(self) -> bool:
-        return 2 * (self.d - 1) == 1 << self.k
-
-    @cached_property
-    def flags(self) -> tuple[FlagSpec, ...]:
-        """One FlagSpec per adder outcome in [d, 2(d-1)]; built on first read.
-        Synthesis walks the outcomes itself and never reads it."""
-        d, top = self.d, 1 << self.k
-        flags = []
-        checkif_index = 0
-        for i in range(d, 2 * (d - 1) + 1):
-            substituted = i == top and 2 * (d - 1) == top
-            pattern = i % top
-            # value, pattern, needs_carry_control, correction_mask, uses_carry_substitute, checkif_index
-            flags.append(FlagSpec(i, pattern, i >= top, pattern ^ (i % d), substituted,
-                                  None if substituted else checkif_index))
-            if not substituted:
-                checkif_index += 1
-        return tuple(flags)
 
 
 def compute_k(d: int) -> int:
@@ -121,7 +86,7 @@ def _checked_k(d: int) -> int:
 
 
 def plan(d: int) -> SumPlan:
-    """Register and flag plan for the dimension-d SUM gate."""
+    """Register plan for the dimension-d SUM gate: its width k, case and ancilla counts."""
     k = _checked_k(d)
     top = 1 << k
     case = CASE_A if 2 * (d - 1) <= top else CASE_B

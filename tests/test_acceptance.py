@@ -26,6 +26,7 @@ from qrsmux.galois import FieldSpec
 from qrsmux.revsim import verify_sum
 from qrsmux.sumsynth import plan, predicted_counts, synth_mod, synth_sum
 from test_lowering import _gadget_truth_table, _mcx_truth_table
+from test_sumsynth import outcomes
 
 
 @contextlib.contextmanager
@@ -81,18 +82,18 @@ def test_criterion_3_semantic_correctness():
             assert report.verified, (d, report.failures[:3])
             assert report.total_cases == d * d
         for d in (7, 11, 13):  # carry-controlled flag path
-            assert any(f.needs_carry_control for f in plan(d).flags)
+            assert any(f.needs_carry_control for f in outcomes(d))
         assert time.perf_counter() - start < 60.0
 
 
 def test_criterion_4_d5_worked_layout():
     with criterion(4, "d=5 corrections 2+3+2+2, three check-if qubits plus carry substitution, "
                       "n_aux = 6"):
-        p = plan(5)
-        assert [bin(f.correction_mask).count("1") for f in p.flags] == [2, 3, 2, 2]
-        assert [f.correction_mask for f in p.flags] == [0b101, 0b111, 0b101, 0b011]
+        p, table = plan(5), outcomes(5)
+        assert [bin(f.correction_mask).count("1") for f in table] == [2, 3, 2, 2]
+        assert [f.correction_mask for f in table] == [0b101, 0b111, 0b101, 0b011]
         assert p.n_checkif == 3
-        assert p.flags[-1].uses_carry_substitute and p.flags[-1].value == 8
+        assert table[-1].uses_carry_substitute and table[-1].value == 8
         assert p.n_aux == 6 == p.k + 5 - 2
         mod = synth_mod(p)
         by_flag = {}

@@ -13,6 +13,7 @@ from qrsmux.analysis import (
 )
 from qrsmux.errors import InvalidDimensionError
 from qrsmux.galois import is_prime
+from test_sumsynth import outcomes
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +116,7 @@ def test_checkif_cx_counts_flags_by_hand(convention_id, cx_per_carry_flag):
     report = sweep(3, 257, strategies=("multiplexed",), convention=convention_id)
     assert len(report.rows) == len(primes_in(3, 257))
     for row in report.rows:
-        flags = [f for f in sumsynth.plan(row.d).flags if not f.uses_carry_substitute]
+        flags = [f for f in outcomes(row.d) if not f.uses_carry_substitute]
         n_carry = sum(f.needs_carry_control for f in flags)
         assert row.checkif_cx == (len(flags) - n_carry) + cx_per_carry_flag * n_carry, row.d
 

@@ -234,6 +234,22 @@ def test_expansion_is_each_cmuladd_circuit_on_its_registers():
         assert expanded.gates == want
 
 
+def test_expansion_builds_one_field_per_polynomial(monkeypatch):
+    """The m = 4 encoder uses 15 exponents of one field; the expansion checks
+    and tables that field once, not once per exponent."""
+    enc = synth_encoder_gf2m(build_code(4, 8))
+    assert len({g.n for g in enc.gates if g.kind == "CMulAdd"}) == 15
+    built = []
+    binary_extension = FieldSpec.binary_extension.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return binary_extension(cls, *args, **kwargs)
+    monkeypatch.setattr(FieldSpec, "binary_extension", classmethod(counting))
+    expand_cmuladds(enc)
+    assert built == [(4, None)]
+
+
 def test_expansion_passes_other_gates_through():
     f = FieldSpec.binary_extension(3)
     table = RegisterTable([Register("u", 3, 0, "gf-message"), Register("v", 3, 1, "gf-code")])

@@ -1,5 +1,6 @@
 import itertools
 import operator
+from typing import NamedTuple
 
 import pytest
 
@@ -18,49 +19,53 @@ from test_emitter import SAMPLED_MOD_PRIMES
 # Planning
 # ---------------------------------------------------------------
 
-def eager_flags(d):
-    """The FlagSpec tuple plan(d) used to build eagerly, one per outcome in [d, 2(d-1)]."""
+class Outcome(NamedTuple):
+    """One adder outcome needing modulo conversion."""
+
+    value: int                   # outcome i in [d, 2(d-1)]
+    pattern: int                 # i mod 2^k over k bits, read by the flag gate
+    needs_carry_control: bool    # i >= 2^k
+    correction_mask: int         # pattern XOR (i mod d)
+    uses_carry_substitute: bool  # top carry doubles as the flag qubit (no flag gate)
+    checkif_index: int | None    # index into the check-if register, None when substituted
+
+
+def outcomes(d):
+    """The reference outcome table of the dimension-d SUM gate: one Outcome
+    per adder outcome in [d, 2(d-1)], in order."""
     top = 1 << sumsynth.compute_k(d)
-    flags, checkif_index = [], 0
+    table, checkif_index = [], 0
     for i in range(d, 2 * (d - 1) + 1):
         substituted = i == top and 2 * (d - 1) == top
-        flags.append(sumsynth.FlagSpec(i, i % top, i >= top, (i % top) ^ (i % d), substituted,
-                                       None if substituted else checkif_index))
+        table.append(Outcome(i, i % top, i >= top, (i % top) ^ (i % d), substituted,
+                             None if substituted else checkif_index))
         checkif_index += not substituted
-    return tuple(flags)
-
-
-def test_plan_flags_are_built_on_first_read_and_equal_the_eager_tuple():
-    for d in primes_in(2, 257):
-        p = plan(d)
-        assert "flags" not in vars(p), d
-        assert p.flags == eager_flags(d) and p.flags is p.flags, d
-        assert p.n_checkif == sum(f.checkif_index is not None for f in p.flags), d
+    return tuple(table)
 
 
 def test_plan_d5():
     p = plan(5)
     assert (p.k, p.case, p.n_checkif, p.n_aux) == (3, "A", 3, 6)
-    assert p.carry_substituted  # 2(d-1) = 8 = 2^3, value 8 rides on Carry_8
-    values = [f.value for f in p.flags]
+    values = [f.value for f in outcomes(5)]
     assert values == [5, 6, 7, 8]
-    assert [f.uses_carry_substitute for f in p.flags] == [False, False, False, True]
+    # 2(d-1) = 8 = 2^3, value 8 rides on Carry_8
+    assert [f.uses_carry_substitute for f in outcomes(5)] == [False, False, False, True]
 
 
 def test_plan_d7_case_b():
     p = plan(7)
     assert (p.k, p.case) == (3, "B")
-    assert [f.value for f in p.flags] == [7, 8, 9, 10, 11, 12]
+    assert [f.value for f in outcomes(7)] == [7, 8, 9, 10, 11, 12]
     # outcome 7 reads data bits only; 8..12 additionally control on the top carry
-    assert [f.needs_carry_control for f in p.flags] == [False, True, True, True, True, True]
-    assert not p.carry_substituted
+    assert [f.needs_carry_control for f in outcomes(7)] == [False, True, True, True, True, True]
+    assert not any(f.uses_carry_substitute for f in outcomes(7))
     assert p.n_checkif == 6 and p.n_aux == 9
 
 
 def test_plan_d3_boundary():
     p = plan(3)
     assert (p.k, p.case, p.n_checkif) == (2, "A", 1)
-    assert p.flags[-1].uses_carry_substitute  # value 4 = 2^2
+    assert outcomes(3)[-1].uses_carry_substitute  # value 4 = 2^2
 
 
 def test_plan_validation():
@@ -71,16 +76,17 @@ def test_plan_validation():
 
 
 def test_plan_invariants_all_primes():
-    for d in primes_in(3, 257):
-        p = plan(d)
+    for d in primes_in(2, 257):
+        p, table = plan(d), outcomes(d)
         assert (1 << (p.k - 1)) < d <= (1 << p.k)
         assert p.n_aux == p.k + p.n_checkif
-        assert p.carry_substituted == (2 * (d - 1) == 1 << p.k)
-        for f in p.flags:
+        assert p.n_checkif == sum(f.checkif_index is not None for f in table), d
+        assert any(f.uses_carry_substitute for f in table) == (2 * (d - 1) == 1 << p.k)
+        for f in table:
             assert f.needs_carry_control == (f.value >= (1 << p.k))
             assert f.pattern == f.value % (1 << p.k)
             assert f.correction_mask == f.pattern ^ (f.value % d)
-    assert [d for d in primes_in(3, 257) if plan(d).carry_substituted] == [3, 5, 17, 257]
+    assert [d for d in primes_in(3, 257) if outcomes(d)[-1].uses_carry_substitute] == [3, 5, 17, 257]
 
 
 # ---------------------------------------------------------------
@@ -153,11 +159,10 @@ def test_rca_tally_constant_within_k_plateau():
 
 def test_mod_d5_correction_pattern():
     """Corrections for 5,6,7,8 -> 0,1,2,3 flip (X I X), (X X X), (X I X), (I X X)."""
-    p = plan(5)
-    masks = [f.correction_mask for f in p.flags]
+    masks = [f.correction_mask for f in outcomes(5)]
     assert masks == [0b101, 0b111, 0b101, 0b011]
     assert [bin(m).count("1") for m in masks] == [2, 3, 2, 2]
-    c = synth_mod(p)
+    c = synth_mod(plan(5))
     corrections = [g for g in c.gates if g.kind == "MCX" and g.arity == 1]
     assert len(corrections) == 9
     # the value-8 corrections are controlled by the top carry, not a check-if qubit
@@ -183,12 +188,12 @@ def test_mod_d7_tally():
 def test_flag_phase_exclusivity():
     """At most one flag fires for every achievable adder output."""
     for d in primes_in(3, 61):
-        p = plan(d)
-        top = 1 << p.k
+        k = plan(d).k
+        top = 1 << k
         for v in range(0, 2 * (d - 1) + 1):
-            data, carry = v % top, v >> p.k
+            data, carry = v % top, v >> k
             fired = 0
-            for f in p.flags:
+            for f in outcomes(d):
                 if f.uses_carry_substitute:
                     fired += carry
                 elif f.needs_carry_control:
@@ -271,14 +276,14 @@ def reference_mod_gates(p):
     top_carry = Control(Wire("carry", k - 1))
     checkif_out = [(Wire("checkif", i),) for i in range(p.n_checkif)]
     gates = []
-    for f in p.flags:
+    for f in outcomes(p.d):
         if f.uses_carry_substitute:
             continue
         controls = tuple([b_by_bit[j][f.pattern >> j & 1] for j in range(k)])
         if f.needs_carry_control:
             controls += (top_carry,)
         gates.append(Gate("MCX", controls, checkif_out[f.checkif_index]))
-    for f in p.flags:
+    for f in outcomes(p.d):
         if f.uses_carry_substitute:
             controls = (top_carry,)
         else:
