@@ -45,8 +45,7 @@ def main() -> int:
     for line in analysis.deviation_lines(report, REFERENCE_D, REFERENCE_TOTALS):
         print(line)
 
-    curve = analysis.ratio_curve(report)
-    print(f"\nratio jumps at: {sorted(curve.jumps.values())}")
+    print(f"\nratio jumps at: {sorted(analysis.detect_jumps(report).values())}")
     return 0
 
 

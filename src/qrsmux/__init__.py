@@ -10,6 +10,6 @@ from .sumsynth import SumPlan, plan, predicted_counts, synth_mod, synth_rca, syn
 from .lowering import GadgetDescriptor, Strategy, lower_circuit
 from .gf2m import RSCodeSpec, build_code, synth_cmuladd, synth_encoder_gf2m, verify_cmuladd
 from .revsim import VerificationReport, truth_table, verify_sum
-from .analysis import Convention, SweepReport, SweepRow, ratio_curve, sum_gate_count, sweep
+from .analysis import SweepReport, SweepRow, sum_gate_count, sweep
 
 __version__ = "0.1.0"

@@ -3,9 +3,10 @@
 Every sweep row is produced by synthesizing the SUM circuit and lowering it,
 never from closed forms alone; the closed-form prediction acts as a
 consistency gate that aborts the row on any mismatch.  Every CX figure,
-checkif_cx and the nrca series included, is read off a LoweringReport; the
-knobs a convention registry entry fixes are those of lowering.Strategy, and
-its id is stamped into every CSV row, so totals are reproducible.
+checkif_cx and the nrca series included, is read off a LoweringReport.  A
+convention id names the multiplexed lowering.Strategy a sweep lowers with;
+the id is stamped into every CSV row and on the report, so totals are
+reproducible.
 """
 
 from __future__ import annotations
@@ -21,39 +22,26 @@ from .lowering import MULTIPLEXED, STRATEGY_NAMES, Strategy
 
 
 # ----------------------------------------------------------------------
-# Convention registry
+# Counting conventions
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Convention:
-    """Named, versioned counting choice stamped into every report: the
-    multiplexed Strategy a sweep lowers with."""
-
-    id: str
-    multiplexed: Strategy = lowering.multiplexed()
-
-    def strategy(self, name: str) -> Strategy:
-        return self.multiplexed if name == MULTIPLEXED else Strategy(name)
-
-
-CONVENTIONS: dict[str, Convention] = {
-    "default-v1": Convention(id="default-v1"),
+CONVENTIONS: dict[str, Strategy] = {
+    "default-v1": lowering.multiplexed(),
     # Non-default variant: the inner Toffoli of a collapsed carry-controlled
     # flag gate is itself multiplexed down to one CX (carry and check-if
     # share the ancilla photon).  Excluded from comparison reports.
-    "inner-collapse-v1": Convention(id="inner-collapse-v1",
-                                    multiplexed=lowering.multiplexed(collapse_inner_c2x=True)),
+    "inner-collapse-v1": lowering.multiplexed(collapse_inner_c2x=True),
 }
 
 DEFAULT_CONVENTION_ID = "default-v1"
 
 
-def get_convention(convention_id: str | None = None) -> Convention:
-    cid = convention_id or DEFAULT_CONVENTION_ID
+def get_convention(convention_id: str) -> Strategy:
+    """The multiplexed Strategy a convention id names."""
     try:
-        return CONVENTIONS[cid]
+        return CONVENTIONS[convention_id]
     except KeyError:
-        raise ValueError(f"unknown convention {cid!r}; registered: {sorted(CONVENTIONS)}") from None
+        raise ValueError(f"unknown convention {convention_id!r}; registered: {sorted(CONVENTIONS)}") from None
 
 
 # ----------------------------------------------------------------------
@@ -127,9 +115,9 @@ class SweepReport:
         raise KeyError(f"no sweep row for d={d}")
 
 
-def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: Convention | None = None) -> SweepRow:
+def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: str = DEFAULT_CONVENTION_ID) -> SweepRow:
     """Synthesize, gate-check against the closed form, and lower one dimension."""
-    conv = convention or get_convention()
+    multiplexed = get_convention(convention)
     circuit = sumsynth.synth_sum(d)
     counted = circuit.count()
     predicted = sumsynth.predicted_counts(d)
@@ -141,10 +129,10 @@ def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: Convention | None =
     n_checkif = sum(circuit.table[name].width for name in checkif)
     row = SweepRow(
         d=d, k=circuit.table["A"].width, n_sum_gates=sum_gate_count(d),
-        n_checkif=n_checkif, n_aux=circuit.table["carry"].width + n_checkif, convention=conv.id,
+        n_checkif=n_checkif, n_aux=circuit.table["carry"].width + n_checkif, convention=convention,
     )
     for name in strategies:
-        report = lowering.lower_circuit(circuit, conv.strategy(name))
+        report = lowering.lower_circuit(circuit, multiplexed if name == MULTIPLEXED else Strategy(name))
         setattr(row, f"nsum_{name}", report.cx_total)
         setattr(row, f"ntot_{name}", row.n_sum_gates * report.cx_total)
         if name == MULTIPLEXED:
@@ -160,11 +148,11 @@ def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: Convention | None =
 
 
 def sweep(d_min: int, d_max: int, strategies=STRATEGY_NAMES,
-          convention: Convention | str | None = None) -> SweepReport:
+          convention: str = DEFAULT_CONVENTION_ID) -> SweepReport:
     """One row per prime in [d_min, d_max], sorted by d.  Non-primes are skipped."""
     if d_max < d_min:
         raise ValueError(f"empty sweep range [{d_min}, {d_max}]")
-    conv = convention if isinstance(convention, Convention) else get_convention(convention)
+    get_convention(convention)  # an unknown id is refused before any work
     unknown = set(strategies) - set(STRATEGY_NAMES)
     if unknown:
         raise ValueError(f"unknown strategies: {sorted(unknown)}")
@@ -179,21 +167,15 @@ def sweep(d_min: int, d_max: int, strategies=STRATEGY_NAMES,
         # or any work.  An accepted prime is planned by its own row alone.
         sumsynth.plan(top)
     primes = primes_in(lo, top) if top else []
-    report = SweepReport(convention=conv.id)
+    report = SweepReport(convention=convention)
     for d in primes:
-        report.rows.append(sweep_row(d, strategies, conv))
+        report.rows.append(sweep_row(d, strategies, convention))
     return report
 
 
 # ----------------------------------------------------------------------
-# Ratio curve
+# Boundary jumps
 # ----------------------------------------------------------------------
-
-@dataclass
-class RatioCurve:
-    points: list[tuple[int, float]]
-    jumps: dict[int, int]  # boundary exponent kb -> first prime above 2^kb
-
 
 def detect_jumps(report: SweepReport) -> dict[int, int]:
     """First prime after each power-of-two boundary present in the sweep."""
@@ -204,16 +186,6 @@ def detect_jumps(report: SweepReport) -> dict[int, int]:
             jumps[prev.k] = row.d
         prev = row
     return jumps
-
-
-def ratio_curve(report: SweepReport) -> RatioCurve:
-    """General/multiplexed ratio series with the detected boundary jumps."""
-    if any(r.ratio_general is None for r in report.rows):
-        raise ValueError("ratio curve needs both the general and multiplexed columns")
-    return RatioCurve(
-        points=[(r.d, r.ratio_general) for r in report.rows],
-        jumps=detect_jumps(report),
-    )
 
 
 # ----------------------------------------------------------------------

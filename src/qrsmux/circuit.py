@@ -272,10 +272,10 @@ class CostBreakdown:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CostBreakdown):
             return NotImplemented
-        return {k: v for k, v in self._counts.items() if v} == {k: v for k, v in other._counts.items() if v}
+        return self._counts == other._counts  # no constructor stores a zero count
 
     def __bool__(self) -> bool:
-        return any(self._counts.values())
+        return bool(self._counts)
 
     def total(self) -> int:
         return sum(self._counts.values())
@@ -285,7 +285,7 @@ class CostBreakdown:
         return CostBreakdown({k: v for k, v in self._counts.items() if k in wanted})
 
     def as_dict(self) -> dict[str, int]:
-        return {k: v for k, v in sorted(self._counts.items(), key=_class_sort_key) if v}
+        return dict(sorted(self._counts.items(), key=_class_sort_key))
 
     def __repr__(self) -> str:
         return f"CostBreakdown({self.as_dict()})"

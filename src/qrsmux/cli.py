@@ -2,8 +2,9 @@
 
 Subcommands: synth-sum, lower, gf2m, verify, sweep.  The QRS_OUT_DIR
 environment variable supplies the default output directory for sweep
-artifacts; a --config file can override primitive polynomials
-(gf2m.poly.<m>) and the counting convention (convention.id).
+artifacts; a --config file can set primitive polynomials (gf2m.poly.<m>)
+and the counting convention (convention.id).  gf2m resolves the polynomial
+here alone: --poly, then gf2m.poly.<m>, then galois's default for m.
 """
 
 from __future__ import annotations
@@ -123,14 +124,15 @@ def cmd_gf2m(args) -> int:
     cfg = _load_config(args.config)
     with _user_input(f"--config {args.config}"):
         overrides = config_mod.poly_overrides(cfg)
-    if args.poly is not None:
-        poly_source = f"--poly {args.poly:#b}"
+    poly = args.poly
+    if poly is not None:
+        poly_source = f"--poly {poly:#b}"
     elif args.m in overrides:
-        poly_source = f"gf2m.poly.{args.m}"
+        poly, poly_source = overrides[args.m], f"gf2m.poly.{args.m}"
     else:
         poly_source = f"--m {args.m}"
     with _user_input(poly_source):
-        field = galois.FieldSpec.binary_extension(args.m, args.poly, overrides)
+        field = galois.FieldSpec.binary_extension(args.m, poly)
     k = args.k if args.k is not None else 1 << (args.m - 1)
     with _user_input(f"--m {args.m}" if args.k is None else f"--k {args.k}",
                      (ValueError, UnsupportedConfigurationError)):  # a bad length, or a code without its dual
@@ -140,7 +142,7 @@ def cmd_gf2m(args) -> int:
     if args.emit:
         outputs.append((f"--emit {args.emit}", args.emit, serialize(encoder)))
     if args.report:
-        exponents = [g.n for g in encoder.gates if g.kind == "CMulAdd"]
+        exponents = [g.n for g in encoder.records if g.kind == "CMulAdd"]  # an encoder holds only Gates
         line = {n: _cmuladd_report_line(spec.field, n) for n in dict.fromkeys(exponents)}
         text = "".join(["gate,exponent,cx-count,formula-count,verified\n"] + [line[n] for n in exponents])
         outputs.append((f"--report {args.report}", args.report, text))
@@ -168,9 +170,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
+    convention = args.convention or cfg.get("convention.id", analysis.DEFAULT_CONVENTION_ID)
     with _user_input("--convention" if args.convention else "convention.id"):
-        convention = analysis.get_convention(
-            args.convention or cfg.get("convention.id", analysis.DEFAULT_CONVENTION_ID))
+        analysis.get_convention(convention)
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     if not strategies:
         raise UnsupportedConfigurationError(f"--strategies {args.strategies}: names no strategy")

@@ -7,8 +7,9 @@ multiplication and inversion read exp/log tables of alpha = x, built once per
 field.  ``gf2_mulmod``, the carry-less multiply-and-reduce the tables are
 built from, reads no table; checkers use it to stay independent of them.
 
-Default primitive polynomials, one per extension degree (overridable via a
-config file with keys ``gf2m.poly.<m>``):
+Default primitive polynomials, one per extension degree; ``binary_extension``
+falls back to them when given no polynomial (only the CLI reads one from
+``--poly`` or a ``gf2m.poly.<m>`` config key):
     m=1 : x + 1                     -> 0b11        = 3
     m=2 : x^2 + x + 1               -> 0b111       = 7
     m=3 : x^3 + x + 1               -> 0b1011      = 11
@@ -106,31 +107,6 @@ def _gf2_irreducible(p: int) -> bool:
     return True
 
 
-def _gf2_primitive(p: int) -> bool:
-    """True when x generates the full multiplicative group of GF(2)[x]/(p)."""
-    m = _gf2_degree(p)
-    group = (1 << m) - 1
-    val = _gf2_mod(0b10, p)  # alpha = x reduced (relevant for m=1)
-    seen = 1
-    acc = val
-    while acc != 1:
-        acc = gf2_mulmod(acc, val, p)
-        seen += 1
-        if seen > group:
-            return False
-    return seen == group
-
-
-def primitive_poly(m: int, overrides: dict[int, int] | None = None) -> int:
-    """Primitive polynomial bitmask for GF(2^m), honoring config overrides."""
-    if overrides and m in overrides:
-        return overrides[m]
-    try:
-        return DEFAULT_PRIMITIVE_POLYS[m]
-    except KeyError:
-        raise ValueError(f"no default primitive polynomial for m={m}; supply one") from None
-
-
 # ----------------------------------------------------------------------
 # Field specification and arithmetic
 # ----------------------------------------------------------------------
@@ -155,14 +131,19 @@ class FieldSpec:
             )
         if not _gf2_irreducible(self.poly):
             raise ValueError(f"polynomial 0b{self.poly:b} is reducible over GF(2)")
-        if not _gf2_primitive(self.poly):
+        exp, log = self._exp_log
+        # x is primitive when its powers reach every nonzero element and
+        # x^(2^m - 1) = 1; the second fails only at m = 1 under x, where x = 0.
+        if -1 in log[1:] or gf2_mulmod(exp[-1], _gf2_mod(0b10, self.poly), self.poly) != 1:
             raise ValueError(f"polynomial 0b{self.poly:b} is irreducible but not primitive")
 
     @classmethod
-    def binary_extension(cls, m: int, poly: int | None = None,
-                         overrides: dict[int, int] | None = None) -> "FieldSpec":
+    def binary_extension(cls, m: int, poly: int | None = None) -> "FieldSpec":
+        """GF(2^m) under poly, or under m's default primitive polynomial."""
         if poly is None:
-            poly = primitive_poly(m, overrides)
+            if 1 <= m <= M_MAX and m not in DEFAULT_PRIMITIVE_POLYS:
+                raise ValueError(f"no default primitive polynomial for m={m}; supply one")
+            poly = DEFAULT_PRIMITIVE_POLYS.get(m, 0)  # an m outside 1..M_MAX is refused first
         return cls(m, poly)
 
     @property
@@ -171,7 +152,8 @@ class FieldSpec:
 
     @cached_property
     def _exp_log(self) -> tuple[list[int], list[int]]:
-        """exp/log tables (alpha = x); log[0] is unused."""
+        """exp/log tables (alpha = x), walking its first 2^m - 1 powers; log[0]
+        is unused, and log[e] stays -1 for an element e the walk never reaches."""
         n = self.order - 1
         exp = [0] * n
         log = [-1] * self.order

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from .circuit import Circuit, Wire, record_of
-from .errors import ResourceLimitError, UnsupportedGateError
+from .errors import InvalidDimensionError, ResourceLimitError, UnsupportedGateError
 
 TRUTH_TABLE_WIDTH_LIMIT = 24
 
@@ -209,11 +209,14 @@ def verify_sum(d: int, c: Circuit) -> VerificationReport:
 
     Ancillas start at 0; their final values are recorded but not asserted.
     Failures are sorted by (A, B); got is -1 where A was corrupted.  The
-    cases are simulated in blocks of consecutive A values.
+    cases are simulated in blocks of consecutive A values.  A d that register
+    A cannot hold, or below 2, is refused before any simulation.
     """
     start = time.perf_counter()
     table = c.table
     k = table["A"].width
+    if not 2 <= d <= 1 << k:
+        raise InvalidDimensionError(f"d={d} must lie in [2, {1 << k}] for a register A of {k} qubits")
     a_pos = [table.offset("A") + j for j in range(k)]
     b_pos = [table.offset("B") + j for j in range(k)]
     ancillas = [table.offset(reg.name) + j for reg in table.registers

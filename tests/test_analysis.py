@@ -9,7 +9,7 @@ import pytest
 from qrsmux import analysis, sumsynth
 from qrsmux.analysis import (
     CSV_HEADER, SweepReport, detect_jumps, emit_csv, emit_svg, get_convention,
-    primes_in, ratio_curve, series_points, sum_gate_count, sweep, sweep_row,
+    primes_in, series_points, sum_gate_count, sweep, sweep_row,
 )
 from qrsmux.errors import InvalidDimensionError
 from qrsmux.galois import is_prime
@@ -101,7 +101,7 @@ def test_empty_range_rejected():
 
 def test_convention_variants_change_totals():
     base = sweep_row(7)
-    collapsed = sweep_row(7, convention=get_convention("inner-collapse-v1"))
+    collapsed = sweep_row(7, convention="inner-collapse-v1")
     assert collapsed.convention == "inner-collapse-v1"
     # five carry-controlled flags drop from one Toffoli tally to one CX each
     assert base.nsum_multiplexed - collapsed.nsum_multiplexed == 5 * 5
@@ -121,9 +121,13 @@ def test_checkif_cx_counts_flags_by_hand(convention_id, cx_per_carry_flag):
         assert row.checkif_cx == (len(flags) - n_carry) + cx_per_carry_flag * n_carry, row.d
 
 
-def test_unknown_convention_rejected():
+def test_unknown_convention_rejected(monkeypatch):
     with pytest.raises(ValueError):
         get_convention("nope-v0")
+    # sweep refuses the id before synthesizing any row
+    monkeypatch.setattr(sumsynth, "synth_sum", lambda d: pytest.fail(f"synth_sum({d}) ran before the check"))
+    with pytest.raises(ValueError, match="unknown convention 'nope-v0'"):
+        sweep(3, 31, convention="nope-v0")
 
 
 def test_consistency_gate_aborts_on_mismatch(monkeypatch):
@@ -157,7 +161,7 @@ def test_sweep_plans_each_prime_once(monkeypatch):
 
 
 # ---------------------------------------------------------------
-# Ratio curve
+# Ratio and boundary jumps
 # ---------------------------------------------------------------
 
 def test_jump_detection(small_report):
@@ -165,8 +169,7 @@ def test_jump_detection(small_report):
 
 
 def test_ratio_jumps_upward_at_boundaries(small_report):
-    curve = ratio_curve(small_report)
-    ratio = dict(curve.points)
+    ratio = {r.d: r.ratio_general for r in small_report.rows}
     rows = small_report.rows
     for prev, cur in zip(rows, rows[1:]):
         if cur.k > prev.k:
@@ -174,24 +177,19 @@ def test_ratio_jumps_upward_at_boundaries(small_report):
 
 
 def test_ratio_increases_19_to_31(small_report):
-    ratio = dict(ratio_curve(small_report).points)
+    ratio = {r.d: r.ratio_general for r in small_report.rows}
     seq = [ratio[d] for d in (19, 23, 29, 31)]
     assert all(b > a for a, b in zip(seq, seq[1:]))
 
 
 def test_ratio_net_decrease_within_regions():
     report = sweep(37, 255)
-    ratio = dict(ratio_curve(report).points)
+    ratio = {r.d: r.ratio_general for r in report.rows}
     for lo, hi in [(37, 63), (67, 127), (131, 255)]:
         primes = [d for d in primes_in(lo, hi)]
         first, last = primes[0], primes[-1]
         assert ratio[last] < ratio[first]
         assert all(ratio[d] < ratio[first] for d in primes[1:])
-
-
-def test_ratio_curve_requires_both_strategies():
-    with pytest.raises(ValueError):
-        ratio_curve(sweep(5, 7, strategies=("general",)))
 
 
 # ---------------------------------------------------------------

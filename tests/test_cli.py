@@ -303,6 +303,11 @@ def test_gf2m_rejects_m_without_default_polynomial(capsys):
     assert_input_error(rc, err, "--m 9", "primitive polynomial")
 
 
+def test_gf2m_rejects_extension_degree_zero(capsys):
+    rc, out, err = run(capsys, "gf2m", "--m", "0")
+    assert (rc, out, err) == (2, "", "error: --m 0: extension degree m=0 must be >= 1\n")
+
+
 def test_sweep_rejects_unknown_strategy(capsys, tmp_path):
     out_csv = tmp_path / "r.csv"
     rc, _, err = run(capsys, "sweep", "--d-min", "5", "--d-max", "5", "--out", str(out_csv),
@@ -394,13 +399,16 @@ def test_dimension_past_k_max_is_refused_for_its_size_quickly(capsys, tmp_path, 
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("m, poly, via_config", [(11, 0x805, False), (16, 0x1100B, False), (16, 0x1100B, True)],
-                         ids=["m11-poly", "m16-poly", "m16-config"])
+@pytest.mark.parametrize("m, poly, via_config", [(11, 0x805, False), (16, 0x1100B, False), (16, 0x1100B, True),
+                                                  (11, None, False)],
+                         ids=["m11-poly", "m16-poly", "m16-config", "m11-default"])
 def test_extension_degree_past_m_max_is_refused_quickly(capsys, tmp_path, monkeypatch, m, poly, via_config):
     monkeypatch.chdir(tmp_path)
     if via_config:
         (tmp_path / "qrs.cfg").write_text(f"gf2m.poly.{m} = {poly:#x}\n")
         argv, source = ["--config", "qrs.cfg", "gf2m", "--m", str(m)], f"gf2m.poly.{m}"
+    elif poly is None:  # no polynomial can help: the degree is refused, not the missing default
+        argv, source = ["gf2m", "--m", str(m)], f"--m {m}"
     else:
         argv, source = ["gf2m", "--m", str(m), "--poly", f"{poly:#x}"], f"--poly {poly:#b}"
     start = time.perf_counter()

@@ -49,7 +49,7 @@ def test_default_polynomials_all_valid():
 
 def test_poly_override():
     # x^3 + x^2 + 1 is also primitive for m=3
-    f = FieldSpec.binary_extension(3, overrides={3: 0b1101})
+    f = FieldSpec.binary_extension(3, poly=0b1101)
     assert f.poly == 0b1101
     # alpha^3 = alpha^2 + 1 under this modulus
     assert f.alpha_power(3) == 0b101

@@ -1,6 +1,8 @@
-"""No module of the package reaches into another module's private names."""
+"""No module of the package reaches into another module's private names, and
+none keeps a private function or class nothing uses, or an unused import."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qrsmux"
@@ -62,3 +64,56 @@ def test_the_check_sees_an_import_and_a_read_of_a_foreign_private_name():
         "        return self._total + len(self._cells) + lowering._price(g).__class__\n"
     )
     assert private_reaches(source) == [(1, "from .lowering import _class_rule"), (8, "lowering._price")]
+
+
+def references(tree):
+    """How often each name is read as a name or an attribute under tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def dead_names(sources):
+    """{module: [(line, name)]} of each module-level private function or class
+    that no module references outside its own definition, and of each import
+    its module never reads.  ``from __future__`` imports are not counted."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    everywhere = sum(map(references, trees.values()), Counter())
+    found = {}
+    for module, tree in trees.items():
+        dead = [(node.lineno, node.name) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and is_private(node.name) and everywhere[node.name] == references(node)[node.name]]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                dead += [(node.lineno, a.asname or a.name) for a in node.names
+                         if (a.asname or a.name).split(".")[0] not in read]
+        if dead:
+            found[module] = sorted(dead)
+    return found
+
+
+def test_no_module_keeps_an_unused_private_definition_or_import():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    assert {"analysis.py", "circuit.py", "galois.py"} <= set(sources)
+    assert dead_names(sources) == {}
+
+
+def test_the_check_sees_an_unused_helper_and_an_unused_import():
+    sources = {
+        "a.py": (
+            "import os\n"
+            "import math, os.path\n"
+            "from .b import run as go\n"
+            "def _helper():\n"
+            "    return _helper()\n"
+            "def _used():\n"
+            "    return math.pi\n"
+            "class _Kept:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _used(), go\n"
+        ),
+        "b.py": "from . import a\ndef run():\n    return a._Kept\n",
+    }
+    assert dead_names(sources) == {"a.py": [(1, "os"), (2, "os.path"), (4, "_helper")]}

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qrsmux import circuit as ir, revsim
 from qrsmux.analysis import primes_in
 from qrsmux.circuit import Circuit, Control, Register, RegisterTable, Wire
-from qrsmux.errors import ResolutionError, ResourceLimitError, UnsupportedGateError
+from qrsmux.errors import InvalidDimensionError, ResolutionError, ResourceLimitError, UnsupportedGateError
 from qrsmux.galois import FieldSpec
 from qrsmux.gf2m import build_code, expand_cmuladds, find_cmuladd_counterexample, synth_cmuladd, synth_encoder_gf2m
 from qrsmux.revsim import truth_table, verify_sum
@@ -133,6 +133,15 @@ def test_verify_sum_mutation_fails_exactly_on_affected_value():
 def test_verify_sum_d1021_k_max_boundary():
     report = verify_sum(1021, synth_sum(1021))
     assert report.verified and report.total_cases == 1_042_441
+
+
+@pytest.mark.parametrize("d, c", [(0, 3), (1, 3), (11, 7), (9, 7)])
+def test_verify_sum_refuses_a_d_register_a_cannot_hold(d, c, monkeypatch):
+    # 2 <= d <= 2^k for A of k qubits: d = 0 divided by zero, and a d past
+    # 2^k packed truncated inputs and reported meaningless failures.
+    monkeypatch.setattr(revsim, "compile_permutation", lambda c: pytest.fail("simulated before the check"))
+    with pytest.raises(InvalidDimensionError, match=f"d={d} must lie in"):
+        verify_sum(d, synth_sum(c))
 
 
 def test_verify_report_summary_text():
