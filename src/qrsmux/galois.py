@@ -81,8 +81,8 @@ def _gf2_degree(p: int) -> int:
 def _gf2_mod(a: int, p: int) -> int:
     """Remainder of a divided by p, coefficients over GF(2)."""
     dp = _gf2_degree(p)
-    while _gf2_degree(a) >= dp and a:
-        a ^= p << (_gf2_degree(a) - dp)
+    while a and (shift := a.bit_length() - 1 - dp) >= 0:
+        a ^= p << shift
     return a
 
 

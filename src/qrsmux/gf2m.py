@@ -24,9 +24,9 @@ from functools import cached_property
 
 from . import galois
 from .circuit import Circuit, Emitter, Meta, Register, RegisterTable, cmuladd, dft
-from .errors import UnsupportedConfigurationError
+from .errors import InvalidDimensionError, UnsupportedConfigurationError, UnsupportedGateError
 from .galois import FieldSpec, mul_by_alpha_matrix
-from .revsim import pair_slices, simulate_slices
+from .revsim import simulate_slices
 
 
 # ----------------------------------------------------------------------
@@ -180,55 +180,73 @@ def synth_cmuladd(f: FieldSpec, n: int) -> Circuit:
         Register("a", m, 0, "gf-message"),
         Register("b", m, 1, "gf-code"),
     ])
-    a = [(table.offset("a") + p,) for p in range(m)]
-    b = [table.offset("b") + j for j in range(m)]
+    a0, b0 = table.offset("a"), table.offset("b")
     em = Emitter(table)
-    em.extend([(a[p], b[j]) for p, j in _cmuladd_cx_pairs(f, n)])
+    em.extend([((a0 + p,), b0 + j) for p, j in _cmuladd_cx_pairs(f, n)])
     return em.circuit(Meta(d=f.order, note=f"b <- alpha^{n} * a + b over GF({f.order})"))
 
 
 def find_cmuladd_counterexample(c: Circuit, f: FieldSpec, n: int) -> tuple[int, int] | None:
     """Lexicographically first basis pair (a, b) on which the circuit disagrees with b <- alpha^n * a + b.
 
-    All 4^m pairs run through the circuit at once.  The expected b slices
-    follow from the specification by linearity: bit j of alpha^n * a is the
-    XOR of the bits a_p for which bit j of c_p = alpha^n * x^p is set.  Each
-    c_p is a carry-less product reduced by the field polynomial, with alpha^n
-    by square-and-multiply, so the check reads neither the circuit's gates
-    nor the exp/log tables that ``mul_by_alpha_matrix`` builds them from.
+    An X/CX circuit is affine over GF(2) (Patel, Markov and Hayes,
+    quant-ph/0302002), so its error e(a, b) against the linear specification
+    is affine, and 2m+1 basis cases decide it on all 4^m pairs: case 0 is
+    (0, 0), case 1+i sets input wire i alone, a's wires first.  The first
+    failing pair is (0, 0) if case 0 fails; else e is linear, and it is
+    (0, 2^j) for the lowest failing b wire j, or else (2^p, 0) for the lowest
+    failing a wire p.  Any gate but X and one-control MCX is refused, and so
+    are first two registers that are not both m qubits wide.
+
+    Bit j of alpha^n * a is the XOR of the bits a_p for which bit j of
+    c_p = alpha^n * x^p is set.  Each c_p is a carry-less product reduced by
+    the field polynomial, with alpha^n by square-and-multiply, so the check
+    reads neither the circuit's gates nor the exp/log tables that
+    ``mul_by_alpha_matrix`` builds them from.
     """
-    table = c.table
-    m = f.m
-    size = 1 << m
-    a_pos = [table.offset(table.registers[0].name) + j for j in range(m)]
-    b_pos = [table.offset(table.registers[1].name) + j for j in range(m)]
-    a_in, b_in = pair_slices(size, m)
+    table, m = c.table, f.m
+    if [r.width for r in table.registers[:2]] != [m, m]:
+        found = ", ".join(f"{r.name} ({r.width})" for r in table.registers[:2])
+        raise InvalidDimensionError(f"GF({f.order}) multiplier-add check needs two {m}-qubit registers first, "
+                                    f"not {found}")
+    for kind, controls, _ in c.signature_histogram():
+        if kind != "X" and (kind != "MCX" or len(controls) != 1):
+            gate_class = f"C{len(controls)}X" if kind == "MCX" else kind
+            raise UnsupportedGateError(f"multiplier-add check proves X and CX circuits only, not {gate_class}")
+    a0, b0 = (table.offset(r.name) for r in table.registers[:2])
+    wires = [*range(a0, a0 + m), *range(b0, b0 + m)]
+    units = [2 << i for i in range(2 * m)]  # case 1+i sets input wire i alone
 
     mulmod, poly = galois.gf2_mulmod, f.poly
-    column, square, e = 1, mulmod(0b10, 1, poly), n % (size - 1)  # square starts at alpha = x mod poly
+    column, square, e = 1, mulmod(0b10, 1, poly), n % ((1 << m) - 1)  # square starts at alpha = x mod poly
     while e:  # column <- alpha^n
         if e & 1:
             column = mulmod(column, square, poly)
         square = mulmod(square, square, poly)
         e >>= 1
-    want = list(b_in)
-    for p in range(m):  # column is c_p
+    want = units.copy()  # a passes through, and b gains alpha^n * a
+    for unit in units[:m]:  # column is c_p for the unit of a_p
         for j in range(m):
             if column >> j & 1:
-                want[j] ^= a_in[p]
+                want[m + j] ^= unit
         column = mulmod(column, 0b10, poly)
 
-    out = simulate_slices(c, dict(zip(a_pos + b_pos, a_in + b_in)), size * size)
+    out = simulate_slices(c, dict(zip(wires, units)), 2 * m + 1)
     bad = 0
-    for pos, expect in zip(a_pos + b_pos, (*a_in, *want)):
+    for pos, expect in zip(wires, want):
         bad |= out[pos] ^ expect
     if not bad:
         return None
-    return divmod((bad & -bad).bit_length() - 1, size)  # lowest failing case is the first (a, b)
+    if bad & 1:
+        return 0, 0
+    b_bad = bad >> (m + 1)  # failing b units: bit j is the case of 2^j
+    if b_bad:
+        return 0, b_bad & -b_bad
+    return (bad & -bad) >> 1, 0
 
 
 def verify_cmuladd(c: Circuit, f: FieldSpec, n: int) -> bool:
-    """Exhaustive check over all 2^(2m) basis pairs that (a, b) -> (a, alpha^n * a + b)."""
+    """Proof over all 2^(2m) basis pairs, from 2m+1 of them, that (a, b) -> (a, alpha^n * a + b)."""
     return find_cmuladd_counterexample(c, f, n) is None
 
 

@@ -12,24 +12,23 @@ record, such as an X, is encoded, by ``circuit.record_of``, once per
 simulation.  ``simulate_slices`` runs the whole circuit once over the
 whole case set.
 ``verify_sum``, ``truth_table`` and ``gf2m.find_cmuladd_counterexample`` all
-go through it.
+go through it; the last proves an X/CX circuit on every input from its
+2m+1 basis images alone, since such a circuit is affine over GF(2).
 
 Inputs are packed and outputs unpacked a whole slice at a time, never one
-bit at a time on a huge integer: ``pair_slices`` lays out every (a, b) pair
-as case a*block + b.  The checkers build their expected outputs with the
-same slice arithmetic, from the input slices and the specification alone.
-``verify_sum`` adds the A and B slices with a bit-sliced ripple adder and
-subtracts d wherever the sum reaches d; the multiplier-add checker XORs the
-a slices selected by carry-less field products.  Neither reads the circuit
-under test, ``sumsynth.plan(d)`` or the field's exp/log tables, so the
-expected outputs are a second derivation, not a replay of the synthesis.
+bit at a time on a huge integer.  The checkers build their expected outputs
+with the same slice arithmetic, from the input slices and the specification
+alone: ``verify_sum`` adds the A and B slices with a bit-sliced ripple adder
+and subtracts d wherever the sum reaches d.  Neither it nor the
+multiplier-add checker reads the circuit under test, ``sumsynth.plan(d)`` or
+the field's exp/log tables, so the expected outputs are a second
+derivation, not a replay of the synthesis.
 ``verify_sum`` runs its d^2 cases in blocks of consecutive A values, so each
 wire's slice stays below a fixed number of cases however large d is.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 
@@ -103,20 +102,6 @@ def _counter_slice(n_cases: int, j: int, run: int = 1) -> int:
     """Bit j of i // run for every case i < n_cases."""
     half = run << j
     return _tile(((1 << half) - 1) << half, 2 * half, n_cases)
-
-
-@functools.lru_cache(maxsize=8)
-def pair_slices(block: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Slices of two width-bit registers (a, b) over the cases i = a*block + b, a, b < block.
-
-    Returns (a slices, b slices), low bit first.  Increasing case index is
-    increasing (a, b).  Built once per (block, width) and shared, so the
-    slices are tuples that no caller can change.
-    """
-    n_cases = block * block
-    a = tuple([_counter_slice(n_cases, j, block) for j in range(width)])
-    b = tuple([_tile(_counter_slice(block, j), block, n_cases) for j in range(width)])
-    return a, b
 
 
 def _add_mod(a: list[int], b: list[int], d: int, full: int) -> list[int]:

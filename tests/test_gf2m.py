@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from qrsmux import galois, gf2m, lowering
-from qrsmux.circuit import Circuit, Meta, Register, RegisterTable, Wire, cmuladd, cx, dft, h, x
-from qrsmux.errors import UnsupportedConfigurationError
+from qrsmux.circuit import Circuit, Meta, Register, RegisterTable, Wire, cmuladd, cx, dft, h, toffoli, x
+from qrsmux.errors import InvalidDimensionError, UnsupportedConfigurationError, UnsupportedGateError
 from qrsmux.galois import FieldSpec
 from qrsmux.gf2m import (
     build_code, cmuladd_cx_formula, encoder_classical_cx_cost, expand_cmuladds,
@@ -162,6 +163,28 @@ def test_cmuladd_semantics_m_up_to_5():
         f = FieldSpec.binary_extension(m)
         for n in range(max(1, f.order - 1)):
             assert verify_cmuladd(synth_cmuladd(f, n), f, n), (m, n)
+
+
+@pytest.mark.parametrize("gate, gate_class", [(toffoli(Wire("a", 0), Wire("a", 1), Wire("b", 0)), "C2X"),
+                                               (h(Wire("b", 1)), "H")], ids=["toffoli", "h"])
+def test_cmuladd_checker_refuses_a_gate_outside_x_and_cx(gate, gate_class):
+    """The checker proves a circuit from its basis images, which decide only
+    an affine circuit; a Toffoli or an H is refused, not simulated."""
+    f = FieldSpec.binary_extension(3)
+    c = synth_cmuladd(f, 1)
+    with pytest.raises(UnsupportedGateError, match=f"not {gate_class}$"):
+        find_cmuladd_counterexample(Circuit(c.table, c.gates + (gate,)), f, 1)
+
+
+@pytest.mark.parametrize("circuit_m, field_m, one_register", [(2, 3, False), (3, 2, False), (2, 2, True)],
+                         ids=["narrower", "wider", "one-register"])
+def test_cmuladd_checker_refuses_registers_that_do_not_fit_the_field(circuit_m, field_m, one_register):
+    c = synth_cmuladd(FieldSpec.binary_extension(circuit_m), 1)
+    if one_register:
+        c = Circuit(RegisterTable([c.table["a"]]), [cx(Wire("a", 0), Wire("a", 1))])
+    found = "a (2)" if one_register else f"a ({circuit_m}), b ({circuit_m})"
+    with pytest.raises(InvalidDimensionError, match=re.escape(f"two {field_m}-qubit registers first, not {found}")):
+        verify_cmuladd(c, FieldSpec.binary_extension(field_m), 1)
 
 
 def test_cmuladd_checker_reads_no_field_table(monkeypatch):

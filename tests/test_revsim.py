@@ -373,25 +373,22 @@ def shift_and_xor_product(a, b, poly):
     return product
 
 
-def test_pair_slices_are_built_once_and_shared_as_tuples():
-    a, b = revsim.pair_slices(8, 3)
-    assert revsim.pair_slices(8, 3) is revsim.pair_slices(8, 3)
-    assert type(a) is tuple and type(b) is tuple
-    for i in range(64):  # case i = a * 8 + b, low bit first
-        assert sum((s >> i & 1) << j for j, s in enumerate(a)) == i // 8
-        assert sum((s >> i & 1) << j for j, s in enumerate(b)) == i % 8
-
-
 @pytest.mark.parametrize("m, poly", [pytest.param(m, None, id=str(m)) for m in (2, 3, 4)]
                          + [pytest.param(4, 0b11001, id="4-0b11001")])
 def test_cmuladd_witness_is_first_failing_pair(m, poly):
+    """The checker simulates 2m+1 basis cases; the reference runs all 4^m
+    pairs.  Beside the single-gate mutants, three affine mutants: an X on a
+    b wire and a zero-polarity CX from a to b fail at (0, 0), a CX between
+    two b wires first fails on a b unit."""
     f = FieldSpec.binary_extension(m, poly)
     size = 1 << m
     for n in range(f.order - 1):
         c = synth_cmuladd(f, n)
         a_pos, b_pos = register_positions(c.table, "a"), register_positions(c.table, "b")
-        corrupt_a = Circuit(c.table, c.gates + (ir.cx(Wire("b", 0), Wire("a", 0)),))
-        for circuit in [c, corrupt_a] + [c.without_gate(i) for i in range(len(c))]:
+        affine = [ir.cx(Wire("b", 0), Wire("a", 0)), ir.x(Wire("b", 1)),
+                  ir.mcx([Control(Wire("a", m - 1), ir.ZERO)], Wire("b", 0)), ir.cx(Wire("b", 0), Wire("b", m - 1))]
+        mutants = [Circuit(c.table, c.gates + (g,)) for g in affine]
+        for k, circuit in enumerate([c] + mutants + [c.without_gate(i) for i in range(len(c))]):
             run = reference_runner(circuit)
             first = None
             for a in range(size):
@@ -401,6 +398,8 @@ def test_cmuladd_witness_is_first_failing_pair(m, poly):
                     if (unpack(out, a_pos), unpack(out, b_pos)) != (a, want):
                         first = first or (a, b)
             assert find_cmuladd_counterexample(circuit, f, n) == first, (n, first)
+            if k in (2, 3):  # the X and the zero-polarity CX
+                assert first == (0, 0)
 
 
 @settings(deadline=None)
