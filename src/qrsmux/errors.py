@@ -26,7 +26,7 @@ class LoweringError(QrsError):
 
 
 class UnsupportedGateError(QrsError):
-    """Simulation encountered a non-permutation gate."""
+    """Simulation met a non-permutation gate, or an affine proof a gate other than X and CX."""
 
 
 class ResourceLimitError(QrsError):

@@ -101,10 +101,7 @@ def _gf2_irreducible(p: int) -> bool:
     deg = _gf2_degree(p)
     if deg < 1:
         return False
-    for f in range(2, 1 << (deg // 2 + 1)):
-        if _gf2_degree(f) >= 1 and _gf2_mod(p, f) == 0 and _gf2_degree(f) < deg:
-            return False
-    return True
+    return all(_gf2_mod(p, f) for f in range(2, 1 << (deg // 2 + 1)))  # each f has degree 1 .. deg // 2
 
 
 # ----------------------------------------------------------------------

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import galois
 from .circuit import Circuit, Emitter, Meta, Register, RegisterTable, cmuladd, dft
-from .errors import InvalidDimensionError, UnsupportedConfigurationError, UnsupportedGateError
+from .errors import InvalidDimensionError, UnsupportedConfigurationError
 from .galois import FieldSpec, mul_by_alpha_matrix
-from .revsim import simulate_slices
+from .revsim import affine_images
 
 
 # ----------------------------------------------------------------------
@@ -173,13 +173,15 @@ def _cmuladd_cx_pairs(f: FieldSpec, n: int) -> list[tuple[int, int]]:
     return [(p, j) for p, col in enumerate(columns) for j in range(f.m) if col >> j & 1]
 
 
+@cache
+def _cmuladd_table(m: int) -> RegisterTable:
+    """Registers a, b of every multiplier-add circuit over GF(2^m), built once per m."""
+    return RegisterTable([Register("a", m, 0, "gf-message"), Register("b", m, 1, "gf-code")])
+
+
 def synth_cmuladd(f: FieldSpec, n: int) -> Circuit:
     """CX-only circuit on registers a, b realizing b <- alpha^n * a + b."""
-    m = f.m
-    table = RegisterTable([
-        Register("a", m, 0, "gf-message"),
-        Register("b", m, 1, "gf-code"),
-    ])
+    table = _cmuladd_table(f.m)
     a0, b0 = table.offset("a"), table.offset("b")
     em = Emitter(table)
     em.extend([((a0 + p,), b0 + j) for p, j in _cmuladd_cx_pairs(f, n)])
@@ -189,14 +191,11 @@ def synth_cmuladd(f: FieldSpec, n: int) -> Circuit:
 def find_cmuladd_counterexample(c: Circuit, f: FieldSpec, n: int) -> tuple[int, int] | None:
     """Lexicographically first basis pair (a, b) on which the circuit disagrees with b <- alpha^n * a + b.
 
-    An X/CX circuit is affine over GF(2) (Patel, Markov and Hayes,
-    quant-ph/0302002), so its error e(a, b) against the linear specification
-    is affine, and 2m+1 basis cases decide it on all 4^m pairs: case 0 is
-    (0, 0), case 1+i sets input wire i alone, a's wires first.  The first
-    failing pair is (0, 0) if case 0 fails; else e is linear, and it is
-    (0, 2^j) for the lowest failing b wire j, or else (2^p, 0) for the lowest
-    failing a wire p.  Any gate but X and one-control MCX is refused, and so
-    are first two registers that are not both m qubits wide.
+    The specification is linear, so ``revsim.affine_images`` over a's wires,
+    then b's, decides the circuit on all 4^m pairs.  The first failing pair
+    is (0, 0) if case 0 fails; else it is (0, 2^j) for the lowest failing b
+    wire j, or else (2^p, 0) for the lowest failing a wire p.  First two
+    registers that are not both m qubits wide are refused.
 
     Bit j of alpha^n * a is the XOR of the bits a_p for which bit j of
     c_p = alpha^n * x^p is set.  Each c_p is a carry-less product reduced by
@@ -209,13 +208,8 @@ def find_cmuladd_counterexample(c: Circuit, f: FieldSpec, n: int) -> tuple[int, 
         found = ", ".join(f"{r.name} ({r.width})" for r in table.registers[:2])
         raise InvalidDimensionError(f"GF({f.order}) multiplier-add check needs two {m}-qubit registers first, "
                                     f"not {found}")
-    for kind, controls, _ in c.signature_histogram():
-        if kind != "X" and (kind != "MCX" or len(controls) != 1):
-            gate_class = f"C{len(controls)}X" if kind == "MCX" else kind
-            raise UnsupportedGateError(f"multiplier-add check proves X and CX circuits only, not {gate_class}")
     a0, b0 = (table.offset(r.name) for r in table.registers[:2])
     wires = [*range(a0, a0 + m), *range(b0, b0 + m)]
-    units = [2 << i for i in range(2 * m)]  # case 1+i sets input wire i alone
 
     mulmod, poly = galois.gf2_mulmod, f.poly
     column, square, e = 1, mulmod(0b10, 1, poly), n % ((1 << m) - 1)  # square starts at alpha = x mod poly
@@ -224,14 +218,14 @@ def find_cmuladd_counterexample(c: Circuit, f: FieldSpec, n: int) -> tuple[int, 
             column = mulmod(column, square, poly)
         square = mulmod(square, square, poly)
         e >>= 1
-    want = units.copy()  # a passes through, and b gains alpha^n * a
-    for unit in units[:m]:  # column is c_p for the unit of a_p
+    want = [2 << i for i in range(2 * m)]  # case 1+i sets wire i alone; a passes through, b gains alpha^n * a
+    for unit in want[:m]:  # column is c_p for the unit of a_p
         for j in range(m):
             if column >> j & 1:
                 want[m + j] ^= unit
         column = mulmod(column, 0b10, poly)
 
-    out = simulate_slices(c, dict(zip(wires, units)), 2 * m + 1)
+    out = affine_images(c, wires)
     bad = 0
     for pos, expect in zip(wires, want):
         bad |= out[pos] ^ expect

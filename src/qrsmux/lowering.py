@@ -94,10 +94,8 @@ class GadgetDescriptor:
 
     arity: int
     routed_photon: int
-    stages_in: int
-    stages_out: int
+    routed: int  # controls routed; the tally's OS prices them
     inner: str  # "CX" | "C2X"
-    os_count: int
     collapsed: tuple[int, ...] = ()
     residual: tuple[int, ...] = ()
 
@@ -233,7 +231,7 @@ def _class_rule(kind: str, photons: tuple[int, ...], strategy: Strategy) -> tupl
             else:
                 routed_photon, routed, inner, tally = rule
                 gadget = GadgetDescriptor(
-                    j, routed_photon, routed, routed, inner, tally["OS"],
+                    j, routed_photon, routed, inner,
                     collapsed=tuple(i for i, p in enumerate(photons) if p == routed_photon),
                     residual=tuple(i for i, p in enumerate(photons) if p != routed_photon))
             if len(sizes) >= 3:

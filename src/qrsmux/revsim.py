@@ -9,11 +9,10 @@ mask.  The kernel runs a circuit's records (``circuit.Circuit.records``) as
 they are stored: each is (signed control offsets, target offset), a
 zero-polarity control written as ``~offset``.  Only a gate that is not a
 record, such as an X, is encoded, by ``circuit.record_of``, once per
-simulation.  ``simulate_slices`` runs the whole circuit once over the
-whole case set.
-``verify_sum``, ``truth_table`` and ``gf2m.find_cmuladd_counterexample`` all
-go through it; the last proves an X/CX circuit on every input from its
-2m+1 basis images alone, since such a circuit is affine over GF(2).
+simulation.  The kernel is reached through three proofs, each of which
+runs the whole circuit once over its whole case set: ``truth_table`` (every
+input over a few wires), ``affine_images`` (the images of 0 and of the unit
+vectors, which decide an X/CX circuit) and ``verify_sum``.
 
 Inputs are packed and outputs unpacked a whole slice at a time, never one
 bit at a time on a huge integer.  The checkers build their expected outputs
@@ -33,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 from .circuit import Circuit, Wire, record_of
-from .errors import InvalidDimensionError, ResourceLimitError, UnsupportedGateError
+from .errors import InvalidDimensionError, ResolutionError, ResourceLimitError, UnsupportedGateError
 
 TRUTH_TABLE_WIDTH_LIMIT = 24
 
@@ -60,18 +59,9 @@ def compile_permutation(c: Circuit) -> list[tuple[tuple[int, ...], int]]:
     return compiled
 
 
-def simulate_slices(c: Circuit, inputs: dict[int, int], n_cases: int) -> list[int]:
-    """Run the circuit once over n_cases basis inputs.
-
-    ``inputs`` maps a wire's global offset to its input slice (bit i is the
-    wire's value in case i); other wires start at 0.  Returns the output
-    slice of every wire, indexed by global offset.
-    """
-    return _run(compile_permutation(c), c.table.total_width, inputs, n_cases)
-
-
 def _run(records: list, width: int, inputs: dict[int, int], n_cases: int) -> list[int]:
-    """simulate_slices on compiled records over width wires."""
+    """Every wire's output slice, by offset, after the records run once over n_cases
+    basis inputs: inputs maps an offset to its input slice, other wires start at 0."""
     full = (1 << n_cases) - 1
     state = [0] * width
     for pos, value in inputs.items():
@@ -133,7 +123,7 @@ def _columns(slices: list[int], n_cases: int) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Callers
+# The proofs
 # ----------------------------------------------------------------------
 
 def truth_table(c: Circuit, wires: list[Wire]) -> dict[int, int]:
@@ -145,17 +135,40 @@ def truth_table(c: Circuit, wires: list[Wire]) -> dict[int, int]:
     if len(wires) > TRUTH_TABLE_WIDTH_LIMIT:
         raise ResourceLimitError(
             f"truth table over {len(wires)} wires exceeds the {TRUTH_TABLE_WIDTH_LIMIT}-wire limit")
-    repeated = [w for i, w in enumerate(wires) if w in wires[:i]]
-    if repeated:
-        raise ValueError(f"truth table repeats wire {repeated[0]}")
+    if len(set(wires)) < len(wires):
+        raise ValueError(f"truth table repeats wire {next(w for i, w in enumerate(wires) if w in wires[:i])}")
     n_cases = 1 << len(wires)
     positions = [c.table.resolve(w) for w in wires]
-    out = simulate_slices(c, {pos: _counter_slice(n_cases, i) for i, pos in enumerate(positions)},
-                          n_cases)
+    out = _run(compile_permutation(c), c.table.total_width,
+               {pos: _counter_slice(n_cases, i) for i, pos in enumerate(positions)}, n_cases)
     if not wires:
         return {0: 0}
     columns = _columns([out[pos] for pos in reversed(positions)], n_cases)
     return {case: int("".join(bits), 2) for case, bits in enumerate(zip(*columns))}
+
+
+def affine_images(c: Circuit, wires: list[int]) -> list[int]:
+    """Output slice of every wire, indexed by offset, over 1 + len(wires)
+    cases: case 0 starts every wire at 0, and case 1+i sets wires[i] alone.
+
+    An X/CX circuit is affine over GF(2) (Patel, Markov and Hayes,
+    quant-ph/0302002): with img_k its output in case k, it maps an input x
+    over these wires to img_0 xor the XOR of (img_1+i xor img_0) over the
+    set bits i of x.  So these cases decide it against an affine
+    specification on all 2^len(wires) inputs.  Any other gate, an offset
+    outside the table and a repeated offset are refused before simulating.
+    """
+    for kind, controls, _ in c.signature_histogram():
+        if kind != "X" and (kind != "MCX" or len(controls) != 1):
+            gate_class = f"C{len(controls)}X" if kind == "MCX" else kind
+            raise UnsupportedGateError(f"affine proof takes X and CX circuits only, not {gate_class}")
+    width = c.table.total_width
+    outside = [o for o in wires if type(o) is not int or not 0 <= o < width]  # True and 1.0 equal 1
+    if outside:
+        raise ResolutionError(f"offset {outside[0]!r} lies outside the table's {width} wires")
+    if len(set(wires)) < len(wires):
+        raise ValueError(f"affine images repeat offset {next(o for i, o in enumerate(wires) if o in wires[:i])}")
+    return _run(compile_permutation(c), width, {o: 2 << i for i, o in enumerate(wires)}, len(wires) + 1)
 
 
 @dataclass

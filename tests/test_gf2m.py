@@ -151,6 +151,19 @@ def test_mutated_cmuladd_fails_with_witness():
     assert 0 <= a < 4 and 0 <= b < 4
 
 
+def test_cmuladd_circuits_at_one_m_share_one_table():
+    for m, poly in [(3, None), (4, 0b11001), (7, None)]:
+        f = FieldSpec.binary_extension(m, poly)
+        circuits = [synth_cmuladd(f, n) for n in range(f.order - 1)]
+        assert all(c.table is circuits[0].table for c in circuits)
+        fresh = RegisterTable([Register("a", m, 0, "gf-message"), Register("b", m, 1, "gf-code")])
+        for n, c in enumerate(circuits):
+            pairs = [(p, j) for p, column in enumerate(galois.mul_by_alpha_matrix(f, n))
+                     for j in range(m) if column >> j & 1]
+            want = Circuit(fresh, [cx(Wire("a", p), Wire("b", j)) for p, j in pairs], c.meta)
+            assert c == want and c.signature_histogram() == want.signature_histogram(), (m, n)
+
+
 def test_cx_count_formula_all_fields():
     for m in range(1, 9):
         f = FieldSpec.binary_extension(m)

@@ -119,7 +119,7 @@ def test_multiplexed_single_photon_collapses_to_one_cx():
     assert not lowered.fallback
     assert lowered.tally.as_dict() == {"C1X": 1, "OS": 6}
     assert gadget.inner == "CX" and gadget.routed_photon == 1
-    assert gadget.stages_in == gadget.stages_out == 3
+    assert gadget.routed == 3 and lowered.tally["OS"] == 2 * gadget.routed
     assert (gadget.collapsed, gadget.residual) == ((0, 1, 2), ())
 
 
@@ -178,7 +178,8 @@ def test_arity_1_gadget_is_kept_on_the_record_but_not_listed():
     circ, _ = mk_mcx(1)
     report = lower_circuit(circ, lowering.multiplexed())
     (lowered,) = report.signatures.values()
-    assert lowered.gadget == lowering.GadgetDescriptor(1, 1, 1, 1, "CX", 2, (0,), ())
+    assert lowered.gadget == lowering.GadgetDescriptor(1, 1, 1, "CX", (0,), ())
+    assert lowered.tally["OS"] == 2
     assert report.gadgets == []
 
 
@@ -278,7 +279,7 @@ def per_gate_reference(c, strategy):
                     routed_photon, routed, inner, tally = rule
                     if g.arity >= 2:
                         gadgets.append((i, lowering.GadgetDescriptor(
-                            g.arity, routed_photon, routed, routed, inner, tally["OS"],
+                            g.arity, routed_photon, routed, inner,
                             tuple(k for k, p in enumerate(on) if p == routed_photon),
                             tuple(k for k, p in enumerate(on) if p != routed_photon))))
                 if len(sizes) >= 3:

@@ -1,5 +1,6 @@
-"""No module of the package reaches into another module's private names, and
-none keeps a private function or class nothing uses, or an unused import."""
+"""No module of the package reaches into another module's private names,
+none keeps a private function or class nothing uses, or an unused import, and
+none but revsim names the simulation kernel."""
 
 import ast
 from collections import Counter
@@ -117,3 +118,40 @@ def test_the_check_sees_an_unused_helper_and_an_unused_import():
         "b.py": "from . import a\ndef run():\n    return a._Kept\n",
     }
     assert dead_names(sources) == {"a.py": [(1, "os"), (2, "os.path"), (4, "_helper")]}
+
+
+KERNEL = "compile_permutation"
+
+
+def kernel_reaches(sources):
+    """{module: [line]} of each module but revsim.py that names the
+    simulation kernel: imports it, reads it as a name or an attribute."""
+    found = {}
+    for module, source in sources.items():
+        if module == "revsim.py":
+            continue
+        lines = sorted({node.lineno for node in ast.walk(ast.parse(source))
+                        if isinstance(node, ast.Name) and node.id == KERNEL
+                        or isinstance(node, ast.Attribute) and node.attr == KERNEL
+                        or isinstance(node, ast.ImportFrom) and any(a.name == KERNEL for a in node.names)})
+        if lines:
+            found[module] = lines
+    return found
+
+
+def test_only_revsim_runs_the_kernel():
+    """Every other module reaches the kernel through one of revsim's proofs."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert KERNEL in sources["revsim.py"] and "gf2m.py" in sources
+    assert kernel_reaches(sources) == {}
+
+
+def test_the_check_sees_an_import_a_name_and_an_attribute_of_the_kernel():
+    sources = {
+        "revsim.py": "def compile_permutation(c):\n    return []\n",
+        "a.py": "from .revsim import affine_images, compile_permutation as run\n",
+        "b.py": "from . import revsim\ndef f(c):\n    return revsim.compile_permutation(c)\n",
+        "c.py": "from .revsim import *\ncompiled = compile_permutation\n",
+        "d.py": "from .revsim import affine_images\n# compile_permutation is named only here\n",
+    }
+    assert kernel_reaches(sources) == {"a.py": [1], "b.py": [3], "c.py": [2]}

@@ -19,7 +19,7 @@ def single_reg(width=3):
 
 
 # ---------------------------------------------------------------
-# Gate semantics through truth_table and simulate_slices
+# Gate semantics through truth_table and compile_permutation
 # ---------------------------------------------------------------
 
 def test_x_flips():
@@ -43,7 +43,7 @@ def test_empty_circuit_is_identity():
 def test_unsupported_gate_named():
     c = Circuit(single_reg(), [ir.x(Wire("q", 0)), ir.h(Wire("q", 1))])
     with pytest.raises(UnsupportedGateError, match=r"gate 1 \(H\)"):
-        revsim.simulate_slices(c, {}, 1)
+        revsim.compile_permutation(c)
 
 
 # ---------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_truth_table_width_limit():
 
 def test_truth_table_refuses_a_repeated_wire(monkeypatch):
     c = Circuit(single_reg(2), [ir.cx(Wire("q", 0), Wire("q", 1))])
-    monkeypatch.setattr(revsim, "simulate_slices", None)  # refused before any simulation
+    monkeypatch.setattr(revsim, "compile_permutation", None)  # refused before any simulation
     with pytest.raises(ValueError, match=re.escape(f"truth table repeats wire {Wire('q', 0)}")):
         truth_table(c, [Wire("q", 0), Wire("q", 1), Wire("q", 0)])
 
@@ -99,6 +99,76 @@ def test_truth_table_refuses_a_non_int_wire_index(idx):
     c = Circuit(single_reg(2), [ir.cx(Wire("q", 0), Wire("q", 1))])
     with pytest.raises(ResolutionError, match=rf"^index {idx!r} for register 'q' is not an int$"):
         truth_table(c, [Wire("q", 0), Wire("q", idx)])
+
+
+# ---------------------------------------------------------------
+# affine_images
+# ---------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(20))
+def test_affine_images_rebuild_the_truth_table(seed):
+    """An X/CX circuit's output on every input is img_0 xor the XOR of
+    (img_1+i xor img_0) over the input's set bits i, so the images alone give
+    truth_table on all 2^n inputs, here for n up to 8 wires in two registers."""
+    rng = random.Random(seed)
+    wa = rng.randint(1, 4)
+    table = RegisterTable([Register("a", wa, 0, "work"), Register("b", rng.randint(1, 8 - wa), 1, "work")])
+    wires = [Wire(r.name, i) for r in table.registers for i in range(r.width)]
+    gates = []
+    for _ in range(rng.randint(0, 24)):
+        if rng.random() < 0.25:
+            gates.append(ir.x(rng.choice(wires)))
+        else:
+            control, target = rng.sample(wires, 2)
+            gates.append(ir.mcx([Control(control, rng.choice([ir.POSITIVE, ir.ZERO]))], target))
+    c = Circuit(table, gates)
+    rng.shuffle(wires)
+    offsets = [table.resolve(w) for w in wires]
+    images = revsim.affine_images(c, offsets)
+    assert len(images) == table.total_width and all(s < 1 << (len(offsets) + 1) for s in images)
+
+    def image(case):  # the outputs over offsets in case `case`, packed as offsets[i] -> bit i
+        return sum((images[o] >> case & 1) << i for i, o in enumerate(offsets))
+
+    img0 = image(0)
+    rebuilt = {}
+    for x in range(1 << len(offsets)):
+        out = img0
+        for i in range(len(offsets)):
+            if x >> i & 1:
+                out ^= image(1 + i) ^ img0
+        rebuilt[x] = out
+    assert rebuilt == truth_table(c, wires)
+
+
+def two_register_cx():
+    table = RegisterTable([Register("a", 2, 0, "work"), Register("b", 2, 1, "work")])
+    return Circuit(table, [ir.cx(Wire("a", 0), Wire("b", 1)), ir.x(Wire("a", 1))])
+
+
+def test_affine_images_of_a_small_circuit():
+    # case 0: a1 flips; case 1+i: wire i alone, and a0 copies onto b1
+    assert revsim.affine_images(two_register_cx(), [0, 2]) == [0b010, 0b111, 0b100, 0b010]
+
+
+@pytest.mark.parametrize("extra, wires, error, match", [
+    (ir.toffoli(Wire("a", 0), Wire("a", 1), Wire("b", 0)), [0, 1, 2, 3], UnsupportedGateError, "not C2X$"),
+    (ir.h(Wire("b", 1)), [0, 1, 2, 3], UnsupportedGateError, "not H$"),
+    (None, [0, -1], ResolutionError, "^offset -1 lies outside the table's 4 wires$"),
+    (None, [0, 4], ResolutionError, "^offset 4 lies outside the table's 4 wires$"),
+    (None, [0, 1.0], ResolutionError, "^offset 1.0 lies outside the table's 4 wires$"),
+    (None, [True], ResolutionError, "^offset True lies outside the table's 4 wires$"),
+    (None, [1, 2, 1], ValueError, "^affine images repeat offset 1$"),
+], ids=["toffoli", "h", "offset-minus-1", "offset-total-width", "offset-float", "offset-bool", "repeated-offset"])
+def test_affine_images_refuse_before_any_simulation(extra, wires, error, match, monkeypatch):
+    # -1 would set the last wire, the total width would index past the state,
+    # and 1.0 would index it with a float
+    c = two_register_cx()
+    if extra is not None:
+        c = Circuit(c.table, c.gates + (extra,))
+    monkeypatch.setattr(revsim, "compile_permutation", lambda c: pytest.fail("simulated before the check"))
+    with pytest.raises(error, match=match):
+        revsim.affine_images(c, wires)
 
 
 # ---------------------------------------------------------------
