@@ -149,7 +149,8 @@ def sweep_row(d: int, strategies=STRATEGY_NAMES, convention: str = DEFAULT_CONVE
 
 def sweep(d_min: int, d_max: int, strategies=STRATEGY_NAMES,
           convention: str = DEFAULT_CONVENTION_ID) -> SweepReport:
-    """One row per prime in [d_min, d_max], sorted by d.  Non-primes are skipped."""
+    """One row per prime in [d_min, d_max], sorted by d.  Non-primes are
+    skipped, and so is 2: ``sum_gate_count`` is defined for odd primes only."""
     if d_max < d_min:
         raise ValueError(f"empty sweep range [{d_min}, {d_max}]")
     get_convention(convention)  # an unknown id is refused before any work

@@ -9,31 +9,25 @@ level gates (SUM, DFT, CMulAdd) address whole registers: their wires have
 Zero-polarity controls are first-class on MCX so gate-class counts do not
 depend on the control pattern.
 
-Trust boundary.  A circuit is built once and never changes.  ``Gate`` is a
-checked tuple of its six fields: ``Gate(...)``, ``Gate._make`` and
-``_replace`` run its checks, and so do the gate constructors (``cx``,
-``mcx``, ...).  Every circuit is built by ``Emitter(table)``, which keys
-each record's signature from the table; ``Emitter.add`` is the one place a
-``Gate`` is checked against a table, for ``Circuit(table, gates)`` and
-``parse``.  An MCX without d, n or poly is stored not as a ``Gate`` but as
-its record ``(controls, target)``, plain ints, the control offsets in gate
-order with a zero-polarity control written as ``~offset``, which the garbage
-collector need not walk.  ``Emitter.mcx`` and ``extend`` take records past
-every check, from the synthesizers (``sumsynth.synth_sum``/``synth_rca``/
-``synth_mod``, ``gf2m.synth_cmuladd`` and ``gf2m.expand_cmuladds``), whose
-offsets lie in the table by construction.  ``parse`` appends each
-``[controls, target]`` entry of the document ``serialize`` writes,
-``"format": 2``, once its offsets are ints in the table and no wire repeats;
-every other entry, and every entry of an older document without
-``"format"``, goes through ``Gate(...)`` and ``Emitter.add``.
+Trust boundary.  A circuit is built once, by ``Emitter(table)``, and never
+changes.  ``Gate`` is a checked tuple of its six fields that carries only
+its kind's fields, and ``Emitter.add`` is the one place a ``Gate`` is checked
+against a table, for ``Circuit(table, gates)`` and ``parse``.  Every X and
+MCX is stored as its record ``(controls, target)`` of plain int offsets,
+which the garbage collector need not walk: the controls in gate order, a
+zero-polarity one written as ``~offset``, and none for an X.  So a record is
+a tuple exactly when its gate is a permutation gate.  ``Emitter.mcx`` and
+``extend`` take records past every check, from the synthesizers, whose
+offsets lie in the table by construction, and ``parse`` from a document
+once it has checked them.
 
 A circuit stores its records, a tuple no caller can change, and their
-signature histogram: every constructor hands over both.  ``Circuit.gates``
-is a tuple view built from the records on first read; all else, the
-simulator included, reads the records and builds no ``Gate``.  A wire is
-checked in one place, ``RegisterTable.resolve``, and an X or MCX ``Gate``
-becomes a record in one place, ``record_of``.  Tests rebuild every emitted or
-parsed gate through the checked path and compare.
+signature histogram.  ``Circuit.gates`` is a tuple view built from the
+records on first read; all else, the simulator included, reads the records
+and builds no ``Gate``.  A wire is checked in one place,
+``RegisterTable.resolve``, and an X or MCX ``Gate`` becomes a record in one
+place, ``record_of``.  Tests rebuild every emitted or parsed gate through
+the checked path and compare.
 """
 
 from __future__ import annotations
@@ -133,8 +127,9 @@ class _GateFields(NamedTuple):
 
 
 class Gate(_GateFields):
-    """Typed gate record, a tuple of its six fields; structural invariants are
-    enforced at construction, by ``Gate(...)``, ``_make`` and ``_replace``."""
+    """Typed gate record, a tuple of its six fields, d only on SUM and DFT, n
+    and poly only on CMulAdd; structural invariants are enforced at
+    construction, by ``Gate(...)``, ``_make`` and ``_replace``."""
 
     __slots__ = ()
 
@@ -143,7 +138,8 @@ class Gate(_GateFields):
         if kind not in GATE_KINDS:
             raise InvalidGateError(f"unknown gate kind {kind!r}")
         # One loop over the controls.  Faults are reported in a fixed order: a
-        # reused wire, the first control with a bad polarity, then the shape.
+        # reused wire, the first control with a bad polarity, the shape, then
+        # a field the kind does not take.
         wires, fault, qubit_controls = set(targets), None, 0
         for c in controls:
             wires.add(c.wire)
@@ -179,6 +175,9 @@ class Gate(_GateFields):
                 raise InvalidGateError(f"{kind} requires the qudit dimension d")
             if kind == "CMulAdd" and n is None:
                 raise InvalidGateError("CMulAdd requires the multiplier exponent n")
+        for name, value, kinds in (("d", d, ("SUM", "DFT")), ("n", n, ("CMulAdd",)), ("poly", poly, ("CMulAdd",))):
+            if value is not None and kind not in kinds:
+                raise InvalidGateError(f"{kind} takes no {name}")
         return tuple.__new__(cls, (kind, controls, targets, d, n, poly))
 
     @classmethod
@@ -336,9 +335,9 @@ class Circuit:
     """Gates on a register table.  The constructor checks each gate against the
     table through ``Emitter(table)`` and returns its circuit, which never changes.
 
-    ``records`` holds one entry per gate: an MCX without d, n or poly as its
-    ``(controls, target)`` record (see the module docstring), any other gate
-    as its ``Gate``.  ``gates`` is built from it on first read and kept.
+    ``records`` holds one entry per gate: an X or MCX as its ``(controls,
+    target)`` record (see the module docstring), any other gate as its
+    ``Gate``.  ``gates`` is built from it on first read and kept.
     """
 
     __slots__ = ("table", "meta", "records", "_gates", "_histogram")
@@ -447,8 +446,8 @@ def _gates_of(table: RegisterTable, records: tuple) -> tuple[Gate, ...]:
                 for o in {o for r in records if type(r) is tuple for o in (*r[0], r[1])}}
     # a record was checked when it was built, so its Gate skips the checks of Gate(...)
     return tuple([r if type(r) is not tuple else
-                  tuple.__new__(Gate, ("MCX", tuple(map(controls.__getitem__, r[0])), (controls[r[1]].wire,),
-                                       None, None, None))
+                  tuple.__new__(Gate, ("MCX" if r[0] else "X", tuple(map(controls.__getitem__, r[0])),
+                                       (controls[r[1]].wire,), None, None, None))
                   for r in records])
 
 
@@ -463,12 +462,11 @@ def record_of(table: RegisterTable, g: Gate) -> tuple[tuple[int, ...], int]:
 class Emitter:
     """The one builder of a circuit on a table.  ``add`` checks a Gate against
     the table and emits it.  ``mcx`` and ``extend`` append ``(controls,
-    target)`` records of offsets past every check, for synthesizers whose
-    offsets lie inside the table by construction; parse checks the records it
-    reads and appends them to ``records`` and ``_groups`` itself.  The table
-    is the only source of a record's signature: each record's index is kept
-    under ("MCX", the registers of its controls, the register of its target)
-    as it is emitted, so the circuit gets its signature histogram without a walk.
+    target)`` records past every check, an X as ``mcx((), target)``; parse
+    appends the records it has checked to ``records`` and ``_groups`` itself.
+    The table is the only source of a signature: each record's index is kept
+    under its kind, the registers of its controls and that of its target as
+    it is emitted, so the circuit gets its histogram without a walk.
     """
 
     __slots__ = ("table", "records", "_groups", "_names")
@@ -480,12 +478,13 @@ class Emitter:
         self._names = _Names(table)
 
     def _indices(self, controls: tuple[int, ...], target: int) -> list[int]:
-        """The index list of the signature of MCX(controls -> target)."""
+        """The index list of the signature of MCX(controls -> target), or X(target)."""
         names = self._names
-        return self._groups.setdefault(("MCX", tuple([names[o] for o in controls]), names[target]), [])
+        key = "MCX" if controls else "X", tuple([names[o] for o in controls]), names[target]
+        return self._groups.setdefault(key, [])
 
     def mcx(self, controls: tuple[int, ...], target: int) -> None:
-        """Emit MCX(controls -> target) unchecked."""
+        """Emit MCX(controls -> target) unchecked; an X has no controls."""
         self._indices(controls, target).append(len(self.records))
         self.records.append((controls, target))
 
@@ -497,10 +496,10 @@ class Emitter:
             self.records += records
 
     def add(self, g: Gate) -> None:
-        """Check g against the table and emit it: an MCX without d, n or poly
-        as its record, whose wires record_of resolves, through mcx; any other
-        gate as itself, keyed by its signature, once _check_in_table passes it."""
-        if g.kind == "MCX" and g.d is None and g.n is None and g.poly is None:
+        """Check g against the table and emit it: an X or MCX as its record,
+        whose wires record_of resolves, through mcx; any other gate as itself,
+        keyed by its signature, once _check_in_table passes it."""
+        if g.kind in ("X", "MCX"):
             self.mcx(*record_of(self.table, g))
             return
         _check_in_table(g, self.table)
@@ -533,8 +532,8 @@ _FORMAT = 2  # the "format" serialize writes; a document without one is read in 
 
 def serialize(c: Circuit) -> str:
     """Interchange document for a circuit, one gate per line; parse() inverts
-    it losslessly.  An MCX record is written as ``[controls, target]``, its
-    signed offsets (see the module docstring), any other gate as an object."""
+    it losslessly.  An X or MCX record is written as ``[controls, target]``,
+    its signed offsets (see the module docstring), any other gate as an object."""
     lines = []
     for g in c.records:
         if type(g) is tuple:
@@ -568,9 +567,7 @@ def _field(obj: dict, key: str, path: str, kind: type = object, default=_MISSING
     value = obj.get(key, default)
     if value is _MISSING:
         raise ParseError(f"{path}: missing field {key!r}")
-    if not isinstance(value, kind):
-        raise ParseError(f"{path}.{key}: expected {_JSON_TYPES[kind]}, got {value!r:.40}")
-    return value
+    return _typed(value, kind, f"{path}.{key}")
 
 
 def _integer(obj: dict, key: str, path: str, minimum: int, optional: bool = False) -> int | None:
@@ -603,8 +600,9 @@ def parse(document: str) -> Circuit:
     document: decode it whole, then check its registers, meta and each gate
     entry in order, emitting each into an ``Emitter`` as it is read.  The first
     fault raises ParseError naming its field, such as ``gates[12][0][1]``.
-    Only a document of "format" 2 may hold ``[controls, target]`` entries."""
-    # The decoded document holds two lists per MCX record: with the collector
+    Only a document of "format" 2 may hold ``[controls, target]`` entries; an
+    entry without controls is an X, as is an X object entry."""
+    # The decoded document holds two lists per X or MCX record: with the collector
     # on, json.loads of the m = 8 expansion's document takes about three times as long.
     return _collector_paused(_read, document)
 
@@ -660,9 +658,9 @@ def _read(document) -> Circuit:
                     else:
                         # a control that is not an int, or shares a wire, leaves wires short
                         wires = {c if c >= 0 else ~c for c in controls if type(c) is int}
-                        if len(wires) == len(controls) and controls and target not in wires:
+                        if len(wires) == len(controls) and target not in wires:
                             record = tuple(controls), target
-                            key = "MCX", tuple(map(names.__getitem__, record[0])), names[target]
+                            key = "MCX" if controls else "X", tuple(map(names.__getitem__, record[0])), names[target]
             except (ValueError, KeyError):
                 pass
             if key is None:
@@ -678,7 +676,7 @@ def _record_fault(entry: list, i: int, n: int) -> ParseError:
     """The first fault of [controls, target] entry gates[i] on n wires."""
     if len(entry) != 2:
         return ParseError(f"gates[{i}]: expected [controls, target], got {entry!r:.40}")
-    if not isinstance(entry[0], list) or not entry[0]:
+    if not isinstance(entry[0], list):
         return ParseError(f"gates[{i}][0]: expected a list of controls, got {entry[0]!r:.40}")
     wires = set()
     for where, o, low in [*((f"[0][{j}]", c, -n) for j, c in enumerate(entry[0])), ("[1]", entry[1], 0)]:

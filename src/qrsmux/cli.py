@@ -188,7 +188,7 @@ def cmd_sweep(args) -> int:
         report = analysis.sweep(args.d_min, args.d_max, strategies, convention)
     if not report.rows:
         raise UnsupportedConfigurationError(
-            f"--d-min {args.d_min} --d-max {args.d_max}: no primes in the sweep range")
+            f"--d-min {args.d_min} --d-max {args.d_max}: no primes in the sweep range, which starts at 3")
     outputs = [(f"--out {args.out}", args.out, analysis.csv_document(report))]
     if args.svg:
         with _user_input(f"--series {args.series}"):  # a series the chosen strategies leave empty

@@ -167,10 +167,12 @@ def cmuladd_cx_formula(f: FieldSpec, n: int) -> int:
     return sum(f.alpha_power(n + p).bit_count() for p in range(f.m))
 
 
-def _cmuladd_cx_pairs(f: FieldSpec, n: int) -> list[tuple[int, int]]:
-    """(p, j) per CX a[p] -> b[j] of b <- alpha^n * a + b, in emission order."""
+@cache
+def _cmuladd_cx_pairs(f: FieldSpec, n: int) -> tuple[tuple[int, int], ...]:
+    """(p, j) per CX a[p] -> b[j] of b <- alpha^n * a + b, in emission order;
+    built once per field and exponent (a refused exponent is not cached)."""
     columns = mul_by_alpha_matrix(f, n)
-    return [(p, j) for p, col in enumerate(columns) for j in range(f.m) if col >> j & 1]
+    return tuple([(p, j) for p, col in enumerate(columns) for j in range(f.m) if col >> j & 1])
 
 
 @cache
@@ -294,26 +296,22 @@ def expand_cmuladds(c: Circuit) -> tuple[Circuit, int]:
     """
     em = Emitter(c.table)
     n_dft = 0
-    pairs_cache: dict[tuple[int | None, int, int], list[tuple[int, int]]] = {}
     fields: dict[tuple[int | None, int], FieldSpec] = {}  # one field per (poly, m), not per exponent
     # register -> the 1-tuple control offset, and the target offset, of each of its qubits
     table = c.table
     targets = {r.name: list(range(table.offset(r.name), table.offset(r.name) + r.width)) for r in table.registers}
     controls = {name: [(o,) for o in offsets] for name, offsets in targets.items()}
     for r in c.records:
-        if type(r) is tuple:  # an MCX record passes through as a record
+        if type(r) is tuple:  # an X or MCX record passes through as a record
             em.mcx(*r)
         elif r.kind == "DFT":
             n_dft += 1
         elif r.kind == "CMulAdd":
             src, dst = r.controls[0].wire.reg, r.targets[0].reg
             m = c.table[dst].width
-            key = (r.poly, m, r.n)
-            pairs = pairs_cache.get(key)
-            if pairs is None:
-                if (r.poly, m) not in fields:
-                    fields[r.poly, m] = FieldSpec.binary_extension(m, r.poly)
-                pairs = pairs_cache[key] = _cmuladd_cx_pairs(fields[r.poly, m], r.n)
+            if (r.poly, m) not in fields:
+                fields[r.poly, m] = FieldSpec.binary_extension(m, r.poly)
+            pairs = _cmuladd_cx_pairs(fields[r.poly, m], r.n)
             src_controls, dst_targets = controls[src], targets[dst]
             em.extend([(src_controls[p], dst_targets[j]) for p, j in pairs])
         else:

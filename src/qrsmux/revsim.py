@@ -6,13 +6,12 @@ they are simulated on many basis inputs at once by bit-slicing (Biham, FSE
 input case i; an MCX then XORs the AND of its control slices into its
 target slice, with zero-polarity controls complemented against the all-cases
 mask.  The kernel runs a circuit's records (``circuit.Circuit.records``) as
-they are stored: each is (signed control offsets, target offset), a
-zero-polarity control written as ``~offset``.  Only a gate that is not a
-record, such as an X, is encoded, by ``circuit.record_of``, once per
-simulation.  The kernel is reached through three proofs, each of which
-runs the whole circuit once over its whole case set: ``truth_table`` (every
-input over a few wires), ``affine_images`` (the images of 0 and of the unit
-vectors, which decide an X/CX circuit) and ``verify_sum``.
+they are stored: each X or MCX is (signed control offsets, target offset), a
+zero-polarity control written as ``~offset`` and an X without controls.  The
+kernel is reached through three proofs, each of which runs the whole circuit
+once over its whole case set: ``truth_table`` (every input over a few wires),
+``affine_images`` (the images of 0 and of the unit vectors, which decide an
+X/CX circuit) and ``verify_sum``.
 
 Inputs are packed and outputs unpacked a whole slice at a time, never one
 bit at a time on a huge integer.  The checkers build their expected outputs
@@ -31,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Wire, record_of
+from .circuit import Circuit, Wire
 from .errors import InvalidDimensionError, ResolutionError, ResourceLimitError, UnsupportedGateError
 
 TRUTH_TABLE_WIDTH_LIMIT = 24
@@ -41,25 +40,18 @@ TRUTH_TABLE_WIDTH_LIMIT = 24
 # The kernel
 # ----------------------------------------------------------------------
 
-def compile_permutation(c: Circuit) -> list[tuple[tuple[int, ...], int]]:
-    """The circuit's records as the kernel runs them: (signed control
-    offsets, target offset) per gate.
-
-    Rejects non-permutation gates.  An X or MCX that is not a record is
-    encoded by ``circuit.record_of``, which raises the ``ResolutionError`` of
-    ``RegisterTable.resolve`` for a wire outside the table.
-    """
-    compiled = []
-    for i, g in enumerate(c.records):
-        if type(g) is not tuple:
-            if g.kind not in ("X", "MCX"):
-                raise UnsupportedGateError(f"gate {i} ({g.kind}) is not a permutation gate")
-            g = record_of(c.table, g)
-        compiled.append(g)
-    return compiled
+def compile_permutation(c: Circuit) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The circuit's records, which the kernel runs as stored.  Refuses the
+    first gate that is neither X nor MCX by its index: the histogram lists
+    signatures in order of first use, so the first refused signature's first
+    index is that gate's."""
+    for (kind, _, _), indices in c.signature_histogram().items():
+        if kind not in ("X", "MCX"):
+            raise UnsupportedGateError(f"gate {indices[0]} ({kind}) is not a permutation gate")
+    return c.records
 
 
-def _run(records: list, width: int, inputs: dict[int, int], n_cases: int) -> list[int]:
+def _run(records: tuple, width: int, inputs: dict[int, int], n_cases: int) -> list[int]:
     """Every wire's output slice, by offset, after the records run once over n_cases
     basis inputs: inputs maps an offset to its input slice, other wires start at 0."""
     full = (1 << n_cases) - 1

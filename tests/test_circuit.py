@@ -1,5 +1,6 @@
 import gc
 import json
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +91,22 @@ def test_out_of_range_index_rejected():
         Circuit(two_reg_table(), [ok, ir.x(Wire("nope", 0))])
 
 
+# One valid gate of each kind, the base of the stray-field cases below.
+ONE_OF_EACH_KIND = {"X": ir.x(_B0), "H": ir.h(_B0), "T": ir.t(_B0), "Tdag": ir.tdag(_B0),
+                    "OS": Gate("OS", targets=(_B0,)), "MCX": ir.cx(_B0, _B1), "SUM": ir.sum_gate("A", "B", 4),
+                    "DFT": ir.dft("B", 4), "CMulAdd": ir.cmuladd("A", "B", 1)}
+TAKES = {"d": ("SUM", "DFT"), "n": ("CMulAdd",), "poly": ("CMulAdd",)}
+STRAY_FIELDS = [(kind, name) for kind in ir.GATE_KINDS for name in TAKES if kind not in TAKES[name]]
+
+
+@pytest.mark.parametrize("kind, name", STRAY_FIELDS, ids=[f"{kind}-{name}" for kind, name in STRAY_FIELDS])
+def test_gate_refuses_a_field_its_kind_does_not_take(kind, name):
+    """d belongs to SUM and DFT, n and poly to CMulAdd; every other pairing is
+    refused by Gate(...), naming the kind and the field."""
+    with pytest.raises(InvalidGateError, match=f"^{kind} takes no {name}$"):
+        ONE_OF_EACH_KIND[kind]._replace(**{name: 3})  # _replace builds through Gate(...)
+
+
 def test_gate_on_unknown_register_rejected():
     # Before the constructor checked its gates, this circuit was counted and
     # serialized into a document that parse rejects.
@@ -118,7 +135,7 @@ def test_stored_gates_and_records_cannot_be_changed():
         c.gates.append(ir.h(Wire("q", 5)))  # outside the table, and never checked
     with pytest.raises(AttributeError):
         c.records.append(((0,), 1))
-    assert (c.gates, c.records, len(c)) == ((ir.x(Wire("q", 0)),), (ir.x(Wire("q", 0)),), 1)
+    assert (c.gates, c.records, len(c)) == ((ir.x(Wire("q", 0)),), (((), 0),), 1)  # an X is a record without controls
 
 
 def test_register_offsets():
@@ -261,16 +278,17 @@ def test_round_trip_sum_circuit():
     a0, b1 = Wire("A", 0), Wire("B", 1)
     kinds = Circuit(table, [ir.x(a0), ir.h(b1), ir.t(a0), ir.tdag(b1), ir.sum_gate("A", "B", 4), ir.dft("B", 4),
                             ir.cmuladd("A", "B", 3), ir.cmuladd("B", "A", 0, poly=0b111),
-                            Gate("MCX", (Control(a0), Control(b1, ir.ZERO)), (Wire("A", 1),), d=3),
+                            ir.mcx([Control(a0), Control(b1, ir.ZERO)], Wire("A", 1)),
                             ir.mcx([Control(b1, ir.ZERO), a0], Wire("B", 0))], Meta(d=4, note="kinds"))
     for c in (synth_sum(5), kinds):
         document = serialize(c)
-        # an MCX record as [controls, target], any other gate as its object
+        # an X or MCX record as [controls, target], any other gate as its object
         texts = [json.dumps(r) if type(r) is tuple else gate_text(r) for r in c.records]
         lines = document.splitlines()
         assert (lines[0], lines[2]) == ('{"format": 2,', '"gates": [')
         assert lines[3:3 + len(c)] == [text + "," for text in texts[:-1]] + texts[-1:]
         assert parse(document) == c
+    assert document.splitlines()[3] == "[[], 0],"  # the X on A[0]
 
 
 @pytest.mark.parametrize("role", ["control", "target"])
@@ -289,9 +307,10 @@ def test_circuit_rejects_a_non_int_qubit_index(role, idx):
 def named(doc):
     """doc, a decoded document, in the named layout that documents without
     "format" use: "format" dropped and each [controls, target] entry written
-    as the MCX object serialize wrote for it before, a signed offset o < 0 as
-    a zero-polarity control on wire ~o.  Raises ValueError for an entry whose
-    offsets are not ints inside the registers."""
+    as the MCX object serialize wrote for it before, or the X object for an
+    entry without controls, a signed offset o < 0 as a zero-polarity control
+    on wire ~o.  Raises ValueError for an entry whose offsets are not ints
+    inside the registers."""
     if not isinstance(doc, dict):
         return doc
     doc = {key: value for key, value in doc.items() if key != "format"}
@@ -301,14 +320,14 @@ def named(doc):
     for r in doc["registers"]:
         if type(r["width"]) is not int or r["width"] < 1:
             raise ValueError(f"width {r['width']!r}")
-        starts.append((n, r["name"]))
+        starts.append(n)
         n += r["width"]
 
     def wire(o):
         if type(o) is not int or not 0 <= o < n:
             raise ValueError(f"offset {o!r}")
-        start, name = max(s for s in starts if s[0] <= o)
-        return {"reg": name, "idx": o - start}
+        i = bisect_right(starts, o) - 1
+        return {"reg": doc["registers"][i]["name"], "idx": o - starts[i]}
 
     def control(c):
         if type(c) is not int:
@@ -320,7 +339,7 @@ def named(doc):
             return e
         if len(e) != 2 or type(e[0]) is not list:
             raise ValueError(f"entry {e!r}")
-        return {"kind": "MCX", "controls": [control(c) for c in e[0]], "targets": [wire(e[1])]}
+        return {"kind": "MCX" if e[0] else "X", "controls": [control(c) for c in e[0]], "targets": [wire(e[1])]}
 
     return {**doc, "gates": [entry(e) for e in doc["gates"]]}
 

@@ -339,6 +339,14 @@ def test_sweep_rejects_range_without_primes(capsys, tmp_path):
     assert not out_csv.exists() and "wrote" not in out
 
 
+def test_sweep_says_it_starts_at_3_when_the_range_holds_only_2(capsys, tmp_path):
+    """2 is a prime that synth-sum and verify take, but the sweep takes odd primes only."""
+    out_csv = tmp_path / "r.csv"
+    rc, out, err = run(capsys, "sweep", "--d-min", "2", "--d-max", "2", "--out", str(out_csv))
+    assert_input_error(rc, err, "--d-min 2", "--d-max 2", "no primes", "starts at 3")
+    assert not out_csv.exists() and out == ""
+
+
 def test_sweep_checks_k_max_before_sweeping(capsys, tmp_path, monkeypatch):
     rows = []
     monkeypatch.setattr(analysis, "sweep_row", lambda d, *args: rows.append(d))

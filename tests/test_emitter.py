@@ -95,6 +95,35 @@ def test_trusted_gates_equal_checked_gates(family):
         assert list(map(hash, emitted.gates)) == list(map(hash, checked.gates)), label
 
 
+def assert_tuples_are_the_permutation_gates(c, label) -> None:
+    """A record of c is a tuple exactly when its gate is an X or MCX, by the
+    records themselves and by the kinds of c's histogram."""
+    records = c.records
+    assert not [r for r in records if type(r) is not tuple and r.kind in ("X", "MCX")], label
+    for (kind, _, _), indices in c.signature_histogram().items():
+        assert {type(records[i]) is tuple for i in indices} == {kind in ("X", "MCX")}, (label, kind)
+
+
+# The named layout is read through the checked path, Gate(...) per entry, at
+# about 20 us a gate: its copies are limited to circuits of at most this many
+# gates, which leaves out the larger SUM circuits and the m >= 6 expansions.
+NAMED_LAYOUT_GATES = 4096
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_record_is_a_tuple_exactly_when_its_gate_is_x_or_mcx(family):
+    """However a circuit is built: by its family's builder, by parse from
+    its document in the records layout and, up to NAMED_LAYOUT_GATES, the
+    named layout, or by without_gate."""
+    for label, c in FAMILIES[family]():
+        document = serialize(c)
+        copies = [c, parse(document)] + [c.without_gate(i) for i in sorted({0, len(c) - 1}) if len(c)]
+        if len(c) <= NAMED_LAYOUT_GATES:
+            copies.append(parse(laid_out(named(json.loads(document)))))
+        for copy in copies:
+            assert_tuples_are_the_permutation_gates(copy, label)
+
+
 def walked_histogram(gates) -> list:
     """(signature, gate indices) pairs in order of first use, from one walk over the gates."""
     groups: dict[tuple, list[int]] = {}
@@ -186,12 +215,12 @@ def test_checked_circuit_stores_the_records_of_the_emitted_one():
 
 def gate_built_circuits():
     """Circuits built gate by gate: X gates, zero-polarity controls, and an
-    MCX that carries d, so it is stored as its Gate."""
+    H, which is stored as its Gate."""
     table = RegisterTable([Register("q", 4, 0, "work"), Register("r", 2, 1, "work")])
     q0, q1, q2, q3, r0, r1 = Wire("q", 0), Wire("q", 1), Wire("q", 2), Wire("q", 3), Wire("r", 0), Wire("r", 1)
     yield Circuit(table, [ir.x(q0), mcx([Control(q2, ZERO), r1], q3), mcx([r0], r1), ir.x(r1)], Meta(d=5))
     yield Circuit(table, [mcx([Control(q1, ZERO), Control(q2, ZERO), q0], q3), ir.h(q1),
-                          Gate("MCX", (Control(q1), Control(r0, ZERO)), (r1,), d=3), ir.x(q3)])
+                          mcx([Control(q1), Control(r0, ZERO)], r1), ir.x(q3)])
 
 
 def same_table_variants(c: Circuit) -> list[Circuit]:
@@ -377,7 +406,7 @@ T0, RS = {"reg": "q", "idx": 0}, {"reg": "r", "idx": None}
     ({"kind": "SUM", "d": 3, "controls": [q(None)], "targets": [RS]},
      "gates[1]: SUM needs equal-width registers, got 4 and 2"),
     ({"kind": "MCX", "d": 3, "controls": [q(1)], "targets": [{"reg": "r", "idx": 2}]},
-     "gates[1]: index 2 out of range for register 'r' of width 2"),
+     "gates[1]: MCX takes no d"),
 ], ids=["not-object", "no-kind", "controls-not-list", "targets-not-list", "control-not-object", "reg-not-string",
         "idx-true", "idx-negative", "unknown-polarity", "d-1", "n-negative", "poly-true", "unknown-kind",
         "zero-control-on-sum", "sum-unequal-widths", "mcx-with-d-out-of-range"])
@@ -390,13 +419,14 @@ def test_checked_reader_names_each_entry_fault(gate, message):
 
 
 def test_parse_keeps_a_qubit_mcx_that_carries_d():
-    gate = {"kind": "MCX", "d": 3, "controls": [q(1), q(2, "zero")], "targets": [{"reg": "r", "idx": 1}]}
-    parsed = assert_parses_as_checked(_doc(gate, gate), "d=3")
-    assert [g.d for g in parsed.gates] == [None, 3, 3]
-    assert list(parsed.signature_histogram().items()) == [
-        (("MCX", ("q",), "q"), (0,)), (("MCX", ("q", "q"), "r"), (1, 2))]
-    back = parse(serialize(parsed))
-    assert (back.gates, back.signature_histogram()) == (parsed.gates, parsed.signature_histogram())
+    """No longer: an X or MCX entry that carries d, n or poly is refused, in
+    either layout, because Gate takes only its kind's fields."""
+    for kind, controls in (("MCX", [q(1), q(2, "zero")]), ("X", [])):
+        for name in ("d", "n", "poly"):
+            gate = {"kind": kind, name: 3, "controls": controls, "targets": [{"reg": "r", "idx": 1}]}
+            for document in (_doc(gate), _records_doc(gate)):
+                with pytest.raises(ParseError, match=rf"^gates\[1\]: {kind} takes no {name}$"):
+                    parse(document)
 
 
 # ---------------------------------------------------------------
@@ -444,7 +474,7 @@ def _records_doc(*entries, form=2):
     (_records_doc([[~3], 3]), "gates[1][1]: reuses wire 3"),
     (_records_doc([[4, ~3], 3]), "gates[1][1]: reuses wire 3"),
     (_records_doc([[2], 2]), "gates[1][1]: reuses wire 2"),
-    (_records_doc([[], 0]), "gates[1][0]: expected a list of controls, got []"),
+    (_records_doc([[], 6]), "gates[1][1]: expected an integer from 0 to 5, got 6"),
     (_records_doc([1, 0]), "gates[1][0]: expected a list of controls, got 1"),
     (_records_doc([[1], 0, 2]), "gates[1]: expected [controls, target], got [[1], 0, 2]"),
     (_records_doc([]), "gates[1]: expected [controls, target], got []"),
@@ -461,11 +491,29 @@ def test_records_form_names_each_entry_fault(document, message):
         parse(document)
 
 
+def test_an_x_is_the_record_without_controls_and_round_trips_as_an_x():
+    table = RegisterTable([Register("q", 4, 0, "work"), Register("r", 2, 1, "work")])
+    c = Circuit(table, [ir.x(Wire("r", 1)), ir.cx(Wire("q", 1), Wire("q", 0)), ir.x(Wire("q", 2))], Meta(d=5))
+    em = Emitter(table)
+    em.mcx((), 5)
+    em.mcx((1,), 0)
+    em.mcx((), 2)
+    assert em.circuit(Meta(d=5)) == c and c.records == (((), 5), ((1,), 0), ((), 2))
+    assert list(c.signature_histogram().items()) == [
+        (("X", (), "r"), (0,)), (("MCX", ("q",), "q"), (1,)), (("X", (), "q"), (2,))]
+    document = serialize(c)
+    assert document.splitlines()[3:6] == ["[[], 5],", "[[1], 0],", "[[], 2]"]
+    assert_read_as_source(c, "x")
+    assert assert_parses_as_checked(laid_out(named(json.loads(document)))) == c
+    parsed = parse(_records_doc([[], 2]))
+    assert parsed.gates[1] == ir.x(Wire("q", 2)) and parsed.records[1] == ((), 2)
+
+
 def test_records_form_reads_object_entries_and_a_document_without_format_refuses_records():
     gates = [[[1, ~4], 5], {"kind": "MCX", "controls": [q(2, "zero")], "targets": [{"reg": "r", "idx": 0}]},
              {"kind": "X", "controls": [], "targets": [{"reg": "q", "idx": 3}]}]
     c = assert_parses_as_checked(_records_doc(*gates))
-    assert c.records == (((1,), 0), ((1, ~4), 5), ((~2,), 4), Gate("X", (), (Wire("q", 3),)))
+    assert c.records == (((1,), 0), ((1, ~4), 5), ((~2,), 4), ((), 3))  # an object X reads as its record
     assert list(c.signature_histogram().items()) == [
         (("MCX", ("q",), "q"), (0,)), (("MCX", ("q", "r"), "r"), (1,)), (("MCX", ("q",), "r"), (2,)),
         (("X", (), "q"), (3,))]

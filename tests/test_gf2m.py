@@ -164,6 +164,23 @@ def test_cmuladd_circuits_at_one_m_share_one_table():
             assert c == want and c.signature_histogram() == want.signature_histogram(), (m, n)
 
 
+def test_cmuladd_expansion_is_built_once_per_field_and_exponent():
+    """synth_cmuladd and expand_cmuladds share one CX expansion per (field,
+    exponent); an out-of-range exponent is refused on every call."""
+    f = FieldSpec.binary_extension(7)
+    first = gf2m._cmuladd_cx_pairs(f, 5)
+    assert gf2m._cmuladd_cx_pairs(FieldSpec.binary_extension(7), 5) is first
+    assert type(first) is tuple and len(first) == cmuladd_cx_formula(f, 5)
+    exponents = [g.n for g in synth_encoder_gf2m(build_code(3, 4)).gates if g.kind == "CMulAdd"]
+    hits = gf2m._cmuladd_cx_pairs.cache_info().hits
+    expand_cmuladds(synth_encoder_gf2m(build_code(3, 4)))
+    # each exponent after its first use is a hit
+    assert gf2m._cmuladd_cx_pairs.cache_info().hits - hits >= len(exponents) - len(set(exponents)) > 0
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^exponent 127 out of range \[0, 127\)$"):
+            synth_cmuladd(f, 127)
+
+
 def test_cx_count_formula_all_fields():
     for m in range(1, 9):
         f = FieldSpec.binary_extension(m)

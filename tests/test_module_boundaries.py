@@ -1,6 +1,7 @@
 """No module of the package reaches into another module's private names,
-none keeps a private function or class nothing uses, or an unused import, and
-none but revsim names the simulation kernel."""
+none keeps a private function or class nothing uses, or an unused import,
+none but revsim names the simulation kernel, and none but circuit names the
+encoder of a Gate as a record."""
 
 import ast
 from collections import Counter
@@ -120,30 +121,30 @@ def test_the_check_sees_an_unused_helper_and_an_unused_import():
     assert dead_names(sources) == {"a.py": [(1, "os"), (2, "os.path"), (4, "_helper")]}
 
 
-KERNEL = "compile_permutation"
-
-
-def kernel_reaches(sources):
-    """{module: [line]} of each module but revsim.py that names the
-    simulation kernel: imports it, reads it as a name or an attribute."""
+def name_reaches(sources, name, home):
+    """{module: [line]} of each module but home that names name: imports it,
+    reads it as a name or an attribute."""
     found = {}
     for module, source in sources.items():
-        if module == "revsim.py":
+        if module == home:
             continue
         lines = sorted({node.lineno for node in ast.walk(ast.parse(source))
-                        if isinstance(node, ast.Name) and node.id == KERNEL
-                        or isinstance(node, ast.Attribute) and node.attr == KERNEL
-                        or isinstance(node, ast.ImportFrom) and any(a.name == KERNEL for a in node.names)})
+                        if isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name
+                        or isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)})
         if lines:
             found[module] = lines
     return found
+
+
+KERNEL = "compile_permutation"
 
 
 def test_only_revsim_runs_the_kernel():
     """Every other module reaches the kernel through one of revsim's proofs."""
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert KERNEL in sources["revsim.py"] and "gf2m.py" in sources
-    assert kernel_reaches(sources) == {}
+    assert name_reaches(sources, KERNEL, "revsim.py") == {}
 
 
 def test_the_check_sees_an_import_a_name_and_an_attribute_of_the_kernel():
@@ -154,4 +155,22 @@ def test_the_check_sees_an_import_a_name_and_an_attribute_of_the_kernel():
         "c.py": "from .revsim import *\ncompiled = compile_permutation\n",
         "d.py": "from .revsim import affine_images\n# compile_permutation is named only here\n",
     }
-    assert kernel_reaches(sources) == {"a.py": [1], "b.py": [3], "c.py": [2]}
+    assert name_reaches(sources, KERNEL, "revsim.py") == {"a.py": [1], "b.py": [3], "c.py": [2]}
+
+
+def test_only_circuit_encodes_a_gate_as_a_record():
+    """Every X and MCX is stored as its record, so every other module emits
+    records or reads them as stored; none encodes a Gate itself."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert "def record_of(" in sources["circuit.py"] and "revsim.py" in sources
+    assert name_reaches(sources, "record_of", "circuit.py") == {}
+
+
+def test_the_check_sees_an_import_and_an_attribute_of_the_record_encoder():
+    sources = {
+        "circuit.py": "def record_of(table, g):\n    return (), 0\n",
+        "revsim.py": "from .circuit import Circuit, record_of\n",
+        "gf2m.py": "from . import circuit as ir\ndef f(table, g):\n    return ir.record_of(table, g)\n",
+        "lowering.py": "# record_of is named only here\nrecords = 'record_of'\n",
+    }
+    assert name_reaches(sources, "record_of", "circuit.py") == {"revsim.py": [1], "gf2m.py": [3]}

@@ -46,6 +46,22 @@ def test_unsupported_gate_named():
         revsim.compile_permutation(c)
 
 
+@pytest.mark.parametrize("gates, first", [
+    ([ir.x(Wire("q", 0)), ir.t(Wire("q", 2)), ir.h(Wire("q", 1)), ir.t(Wire("q", 1))], "gate 1 (T)"),
+    ([ir.cx(Wire("q", 0), Wire("q", 1)), ir.x(Wire("q", 2)), ir.tdag(Wire("q", 0)), ir.h(Wire("q", 0))],
+     "gate 2 (Tdag)"),
+    ([ir.h(Wire("q", 0)), ir.x(Wire("q", 0)), ir.h(Wire("q", 0))], "gate 0 (H)"),
+], ids=["second-gate", "after-an-x-and-a-cx", "first-gate"])
+def test_the_first_non_permutation_gate_is_named_by_its_index(gates, first):
+    """Also where several gates share the refused signature, or another
+    refused signature follows."""
+    c = Circuit(single_reg(), gates)
+    with pytest.raises(UnsupportedGateError, match=f"^{re.escape(first)} is not a permutation gate$"):
+        revsim.compile_permutation(c)
+    with pytest.raises(UnsupportedGateError, match=f"^{re.escape(first)} is not a permutation gate$"):
+        truth_table(c, [Wire("q", 0)])
+
+
 # ---------------------------------------------------------------
 # truth_table
 # ---------------------------------------------------------------
@@ -402,11 +418,13 @@ def test_compile_permutation_matches_per_wire_resolve():
     emitted = em.circuit(ir.Meta())
     circuits += [built, emitted]
     for c in circuits:
-        assert revsim.compile_permutation(c) == reference_compile(c)
+        # the kernel runs the stored records themselves, which encode every gate
+        assert revsim.compile_permutation(c) is c.records
+        assert list(c.records) == reference_compile(c)
         assert [ir.record_of(c.table, g) for g in c.gates] == reference_compile(c)
     # an X has no controls; a zero-polarity control at offset 0 is ~0 == -1
-    assert revsim.compile_permutation(built) == [((), 2), ((-1, 2), 1)]
-    assert revsim.compile_permutation(emitted) == [((-1, 2), 1)]
+    assert revsim.compile_permutation(built) == (((), 2), ((-1, 2), 1))
+    assert revsim.compile_permutation(emitted) == (((-1, 2), 1),)
     q = [Wire("q", i) for i in range(3)]
     assert truth_table(emitted, q) == truth_table(Circuit(single_reg(3), built.gates[1:]), q) == {
         bits: bits ^ (0b010 if bits & 0b101 == 0b100 else 0) for bits in range(8)}
@@ -416,8 +434,8 @@ def test_compile_permutation_matches_per_wire_resolve():
 @pytest.mark.parametrize("role", ["control", "target"])
 def test_compile_permutation_reports_an_unresolvable_wire_as_resolve_does(wire, role):
     """No circuit that compile_permutation can be given holds a wire outside
-    its table: building one raises resolve's own error, for an MCX record and
-    for an X, which compile_permutation encodes through record_of."""
+    its table: building one raises resolve's own error, for an MCX and for an
+    X, each of which Emitter.add encodes through record_of."""
     table = single_reg(3)
     with pytest.raises(ResolutionError) as direct:
         table.resolve(wire)
